@@ -21,8 +21,8 @@ from .errors import ConfigError, ParseError, SingularityError
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone,
                       render_pgm, write_cf_csv, write_map_csv, write_profile_csv,
                       write_touchstone)
-from .probe import probe_transfer
-from .scan import apply_calibration_to_scan, extract_profile, map_stats, run_simulated_scan
+from .scan import (apply_calibration_to_scan, extract_profile, map_stats, probe_transfer,
+                   run_simulated_scan)
 
 
 def _read_text(path):
@@ -53,12 +53,10 @@ def _db_map(cmap, floor_db=-300.0):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
     provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
                   "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
     result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.port, cfg.grid,
-                                cfg.sweep, cfg.drive, threads=threads,
-                                provenance=provenance)
+                                cfg.sweep, cfg.drive, provenance=provenance)
     os.makedirs(args.out, exist_ok=True)
     for i, f_hz in enumerate(result.freqs):
         tag = _freq_tag(i, f_hz)
@@ -80,7 +78,7 @@ def cmd_probe_transfer(args):
     s = np.zeros((len(freqs), 2, 2), dtype=complex)
     s[:, 1, 0] = s21
     s[:, 0, 1] = s21
-    net = NetworkData(f=freqs, s=s, n_ports=2, z_ref=cfg.probe.port_z)
+    net = NetworkData(f=freqs, s=s, n_ports=2, z_ref=cfg.port.probe.port_z)
     _write_text(args.out, write_touchstone(net, fmt="RI"))
     return 0
 
@@ -139,8 +137,8 @@ def _parser():
     p.add_argument("--config", required=True, help="scan config (JSON, mm/GHz/dBm units)")
     p.add_argument("--out", required=True, help="output directory for map CSVs")
     p.add_argument("--threads", type=int, default=0,
-              help="worker threads for grid evaluation (default: all cores); "
-                   "output is identical for any value")
+                   help="accepted for compatibility; the scan runs on one thread, and "
+                        "the value changes neither the work nor the output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("probe-transfer", help="synthesize the probe S21 sweep over the "

@@ -44,13 +44,11 @@ class CalSpec:
 class ScanConfig:
     substrate: Substrate
     trace: TracePath
-    probe: LoopProbe          # posed over the trace midpoint at the scan height
-    port: PortWaveModel
+    port: PortWaveModel       # probe posed over the trace midpoint at the scan height
     grid: ScanGrid
     sweep: FrequencySweep
     drive: DriveSpec
     cal: CalSpec
-    normal_axis: str
     digest: str
 
 
@@ -191,9 +189,8 @@ def build_config(doc):
                   h=_mm(c.take("h", substrate.h * 1e3)))
     c.done()
 
-    return ScanConfig(substrate=substrate, trace=trace, probe=probe, port=port,
-                      grid=grid, sweep=sweep, drive=drive, cal=cal,
-                      normal_axis=axis, digest=digest)
+    return ScanConfig(substrate=substrate, trace=trace, port=port, grid=grid,
+                      sweep=sweep, drive=drive, cal=cal, digest=digest)
 
 
 def load_config(path):

@@ -6,37 +6,91 @@ segment is mirrored through z=0 and its current phasor negated, which
 reverses horizontal current (and preserves vertical current), enforcing
 zero normal H on the plane.
 
-The per-segment summation runs in a compiled extension when available
-(`nfscan._kernels`), otherwise in a numpy fallback with identical
-semantics.  Set the environment variable NFSCAN_PURE_PYTHON=1 before
-import to force the fallback.
+The coupling between a point and a segment depends on geometry only, so
+`segment_kernel` returns it per unit current, one chunk of points at a
+time; callers contract it with the currents of as many frequencies as
+they need.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import ConfigError, SingularityError
 from .model import C_LIGHT, DriveSpec, Substrate, TracePath
 
-if os.environ.get("NFSCAN_PURE_PYTHON"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
-
 #: Minimum allowed distance from a field point to any source filament (m).
 EPS_GEOM = 1e-9
 
+#: Most evaluation points per kernel call; bounds each kernel temporary
+#: at CHUNK x segments x 3 doubles.
+CHUNK = 512
 
-def kernel_backend():
-    """'compiled' when the C extension is active, else 'python'."""
-    return "compiled" if _kernels.COMPILED else "python"
+_FOUR_PI = 4.0 * math.pi
+
+
+def segment_kernel(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
+    """Real field per unit current, (npts, nseg, 3) in A/m per A.
+
+    Entry [i, k] is the field at points[i] of segment k carrying 1 A:
+
+        H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
+
+    with u the unit vector along the segment, r1/r2 the vectors from its
+    endpoints to the point, cos(theta) = r.u/|r| and rho = |u x r1| the
+    distance to the supporting line.  Where the point projects beyond an
+    end, both cosines have one sign and their difference is evaluated as
+    rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
+    which does not cancel; points on the line beyond the segment get 0.
+
+    Takes at most CHUNK points.  `n_real` marks how many leading segments
+    are physical; later ones are reported as image segments.  Raises
+    SingularityError for the first (point, segment) pair, in point-major
+    order, closer than `eps_geom` to the segment.
+    """
+    seg = ends - starts
+    length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
+    u = seg / length[:, None]
+    r1 = points[:, None, :] - starts
+    r2 = points[:, None, :] - ends
+    c = np.cross(u, r1)
+    rho2 = np.einsum("psk,psk->ps", c, c)
+    t1 = np.einsum("psk,sk->ps", r1, u)
+    t2 = np.einsum("psk,sk->ps", r2, u)
+    n1 = np.sqrt(np.einsum("psk,psk->ps", r1, r1))
+    n2 = np.sqrt(np.einsum("psk,psk->ps", r2, r2))
+    beyond = t1 * t2 > 0.0
+    dist2 = np.where(beyond, np.minimum(n1, n2) ** 2, rho2)
+    near = (dist2 < eps_geom * eps_geom) | (length == 0.0)
+    if near.any():
+        pt, k = divmod(int(np.argmax(near)), near.shape[1])
+        image = n_real is not None and k >= n_real
+        idx = k - n_real if image else k
+        kind = "image segment" if image else "segment"
+        raise SingularityError(
+            f"field point {points[pt].tolist()} is within {eps_geom} m of {kind} {idx}",
+            segment=idx, point=pt, image=image)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(beyond,
+                        (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
+                        (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
+    return coef[:, :, None] * c
+
+
+def kernel_chunks(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
+    """Yield (lo, segment_kernel of points[lo:lo + CHUNK]) over all points.
+
+    A SingularityError carries the index of the point in `points`.
+    """
+    for lo in range(0, len(points), CHUNK):
+        try:
+            g = segment_kernel(starts, ends, points[lo:lo + CHUNK], eps_geom, n_real)
+        except SingularityError as exc:
+            exc.point += lo
+            raise
+        yield lo, g
 
 
 def segment_fields(starts, ends, currents, points, eps_geom=EPS_GEOM, n_real=None):
@@ -45,22 +99,13 @@ def segment_fields(starts, ends, currents, points, eps_geom=EPS_GEOM, n_real=Non
     `n_real` marks how many leading segments are physical; indices at or
     beyond it are reported as image segments in singularity errors.
     """
-    starts = np.ascontiguousarray(starts, dtype=float)
-    ends = np.ascontiguousarray(ends, dtype=float)
-    currents = np.ascontiguousarray(currents, dtype=complex)
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    currents = np.asarray(currents, dtype=complex)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((points.shape[0], 3), dtype=complex)
-    code = _kernels.segment_field_sum(starts, ends, currents, points, eps_geom, out)
-    if code >= 0:
-        ns = starts.shape[0]
-        pt, seg = divmod(int(code), ns)
-        image = n_real is not None and seg >= n_real
-        idx = seg - n_real if image else seg
-        kind = "image segment" if image else "segment"
-        raise SingularityError(
-            f"field point {points[pt].tolist()} is within {eps_geom} m of the "
-            f"supporting line of {kind} {idx}",
-            segment=idx, point=pt, image=image)
+    for lo, g in kernel_chunks(starts, ends, points, eps_geom, n_real):
+        out[lo:lo + CHUNK] = np.einsum("psk,s->pk", g, currents)
     return out
 
 

@@ -1,4 +1,5 @@
-"""Loop probe response: flux, Faraday EMF, port voltage and synthetic S21.
+"""Loop probe port model: aperture quadrature, Faraday EMF, port voltage and
+synthetic S21.
 
 Two aperture models are available:
 
@@ -9,10 +10,12 @@ Two aperture models are available:
 * ``integrated``: Gauss-Legendre quadrature of H.normal over the loop
   footprint, a square of side `side_s` lying flat at the center height.
   Useful to quantify how much a finite aperture averages a non-uniform
-  field; see loop_flux.
+  field.
 
-Loop self-inductance and resonance are not modeled; results are valid in
-the electrically small regime (perimeter below about lambda/20).
+The chain from trace currents to these observables runs in
+`nfscan.scan` (`run_simulated_scan`, `probe_transfer`).  Loop
+self-inductance and resonance are not modeled; results are valid in the
+electrically small regime (perimeter below about lambda/20).
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, SingularityError
-from .fields import EPS_GEOM, current_distribution, h_trace_grounded
-from .model import MU_0, DriveSpec, FrequencySweep, LoopProbe, Substrate, TracePath
+from .errors import ConfigError
+from .model import MU_0, DriveSpec, LoopProbe, Substrate, TracePath
 
 LOADINGS = ("matched-halving", "open-circuit")
 APERTURES = ("uniform", "integrated")
@@ -48,54 +50,17 @@ class PortWaveModel:
             raise ConfigError(f"probe.aperture: must be one of {APERTURES}")
 
 
-def _quad_nodes(probe: LoopProbe, quad_n: int):
-    """Quadrature nodes (n^2, 3) and weights (n^2,) over the loop footprint."""
+def quad_offsets(probe: LoopProbe, quad_n: int):
+    """Quadrature node offsets (n^2, 3) from the loop center and weights
+    (n^2,) over the loop footprint, a square lying flat at the center."""
     x, w = np.polynomial.legendre.leggauss(quad_n)
     half = probe.side_s / 2.0
     gx, gy = np.meshgrid(x, x, indexing="ij")
-    nodes = np.empty((quad_n * quad_n, 3), dtype=float)
-    nodes[:, 0] = probe.center[0] + half * gx.ravel()
-    nodes[:, 1] = probe.center[1] + half * gy.ravel()
-    nodes[:, 2] = probe.center[2]
+    offsets = np.zeros((quad_n * quad_n, 3), dtype=float)
+    offsets[:, 0] = half * gx.ravel()
+    offsets[:, 1] = half * gy.ravel()
     weights = (np.outer(w, w).ravel()) * half * half
-    return nodes, weights
-
-
-def loop_flux(probe: LoopProbe, field, quad_n=8):
-    """Integral of H.normal over the loop footprint, in A*m (flux / mu0).
-
-    `field` maps an (n, 3) array of points to (n, 3) complex H vectors.
-    The footprint is the square of side `side_s` lying flat (parallel to
-    the ground plane) at the loop's center height; the measured component
-    is selected by the probe normal.  Tensor-product Gauss-Legendre with
-    `quad_n` points per axis.
-    """
-    if quad_n < 2:
-        raise ConfigError("quad_n must be >= 2")
-    if probe.center[2] <= 0:
-        raise ConfigError("probe must sit strictly above the ground plane z=0")
-    nodes, weights = _quad_nodes(probe, quad_n)
-    try:
-        h = np.asarray(field(nodes))
-    except SingularityError as exc:
-        raise SingularityError(
-            f"probe at {list(probe.center)}: {exc}", segment=exc.segment,
-            point=exc.point, image=exc.image) from exc
-    normal = np.asarray(probe.normal)
-    return complex(weights @ (h @ normal))
-
-
-def uniform_flux(probe: LoopProbe, field):
-    """Small-loop flux: H(center).normal times the loop area."""
-    if probe.center[2] <= 0:
-        raise ConfigError("probe must sit strictly above the ground plane z=0")
-    try:
-        h = np.asarray(field(np.asarray(probe.center)[None, :]))[0]
-    except SingularityError as exc:
-        raise SingularityError(
-            f"probe at {list(probe.center)}: {exc}", segment=exc.segment,
-            point=exc.point, image=exc.image) from exc
-    return complex(h @ np.asarray(probe.normal)) * probe.side_s ** 2
+    return offsets, weights
 
 
 def induced_emf(flux, f):
@@ -122,43 +87,6 @@ def synthesize_s21(v_port, drive: DriveSpec, port_z):
     b2 = v_port / sqrt(port_z), so S21 = v_port / sqrt(port_z * power).
     """
     return v_port / math.sqrt(port_z * drive.power)
-
-
-def probe_flux(model: PortWaveModel, field):
-    """Flux through the probe under the model's aperture setting."""
-    if model.aperture == "integrated":
-        return loop_flux(model.probe, field, model.quad_n)
-    return uniform_flux(model.probe, field)
-
-
-def probe_observables(model: PortWaveModel, field, f, drive: DriveSpec):
-    """(flux, emf, v_port, s21) of the probe in the given field at f."""
-    flux = probe_flux(model, field)
-    emf = induced_emf(flux, f)
-    v = port_voltage(emf, model)
-    s21 = synthesize_s21(v, drive, model.probe.port_z)
-    return flux, emf, v, s21
-
-
-def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
-                   sweep: FrequencySweep, drive: DriveSpec, eps_geom=None):
-    """Synthetic probe transmission sweep over a driven trace.
-
-    Runs the full chain current_distribution -> h_trace_grounded ->
-    flux -> induced_emf -> port_voltage -> synthesize_s21 at every sweep
-    frequency with the probe at its configured pose, and returns the
-    frequencies together with the complex S21 values.  |S21| rises at
-    +20 dB/decade while the loop stays electrically small (high-pass
-    behavior of an induction probe).
-    """
-    eps = EPS_GEOM if eps_geom is None else eps_geom
-    freqs = sweep.frequencies()
-    s21 = np.empty(len(freqs), dtype=complex)
-    for i, f in enumerate(freqs):
-        currents = current_distribution(trace, f, drive, substrate)
-        field = lambda pts: h_trace_grounded(trace, currents, pts, eps)
-        _, _, _, s21[i] = probe_observables(model, field, f, drive)
-    return freqs, s21
 
 
 def probe_over_trace(probe: LoopProbe, trace: TracePath, substrate: Substrate,

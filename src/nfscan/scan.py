@@ -1,28 +1,28 @@
 """Scan orchestration: simulate probe observables over a grid, calibrate
 raw voltage maps into field maps, extract profiles and statistics.
 
-Grid evaluation is chunked so it can run on worker threads; chunks are
-assembled by index and each point's segment sum has a fixed order, so
-results are byte-identical for any thread count.
+One chain serves both raster scans and the probe transfer sweep (a
+one-point scan).  It walks the probe centers in fixed-size chunks; for
+each chunk it builds the real coupling from every trace segment (its
+ground-plane image folded in) to the field along the probe normal, once,
+and multiplies it by the segments x frequencies current matrix.  Each
+point's sums run in a fixed order, so results are byte-identical from run
+to run.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import CFTable, field_from_voltage
 from .errors import ConfigError, SingularityError
-from .fields import EPS_GEOM, current_distribution, mirrored_segments, segment_fields
+from .fields import CHUNK, EPS_GEOM, current_distribution, kernel_chunks, mirrored_segments
 from .formats import FieldMap
-from .model import MU_0, DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points
-from .probe import PortWaveModel, _quad_nodes
-
-_CHUNK = 512  # grid points per work item; fixed so chunking never affects output
+from .model import DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points
+from .probe import PortWaveModel, induced_emf, port_voltage, quad_offsets, synthesize_s21
 
 
 class MapStats(NamedTuple):
@@ -61,39 +61,81 @@ def _component_tag(normal):
     return "mag"
 
 
-def _field_over_points(starts, ends, currents, points, eps_geom, threads, n_real):
-    """segment_fields over fixed-size chunks, optionally on worker threads.
+def _normal_rows(seg_s, seg_e, normal, points, eps_geom):
+    """(npts, n) real: field along `normal` per unit current in each of the
+    n trace segments, with its image (current -I) folded in."""
+    n = len(seg_s) // 2
+    rows = np.empty((len(points), n))
+    for lo, g in kernel_chunks(seg_s, seg_e, points, eps_geom, n_real=n):
+        gn = np.einsum("psk,k->ps", g, normal)
+        rows[lo:lo + CHUNK] = gn[:, :n] - gn[:, n:]
+    return rows
 
-    Chunk size is a constant, and every chunk lands at its own slice, so
-    the result does not depend on the thread count.  Singular-point
-    indices are rebased to the full point array.
-    """
-    n = points.shape[0]
-    bounds = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    out = np.empty((n, 3), dtype=complex)
 
-    def run(lo, hi):
+def _flux_rows(seg_s, seg_e, model, centers, eps_geom):
+    """(npts, n) real: loop flux (A*m) per unit current in each trace
+    segment, Gauss-Legendre over the footprint around each center."""
+    offsets, weights = quad_offsets(model.probe, model.quad_n)
+    nq = len(weights)
+    step = max(1, CHUNK // nq)
+    normal = np.asarray(model.probe.normal, dtype=float)
+    rows = np.empty((len(centers), len(seg_s) // 2))
+    for lo in range(0, len(centers), step):
+        c = centers[lo:lo + step]
+        nodes = (c[:, None, :] + offsets).reshape(-1, 3)
         try:
-            return segment_fields(starts, ends, currents, points[lo:hi], eps_geom,
-                                  n_real=n_real)
+            a = _normal_rows(seg_s, seg_e, normal, nodes, eps_geom)
         except SingularityError as exc:
-            exc.point = exc.point + lo
+            exc.point = lo + exc.point // nq
             raise
+        rows[lo:lo + step] = np.einsum("pqs,q->ps", a.reshape(len(c), nq, -1), weights)
+    return rows
 
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            out[lo:hi] = run(lo, hi)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(lo, hi, pool.submit(run, lo, hi)) for lo, hi in bounds]
-        for lo, hi, fut in futures:
-            out[lo:hi] = fut.result()
-    return out
+
+def _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom):
+    """Observables of the probe centred at each of `centers` (npts, 3).
+
+    Returns (h, v, s21), each a list with one (npts,) complex array per
+    frequency: the field along the probe normal at the center, the port
+    voltage and S21.  A SingularityError carries the index of the center.
+    """
+    if np.any(centers[:, 2] <= 0):
+        raise ConfigError("probe centers must lie strictly above the ground plane z=0")
+    currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
+                        axis=1)
+    seg_s, seg_e, _ = mirrored_segments(*trace.segment_arrays(), currents)
+    cur = np.concatenate([currents.real, currents.imag], axis=1)
+    normal = np.asarray(model.probe.normal, dtype=float)
+    integrated = model.aperture == "integrated"
+    h = np.empty((len(centers), cur.shape[1]))
+    flux = np.empty_like(h) if integrated else None
+    for lo in range(0, len(centers), CHUNK):
+        c = centers[lo:lo + CHUNK]
+        try:
+            h[lo:lo + CHUNK] = np.einsum("ps,sf->pf", _normal_rows(seg_s, seg_e, normal, c,
+                                                                    eps_geom), cur)
+            if integrated:
+                flux[lo:lo + CHUNK] = np.einsum(
+                    "ps,sf->pf", _flux_rows(seg_s, seg_e, model, c, eps_geom), cur)
+        except SingularityError as exc:
+            exc.point += lo
+            raise
+    nf = len(freqs)
+    area = model.probe.side_s ** 2
+    hs, vs, s21s = [], [], []
+    for i, f in enumerate(freqs):
+        hf = h[:, i] + 1j * h[:, nf + i]
+        fl = flux[:, i] + 1j * flux[:, nf + i] if integrated else hf * area
+        v = port_voltage(induced_emf(fl, f), model)
+        hs.append(hf)
+        vs.append(v)
+        s21s.append(synthesize_s21(v, drive, model.probe.port_z))
+    return hs, vs, s21s
 
 
 def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveModel,
                        grid: ScanGrid, sweep: FrequencySweep, drive: DriveSpec,
-                       eps_geom=EPS_GEOM, threads=1, provenance=None):
+                       eps_geom=EPS_GEOM, provenance=None):
     """Simulate a raster scan of the probe over a driven trace.
 
     At every grid point the probe center is placed at the point (lifted to
@@ -101,60 +143,47 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
     z_height is measured from the conductor plane) and the port chain is
     evaluated; per frequency the complex S21, port voltage and
     ground-truth field component (along the probe normal, at the probe
-    center) are stored as maps.  Output is independent of `threads`.
+    center) are stored as maps.
     """
-    pts = grid_points(grid)
-    centers = pts.copy()
+    centers = grid_points(grid)
     centers[:, 2] += substrate.h
-    if np.any(centers[:, 2] <= 0):
-        raise ConfigError("scan surface must lie strictly above the ground plane")
-    starts, ends = trace.segment_arrays()
-    n_real = trace.n_segments
-    normal = np.asarray(model.probe.normal, dtype=float)
-    tag = _component_tag(normal)
-    area = model.probe.side_s ** 2
     freqs = sweep.frequencies()
-    nx, ny = grid.nx, grid.ny
-
-    if model.aperture == "integrated":
-        base = replace(model.probe, center=(0.0, 0.0, 0.0))
-        offsets, weights = _quad_nodes(base, model.quad_n)
-        nodes = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-
-    s21_maps = []
-    v_maps = []
-    h_maps = []
-    for f in freqs:
-        currents = current_distribution(trace, f, drive, substrate)
-        seg_s, seg_e, seg_c = mirrored_segments(starts, ends, currents)
-        try:
-            h_at_centers = _field_over_points(seg_s, seg_e, seg_c, centers,
-                                              eps_geom, threads, n_real)
-        except SingularityError as exc:
-            raise _at_grid_point(exc, grid, exc.point) from None
-        h_truth = h_at_centers @ normal
-        if model.aperture == "integrated":
-            try:
-                h_nodes = _field_over_points(seg_s, seg_e, seg_c, nodes,
-                                             eps_geom, threads, n_real)
-            except SingularityError as exc:
-                raise _at_grid_point(exc, grid, exc.point // len(weights)) from None
-            hn = (h_nodes @ normal).reshape(len(centers), len(weights))
-            flux = hn @ weights
-        else:
-            flux = h_truth * area
-        emf = -1j * 2.0 * math.pi * f * MU_0 * flux
-        v = emf / 2.0 if model.loading == "matched-halving" else emf
-        s21 = v / math.sqrt(model.probe.port_z * drive.power)
+    try:
+        h, v, s21 = _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom)
+    except SingularityError as exc:
+        raise _at_grid_point(exc, grid, exc.point) from None
+    tag = _component_tag(model.probe.normal)
+    shape = (grid.ny, grid.nx)
+    s21_maps, v_maps, h_maps = [], [], []
+    for i, f in enumerate(freqs):
         common = dict(grid=grid, f=float(f), value_kind="complex")
-        s21_maps.append(FieldMap(component="s21", values=s21.reshape(ny, nx), **common))
-        v_maps.append(FieldMap(component="vport", values=v.reshape(ny, nx),
+        s21_maps.append(FieldMap(component="s21", values=s21[i].reshape(shape), **common))
+        v_maps.append(FieldMap(component="vport", values=v[i].reshape(shape),
                                meta={"normal": tag}, **common))
-        h_maps.append(FieldMap(component=tag if tag != "mag" else "mag",
-                               values=h_truth.reshape(ny, nx), **common))
+        h_maps.append(FieldMap(component=tag, values=h[i].reshape(shape), **common))
     return ScanResult(grid=grid, freqs=freqs, s21=tuple(s21_maps),
                       vport=tuple(v_maps), hfield=tuple(h_maps),
                       provenance=dict(provenance or {}))
+
+
+def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
+                   sweep: FrequencySweep, drive: DriveSpec, eps_geom=EPS_GEOM):
+    """Synthetic probe transmission sweep over a driven trace.
+
+    A one-point scan with the probe at its configured pose: returns the
+    sweep frequencies together with the complex S21 values.  |S21| rises
+    at +20 dB/decade while the loop stays electrically small (high-pass
+    behavior of an induction probe).
+    """
+    freqs = sweep.frequencies()
+    center = np.array([model.probe.center], dtype=float)
+    try:
+        _, _, s21 = _probe_chain(trace, substrate, model, center, freqs, drive, eps_geom)
+    except SingularityError as exc:
+        raise SingularityError(
+            f"probe at {list(model.probe.center)}: {exc}", segment=exc.segment,
+            point=exc.point, image=exc.image) from None
+    return freqs, np.array([s[0] for s in s21])
 
 
 def _at_grid_point(exc, grid, flat):

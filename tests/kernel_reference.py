@@ -1,15 +1,12 @@
-"""Pure-Python (numpy) implementation of the segment-field kernel.
+"""Per-segment loop reference for nfscan.fields.segment_kernel.
 
-Used automatically when the compiled extension `nfscan._kernels` is not
-available.  Both implementations accumulate per-point contributions in
-segment order, so results agree to floating-point noise.
+The same arithmetic as the kernel, one segment at a time over all points,
+accumulating complex fields in segment order.
 """
 
 import numpy as np
 
 _FOUR_PI = 4.0 * np.pi
-
-COMPILED = False
 
 
 def segment_field_sum(starts, ends, currents, points, eps, out):
@@ -20,16 +17,15 @@ def segment_field_sum(starts, ends, currents, points, eps, out):
         H = I * (r1.u/|r1| - r2.u/|r2|) / (4*pi*rho**2) * (u x r1)
 
     with u the unit vector along the segment, r1/r2 the vectors from its
-    endpoints to the field point and rho the perpendicular distance to the
-    supporting line (|u x r1|).
+    endpoints to the field point and rho = |u x r1|.  Where both r.u have
+    one sign the cosine difference is taken in its cancellation-free form.
 
     Writes into `out` (npts, 3) complex128.  Returns -1 on success, or
     ``point_index * n_segments + segment_index`` for the first point/segment
-    pair (in point-major order) closer than `eps` to a supporting line.
+    pair (in point-major order) closer than `eps` to the segment.
     """
     ns = starts.shape[0]
     out[:] = 0.0
-    eps2 = eps * eps
     code = -1
     for k in range(ns):
         a = starts[k]
@@ -44,13 +40,17 @@ def segment_field_sum(starts, ends, currents, points, eps, out):
         r2 = points - b
         c = np.cross(np.broadcast_to(u, r1.shape), r1)
         rho2 = np.einsum("ij,ij->i", c, c)
-        near = rho2 < eps2
+        t1, t2 = r1 @ u, r2 @ u
+        n1, n2 = np.linalg.norm(r1, axis=1), np.linalg.norm(r2, axis=1)
+        beyond = t1 * t2 > 0
+        near = np.where(beyond, np.minimum(n1, n2) ** 2, rho2) < eps * eps
         if near.any():
             code = _first_code(near, k, ns, code)
             continue
-        n1 = (r1 @ u) / np.linalg.norm(r1, axis=1)
-        n2 = (r2 @ u) / np.linalg.norm(r2, axis=1)
-        coef = (n1 - n2) / (_FOUR_PI * rho2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where(beyond,
+                            (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
+                            (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
         out += (currents[k] * coef)[:, None] * c
     return code
 

@@ -1,5 +1,5 @@
-import importlib
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose
 from nfscan import (ConfigError, SingularityError, TracePath, closed_form_line_h,
                     current_distribution, eps_eff_hammerstad, h_segment,
                     h_trace_grounded)
-from nfscan import _kernels_py
-from nfscan.fields import mirrored_segments, segment_fields
+from nfscan.fields import CHUNK, mirrored_segments, segment_fields, segment_kernel
 
 from conftest import H_SUB, rng
+from kernel_reference import segment_field_sum
 
 
 class TestHSegment:
@@ -39,10 +39,26 @@ class TestHSegment:
             h_segment((0, 0, 0), (1, 0, 0), 1.0, (0.5, 0, 0))
         assert err.value.segment == 0
 
-    def test_on_axis_beyond_end_is_singular(self):
-        # the guard applies to the supporting line, not just the segment span
-        with pytest.raises(SingularityError):
-            h_segment((0, 0, 0), (1, 0, 0), 1.0, (2.0, 0, 0))
+    def test_finite_segment_closed_form(self):
+        # segment [0, L] on the x axis, points at x off the axis by rho, against
+        # I/(4*pi*rho) * (cos(theta1) - cos(theta2)) in 50-digit decimal
+        length = 0.25
+        for x in (0.125, 0.0625, 0.5, -0.25):      # inside the span, and past each end
+            for rho in 10.0 ** np.arange(-7, 0):
+                h = h_segment((0, 0, 0), (length, 0, 0), 1.0, (x, rho, 0))
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    X, R, L = Decimal(x), Decimal(rho), Decimal(length)
+                    cos1 = X / (X * X + R * R).sqrt()
+                    cos2 = (X - L) / ((X - L) ** 2 + R * R).sqrt()
+                    want = float((cos1 - cos2) / (4 * Decimal(math.pi) * R))
+                assert_allclose(h[2].real, want, rtol=1e-13)
+                assert h[0] == 0 and h[1] == 0
+            # collinear points past either end: the field is exactly 0
+            for gap in 10.0 ** np.arange(-7, 0):
+                for p in ((length + gap, 0, 0), (-gap, 0, 0)):
+                    assert np.all(h_segment((0, 0, 0), (length, 0, 0), 1.0, p) == 0)
+        assert np.all(h_segment((0, 0, 1), (1, 0, 1), 1.0, (2, 0, 1)) == 0)
 
     def test_linearity_in_current(self):
         p = (0.2, 3e-3, 1e-3)
@@ -180,30 +196,36 @@ class TestCurrentDistribution:
             current_distribution(straight_trace, 0.0, drive, substrate)
 
 
-class TestKernelBackends:
-    def test_python_fallback_matches_active_backend(self):
+class TestKernel:
+    def test_matches_reference_loop(self):
         r = rng(3)
-        ns, npts = 17, 40
+        ns, npts = 17, CHUNK + 40
         starts = r.uniform(-0.1, 0.1, (ns, 3))
         ends = starts + r.uniform(0.01, 0.05, (ns, 3))
+        ends[0, :2] = starts[0, :2]            # one vertical segment
         currents = r.uniform(-1, 1, ns) + 1j * r.uniform(-1, 1, ns)
         points = r.uniform(0.2, 0.4, (npts, 3))
+        points[-1] = starts[0] + 3 * (ends[0] - starts[0])    # on its axis, past the end
         out_a = segment_fields(starts, ends, currents, points)
         out_b = np.empty_like(out_a)
-        code = _kernels_py.segment_field_sum(starts, ends, currents, points, 1e-9, out_b)
-        assert code == -1
+        assert segment_field_sum(starts, ends, currents, points, 1e-9, out_b) == -1
         assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-20)
 
-    def test_backends_agree_on_singularity_code(self):
+    def test_singularity_code_point_major(self):
         starts = np.array([[0.0, 0, 0], [0, 1, 0]])
         ends = np.array([[1.0, 0, 0], [1, 1, 0]])
         cur = np.array([1.0 + 0j, 1.0])
         pts = np.array([[0.5, 5.0, 0], [0.5, 1.0, 0], [0.5, 0.0, 0]])
-        out = np.empty((3, 3), complex)
-        code_py = _kernels_py.segment_field_sum(starts, ends, cur, pts, 1e-9, out)
         # first singular pair in point-major order: point 1 x segment 1
-        assert code_py == 1 * 2 + 1
-        kernels = importlib.import_module("nfscan.fields")._kernels
-        if kernels is not _kernels_py:
-            code_c = kernels.segment_field_sum(starts, ends, cur, pts, 1e-9, out)
-            assert code_c == code_py
+        assert segment_field_sum(starts, ends, cur, pts, 1e-9, np.empty((3, 3), complex)) == 3
+        with pytest.raises(SingularityError) as err:
+            segment_kernel(starts, ends, pts)
+        assert (err.value.point, err.value.segment, err.value.image) == (1, 1, False)
+        with pytest.raises(SingularityError) as err:
+            segment_kernel(starts, ends, pts, n_real=1)
+        assert (err.value.segment, err.value.image) == (0, True)
+        # past the first chunk the index still refers to the caller's points
+        far = np.column_stack([np.full(CHUNK, 0.5), np.full(CHUNK, 3.0), np.zeros(CHUNK)])
+        with pytest.raises(SingularityError) as err:
+            segment_fields(starts, ends, cur, np.vstack([far, pts]))
+        assert (err.value.point, err.value.segment) == (CHUNK + 1, 1)

@@ -5,64 +5,78 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, DriveSpec, FrequencySweep, LoopProbe, PortWaveModel,
-                    SingularityError, TracePath, h_trace_grounded, induced_emf,
-                    loop_flux, port_voltage, probe_transfer, synthesize_s21,
-                    uniform_flux)
-from nfscan.probe import probe_flux
+                    SingularityError, current_distribution, h_trace_grounded,
+                    induced_emf, port_voltage, probe_transfer, synthesize_s21)
+from nfscan import fields
 
 from conftest import H_SUB, SCAN_HEIGHT
 
-
-def uniform_field(direction):
-    d = np.asarray(direction, dtype=complex)
-    return lambda pts: np.broadcast_to(d, (len(pts), 3)).copy()
+F = 0.5e9
+ONE_F = FrequencySweep(f_min=F, f_max=F, n_points=1)
 
 
-def trace_field(trace, currents):
-    return lambda pts: h_trace_grounded(trace, currents, pts)
+def s21_at(probe, trace, substrate, drive, aperture="integrated", quad_n=8):
+    model = PortWaveModel(probe=probe, aperture=aperture, quad_n=quad_n)
+    return probe_transfer(model, trace, substrate, ONE_F, drive)[1][0]
+
+
+def uniform_kernel(direction):
+    """Stand-in kernel: every physical segment gives `direction` per ampere
+    at every point, and every image nothing."""
+    def kernel(starts, ends, points, eps_geom, n_real):
+        g = np.zeros((len(points), len(starts), 3))
+        g[:, :n_real] = direction
+        return g
+    return kernel
 
 
 class TestLoopFlux:
-    def test_uniform_parallel(self):
+    def test_uniform_parallel(self, monkeypatch, straight_trace, substrate, drive):
+        monkeypatch.setattr(fields, "segment_kernel", uniform_kernel((0, 0, 1)))
         probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
-        flux = loop_flux(probe, uniform_field((0, 0, 1)), quad_n=8)
-        assert_allclose(flux, 1.6e-5, rtol=1e-12)
+        s_int = s21_at(probe, straight_trace, substrate, drive)
+        s_uni = s21_at(probe, straight_trace, substrate, drive, aperture="uniform")
+        assert s_uni != 0
+        assert_allclose(s_int, s_uni, rtol=1e-12)
 
-    def test_uniform_perpendicular(self):
+    def test_uniform_perpendicular(self, monkeypatch, straight_trace, substrate, drive):
+        monkeypatch.setattr(fields, "segment_kernel", uniform_kernel((1, 0, 0)))
         probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
-        flux = loop_flux(probe, uniform_field((1, 0, 0)), quad_n=8)
-        assert abs(flux) < 1e-20
+        assert abs(s21_at(probe, straight_trace, substrate, drive)) < 1e-20
 
-    def test_quadrature_16_vs_32(self, straight_trace):
+    def test_quadrature_16_vs_32(self, straight_trace, substrate, drive):
         # standoff side/4 = 1 mm over the trace: integrand is smooth
         probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal=(0, 1, 0))
-        field = trace_field(straight_trace, [1.0])
-        f16 = loop_flux(probe, field, quad_n=16)
-        f32 = loop_flux(probe, field, quad_n=32)
+        f16, f32 = (s21_at(probe, straight_trace, substrate, drive, quad_n=n)
+                    for n in (16, 32))
         assert abs(f16 - f32) / abs(f32) < 1e-3
 
-    def test_richardson_monotone(self, straight_trace):
+    def test_richardson_monotone(self, straight_trace, substrate, drive):
         probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal=(0, 1, 0))
-        field = trace_field(straight_trace, [1.0])
-        f4, f8, f16, f32 = (loop_flux(probe, field, quad_n=n) for n in (4, 8, 16, 32))
+        f4, f8, f16, f32 = (s21_at(probe, straight_trace, substrate, drive, quad_n=n)
+                            for n in (4, 8, 16, 32))
         assert abs(f8 - f4) >= abs(f16 - f8) >= abs(f32 - f16)
 
     def test_quad_n_minimum(self):
         probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
         with pytest.raises(ConfigError):
-            loop_flux(probe, uniform_field((0, 0, 1)), quad_n=1)
+            PortWaveModel(probe=probe, aperture="integrated", quad_n=1)
 
-    def test_singularity_carries_probe_location(self, straight_trace):
+    def test_singularity_carries_probe_location(self, straight_trace, substrate, drive):
         # odd quad_n puts a node at the center, which here sits on the filament
         probe = LoopProbe(center=(0, 0, H_SUB), normal=(0, 0, 1))
-        with pytest.raises(SingularityError, match="probe at"):
-            loop_flux(probe, trace_field(straight_trace, [1.0]), quad_n=9)
+        with pytest.raises(SingularityError, match=r"probe at \[0\.0, 0\.0, 0\.0016\]"):
+            s21_at(probe, straight_trace, substrate, drive, quad_n=9)
 
-    def test_uniform_flux_small_loop_model(self, straight_trace):
-        probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal=(0, 1, 0))
-        field = trace_field(straight_trace, [1.0])
-        hy = field(np.asarray(probe.center)[None, :])[0][1]
-        assert_allclose(uniform_flux(probe, field), hy * probe.side_s ** 2, rtol=1e-12)
+    def test_uniform_flux_small_loop_model(self, cal_model, straight_trace, substrate,
+                                           drive):
+        probe = cal_model.probe
+        currents = current_distribution(straight_trace, F, drive, substrate)
+        hy = h_trace_grounded(straight_trace, currents, probe.center)[1]
+        want = synthesize_s21(port_voltage(induced_emf(hy * probe.side_s ** 2, F), cal_model),
+                              drive, probe.port_z)
+        assert_allclose(s21_at(probe, straight_trace, substrate, drive, aperture="uniform"),
+                        want, rtol=1e-12)
 
 
 class TestEmfAndPort:
@@ -146,8 +160,8 @@ class TestProbeTransfer:
         # quadrupled power doubles the drive current and every chain voltage
         volts = []
         for power in (1e-4, 4e-4):
-            field = trace_field(straight_trace, [math.sqrt(power / 50)])
-            flux = probe_flux(cal_model, field)
+            h = h_trace_grounded(straight_trace, [math.sqrt(power / 50)], cal_model.probe.center)
+            flux = (h @ np.asarray(cal_model.probe.normal)) * cal_model.probe.side_s ** 2
             volts.append(port_voltage(induced_emf(flux, 0.5e9), cal_model))
         assert_allclose(volts[1], 2 * volts[0], rtol=1e-12)
 

@@ -1,23 +1,28 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep,
+from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, LoopProbe,
                     PortWaveModel, ScanGrid, SingularityError, Substrate, TracePath,
-                    apply_calibration_to_scan, extract_profile, map_stats,
-                    run_simulated_scan, write_map_csv)
+                    apply_calibration_to_scan, current_distribution, extract_profile,
+                    grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
+                    run_simulated_scan, synthesize_s21, write_map_csv)
+from nfscan import fields
+from nfscan.fields import EPS_GEOM, mirrored_segments
 from nfscan.scan import MapStats
 
 from conftest import H_SUB, SCAN_HEIGHT, rng
+from kernel_reference import segment_field_sum
 
 
-def run_table2(cal_model, straight_trace, substrate, drive, table2_grid, f=2e9,
-               threads=1):
+def run_table2(cal_model, straight_trace, substrate, drive, table2_grid, f=2e9):
     sweep = FrequencySweep(f_min=f, f_max=f, n_points=1)
     return run_simulated_scan(straight_trace, substrate, cal_model, table2_grid,
-                              sweep, drive, threads=threads)
+                              sweep, drive)
 
 
 def db_of(fmap):
@@ -67,6 +72,18 @@ class TestRunSimulatedScan:
         with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=0\)"):
             run_table2(cal_model, straight_trace, substrate, drive, grid)
 
+    def test_node_singularity_names_grid_point(self, cal_model, substrate, drive,
+                                               table2_grid):
+        # a trace through one quadrature node of grid point 15; with 256 nodes
+        # a node chunk holds 2 grid points, so the index must be rebased
+        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=16)
+        half = model.probe.side_s / 2
+        y = table2_grid.y_coords()[15] + half * np.polynomial.legendre.leggauss(16)[0][3]
+        z = SCAN_HEIGHT + H_SUB
+        trace = TracePath(vertices=((-0.1, y, z), (0.1, y, z)))
+        with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=15\)"):
+            run_table2(model, trace, substrate, drive, table2_grid)
+
     def test_integrated_aperture_scan_runs(self, cal_model, straight_trace, substrate,
                                            drive, table2_grid):
         model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=4)
@@ -80,12 +97,131 @@ class TestRunSimulatedScan:
                                                  substrate, drive, table2_grid):
         a = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
         b = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
-        c = run_table2(cal_model, straight_trace, substrate, drive, table2_grid,
-                       threads=4)
-        for x, y in ((a, b), (a, c)):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            c, d = pool.map(lambda _: run_table2(cal_model, straight_trace, substrate, drive,
+                                                 table2_grid), range(2))
+        for x, y in ((a, b), (a, c), (a, d)):
             assert write_map_csv(x.vport[0]) == write_map_csv(y.vport[0])
             assert write_map_csv(x.s21[0]) == write_map_csv(y.s21[0])
             assert write_map_csv(x.hfield[0]) == write_map_csv(y.hfield[0])
+
+    def test_probe_transfer_is_one_point_scan(self, cal_model, straight_trace, substrate,
+                                              drive):
+        grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
+                        z_height=SCAN_HEIGHT)
+        sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=5)
+        for model in (cal_model, PortWaveModel(probe=cal_model.probe, aperture="integrated")):
+            res = run_simulated_scan(straight_trace, substrate, model, grid, sweep, drive)
+            _, s21 = probe_transfer(model, straight_trace, substrate, sweep, drive)
+            assert s21.tobytes() == np.array([m.values[0, 0] for m in res.s21]).tobytes()
+
+    def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_model,
+                                                      straight_trace, substrate, drive,
+                                                      table2_grid):
+        calls = []
+        kernel = fields.segment_kernel
+        monkeypatch.setattr(fields, "segment_kernel",
+                            lambda *args: calls.append(1) or kernel(*args))
+        for model in (cal_model, PortWaveModel(probe=cal_model.probe, aperture="integrated")):
+            counts = []
+            for n in (1, 31):
+                calls.clear()
+                sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=n)
+                run_simulated_scan(straight_trace, substrate, model, table2_grid, sweep, drive)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0
+
+
+lattice = st.integers(-24, 24).map(lambda k: k * 0.25e-3)
+level = st.integers(1, 12).map(lambda k: k * 0.25e-3)
+
+
+@st.composite
+def scan_cases(draw):
+    """A 3-D trace (vertical segments included), a small grid, a probe model
+    and a sweep of 1-7 frequencies, on a 0.25 mm lattice."""
+    verts = [(draw(lattice), draw(lattice), draw(level))]
+    for _ in range(draw(st.integers(1, 4))):
+        x, y, z = verts[-1]
+        if draw(st.booleans()):
+            verts.append((x, y, draw(level.filter(lambda v: v != z))))
+        else:
+            xy = draw(st.tuples(lattice, lattice).filter(lambda p: p != (x, y)))
+            verts.append((*xy, z))
+    st_step = st.sampled_from((0.25e-3, 0.5e-3, 1e-3))
+    dx, dy = draw(st_step), draw(st_step)
+    # the grid passes over a vertex, so points line up with vias and their images
+    vx, vy, _ = draw(st.sampled_from(verts))
+    x0, y0 = vx - dx * draw(st.integers(0, 3)), vy - dy * draw(st.integers(0, 3))
+    grid = ScanGrid(x_min=x0, x_max=x0 + dx * draw(st.integers(0, 4)), y_min=y0,
+                    y_max=y0 + dy * draw(st.integers(0, 4)), dx=dx, dy=dy, z_height=draw(level))
+    normal = draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    probe = LoopProbe(center=(0, 0, 1e-3), normal=normal, side_s=draw(st.sampled_from((2e-3, 4e-3))))
+    aperture = draw(st.sampled_from(("uniform", "integrated")))
+    model = PortWaveModel(probe=probe, aperture=aperture, quad_n=draw(st.integers(2, 8)))
+    f0 = draw(st.floats(0.1e9, 3e9))
+    sweep = FrequencySweep(f_min=f0, f_max=f0 + draw(st.floats(0.0, 2e9)),
+                           n_points=draw(st.integers(1, 7)))
+    return TracePath(vertices=tuple(verts)), grid, model, sweep
+
+
+def reference_scan(trace, substrate, model, grid, sweep, drive):
+    """(H, V, S21) per frequency from the per-segment loop, images and
+    quadrature, each with its tolerance: 1e-12 of the largest |H| at any
+    evaluated point, carried through the chain.  None when a point is
+    within EPS_GEOM of a filament."""
+    centers = grid_points(grid)
+    centers[:, 2] += substrate.h
+    points = centers
+    normal = np.asarray(model.probe.normal, dtype=float)
+    area = model.probe.side_s ** 2
+    if model.aperture == "integrated":
+        x, w = np.polynomial.legendre.leggauss(model.quad_n)
+        half = model.probe.side_s / 2
+        gx, gy = np.meshgrid(half * x, half * x, indexing="ij")
+        offsets = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+        weights = np.outer(w, w).ravel() * half * half
+        points = np.vstack([centers, (centers[:, None, :] + offsets).reshape(-1, 3)])
+    fields_at = []
+    for f in sweep.frequencies():
+        cur = current_distribution(trace, f, drive, substrate)
+        h = np.empty((len(points), 3), dtype=complex)
+        if segment_field_sum(*mirrored_segments(*trace.segment_arrays(), cur), points,
+                             EPS_GEOM, h) >= 0:
+            return None
+        fields_at.append((f, h))
+    tol_h = 1e-12 * max(np.abs(h).max() for _, h in fields_at)
+    out = []
+    for f, h in fields_at:
+        hn = h @ normal
+        h0 = hn[:len(centers)]
+        if model.aperture == "integrated":
+            flux = hn[len(centers):].reshape(len(centers), -1) @ weights
+        else:
+            flux = h0 * area
+        v = port_voltage(induced_emf(flux, f), model)
+        tol_v = abs(port_voltage(induced_emf(tol_h * area, f), model))
+        out.append(((h0, tol_h), (v, tol_v),
+                    (synthesize_s21(v, drive, model.probe.port_z),
+                     synthesize_s21(tol_v, drive, model.probe.port_z))))
+    return out
+
+
+class TestChainMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(scan_cases())
+    def test_scan_matches_reference_loop(self, case):
+        trace, grid, model, sweep = case
+        substrate, drive = Substrate(), DriveSpec()
+        want = reference_scan(trace, substrate, model, grid, sweep, drive)
+        if want is None:
+            with pytest.raises(SingularityError):
+                run_simulated_scan(trace, substrate, model, grid, sweep, drive)
+            return
+        res = run_simulated_scan(trace, substrate, model, grid, sweep, drive)
+        for k, maps in enumerate((res.hfield, res.vport, res.s21)):
+            for fmap, w in zip(maps, want):
+                assert_allclose(fmap.values.ravel(), w[k][0], rtol=0, atol=w[k][1])
 
 
 class TestApplyCalibration:
