@@ -34,8 +34,11 @@ def _read_text(path):
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _freq_tag(i, f_hz):
@@ -57,7 +60,10 @@ def cmd_simulate(args):
                   "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
     result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.port, cfg.grid,
                                 cfg.sweep, cfg.drive, provenance=provenance)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from None
     for i, f_hz in enumerate(result.freqs):
         tag = _freq_tag(i, f_hz)
         _write_text(os.path.join(args.out, f"s21_db_{tag}.csv"),
@@ -121,8 +127,11 @@ def cmd_stats(args):
 def cmd_render(args):
     fmap = parse_map_csv(_read_text(args.map))
     data = render_pgm(fmap, args.lo, args.hi)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 

@@ -68,6 +68,8 @@ class _Section:
         if kind is float:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{self.name}.{key}: expected a number")
+            if not _finite(val):
+                raise ConfigError(f"{self.name}.{key}: expected a finite number")
             return float(val)
         if kind is int:
             if not isinstance(val, int) or isinstance(val, bool):
@@ -82,6 +84,15 @@ class _Section:
     def done(self):
         if self.data:
             raise ConfigError(f"{self.name}.{next(iter(self.data))}: unknown key")
+
+
+def _finite(num):
+    """True if the JSON number `num` is a finite double (json accepts NaN,
+    Infinity and integers too large for a double)."""
+    try:
+        return math.isfinite(num)
+    except OverflowError:
+        return False
 
 
 def _mm(v):
@@ -135,12 +146,14 @@ def build_config(doc):
     verts = []
     for i, v in enumerate(raw_verts):
         if (not isinstance(v, list) or len(v) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
+                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                           and _finite(c) for c in v)):
             raise ConfigError(f"trace.vertices[{i}]: expected [x_mm, y_mm]")
         verts.append((_mm(float(v[0])), _mm(float(v[1])), substrate.h))
     max_seg = t.take("max_segment", None, kind=object)
     if max_seg is not None:
-        if not isinstance(max_seg, (int, float)) or isinstance(max_seg, bool) or max_seg <= 0:
+        if (not isinstance(max_seg, (int, float)) or isinstance(max_seg, bool)
+                or not _finite(max_seg) or max_seg <= 0):
             raise ConfigError("trace.max_segment: expected a positive number (mm) or null")
         verts = _subdivide(verts, _mm(float(max_seg)))
     trace = TracePath(vertices=tuple(verts), width=_mm(t.take("width", 3.0)),

@@ -5,12 +5,20 @@ write(parse(write(x))) is byte-identical to write(x).  Map and profile
 CSV metadata lines start with '#' and use SI units; body rows run from
 y_min upward (row-major, matching grid_points).  PGM output puts y_max at
 the top, as an image viewer would expect.
+
+Map CSV cells are Python `repr` of doubles: the shortest decimal that
+parses back to the same double.  A complex cell is `re:im` with exactly
+one ':'.  A cell parses if `float()` accepts it (or, for a complex cell,
+both sides of the ':'), surrounding whitespace, `1_0` and `infinity`
+included; dB cells must also be finite.  A bad cell raises ParseError
+naming its line and its text.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,17 +272,22 @@ def write_map_csv(fmap: FieldMap):
     lines.append(f"# value_kind: {fmap.value_kind}")
     for key in sorted(fmap.meta):
         lines.append(f"# meta.{key}: {fmap.meta[key]}")
+    # One row at a time: tolist() yields Python floats, whose repr is the
+    # shortest round-trip decimal, the same text _rfmt gives per cell.
+    # Converting the whole map at once would hold a Python float per cell.
     if fmap.value_kind == "complex":
-        def cell(v):
-            return f"{_rfmt(v.real)}:{_rfmt(v.imag)}"
+        for row in fmap.values:
+            pairs = zip(row.real.tolist(), row.imag.tolist())
+            lines.append(",".join([f"{a!r}:{b!r}" for a, b in pairs]))
     else:
-        cell = _rfmt
-    for row in fmap.values:
-        lines.append(",".join(cell(v) for v in row))
+        for row in fmap.values:
+            lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
 _MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "f_hz")
+# Every cell of a complex row holds exactly one ':'.
+_COMPLEX_ROW = re.compile(r"[^,:]*:[^,:]*(?:,[^,:]*:[^,:]*)*")
 
 
 def parse_map_csv(text):
@@ -299,13 +312,28 @@ def parse_map_csv(text):
     if len(body) != grid.ny:
         raise ParseError(f"expected {grid.ny} data rows, got {len(body)}")
     values = np.empty((grid.ny, grid.nx), dtype=complex if kind == "complex" else float)
+    # A complex row parses as 2*nx interleaved floats straight into the
+    # (re, im) memory of its row.
+    rows = values.view(float) if kind == "complex" else values
     for r, (lineno, line) in enumerate(body):
         cells = line.split(",")
         if len(cells) != grid.nx:
             raise ParseError(f"row {r}: expected {grid.nx} columns, got {len(cells)}",
                              line=lineno)
-        for c, celltext in enumerate(cells):
-            values[r, c] = _parse_cell(celltext, kind, lineno)
+        try:
+            tokens = cells
+            if kind == "complex":
+                if not _COMPLEX_ROW.fullmatch(line):
+                    raise ValueError
+                tokens = line.replace(":", ",").split(",")
+            rows[r] = list(map(float, tokens))
+        except ValueError:
+            # Redo the row cell by cell to name the first bad one.
+            values[r] = [_parse_cell(cell, kind, lineno) for cell in cells]
+    if kind == "db" and not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        lineno, line = body[r]
+        raise ParseError(f"non-finite db cell {line.split(',')[c].strip()!r}", line=lineno)
     return FieldMap(grid=grid, f=nums["f_hz"], component=header["component"],
                     values=values, value_kind=kind, meta=meta)
 

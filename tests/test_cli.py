@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -77,6 +78,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("section, patch, name", [
+        ("grid", {"x_max": math.inf}, "grid.x_max"),
+        ("grid", {"x_min": -10**400}, "grid.x_min"),
+        ("probe", {"height": math.nan}, "probe.height"),
+        ("sweep", {"f_max": -math.inf}, "sweep.f_max"),
+        ("trace", {"vertices": [[0.0, math.nan], [10.0, 0.0]]}, "trace.vertices[0]"),
+        ("trace", {"max_segment": math.inf}, "trace.max_segment")])
+    def test_non_finite_number_names_key(self, tmp_path, capsys, section, patch, name):
+        cfg = write_config(tmp_path, **{section: patch})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {name}: expected" in capsys.readouterr().err
+
+    def test_out_names_existing_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+
     def test_singular_scan_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, probe={"height": 1e-10})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -148,6 +167,19 @@ class TestPipeline:
         data = out.read_bytes()
         assert data.startswith(b"P5\n1 21\n255\n")
         assert len(data) == len(b"P5\n1 21\n255\n") + 21
+
+    def test_render_unwritable_out_exits_2(self, pipeline, tmp_path, capsys):
+        _, _, _, sim = pipeline
+        out = tmp_path / "missing" / "hy.pgm"
+        assert main(["render", "--map", str(sim / "hy_dba_m_000_2GHz.csv"),
+                     "--lo", "-60", "--hi", "-10", "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["", "missing/probe.s2p"])
+    def test_unwritable_text_out_exits_2(self, tmp_path, capsys, target):
+        out = tmp_path / target  # the directory itself, or a file in a missing one
+        assert main(["probe-transfer", "--config", TABLE2, "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_render_bad_range_exits_2(self, pipeline, tmp_path, capsys):
         _, _, _, sim = pipeline

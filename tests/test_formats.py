@@ -1,13 +1,19 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+from map_writer_reference import write_map_csv_per_cell
 
 from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid,
                     parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
+from nfscan.formats import VALUE_KINDS
 
 
 def synth_network(n=301, ports=2, seed=1):
@@ -127,6 +133,20 @@ class TestTouchstoneRoundTrip:
         assert_allclose(back.s, net.s, rtol=1e-8, atol=1e-8)
 
 
+def with_body(fmap, r, row_text):
+    """Map CSV text with body row r replaced, and that row's 1-based line number."""
+    lines = write_map_csv(fmap).splitlines()
+    lineno = len(lines) - fmap.grid.ny + r + 1
+    lines[lineno - 1] = row_text
+    return "\n".join(lines) + "\n", lineno
+
+
+def with_cell(fmap, r, c, cell_text):
+    cells = write_map_csv(fmap).splitlines()[-fmap.grid.ny + r].split(",")
+    cells[c] = cell_text
+    return with_body(fmap, r, ",".join(cells))
+
+
 class TestMapCsv:
     def test_table3_shape_round_trip(self):
         fmap = synth_map()
@@ -183,12 +203,90 @@ class TestMapCsv:
         with pytest.raises(ParseError, match="not a field map"):
             parse_map_csv("# something-else 1\n0\n")
 
+    def test_bad_db_cell_names_line_and_text(self):
+        text, lineno = with_cell(synth_map(nx=5, ny=4, seed=15), 2, 3, " 1.2.3 ")
+        with pytest.raises(ParseError, match=rf"^line {lineno}: bad db cell '1\.2\.3'$") as exc:
+            parse_map_csv(text)
+        assert exc.value.line == lineno
+
+    def test_first_bad_cell_of_first_bad_row_is_named(self):
+        fmap = synth_map(nx=5, ny=4, seed=15)
+        lines = write_map_csv(fmap).splitlines()
+        first = len(lines) - 4 + 2
+        lines[first - 1] = "0,x,0,y,0"
+        lines[first] = "z,0,0,0,0"
+        with pytest.raises(ParseError, match=rf"^line {first}: bad db cell 'x'$"):
+            parse_map_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("row, bad", [
+        ("1,2:3", "1"), ("1:,2:3", "1:"), (":2,2:3", ":2"), ("1:2:3,4", "1:2:3"),
+        ("1:2,3", "3"), ("1:2,3:4:", "3:4:"), ("1:x,3:4", "1:x"), ("1:2,:", ":")])
+    def test_complex_cell_needs_one_colon_and_two_numbers(self, row, bad):
+        text, lineno = with_body(synth_map(kind="complex", nx=2, ny=3, seed=16), 1, row)
+        with pytest.raises(ParseError,
+                           match=rf"^line {lineno}: bad complex cell '{re.escape(bad)}'$"):
+            parse_map_csv(text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_db_cell_names_line(self, cell):
+        text, lineno = with_cell(synth_map(nx=3, ny=3, seed=17), 1, 2, cell)
+        with pytest.raises(ParseError,
+                           match=rf"^line {lineno}: non-finite db cell '{cell}'$"):
+            parse_map_csv(text)
+
+    def test_non_finite_complex_cell_accepted(self):
+        text, _ = with_cell(synth_map(kind="complex", nx=3, ny=2, seed=18), 0, 1, "nan:-inf")
+        back = parse_map_csv(text)
+        assert math.isnan(back.values[0, 1].real) and back.values[0, 1].imag == -math.inf
+
+    def test_cells_accept_what_float_accepts(self):
+        cells = [" -1.5", "1_0", "+2E0 ", "\t.5"]
+        text, _ = with_body(synth_map(nx=4, ny=2, seed=19), 1, ",".join(cells))
+        assert parse_map_csv(text).values[1].tolist() == [float(c) for c in cells]
+        cells = ["1_0: 2", " -0.0:+3e-1"]
+        text, _ = with_body(synth_map(kind="complex", nx=2, ny=1, seed=19), 0, ",".join(cells))
+        assert parse_map_csv(text).values[0].tolist() == [complex(10, 2), complex(-0.0, 0.3)]
+
     def test_db_map_rejects_non_finite(self):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
         with pytest.raises(ConfigError, match="non-finite"):
             FieldMap(grid=grid, f=1e9, component="hy", values=[[math.inf]],
                      value_kind="db")
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e22, 1e-7]
+_DOUBLES = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-5e-308, max_value=5e-308, allow_subnormal=True),
+    st.builds(lambda m, e: float(f"{m}e{e}"),
+              st.integers(10**16, 10**17 - 1), st.integers(-340, 291)))
+
+
+@st.composite
+def field_maps(draw):
+    kind = draw(st.sampled_from(VALUE_KINDS))
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = st.lists(_DOUBLES, min_size=nx * ny, max_size=nx * ny)
+    vals = np.array(draw(cells)).reshape(ny, nx)
+    if kind == "complex":
+        vals = vals + 1j * np.array(draw(cells)).reshape(ny, nx)
+    fmap = synth_map(nx=nx, ny=ny, kind=kind)
+    return FieldMap(grid=fmap.grid, f=fmap.f, component=fmap.component, values=vals,
+                    value_kind=kind, meta=fmap.meta)
+
+
+class TestMapCsvBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(field_maps())
+    def test_matches_per_cell_writer_and_round_trips_bits(self, fmap):
+        text = write_map_csv(fmap)
+        assert text == write_map_csv_per_cell(fmap)
+        back = parse_map_csv(text)
+        assert back.values.dtype == fmap.values.dtype
+        assert back.values.tobytes() == fmap.values.tobytes()
 
 
 class TestCfCsv:
@@ -273,14 +371,15 @@ class TestFuzz:
     def test_mutated_inputs_error_but_never_crash(self):
         r = random.Random(20240817)
         ts_seed = write_touchstone(synth_network(n=25, seed=13))
-        map_seed = write_map_csv(synth_map(nx=9, ny=7, seed=14))
+        db_seed = write_map_csv(synth_map(nx=9, ny=7, seed=14))
+        complex_seed = write_map_csv(synth_map(nx=9, ny=7, kind="complex", seed=14))
         survived = 0
-        for i in range(1000):
-            if i % 2 == 0:
+        for i in range(1500):
+            if i % 3 == 0:
                 text = _mutate(ts_seed, r)
                 parser = parse_touchstone
             else:
-                text = _mutate(map_seed, r)
+                text = _mutate(db_seed if i % 3 == 1 else complex_seed, r)
                 parser = parse_map_csv
             try:
                 parser(text)
@@ -288,4 +387,4 @@ class TestFuzz:
             except (ParseError, ConfigError):
                 pass
         # most mutations must actually be rejected for the fuzz to mean anything
-        assert survived < 500
+        assert survived < 750
