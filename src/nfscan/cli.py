@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
 from .config import load_config
-from .errors import ConfigError, ParseError, SingularityError
+from .errors import ConfigError, SingularityError
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone,
                       render_pgm, write_cf_csv, write_map_csv, write_profile_csv,
                       write_touchstone)
@@ -45,21 +45,21 @@ def _freq_tag(i, f_hz):
     return f"{i:03d}_{f_hz / 1e9:g}GHz"
 
 
-def _db_map(cmap, floor_db=-300.0):
+#: Magnitude floor of a dB map: -300 dB.
+_DB_FLOOR = 1e-15
+
+
+def _db_map(cmap):
     """Complex map -> dB-magnitude map (|.| clipped to a representable floor)."""
-    mag = np.abs(cmap.values)
-    tiny = 10.0 ** (floor_db / 20.0)
-    vals = 20.0 * np.log10(np.maximum(mag, tiny))
+    vals = 20.0 * np.log10(np.maximum(np.abs(cmap.values), _DB_FLOOR))
     return FieldMap(grid=cmap.grid, f=cmap.f, component=cmap.component,
                     values=vals, value_kind="db", meta=dict(cmap.meta))
 
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
-                  "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
     result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.port, cfg.grid,
-                                cfg.sweep, cfg.drive, provenance=provenance)
+                                cfg.sweep, cfg.drive)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -73,8 +73,10 @@ def cmd_simulate(args):
         comp = result.hfield[i].component
         _write_text(os.path.join(args.out, f"{comp}_dba_m_{tag}.csv"),
                     write_map_csv(_db_map(result.hfield[i])))
+    provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
+                  "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
     _write_text(os.path.join(args.out, "provenance.json"),
-                json.dumps(result.provenance, sort_keys=True, indent=2) + "\n")
+                json.dumps(provenance, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -98,7 +100,7 @@ def cmd_calibrate(args):
 
 def cmd_extract(args):
     vmap = parse_map_csv(_read_text(args.scan))
-    table, _meta = parse_cf_csv(_read_text(args.cf))
+    table = parse_cf_csv(_read_text(args.cf))
     out = apply_calibration_to_scan(vmap, table, args.freq, sign_mode=args.sign_mode)
     _write_text(args.out, write_map_csv(out))
     return 0
@@ -110,7 +112,7 @@ def cmd_profile(args):
         raise ConfigError("profile output requires a dB map; extract or convert first")
     coords, values = extract_profile(fmap, args.axis, args.at * 1e-3)
     _write_text(args.out, write_profile_csv(coords, values, args.axis, args.at * 1e-3,
-                                            fmap.f, fmap.component, fmap.value_kind))
+                                            fmap.f, fmap.component))
     return 0
 
 
@@ -203,10 +205,7 @@ def main(argv=None):
     except SingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,11 @@
 Configs use bench units (lengths in mm, frequencies in GHz, drive power
 in dBm); everything is converted to SI on load.  Unknown keys anywhere
 are rejected, and every error names the offending field path.
+
+Some keys describe the bench but do not enter the quasi-static model:
+substrate.tan_d, t, sigma, probe.trace_w, drive.source_z and
+calibration.d, h.  They are range-checked and count in the config
+digest, and nothing else reads them.
 """
 
 from __future__ import annotations
@@ -28,16 +33,12 @@ _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 class CalSpec:
     kernel: str
     sign_mode: str
-    d: float      # m
-    h: float      # m
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ConfigError(f"calibration.kernel: must be one of {KERNELS}")
         if self.sign_mode not in SIGN_MODES:
             raise ConfigError(f"calibration.sign_mode: must be one of {SIGN_MODES}")
-        if self.d <= 0 or self.h <= 0:
-            raise ConfigError("calibration.d/h: must be > 0")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,15 @@ class _Section:
                 raise ConfigError(f"{self.name}.{key}: expected a string")
             return val
         return val
+
+    def drop(self, *keys, positive=False):
+        """Check keys the model does not use, then forget them: each, if
+        present, must be a finite number >= 0 (> 0 if `positive`)."""
+        for key in keys:
+            if key in self.data:
+                val = self.take(key)
+                if val < 0 or (positive and val == 0):
+                    raise ConfigError(f"{self.name}.{key}: must be {'>' if positive else '>='} 0")
 
     def done(self):
         if self.data:
@@ -134,9 +144,9 @@ def build_config(doc):
         raise ConfigError(f"{next(iter(doc))}: unknown section")
 
     s = sections["substrate"]
-    substrate = Substrate(h=_mm(s.take("h", 1.6)), eps_r=s.take("eps_r", 4.6),
-                          tan_d=s.take("tan_d", 0.016), t=_mm(s.take("t", 0.035)),
-                          sigma=s.take("sigma", 58e6))
+    substrate = Substrate(h=_mm(s.take("h", 1.6)), eps_r=s.take("eps_r", 4.6))
+    s.drop("tan_d", "t")
+    s.drop("sigma", positive=True)
     s.done()
 
     t = sections["trace"]
@@ -169,8 +179,8 @@ def build_config(doc):
     if height <= 0:
         raise ConfigError("probe.height: must be > 0")
     probe0 = LoopProbe(center=(0.0, 0.0, substrate.h + height), normal=_AXES[axis],
-                       side_s=_mm(p.take("side", 4.0)), trace_w=_mm(p.take("trace_w", 0.5)),
-                       port_z=p.take("port_z", 50.0))
+                       side_s=_mm(p.take("side", 4.0)), port_z=p.take("port_z", 50.0))
+    p.drop("trace_w")
     probe = probe_over_trace(probe0, trace, substrate, height)
     port = PortWaveModel(probe=probe, loading=p.take("loading", "matched-halving", kind=str),
                          quad_n=p.take("quad_n", 8, kind=int),
@@ -191,15 +201,14 @@ def build_config(doc):
     w.done()
 
     d = sections["drive"]
-    drive = DriveSpec(power=_dbm_to_w(d.take("power_dbm", -10.0)),
-                      source_z=d.take("source_z", 50.0))
+    drive = DriveSpec(power=_dbm_to_w(d.take("power_dbm", -10.0)))
+    d.drop("source_z", positive=True)
     d.done()
 
     c = sections["calibration"]
     cal = CalSpec(kernel=c.take("kernel", "paper", kind=str),
-                  sign_mode=c.take("sign_mode", "eq1-consistent", kind=str),
-                  d=_mm(c.take("d", height * 1e3)),
-                  h=_mm(c.take("h", substrate.h * 1e3)))
+                  sign_mode=c.take("sign_mode", "eq1-consistent", kind=str))
+    c.drop("d", "h", positive=True)
     c.done()
 
     return ScanConfig(substrate=substrate, trace=trace, port=port, grid=grid,

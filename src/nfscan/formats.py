@@ -311,25 +311,27 @@ def parse_map_csv(text):
 
     if len(body) != grid.ny:
         raise ParseError(f"expected {grid.ny} data rows, got {len(body)}")
+    # Count every row's cells before allocating, so the map a header asks
+    # for is never larger than what the file holds.
+    for r, (lineno, line) in enumerate(body):
+        n = line.count(",") + 1
+        if n != grid.nx:
+            raise ParseError(f"row {r}: expected {grid.nx} columns, got {n}", line=lineno)
     values = np.empty((grid.ny, grid.nx), dtype=complex if kind == "complex" else float)
     # A complex row parses as 2*nx interleaved floats straight into the
     # (re, im) memory of its row.
     rows = values.view(float) if kind == "complex" else values
     for r, (lineno, line) in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != grid.nx:
-            raise ParseError(f"row {r}: expected {grid.nx} columns, got {len(cells)}",
-                             line=lineno)
         try:
-            tokens = cells
+            tokens = line
             if kind == "complex":
                 if not _COMPLEX_ROW.fullmatch(line):
                     raise ValueError
-                tokens = line.replace(":", ",").split(",")
-            rows[r] = list(map(float, tokens))
+                tokens = line.replace(":", ",")
+            rows[r] = list(map(float, tokens.split(",")))
         except ValueError:
             # Redo the row cell by cell to name the first bad one.
-            values[r] = [_parse_cell(cell, kind, lineno) for cell in cells]
+            values[r] = [_parse_cell(cell, kind, lineno) for cell in line.split(",")]
     if kind == "db" and not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
         lineno, line = body[r]
@@ -386,13 +388,9 @@ def _split_header(text, magic, what):
 # ---------------------------------------------------------------------------
 # Antenna-factor tables
 
-def write_cf_csv(table, sign_mode="eq1-consistent"):
-    from .calibration import SIGN_MODES
-    if sign_mode not in SIGN_MODES:
-        raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
+def write_cf_csv(table):
     lines = [f"# {CF_MAGIC}",
              f"# kernel: {table.kernel}",
-             f"# sign_mode: {sign_mode}",
              f"# d: {_rfmt(table.d)}",
              f"# h: {_rfmt(table.h)}",
              "# columns: f_hz,cf_db"]
@@ -402,7 +400,7 @@ def write_cf_csv(table, sign_mode="eq1-consistent"):
 
 
 def parse_cf_csv(text):
-    """(CFTable, metadata dict with at least kernel/sign_mode/d/h)."""
+    """CFTable from a CF CSV; header keys other than kernel/d/h are ignored."""
     from .calibration import CFTable
     header, body = _split_header(text, CF_MAGIC, "calibration table")
     for key in ("kernel", "d", "h"):
@@ -426,21 +424,21 @@ def parse_cf_csv(text):
             raise ParseError(f"bad number in row {line!r}", line=lineno) from None
     if not freqs:
         raise ParseError("calibration table has no rows")
-    table = CFTable(f=np.asarray(freqs), cf_db=np.asarray(cfs),
-                    kernel=header["kernel"], d=d, h=h)
-    return table, dict(header)
+    return CFTable(f=np.asarray(freqs), cf_db=np.asarray(cfs),
+                   kernel=header["kernel"], d=d, h=h)
 
 
 # ---------------------------------------------------------------------------
 # Profiles
 
-def write_profile_csv(coords, values, axis, at, f_hz, component, value_kind="db"):
+def write_profile_csv(coords, values, axis, at, f_hz, component):
+    """Profile CSV of a cut through a dB map."""
     lines = [f"# {PROFILE_MAGIC}",
              f"# axis: {axis}",
              f"# at: {_rfmt(at)}",
              f"# f_hz: {_rfmt(f_hz)}",
              f"# component: {component}",
-             f"# value_kind: {value_kind}",
+             "# value_kind: db",
              "# columns: coord_m,value"]
     for x, v in zip(coords, values):
         lines.append(f"{_rfmt(x)},{_rfmt(v)}")

@@ -26,22 +26,17 @@ C_LIGHT = 299792458.0          # m/s
 #: FR4 substrate used for both the probe and the reference line.
 DEFAULT_SUBSTRATE_H = 1.6e-3      # m
 DEFAULT_EPS_R = 4.6
-DEFAULT_METAL_T = 35e-6           # m
-DEFAULT_TAN_D = 0.016
-DEFAULT_SIGMA = 58e6              # S/m (copper)
 
 #: Reference 50-ohm line and square-loop probe dimensions.
 DEFAULT_TRACE_WIDTH = 3e-3        # m
 DEFAULT_LINE_Z0 = 50.0            # ohm
 DEFAULT_LOOP_SIDE = 4e-3          # m
-DEFAULT_LOOP_TRACE_W = 0.5e-3     # m
 DEFAULT_PORT_Z = 50.0             # ohm
 
 #: Default sweep span and drive level (-10 dBm into 50 ohm).
 DEFAULT_F_MIN = 0.1e9             # Hz
 DEFAULT_F_MAX = 3e9               # Hz
 DEFAULT_DRIVE_POWER = 1e-4        # W
-DEFAULT_SOURCE_Z = 50.0           # ohm
 
 
 def db20(x, ref=1.0):
@@ -68,24 +63,14 @@ def _require(cond, msg):
 
 @dataclass(frozen=True)
 class Substrate:
-    """Dielectric substrate and metallization parameters.
-
-    tan_d and sigma are carried for configuration fidelity; the
-    quasi-static field engine does not model losses.
-    """
+    """Dielectric substrate: thickness h (m) and relative permittivity."""
 
     h: float = DEFAULT_SUBSTRATE_H
     eps_r: float = DEFAULT_EPS_R
-    tan_d: float = DEFAULT_TAN_D
-    t: float = DEFAULT_METAL_T
-    sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
         _require(self.h > 0, "substrate.h: thickness must be > 0")
         _require(self.eps_r >= 1, "substrate.eps_r: must be >= 1")
-        _require(self.tan_d >= 0, "substrate.tan_d: must be >= 0")
-        _require(self.t >= 0, "substrate.t: must be >= 0")
-        _require(self.sigma > 0, "substrate.sigma: must be > 0")
 
 
 TERMINATIONS = ("matched", "open", "short")
@@ -97,7 +82,8 @@ class TracePath:
 
     Vertices are (x, y, z) in meters with z = substrate.h for a planar
     trace.  The current is treated as a filament on the centerline;
-    `width` only documents the physical conductor.
+    `width` sets the effective permittivity (Hammerstad) and with it the
+    phase of every segment current.
     """
 
     vertices: tuple
@@ -142,7 +128,6 @@ class LoopProbe:
     center: tuple
     normal: tuple
     side_s: float = DEFAULT_LOOP_SIDE
-    trace_w: float = DEFAULT_LOOP_TRACE_W
     port_z: float = DEFAULT_PORT_Z
 
     def __post_init__(self):
@@ -155,7 +140,6 @@ class LoopProbe:
         n = math.sqrt(sum(c * c for c in normal))
         _require(abs(n - 1.0) <= 1e-12, "probe.normal: must be a unit vector")
         _require(self.side_s > 0, "probe.side: must be > 0")
-        _require(self.trace_w >= 0, "probe.trace_w: must be >= 0")
         _require(self.port_z > 0, "probe.port_z: must be > 0")
 
 
@@ -242,11 +226,9 @@ class FrequencySweep:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Source available power (W, RMS convention) and source impedance."""
+    """Source available power (W, RMS convention)."""
 
     power: float = DEFAULT_DRIVE_POWER
-    source_z: float = DEFAULT_SOURCE_Z
 
     def __post_init__(self):
         _require(self.power > 0, "drive.power: must be > 0")
-        _require(self.source_z > 0, "drive.source_z: must be > 0")

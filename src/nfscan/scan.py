@@ -43,12 +43,10 @@ class ScanResult:
     complex FieldMaps, one per sweep frequency.
     """
 
-    grid: ScanGrid
     freqs: np.ndarray
     s21: tuple
     vport: tuple
     hfield: tuple
-    provenance: dict
 
 
 def _component_tag(normal):
@@ -135,7 +133,7 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom):
 
 def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveModel,
                        grid: ScanGrid, sweep: FrequencySweep, drive: DriveSpec,
-                       eps_geom=EPS_GEOM, provenance=None):
+                       eps_geom=EPS_GEOM):
     """Simulate a raster scan of the probe over a driven trace.
 
     At every grid point the probe center is placed at the point (lifted to
@@ -161,9 +159,8 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
         v_maps.append(FieldMap(component="vport", values=v[i].reshape(shape),
                                meta={"normal": tag}, **common))
         h_maps.append(FieldMap(component=tag, values=h[i].reshape(shape), **common))
-    return ScanResult(grid=grid, freqs=freqs, s21=tuple(s21_maps),
-                      vport=tuple(v_maps), hfield=tuple(h_maps),
-                      provenance=dict(provenance or {}))
+    return ScanResult(freqs=freqs, s21=tuple(s21_maps), vport=tuple(v_maps),
+                      hfield=tuple(h_maps))
 
 
 def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,

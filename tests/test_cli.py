@@ -26,6 +26,25 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+#: Keys a config may carry that describe the bench but do not enter the
+#: model: (section, key, another valid value, an out-of-range value).
+UNMODELLED = [
+    ("substrate", "tan_d", 0.0, -0.016),
+    ("substrate", "t", 0.07, -0.035),
+    ("substrate", "sigma", 1.0, 0.0),
+    ("probe", "trace_w", 0.0, -0.5),
+    ("drive", "source_z", 75.0, 0.0),
+    ("calibration", "d", 2.0, 0.0),
+    ("calibration", "h", 0.8, -1.6),
+]
+
+
+def simulate_files(cfg, out):
+    """{file name: bytes} of a `simulate` run on `cfg` into `out`."""
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    return {p: (out / p).read_bytes() for p in os.listdir(out)}
+
+
 class TestHelpAndUsage:
     @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer", "calibrate",
                                      "extract", "profile", "stats", "render"])
@@ -127,9 +146,22 @@ class TestPipeline:
 
     def test_calibrate_output(self, pipeline):
         _, _, cf, _ = pipeline
-        table, meta = parse_cf_csv(cf.read_text())
+        table = parse_cf_csv(cf.read_text())
         assert table.kernel == "image-theory"
-        assert meta["sign_mode"] == "eq1-consistent"
+
+    def test_extract_reads_legacy_sign_mode_line(self, pipeline, tmp_path):
+        _, _, cf, sim = pipeline
+        lines = cf.read_text().splitlines(keepends=True)
+        assert not any(line.startswith("# sign_mode:") for line in lines)
+        legacy = tmp_path / "legacy_cf.csv"
+        legacy.write_text("".join(lines[:2] + ["# sign_mode: eq3-printed\n"] + lines[2:]))
+        outs = []
+        for table in (cf, legacy):
+            out = tmp_path / f"hy_{table.stem}.csv"
+            assert main(["extract", "--scan", str(sim / "v_dbv_000_2GHz.csv"),
+                         "--cf", str(table), "--freq", "2e9", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_extract_and_stats(self, pipeline, tmp_path, capsys):
         base, _, cf, sim = pipeline
@@ -196,6 +228,58 @@ class TestPipeline:
     def test_calibrate_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["calibrate", "--probe", str(tmp_path / "nope.s2p"), "--d", "1.0",
                      "--h", "1.6", "--out", str(tmp_path / "cf.csv")]) == 2
+
+
+class TestUnmodelledKeys:
+    """Accepted, range-checked and hashed keys that no computation reads."""
+
+    @pytest.fixture(scope="class")
+    def table2_files(self, tmp_path_factory):
+        return simulate_files(TABLE2, tmp_path_factory.mktemp("t2"))
+
+    @pytest.mark.parametrize("section, key, value, _bad", UNMODELLED)
+    def test_value_changes_only_the_digest(self, table2_files, tmp_path, section, key,
+                                           value, _bad):
+        got = simulate_files(write_config(tmp_path, **{section: {key: value}}), tmp_path / "o")
+        want = dict(table2_files)
+        prov = json.loads(got.pop("provenance.json"))
+        want_prov = json.loads(want.pop("provenance.json"))
+        assert got == want
+        assert prov.pop("config_sha256") != want_prov.pop("config_sha256")
+        assert prov == want_prov
+
+    def test_trace_width_changes_the_maps(self, table2_files, tmp_path):
+        got = simulate_files(write_config(tmp_path, trace={"width": 1.5}), tmp_path / "o")
+        maps = [name for name in table2_files if name.endswith(".csv")]
+        assert len(maps) == 3
+        assert all(got[name] != table2_files[name] for name in maps)
+
+    @pytest.mark.parametrize("section, key, _good, bad", UNMODELLED)
+    @pytest.mark.parametrize("which", ["range", "type", "finite"])
+    def test_bad_value_names_key(self, tmp_path, capsys, section, key, _good, bad, which):
+        bad = {"range": bad, "type": "1.0", "finite": math.inf}[which]
+        cfg = write_config(tmp_path, **{section: {key: bad}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {section}.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestMapRowsCheckedBeforeAllocation:
+    HEADER = ("# nfscan-map 1\n# x_min: 0\n# x_max: {x_max}\n# y_min: 0\n# y_max: {y_max}\n"
+              "# dx: {dx}\n# dy: 0.001\n# z_height: 0.001\n# f_hz: 1e9\n"
+              "# component: hy\n# value_kind: db\n")
+
+    @pytest.mark.parametrize("grid, body, err", [
+        # 10**13 + 1 cells in one row: 80 TB if allocated from the header.
+        ((1, 0, 1e-13), "-10\n", "line 12: row 0: expected 10000000000001 columns, got 1"),
+        ((0.002, 0.002, 0.001), "-1,-2,-3\n-4,-5,-6\n-7,-8\n",
+         "line 14: row 2: expected 3 columns, got 2")])
+    def test_short_row_exits_2(self, tmp_path, capsys, grid, body, err):
+        path = tmp_path / "map.csv"
+        x_max, y_max, dx = grid
+        path.write_text(self.HEADER.format(x_max=x_max, y_max=y_max, dx=dx) + body)
+        assert main(["stats", "--map", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 class TestDeterminism:

@@ -294,12 +294,11 @@ class TestCfCsv:
         table = CFTable(f=np.geomspace(1e8, 3e9, 16), cf_db=np.linspace(45, 15, 16),
                         kernel="image-theory", d=1e-3, h=1.6e-3)
         text = write_cf_csv(table)
-        back, meta = parse_cf_csv(text)
+        back = parse_cf_csv(text)
         assert np.array_equal(back.f, table.f)
         assert np.array_equal(back.cf_db, table.cf_db)
         assert back.kernel == "image-theory"
         assert back.d == 1e-3 and back.h == 1.6e-3
-        assert meta["sign_mode"] == "eq1-consistent"
         assert write_cf_csv(back) == text
 
     def test_empty_rejected(self):

@@ -94,9 +94,6 @@ class TestDefaults:
         s = m.Substrate()
         assert s.h == 1.6e-3
         assert s.eps_r == 4.6
-        assert s.t == 35e-6
-        assert s.tan_d == 0.016
-        assert s.sigma == 58e6
 
     def test_line_and_probe_defaults(self):
         tr = m.TracePath(vertices=((0, 0, 1.6e-3), (0.1, 0, 1.6e-3)))
@@ -105,14 +102,13 @@ class TestDefaults:
         assert tr.termination == "matched"
         pr = m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 0, 1))
         assert pr.side_s == 4e-3
-        assert pr.trace_w == 0.5e-3
         assert pr.port_z == 50.0
 
     def test_sweep_and_drive_defaults(self):
         sw = m.FrequencySweep()
         assert sw.f_min == 0.1e9 and sw.f_max == 3e9
         dr = m.DriveSpec()
-        assert dr.power == 1e-4 and dr.source_z == 50.0
+        assert dr.power == 1e-4
 
 
 class TestInvariants:
