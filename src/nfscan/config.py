@@ -28,6 +28,10 @@ _REQUIRED = object()
 
 _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
+#: Most grid points x sweep frequencies a config may ask for; table3 at
+#: 0.1 mm with 5 frequencies is 252,255.
+MAX_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class CalSpec:
@@ -199,6 +203,10 @@ def build_config(doc):
                            n_points=w.take("n_points", 31, kind=int),
                            spacing=w.take("spacing", "linear", kind=str))
     w.done()
+    cells = grid.nx * grid.ny * sweep.n_points
+    if cells > MAX_CELLS:
+        raise ConfigError(f"grid: {grid.nx} x {grid.ny} points x {sweep.n_points} frequencies "
+                          f"= {cells} cells, more than {MAX_CELLS}")
 
     d = sections["drive"]
     drive = DriveSpec(power=_dbm_to_w(d.take("power_dbm", -10.0)))

@@ -21,17 +21,20 @@ import numpy as np
 from .errors import ConfigError, SingularityError
 from .model import C_LIGHT, DriveSpec, Substrate, TracePath
 
-#: Minimum allowed distance from a field point to any source filament (m).
+#: Minimum distance from a field point to any source filament (m), 1 nm;
+#: a closer point raises SingularityError.
 EPS_GEOM = 1e-9
 
-#: Most evaluation points per kernel call; bounds each kernel temporary
-#: at CHUNK x segments x 3 doubles.
+#: Most evaluation points per kernel call in `segment_fields`; bounds each
+#: kernel temporary at CHUNK x segments x 3 doubles.  The probe chain in
+#: `nfscan.scan` puts whole probes in each call, so one call there takes
+#: at most max(CHUNK, 1 + quad_n**2) points.
 CHUNK = 512
 
 _FOUR_PI = 4.0 * math.pi
 
 
-def segment_kernel(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
+def segment_kernel(starts, ends, points, n_real=None):
     """Real field per unit current, (npts, nseg, 3) in A/m per A.
 
     Entry [i, k] is the field at points[i] of segment k carrying 1 A:
@@ -45,10 +48,11 @@ def segment_kernel(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
-    Takes at most CHUNK points.  `n_real` marks how many leading segments
-    are physical; later ones are reported as image segments.  Raises
+    Computes every point it is given; callers bound the count (CHUNK in
+    `segment_fields`).  `n_real` marks how many leading segments are
+    physical; later ones are reported as image segments.  Raises
     SingularityError for the first (point, segment) pair, in point-major
-    order, closer than `eps_geom` to the segment.
+    order, closer than EPS_GEOM to the segment.
     """
     seg = ends - starts
     length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
@@ -63,14 +67,14 @@ def segment_kernel(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
     n2 = np.sqrt(np.einsum("psk,psk->ps", r2, r2))
     beyond = t1 * t2 > 0.0
     dist2 = np.where(beyond, np.minimum(n1, n2) ** 2, rho2)
-    near = (dist2 < eps_geom * eps_geom) | (length == 0.0)
+    near = (dist2 < EPS_GEOM * EPS_GEOM) | (length == 0.0)
     if near.any():
         pt, k = divmod(int(np.argmax(near)), near.shape[1])
         image = n_real is not None and k >= n_real
         idx = k - n_real if image else k
         kind = "image segment" if image else "segment"
         raise SingularityError(
-            f"field point {points[pt].tolist()} is within {eps_geom} m of {kind} {idx}",
+            f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {idx}",
             segment=idx, point=pt, image=image)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(beyond,
@@ -79,37 +83,29 @@ def segment_kernel(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
     return coef[:, :, None] * c
 
 
-def kernel_chunks(starts, ends, points, eps_geom=EPS_GEOM, n_real=None):
-    """Yield (lo, segment_kernel of points[lo:lo + CHUNK]) over all points.
-
-    A SingularityError carries the index of the point in `points`.
-    """
-    for lo in range(0, len(points), CHUNK):
-        try:
-            g = segment_kernel(starts, ends, points[lo:lo + CHUNK], eps_geom, n_real)
-        except SingularityError as exc:
-            exc.point += lo
-            raise
-        yield lo, g
-
-
-def segment_fields(starts, ends, currents, points, eps_geom=EPS_GEOM, n_real=None):
+def segment_fields(starts, ends, currents, points, n_real=None):
     """Field (npts, 3) complex, A/m, of filament segments with given currents.
 
     `n_real` marks how many leading segments are physical; indices at or
-    beyond it are reported as image segments in singularity errors.
+    beyond it are reported as image segments in singularity errors, whose
+    point index refers to `points`.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     currents = np.asarray(currents, dtype=complex)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((points.shape[0], 3), dtype=complex)
-    for lo, g in kernel_chunks(starts, ends, points, eps_geom, n_real):
+    for lo in range(0, len(points), CHUNK):
+        try:
+            g = segment_kernel(starts, ends, points[lo:lo + CHUNK], n_real)
+        except SingularityError as exc:
+            exc.point += lo
+            raise
         out[lo:lo + CHUNK] = np.einsum("psk,s->pk", g, currents)
     return out
 
 
-def h_segment(start, end, current, point, eps_geom=EPS_GEOM):
+def h_segment(start, end, current, point):
     """Field of a single straight segment carrying RMS phasor `current` (A).
 
     Returns the complex (hx, hy, hz) vector in A/m:
@@ -123,8 +119,7 @@ def h_segment(start, end, current, point, eps_geom=EPS_GEOM):
     end = np.asarray(end, dtype=float)
     if np.array_equal(start, end):
         raise ConfigError("segment start and end must be distinct")
-    return segment_fields(start[None, :], end[None, :], [complex(current)],
-                          point, eps_geom)[0]
+    return segment_fields(start[None, :], end[None, :], [complex(current)], point)[0]
 
 
 def mirrored_segments(starts, ends, currents):
@@ -143,7 +138,7 @@ def mirrored_segments(starts, ends, currents):
     return all_starts, all_ends, all_currents
 
 
-def h_trace_grounded(trace: TracePath, currents, points, eps_geom=EPS_GEOM):
+def h_trace_grounded(trace: TracePath, currents, points):
     """Field of a grounded trace: segments plus their images.
 
     `currents` is one complex RMS phasor per trace segment.  `points` may
@@ -157,7 +152,7 @@ def h_trace_grounded(trace: TracePath, currents, points, eps_geom=EPS_GEOM):
     s, e, c = mirrored_segments(starts, ends, currents)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    out = segment_fields(s, e, c, pts, eps_geom, n_real=trace.n_segments)
+    out = segment_fields(s, e, c, pts, n_real=trace.n_segments)
     return out[0] if single else out
 
 

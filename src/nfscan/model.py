@@ -168,6 +168,7 @@ class ScanGrid:
         _require(self.z_height > 0, "grid.z_height: must be > 0")
         for lo, hi, step, name in ((self.x_min, self.x_max, self.dx, "x"),
                                    (self.y_min, self.y_max, self.dy, "y")):
+            _require(math.isfinite((hi - lo) / step), f"grid.d{name}: too small for the extent")
             n = round((hi - lo) / step) + 1
             _require(abs((hi - lo) - (n - 1) * step) < 1e-9,
                      f"grid.{name}: extent is not an integer multiple of the step")

@@ -44,8 +44,8 @@ class PortWaveModel:
     def __post_init__(self):
         if self.loading not in LOADINGS:
             raise ConfigError(f"probe.loading: must be one of {LOADINGS}")
-        if self.quad_n < 2:
-            raise ConfigError("probe.quad_n: must be >= 2")
+        if not 2 <= self.quad_n <= 32:
+            raise ConfigError("probe.quad_n: must be between 2 and 32")
         if self.aperture not in APERTURES:
             raise ConfigError(f"probe.aperture: must be one of {APERTURES}")
 

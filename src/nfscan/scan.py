@@ -2,12 +2,13 @@
 raw voltage maps into field maps, extract profiles and statistics.
 
 One chain serves both raster scans and the probe transfer sweep (a
-one-point scan).  It walks the probe centers in fixed-size chunks; for
-each chunk it builds the real coupling from every trace segment (its
-ground-plane image folded in) to the field along the probe normal, once,
-and multiplies it by the segments x frequencies current matrix.  Each
-point's sums run in a fixed order, so results are byte-identical from run
-to run.
+one-point scan).  It walks the probes in blocks of whole probes, each
+probe's points being its center and, for the integrated aperture, its
+quadrature nodes.  Per block it makes one kernel call, builds the real
+coupling from every trace segment (its ground-plane image folded in) to
+the field along the probe normal, and multiplies it by the segments x
+frequencies current matrix.  Each point's sums run in a fixed order, so
+results are byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .calibration import CFTable, field_from_voltage
 from .errors import ConfigError, SingularityError
-from .fields import CHUNK, EPS_GEOM, current_distribution, kernel_chunks, mirrored_segments
+from . import fields
+from .fields import CHUNK, current_distribution, mirrored_segments
 from .formats import FieldMap
 from .model import DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points
 from .probe import PortWaveModel, induced_emf, port_voltage, quad_offsets, synthesize_s21
@@ -59,38 +61,7 @@ def _component_tag(normal):
     return "mag"
 
 
-def _normal_rows(seg_s, seg_e, normal, points, eps_geom):
-    """(npts, n) real: field along `normal` per unit current in each of the
-    n trace segments, with its image (current -I) folded in."""
-    n = len(seg_s) // 2
-    rows = np.empty((len(points), n))
-    for lo, g in kernel_chunks(seg_s, seg_e, points, eps_geom, n_real=n):
-        gn = np.einsum("psk,k->ps", g, normal)
-        rows[lo:lo + CHUNK] = gn[:, :n] - gn[:, n:]
-    return rows
-
-
-def _flux_rows(seg_s, seg_e, model, centers, eps_geom):
-    """(npts, n) real: loop flux (A*m) per unit current in each trace
-    segment, Gauss-Legendre over the footprint around each center."""
-    offsets, weights = quad_offsets(model.probe, model.quad_n)
-    nq = len(weights)
-    step = max(1, CHUNK // nq)
-    normal = np.asarray(model.probe.normal, dtype=float)
-    rows = np.empty((len(centers), len(seg_s) // 2))
-    for lo in range(0, len(centers), step):
-        c = centers[lo:lo + step]
-        nodes = (c[:, None, :] + offsets).reshape(-1, 3)
-        try:
-            a = _normal_rows(seg_s, seg_e, normal, nodes, eps_geom)
-        except SingularityError as exc:
-            exc.point = lo + exc.point // nq
-            raise
-        rows[lo:lo + step] = np.einsum("pqs,q->ps", a.reshape(len(c), nq, -1), weights)
-    return rows
-
-
-def _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom):
+def _probe_chain(trace, substrate, model, centers, freqs, drive):
     """Observables of the probe centred at each of `centers` (npts, 3).
 
     Returns (h, v, s21), each a list with one (npts,) complex array per
@@ -102,22 +73,31 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom):
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
     seg_s, seg_e, _ = mirrored_segments(*trace.segment_arrays(), currents)
+    n = trace.n_segments
     cur = np.concatenate([currents.real, currents.imag], axis=1)
     normal = np.asarray(model.probe.normal, dtype=float)
     integrated = model.aperture == "integrated"
+    # A probe's points: its center, then its quadrature nodes if integrated.
+    offsets, weights = quad_offsets(model.probe, model.quad_n) if integrated else ([], [])
+    m = 1 + len(weights)
+    step = max(1, CHUNK // m)
     h = np.empty((len(centers), cur.shape[1]))
     flux = np.empty_like(h) if integrated else None
-    for lo in range(0, len(centers), CHUNK):
-        c = centers[lo:lo + CHUNK]
+    for lo in range(0, len(centers), step):
+        c = centers[lo:lo + step]
+        pts = np.concatenate([c[:, None], c[:, None] + offsets], axis=1) if integrated else c
         try:
-            h[lo:lo + CHUNK] = np.einsum("ps,sf->pf", _normal_rows(seg_s, seg_e, normal, c,
-                                                                    eps_geom), cur)
-            if integrated:
-                flux[lo:lo + CHUNK] = np.einsum(
-                    "ps,sf->pf", _flux_rows(seg_s, seg_e, model, c, eps_geom), cur)
+            g = fields.segment_kernel(seg_s, seg_e, pts.reshape(-1, 3), n)
         except SingularityError as exc:
-            exc.point += lo
+            exc.point = lo + exc.point // m
             raise
+        gn = np.einsum("psk,k->ps", g, normal)
+        del g                                    # free it before the next kernel call
+        rows = (gn[:, :n] - gn[:, n:]).reshape(len(c), m, n)
+        h[lo:lo + step] = np.einsum("ps,sf->pf", rows[:, 0], cur)
+        if integrated:
+            flux[lo:lo + step] = np.einsum("ps,sf->pf",
+                                           np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
     nf = len(freqs)
     area = model.probe.side_s ** 2
     hs, vs, s21s = [], [], []
@@ -132,8 +112,7 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom):
 
 
 def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveModel,
-                       grid: ScanGrid, sweep: FrequencySweep, drive: DriveSpec,
-                       eps_geom=EPS_GEOM):
+                       grid: ScanGrid, sweep: FrequencySweep, drive: DriveSpec):
     """Simulate a raster scan of the probe over a driven trace.
 
     At every grid point the probe center is placed at the point (lifted to
@@ -142,12 +121,16 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
     evaluated; per frequency the complex S21, port voltage and
     ground-truth field component (along the probe normal, at the probe
     center) are stored as maps.
+
+    A SingularityError names the first grid point, in row-major order,
+    whose probe center or any of whose quadrature nodes lies within
+    fields.EPS_GEOM (1 nm) of a trace segment or its image.
     """
     centers = grid_points(grid)
     centers[:, 2] += substrate.h
     freqs = sweep.frequencies()
     try:
-        h, v, s21 = _probe_chain(trace, substrate, model, centers, freqs, drive, eps_geom)
+        h, v, s21 = _probe_chain(trace, substrate, model, centers, freqs, drive)
     except SingularityError as exc:
         raise _at_grid_point(exc, grid, exc.point) from None
     tag = _component_tag(model.probe.normal)
@@ -164,7 +147,7 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
 
 
 def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
-                   sweep: FrequencySweep, drive: DriveSpec, eps_geom=EPS_GEOM):
+                   sweep: FrequencySweep, drive: DriveSpec):
     """Synthetic probe transmission sweep over a driven trace.
 
     A one-point scan with the probe at its configured pose: returns the
@@ -175,7 +158,7 @@ def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
     freqs = sweep.frequencies()
     center = np.array([model.probe.center], dtype=float)
     try:
-        _, _, s21 = _probe_chain(trace, substrate, model, center, freqs, drive, eps_geom)
+        _, _, s21 = _probe_chain(trace, substrate, model, center, freqs, drive)
     except SingularityError as exc:
         raise SingularityError(
             f"probe at {list(model.probe.center)}: {exc}", segment=exc.segment,

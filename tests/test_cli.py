@@ -7,6 +7,7 @@ import pytest
 
 from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
 from nfscan.cli import main
+from nfscan.config import MAX_CELLS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 TABLE2 = os.path.join(CONFIG_DIR, "table2.json")
@@ -280,6 +281,37 @@ class TestMapRowsCheckedBeforeAllocation:
         path.write_text(self.HEADER.format(x_max=x_max, y_max=y_max, dx=dx) + body)
         assert main(["stats", "--map", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+class TestGridBudget:
+    """A config whose grid points x frequencies exceed MAX_CELLS, or whose
+    step is too small to count the grid lines, exits 2 before anything is
+    allocated.  The counts are computed, never allocated."""
+
+    NX = 10**14 + 1        # x from 0 to 100 mm at 1e-12 mm
+    NY = 21                # table2: y from -5 to 5 mm at 0.5 mm
+
+    @pytest.mark.parametrize("cmd, patch, err", [
+        ("simulate", {"grid": {"x_max": 100, "dx": 1e-12}},
+         f"grid: {NX} x {NY} points x 1 frequencies = {NX * NY} cells, more than {MAX_CELLS}"),
+        ("probe-transfer", {"sweep": {"n_points": 10**14}},
+         f"grid: 1 x {NY} points x {10**14} frequencies = {NY * 10**14} cells, "
+         f"more than {MAX_CELLS}"),
+        ("simulate", {"grid": {"x_max": 100, "dx": 1e-320}},
+         "grid.dx: too small for the extent")], ids=["points", "frequencies", "step"])
+    def test_exits_2_without_output(self, tmp_path, capsys, cmd, patch, err):
+        cfg = write_config(tmp_path, **patch)
+        out = tmp_path / "o"
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    def test_map_header_step_too_small_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "map.csv"
+        header = TestMapRowsCheckedBeforeAllocation.HEADER
+        path.write_text(header.format(x_max=0.1, y_max=0, dx=1e-320) + "-10\n")
+        assert main(["stats", "--map", str(path)]) == 2
+        assert capsys.readouterr().err == "error: grid.dx: too small for the extent\n"
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ def s21_at(probe, trace, substrate, drive, aperture="integrated", quad_n=8):
 def uniform_kernel(direction):
     """Stand-in kernel: every physical segment gives `direction` per ampere
     at every point, and every image nothing."""
-    def kernel(starts, ends, points, eps_geom, n_real):
+    def kernel(starts, ends, points, n_real):
         g = np.zeros((len(points), len(starts), 3))
         g[:, :n_real] = direction
         return g
@@ -61,6 +61,12 @@ class TestLoopFlux:
         probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
         with pytest.raises(ConfigError):
             PortWaveModel(probe=probe, aperture="integrated", quad_n=1)
+
+    def test_quad_n_maximum(self):
+        probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
+        PortWaveModel(probe=probe, aperture="integrated", quad_n=32)
+        with pytest.raises(ConfigError, match="probe.quad_n: must be between 2 and 32"):
+            PortWaveModel(probe=probe, aperture="integrated", quad_n=33)
 
     def test_singularity_carries_probe_location(self, straight_trace, substrate, drive):
         # odd quad_n puts a node at the center, which here sits on the filament

@@ -12,7 +12,7 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
                     grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
                     run_simulated_scan, synthesize_s21, write_map_csv)
 from nfscan import fields
-from nfscan.fields import EPS_GEOM, mirrored_segments
+from nfscan.fields import CHUNK, EPS_GEOM, mirrored_segments
 from nfscan.scan import MapStats
 
 from conftest import H_SUB, SCAN_HEIGHT, rng
@@ -84,6 +84,18 @@ class TestRunSimulatedScan:
         with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=15\)"):
             run_table2(model, trace, substrate, drive, table2_grid)
 
+    def test_first_probe_with_any_singular_point_is_named(self, cal_model, substrate,
+                                                           drive):
+        # at the trace height, the node 1.55 mm right of x = 1 mm lies on the
+        # trace, which starts at x = 2.5 mm; the center x = 3 mm lies on it too
+        z = H_SUB + SCAN_HEIGHT
+        trace = TracePath(vertices=((2.5e-3, 0, z), (10e-3, 0, z), (10e-3, 5e-3, z)))
+        grid = ScanGrid(x_min=0, x_max=3e-3, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
+                        z_height=SCAN_HEIGHT)
+        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=3)
+        with pytest.raises(SingularityError, match=r"grid point \(ix=1, iy=0\)"):
+            run_table2(model, trace, substrate, drive, grid)
+
     def test_integrated_aperture_scan_runs(self, cal_model, straight_trace, substrate,
                                            drive, table2_grid):
         model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=4)
@@ -118,18 +130,26 @@ class TestRunSimulatedScan:
     def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_model,
                                                       straight_trace, substrate, drive,
                                                       table2_grid):
-        calls = []
+        calls = []       # points per kernel call
         kernel = fields.segment_kernel
         monkeypatch.setattr(fields, "segment_kernel",
-                            lambda *args: calls.append(1) or kernel(*args))
-        for model in (cal_model, PortWaveModel(probe=cal_model.probe, aperture="integrated")):
+                            lambda *args: calls.append(len(args[2])) or kernel(*args))
+        models = [(cal_model, 1)] + [
+            (PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=q), 1 + q * q)
+            for q in (2, 8, 32)]
+        for model, m in models:
             counts = []
             for n in (1, 31):
                 calls.clear()
                 sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=n)
                 run_simulated_scan(straight_trace, substrate, model, table2_grid, sweep, drive)
                 counts.append(len(calls))
+                # whole probes per call, never more than CHUNK points or one probe
+                assert all(k % m == 0 and k <= max(CHUNK, m) for k in calls)
             assert counts[0] == counts[1] > 0
+            calls.clear()
+            probe_transfer(model, straight_trace, substrate, sweep, drive)
+            assert calls == [m]
 
 
 lattice = st.integers(-24, 24).map(lambda k: k * 0.25e-3)
