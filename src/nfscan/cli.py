@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -108,8 +109,6 @@ def cmd_extract(args):
 
 def cmd_profile(args):
     fmap = parse_map_csv(_read_text(args.map))
-    if fmap.value_kind == "complex":
-        raise ConfigError("profile output requires a dB map; extract or convert first")
     coords, values = extract_profile(fmap, args.axis, args.at * 1e-3)
     _write_text(args.out, write_profile_csv(coords, values, args.axis, args.at * 1e-3,
                                             fmap.f, fmap.component))
@@ -137,6 +136,17 @@ def cmd_render(args):
     return 0
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
 def _parser():
     ap = argparse.ArgumentParser(prog="nfscan",
                                  description="Magnetic near-field scan simulation and "
@@ -160,8 +170,9 @@ def _parser():
 
     p = sub.add_parser("calibrate", help="antenna-factor table from a probe .s2p")
     p.add_argument("--probe", required=True, help="Touchstone file with the probe S21")
-    p.add_argument("--d", type=float, required=True, help="probe-to-conductor distance (mm)")
-    p.add_argument("--h", type=float, required=True, help="trace height above ground (mm)")
+    p.add_argument("--d", type=_finite_float, required=True,
+                   help="probe-to-conductor distance (mm)")
+    p.add_argument("--h", type=_finite_float, required=True, help="trace height above ground (mm)")
     p.add_argument("--kernel", choices=KERNELS, default="paper")
     p.add_argument("--out", required=True, help="output CF CSV path")
     p.set_defaults(func=cmd_calibrate)
@@ -169,7 +180,7 @@ def _parser():
     p = sub.add_parser("extract", help="field map from a dBV scan map plus a CF table")
     p.add_argument("--scan", required=True, help="port-voltage map CSV (dBV)")
     p.add_argument("--cf", required=True, help="CF table CSV")
-    p.add_argument("--freq", type=float, required=True, help="frequency in Hz")
+    p.add_argument("--freq", type=_finite_float, required=True, help="frequency in Hz")
     p.add_argument("--sign-mode", choices=SIGN_MODES, default="eq1-consistent")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
@@ -177,7 +188,7 @@ def _parser():
     p = sub.add_parser("profile", help="1-D cut of a map along x or y")
     p.add_argument("--map", required=True)
     p.add_argument("--axis", choices=("x", "y"), required=True)
-    p.add_argument("--at", type=float, required=True,
+    p.add_argument("--at", type=_finite_float, required=True,
                    help="position on the other axis (mm), must be a grid line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profile)
@@ -188,8 +199,8 @@ def _parser():
 
     p = sub.add_parser("render", help="render a dB map to binary P5 PGM")
     p.add_argument("--map", required=True)
-    p.add_argument("--lo", type=float, required=True, help="dB level mapped to black")
-    p.add_argument("--hi", type=float, required=True, help="dB level mapped to white")
+    p.add_argument("--lo", type=_finite_float, required=True, help="dB level mapped to black")
+    p.add_argument("--hi", type=_finite_float, required=True, help="dB level mapped to white")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
     return ap

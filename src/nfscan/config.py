@@ -32,6 +32,10 @@ _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 #: 0.1 mm with 5 frequencies is 252,255.
 MAX_CELLS = 10**7
 
+#: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
+#: is 2,000.  A kernel call holds about 154 bytes per point x segment.
+MAX_SEGMENTS = 2000
+
 
 @dataclass(frozen=True)
 class CalSpec:
@@ -117,6 +121,15 @@ def _dbm_to_w(dbm):
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
+def _segment_count(vertices, max_len):
+    """Segments _subdivide makes, as a Python int; None if too many to count."""
+    try:
+        return sum(max(1, math.ceil(float(np.linalg.norm(np.subtract(b, a))) / max_len))
+                   for a, b in zip(vertices, vertices[1:]))
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 def _subdivide(vertices, max_len):
     out = [vertices[0]]
     for a, b in zip(vertices, vertices[1:]):
@@ -169,7 +182,15 @@ def build_config(doc):
         if (not isinstance(max_seg, (int, float)) or isinstance(max_seg, bool)
                 or not _finite(max_seg) or max_seg <= 0):
             raise ConfigError("trace.max_segment: expected a positive number (mm) or null")
-        verts = _subdivide(verts, _mm(float(max_seg)))
+        max_len = _mm(float(max_seg))
+        n = _segment_count(verts, max_len)
+        if n is None or n > MAX_SEGMENTS:
+            count = "too many" if n is None else n
+            raise ConfigError(f"trace.max_segment: {max_seg!r} mm makes {count} segments, "
+                              f"more than {MAX_SEGMENTS}")
+        verts = _subdivide(verts, max_len)
+    elif len(verts) - 1 > MAX_SEGMENTS:
+        raise ConfigError(f"trace.vertices: {len(verts) - 1} segments, more than {MAX_SEGMENTS}")
     trace = TracePath(vertices=tuple(verts), width=_mm(t.take("width", 3.0)),
                       z0_line=t.take("z0", 50.0),
                       termination=t.take("termination", "matched", kind=str))
@@ -182,8 +203,11 @@ def build_config(doc):
     height = _mm(p.take("height"))
     if height <= 0:
         raise ConfigError("probe.height: must be > 0")
+    side = _mm(p.take("side", 4.0))
+    if not math.isfinite(side * side):
+        raise ConfigError("probe.side: too large, its loop area overflows")
     probe0 = LoopProbe(center=(0.0, 0.0, substrate.h + height), normal=_AXES[axis],
-                       side_s=_mm(p.take("side", 4.0)), port_z=p.take("port_z", 50.0))
+                       side_s=side, port_z=p.take("port_z", 50.0))
     p.drop("trace_w")
     probe = probe_over_trace(probe0, trace, substrate, height)
     port = PortWaveModel(probe=probe, loading=p.take("loading", "matched-halving", kind=str),
@@ -209,7 +233,14 @@ def build_config(doc):
                           f"= {cells} cells, more than {MAX_CELLS}")
 
     d = sections["drive"]
-    drive = DriveSpec(power=_dbm_to_w(d.take("power_dbm", -10.0)))
+    dbm = d.take("power_dbm", -10.0)
+    try:
+        power = _dbm_to_w(dbm)
+    except OverflowError:
+        power = math.inf
+    if not 0 < power < math.inf:
+        raise ConfigError(f"drive.power_dbm: {dbm!r} dBm is out of range")
+    drive = DriveSpec(power=power)
     d.drop("source_z", positive=True)
     d.done()
 

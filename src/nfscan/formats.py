@@ -6,19 +6,17 @@ CSV metadata lines start with '#' and use SI units; body rows run from
 y_min upward (row-major, matching grid_points).  PGM output puts y_max at
 the top, as an image viewer would expect.
 
-Map CSV cells are Python `repr` of doubles: the shortest decimal that
-parses back to the same double.  A complex cell is `re:im` with exactly
-one ':'.  A cell parses if `float()` accepts it (or, for a complex cell,
-both sides of the ':'), surrounding whitespace, `1_0` and `infinity`
-included; dB cells must also be finite.  A bad cell raises ParseError
-naming its line and its text.
+Map CSVs hold dB maps only, and every cell is a finite dB value written
+as Python `repr` of a double: the shortest decimal that parses back to
+the same double.  A cell parses if `float()` accepts it and the result is
+finite; surrounding whitespace and `1_0` are accepted.  A bad cell raises
+ParseError naming its line and its text.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,6 +234,7 @@ class FieldMap:
 
     `values` has shape (ny, nx) with row 0 at y_min: either complex
     phasors (value_kind 'complex') or finite dB magnitudes ('db').
+    Complex maps exist in memory only; the map CSV holds dB maps.
     """
 
     grid: ScanGrid
@@ -261,6 +260,8 @@ class FieldMap:
 
 
 def write_map_csv(fmap: FieldMap):
+    if fmap.value_kind != "db":
+        raise ConfigError("map CSV holds dB maps only")
     grid = fmap.grid
     lines = [f"# {MAP_MAGIC}"]
     for key, val in (("x_min", grid.x_min), ("x_max", grid.x_max),
@@ -269,25 +270,18 @@ def write_map_csv(fmap: FieldMap):
                      ("z_height", grid.z_height), ("f_hz", fmap.f)):
         lines.append(f"# {key}: {_rfmt(val)}")
     lines.append(f"# component: {fmap.component}")
-    lines.append(f"# value_kind: {fmap.value_kind}")
+    lines.append("# value_kind: db")
     for key in sorted(fmap.meta):
         lines.append(f"# meta.{key}: {fmap.meta[key]}")
     # One row at a time: tolist() yields Python floats, whose repr is the
     # shortest round-trip decimal, the same text _rfmt gives per cell.
     # Converting the whole map at once would hold a Python float per cell.
-    if fmap.value_kind == "complex":
-        for row in fmap.values:
-            pairs = zip(row.real.tolist(), row.imag.tolist())
-            lines.append(",".join([f"{a!r}:{b!r}" for a, b in pairs]))
-    else:
-        for row in fmap.values:
-            lines.append(",".join(map(repr, row.tolist())))
+    for row in fmap.values:
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
 _MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "f_hz")
-# Every cell of a complex row holds exactly one ':'.
-_COMPLEX_ROW = re.compile(r"[^,:]*:[^,:]*(?:,[^,:]*:[^,:]*)*")
 
 
 def parse_map_csv(text):
@@ -304,9 +298,8 @@ def parse_map_csv(text):
     grid = ScanGrid(x_min=nums["x_min"], x_max=nums["x_max"], y_min=nums["y_min"],
                     y_max=nums["y_max"], dx=nums["dx"], dy=nums["dy"],
                     z_height=nums["z_height"])
-    kind = header["value_kind"]
-    if kind not in VALUE_KINDS:
-        raise ParseError(f"header value_kind: must be one of {VALUE_KINDS}")
+    if header["value_kind"] != "db":
+        raise ParseError(f"header value_kind: must be db, got {header['value_kind']!r}")
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}
 
     if len(body) != grid.ny:
@@ -317,39 +310,26 @@ def parse_map_csv(text):
         n = line.count(",") + 1
         if n != grid.nx:
             raise ParseError(f"row {r}: expected {grid.nx} columns, got {n}", line=lineno)
-    values = np.empty((grid.ny, grid.nx), dtype=complex if kind == "complex" else float)
-    # A complex row parses as 2*nx interleaved floats straight into the
-    # (re, im) memory of its row.
-    rows = values.view(float) if kind == "complex" else values
+    values = np.empty((grid.ny, grid.nx))
     for r, (lineno, line) in enumerate(body):
         try:
-            tokens = line
-            if kind == "complex":
-                if not _COMPLEX_ROW.fullmatch(line):
-                    raise ValueError
-                tokens = line.replace(":", ",")
-            rows[r] = list(map(float, tokens.split(",")))
+            values[r] = list(map(float, line.split(",")))
         except ValueError:
             # Redo the row cell by cell to name the first bad one.
-            values[r] = [_parse_cell(cell, kind, lineno) for cell in line.split(",")]
-    if kind == "db" and not np.isfinite(values).all():
+            values[r] = [_parse_cell(cell, lineno) for cell in line.split(",")]
+    if not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
         lineno, line = body[r]
         raise ParseError(f"non-finite db cell {line.split(',')[c].strip()!r}", line=lineno)
     return FieldMap(grid=grid, f=nums["f_hz"], component=header["component"],
-                    values=values, value_kind=kind, meta=meta)
+                    values=values, value_kind="db", meta=meta)
 
 
-def _parse_cell(cell, kind, lineno):
+def _parse_cell(cell, lineno):
     try:
-        if kind == "complex":
-            re_s, _, im_s = cell.partition(":")
-            if not im_s:
-                raise ValueError
-            return complex(float(re_s), float(im_s))
         return float(cell)
     except ValueError:
-        raise ParseError(f"bad {kind} cell {cell.strip()!r}", line=lineno) from None
+        raise ParseError(f"bad db cell {cell.strip()!r}", line=lineno) from None
 
 
 def _split_header(text, magic, what):

@@ -23,11 +23,6 @@ def write_map_csv_per_cell(fmap):
     lines.append(f"# value_kind: {fmap.value_kind}")
     for key in sorted(fmap.meta):
         lines.append(f"# meta.{key}: {fmap.meta[key]}")
-    if fmap.value_kind == "complex":
-        def cell(v):
-            return f"{_rfmt(v.real)}:{_rfmt(v.imag)}"
-    else:
-        cell = _rfmt
     for row in fmap.values:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join(_rfmt(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ import pytest
 
 from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
 from nfscan.cli import main
-from nfscan.config import MAX_CELLS
+from nfscan import config
+from nfscan.config import MAX_CELLS, MAX_SEGMENTS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 TABLE2 = os.path.join(CONFIG_DIR, "table2.json")
@@ -109,6 +110,17 @@ class TestSimulate:
         cfg = write_config(tmp_path, **{section: patch})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"error: {name}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, patch, err", [
+        ("drive", {"power_dbm": 1e308}, "drive.power_dbm: 1e+308 dBm is out of range"),
+        ("drive", {"power_dbm": -1e308}, "drive.power_dbm: -1e+308 dBm is out of range"),
+        ("probe", {"side": 1e300}, "probe.side: too large, its loop area overflows")],
+        ids=["power-high", "power-low", "side"])
+    def test_overflowing_number_names_key(self, tmp_path, capsys, section, patch, err):
+        cfg = write_config(tmp_path, **{section: patch})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_out_names_existing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -231,6 +243,54 @@ class TestPipeline:
                      "--h", "1.6", "--out", str(tmp_path / "cf.csv")]) == 2
 
 
+class TestFiniteOptions:
+    """Float options reject NaN and infinities before any file is read or written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("opt", ["--d", "--h", "--freq", "--at", "--lo", "--hi"])
+    def test_non_finite_exits_2_naming_option(self, pipeline, tmp_path, capsys, opt, value):
+        _, s2p, cf, sim = pipeline
+        hy = str(sim / "hy_dba_m_000_2GHz.csv")
+        out = tmp_path / "out"
+        argv = {
+            "--d": ["calibrate", "--probe", str(s2p), "--d", "1.0", "--h", "1.6"],
+            "--h": ["calibrate", "--probe", str(s2p), "--d", "1.0", "--h", "1.6"],
+            "--freq": ["extract", "--scan", str(sim / "v_dbv_000_2GHz.csv"), "--cf", str(cf),
+                       "--freq", "2e9"],
+            "--at": ["profile", "--map", hy, "--axis", "y", "--at", "0.0"],
+            "--lo": ["render", "--map", hy, "--lo", "-60", "--hi", "-10"],
+            "--hi": ["render", "--map", hy, "--lo", "-60", "--hi", "-10"]}[opt]
+        i = argv.index(opt)
+        argv[i:i + 2] = [f"{opt}={value}"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {opt}: expected a finite number, got '{value}'" in err
+        assert not out.exists()
+
+
+class TestComplexMapFile:
+    """A map file whose header says `value_kind: complex` is not a map CSV."""
+
+    @pytest.mark.parametrize("cmd", ["stats", "profile", "render", "extract"])
+    def test_exits_2(self, pipeline, tmp_path, capsys, cmd):
+        _, _, cf, sim = pipeline
+        text = (sim / "v_dbv_000_2GHz.csv").read_text()
+        path = tmp_path / "complex.csv"
+        path.write_text(text.replace("# value_kind: db\n", "# value_kind: complex\n"))
+        out = str(tmp_path / "out")
+        argv = {"stats": ["stats", "--map", str(path)],
+                "profile": ["profile", "--map", str(path), "--axis", "y", "--at", "0",
+                            "--out", out],
+                "render": ["render", "--map", str(path), "--lo", "-60", "--hi", "-10",
+                           "--out", out],
+                "extract": ["extract", "--scan", str(path), "--cf", str(cf), "--freq", "2e9",
+                            "--out", out]}[cmd]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: header value_kind: must be db, "
+                                           "got 'complex'\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestUnmodelledKeys:
     """Accepted, range-checked and hashed keys that no computation reads."""
 
@@ -312,6 +372,40 @@ class TestGridBudget:
         path.write_text(header.format(x_max=0.1, y_max=0, dx=1e-320) + "-10\n")
         assert main(["stats", "--map", str(path)]) == 2
         assert capsys.readouterr().err == "error: grid.dx: too small for the extent\n"
+
+
+class TestSegmentBudget:
+    """A trace of more than MAX_SEGMENTS segments exits 2 before any is built."""
+
+    @pytest.mark.parametrize("max_seg, count", [
+        (1e-9, "200000000000"), (1e-320, "too many"), (5e-324, "too many")])
+    def test_exits_2_without_subdividing(self, tmp_path, capsys, monkeypatch, max_seg, count):
+        def no_subdivide(*args):
+            raise AssertionError("_subdivide called")
+        monkeypatch.setattr(config, "_subdivide", no_subdivide)
+        cfg = write_config(tmp_path, trace={"max_segment": max_seg})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: trace.max_segment: {max_seg!r} mm makes "
+                                           f"{count} segments, more than {MAX_SEGMENTS}\n")
+        assert not out.exists()
+
+    def test_budget_is_table2_at_a_tenth_of_a_mm(self, tmp_path):
+        cfg = config.load_config(write_config(tmp_path, trace={"max_segment": 0.1}))
+        a, b = np.array([-0.1, 0.0, 1.6e-3]), np.array([0.1, 0.0, 1.6e-3])
+        want = [tuple(a)] + [tuple(a + (b - a) * (k / MAX_SEGMENTS))
+                             for k in range(1, MAX_SEGMENTS + 1)]
+        assert len(cfg.trace.vertices) == MAX_SEGMENTS + 1
+        assert cfg.trace.vertices == tuple(want)
+
+    def test_vertex_list_over_budget_exits_2(self, tmp_path, capsys):
+        verts = [[0.01 * i, 0.0] for i in range(MAX_SEGMENTS + 2)]
+        cfg = write_config(tmp_path, trace={"vertices": verts, "max_segment": None})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: trace.vertices: {MAX_SEGMENTS + 1} "
+                                           f"segments, more than {MAX_SEGMENTS}\n")
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from map_writer_reference import write_map_csv_per_cell
 from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid,
                     parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
-from nfscan.formats import VALUE_KINDS
 
 
 def synth_network(n=301, ports=2, seed=1):
@@ -158,12 +156,6 @@ class TestMapCsv:
         assert back.component == fmap.component
         assert back.meta == fmap.meta
 
-    def test_complex_round_trip(self):
-        fmap = synth_map(kind="complex", nx=7, ny=5)
-        back = parse_map_csv(write_map_csv(fmap))
-        assert np.array_equal(back.values, fmap.values)
-        assert back.value_kind == "complex"
-
     def test_single_cell(self):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
@@ -218,15 +210,6 @@ class TestMapCsv:
         with pytest.raises(ParseError, match=rf"^line {first}: bad db cell 'x'$"):
             parse_map_csv("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("row, bad", [
-        ("1,2:3", "1"), ("1:,2:3", "1:"), (":2,2:3", ":2"), ("1:2:3,4", "1:2:3"),
-        ("1:2,3", "3"), ("1:2,3:4:", "3:4:"), ("1:x,3:4", "1:x"), ("1:2,:", ":")])
-    def test_complex_cell_needs_one_colon_and_two_numbers(self, row, bad):
-        text, lineno = with_body(synth_map(kind="complex", nx=2, ny=3, seed=16), 1, row)
-        with pytest.raises(ParseError,
-                           match=rf"^line {lineno}: bad complex cell '{re.escape(bad)}'$"):
-            parse_map_csv(text)
-
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_db_cell_names_line(self, cell):
         text, lineno = with_cell(synth_map(nx=3, ny=3, seed=17), 1, 2, cell)
@@ -234,18 +217,20 @@ class TestMapCsv:
                            match=rf"^line {lineno}: non-finite db cell '{cell}'$"):
             parse_map_csv(text)
 
-    def test_non_finite_complex_cell_accepted(self):
-        text, _ = with_cell(synth_map(kind="complex", nx=3, ny=2, seed=18), 0, 1, "nan:-inf")
-        back = parse_map_csv(text)
-        assert math.isnan(back.values[0, 1].real) and back.values[0, 1].imag == -math.inf
-
     def test_cells_accept_what_float_accepts(self):
         cells = [" -1.5", "1_0", "+2E0 ", "\t.5"]
         text, _ = with_body(synth_map(nx=4, ny=2, seed=19), 1, ",".join(cells))
         assert parse_map_csv(text).values[1].tolist() == [float(c) for c in cells]
-        cells = ["1_0: 2", " -0.0:+3e-1"]
-        text, _ = with_body(synth_map(kind="complex", nx=2, ny=1, seed=19), 0, ",".join(cells))
-        assert parse_map_csv(text).values[0].tolist() == [complex(10, 2), complex(-0.0, 0.3)]
+
+    def test_complex_map_not_written(self):
+        with pytest.raises(ConfigError, match="^map CSV holds dB maps only$"):
+            write_map_csv(synth_map(kind="complex", nx=3, ny=2, seed=18))
+
+    def test_complex_header_rejected(self):
+        text = write_map_csv(synth_map(nx=2, ny=2, seed=16))
+        text = text.replace("# value_kind: db\n", "# value_kind: complex\n")
+        with pytest.raises(ParseError, match="^header value_kind: must be db, got 'complex'$"):
+            parse_map_csv(text)
 
     def test_db_map_rejects_non_finite(self):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
@@ -267,15 +252,12 @@ _DOUBLES = st.one_of(
 
 @st.composite
 def field_maps(draw):
-    kind = draw(st.sampled_from(VALUE_KINDS))
     nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     cells = st.lists(_DOUBLES, min_size=nx * ny, max_size=nx * ny)
     vals = np.array(draw(cells)).reshape(ny, nx)
-    if kind == "complex":
-        vals = vals + 1j * np.array(draw(cells)).reshape(ny, nx)
-    fmap = synth_map(nx=nx, ny=ny, kind=kind)
+    fmap = synth_map(nx=nx, ny=ny)
     return FieldMap(grid=fmap.grid, f=fmap.f, component=fmap.component, values=vals,
-                    value_kind=kind, meta=fmap.meta)
+                    value_kind="db", meta=fmap.meta)
 
 
 class TestMapCsvBytes:
@@ -371,14 +353,14 @@ class TestFuzz:
         r = random.Random(20240817)
         ts_seed = write_touchstone(synth_network(n=25, seed=13))
         db_seed = write_map_csv(synth_map(nx=9, ny=7, seed=14))
-        complex_seed = write_map_csv(synth_map(nx=9, ny=7, kind="complex", seed=14))
+        db_seed_2 = write_map_csv(synth_map(nx=5, ny=11, seed=21))
         survived = 0
         for i in range(1500):
             if i % 3 == 0:
                 text = _mutate(ts_seed, r)
                 parser = parse_touchstone
             else:
-                text = _mutate(db_seed if i % 3 == 1 else complex_seed, r)
+                text = _mutate(db_seed if i % 3 == 1 else db_seed_2, r)
                 parser = parse_map_csv
             try:
                 parser(text)

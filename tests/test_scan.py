@@ -10,7 +10,7 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
                     PortWaveModel, ScanGrid, SingularityError, Substrate, TracePath,
                     apply_calibration_to_scan, current_distribution, extract_profile,
                     grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
-                    run_simulated_scan, synthesize_s21, write_map_csv)
+                    run_simulated_scan, synthesize_s21)
 from nfscan import fields
 from nfscan.fields import CHUNK, EPS_GEOM, mirrored_segments
 from nfscan.scan import MapStats
@@ -113,9 +113,9 @@ class TestRunSimulatedScan:
             c, d = pool.map(lambda _: run_table2(cal_model, straight_trace, substrate, drive,
                                                  table2_grid), range(2))
         for x, y in ((a, b), (a, c), (a, d)):
-            assert write_map_csv(x.vport[0]) == write_map_csv(y.vport[0])
-            assert write_map_csv(x.s21[0]) == write_map_csv(y.s21[0])
-            assert write_map_csv(x.hfield[0]) == write_map_csv(y.hfield[0])
+            assert x.vport[0].values.tobytes() == y.vport[0].values.tobytes()
+            assert x.s21[0].values.tobytes() == y.s21[0].values.tobytes()
+            assert x.hfield[0].values.tobytes() == y.hfield[0].values.tobytes()
 
     def test_probe_transfer_is_one_point_scan(self, cal_model, straight_trace, substrate,
                                               drive):
