@@ -91,11 +91,16 @@ def geometry_term_db(d, h, kernel="paper"):
     if d <= 0 or h <= 0:
         raise ConfigError("geometry term requires d > 0 and h > 0")
     if kernel == "paper":
-        g = d / (math.pi * h * (h + 2.0 * d))
+        num, den = d, math.pi * h * (h + 2.0 * d)
     elif kernel == "image-theory":
-        g = h / (math.pi * d * (d + 2.0 * h))
+        num, den = h, math.pi * d * (d + 2.0 * h)
     else:
         raise ConfigError(f"kernel: must be one of {KERNELS}")
+    # The denominator can underflow to 0 or overflow to inf for extreme d, h.
+    g = num / den if den > 0 else math.inf
+    if not 0.0 < g < math.inf:
+        raise ConfigError(f"geometry term: factor for d={d!r} m, h={h!r} m "
+                          f"is {g!r}, outside the range of a double")
     return 20.0 * math.log10(g)
 
 

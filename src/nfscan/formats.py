@@ -11,6 +11,13 @@ as Python `repr` of a double: the shortest decimal that parses back to
 the same double.  A cell parses if `float()` accepts it and the result is
 finite; surrounding whitespace and `1_0` are accepted.  A bad cell raises
 ParseError naming its line and its text.
+
+The body is parsed by numpy's C text reader (`np.loadtxt`), which
+converts each cell with `PyOS_string_to_double`, the routine `float()`
+calls, so the values are `float()`'s bit for bit.  That reader takes a
+subset of `float()`'s spellings (not `1_0` or non-ASCII digits); when it
+rejects any cell, the body is parsed again cell by cell with `float()`,
+which accepts the rest and names the first bad cell.
 """
 
 from __future__ import annotations
@@ -310,12 +317,15 @@ def parse_map_csv(text):
         n = line.count(",") + 1
         if n != grid.nx:
             raise ParseError(f"row {r}: expected {grid.nx} columns, got {n}", line=lineno)
-    values = np.empty((grid.ny, grid.nx))
-    for r, (lineno, line) in enumerate(body):
-        try:
-            values[r] = list(map(float, line.split(",")))
-        except ValueError:
-            # Redo the row cell by cell to name the first bad one.
+    try:
+        # No comment character: numpy's default '#' would take "1.0#x".
+        values = np.loadtxt([line for _, line in body], delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError:
+        # Cell by cell: float() takes spellings numpy's reader does not, and
+        # the first bad cell is named.
+        values = np.empty((grid.ny, grid.nx))
+        for r, (lineno, line) in enumerate(body):
             values[r] = [_parse_cell(cell, lineno) for cell in line.split(",")]
     if not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
@@ -440,6 +450,8 @@ def render_pgm(fmap: FieldMap, lo, hi):
     hi = float(hi)
     if not lo < hi:
         raise ConfigError(f"render range: lo ({lo}) must be < hi ({hi})")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"render range: hi ({hi}) - lo ({lo}) overflows a double")
     t = (fmap.values - lo) / (hi - lo)
     pix = np.floor(255.0 * np.clip(t, 0.0, 1.0) + 0.5).astype(np.uint8)
     pix = pix[::-1]  # image top = largest y

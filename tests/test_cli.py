@@ -231,6 +231,28 @@ class TestPipeline:
         assert main(["render", "--map", str(sim / "hy_dba_m_000_2GHz.csv"),
                      "--lo", "0", "--hi", "0", "--out", str(tmp_path / "x.pgm")]) == 2
 
+    def test_render_overflowing_range_exits_2(self, pipeline, tmp_path, capsys):
+        _, _, _, sim = pipeline
+        out = tmp_path / "x.pgm"
+        assert main(["render", "--map", str(sim / "hy_dba_m_000_2GHz.csv"),
+                     "--lo=-1e308", "--hi", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: render range: hi (1e+308) - lo (-1e+308) "
+                                           "overflows a double\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d, h, kernel, g", [("1", "1e-320", "paper", "inf"),
+                                                ("1e300", "1e-300", "image-theory", "0.0")])
+    def test_calibrate_geometry_factor_out_of_range_exits_2(self, pipeline, tmp_path, capsys,
+                                                            d, h, kernel, g):
+        _, s2p, _, _ = pipeline
+        out = tmp_path / "cf.csv"
+        assert main(["calibrate", "--probe", str(s2p), "--d", d, "--h", h,
+                     "--kernel", kernel, "--out", str(out)]) == 2
+        d_m, h_m = float(d) * 1e-3, float(h) * 1e-3
+        assert capsys.readouterr().err == (f"error: geometry term: factor for d={d_m!r} m, "
+                                           f"h={h_m!r} m is {g}, outside the range of a double\n")
+        assert not out.exists()
+
     def test_calibrate_non_monotone_exits_2(self, pipeline, tmp_path, capsys):
         base = tmp_path
         bad = base / "bad.s2p"

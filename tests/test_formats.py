@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from map_parser_reference import parse_map_csv_per_row
 from map_writer_reference import write_map_csv_per_cell
 
-from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid,
+from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, formats,
                     parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
 
@@ -218,9 +219,27 @@ class TestMapCsv:
             parse_map_csv(text)
 
     def test_cells_accept_what_float_accepts(self):
-        cells = [" -1.5", "1_0", "+2E0 ", "\t.5"]
-        text, _ = with_body(synth_map(nx=4, ny=2, seed=19), 1, ",".join(cells))
+        cells = [" -1.5", "1_0", "+2E0 ", "\t.5", "\uff11", "\u0661\u0662", " -2"]
+        text, _ = with_body(synth_map(nx=7, ny=2, seed=19), 1, ",".join(cells))
         assert parse_map_csv(text).values[1].tolist() == [float(c) for c in cells]
+
+    @pytest.mark.parametrize("cell", ["1.0#x", "'1'", "1\x00"])
+    def test_cells_float_rejects_are_bad(self, cell):
+        # Last cell: numpy's text reader could end the row at a comment
+        # character or unquote the cell, leaving a valid row.
+        text, lineno = with_cell(synth_map(nx=4, ny=3, seed=20), 1, 3, cell)
+        with pytest.raises(ParseError) as exc:
+            parse_map_csv(text)
+        assert str(exc.value) == f"line {lineno}: bad db cell {cell!r}"
+
+    def test_written_map_parses_without_the_per_cell_path(self, monkeypatch):
+        def per_cell(cell, lineno):
+            raise AssertionError(f"line {lineno} parsed cell by cell")
+
+        fmap = synth_map()
+        text = write_map_csv(fmap)
+        monkeypatch.setattr(formats, "_parse_cell", per_cell)
+        assert parse_map_csv(text).values.tobytes() == fmap.values.tobytes()
 
     def test_complex_map_not_written(self):
         with pytest.raises(ConfigError, match="^map CSV holds dB maps only$"):
@@ -260,6 +279,44 @@ def field_maps(draw):
                     value_kind="db", meta=fmap.meta)
 
 
+_TO_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_TO_FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+_PAD = st.text(" \t\u00a0\u2003", max_size=2)
+#: Cell spellings besides `repr`; some float() takes and numpy's reader
+#: does not, some neither takes, some are non-finite.
+_ODD_CELLS = [
+    st.tuples(_PAD, _DOUBLES.map(repr), _PAD).map("".join),
+    st.integers(0, 10**9).map("{:_}".format),
+    _DOUBLES.map(lambda x: repr(x).translate(_TO_ARABIC_INDIC)),
+    _DOUBLES.map(lambda x: repr(x).translate(_TO_FULLWIDTH)),
+    _DOUBLES.map(lambda x: f"{x!r}#x"),
+    _DOUBLES.map(lambda x: f"'{x!r}'"),
+    _DOUBLES.map(lambda x: f'"{x!r}"'),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e999"]),
+    st.sampled_from(["1e", "", "1\x00"]),
+]
+
+
+@st.composite
+def map_texts(draw):
+    """A written map whose cells mix `repr` with one or two odd spellings."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    odd = draw(st.lists(st.sampled_from(range(len(_ODD_CELLS))), max_size=2, unique=True))
+    cell = st.one_of(_DOUBLES.map(repr), *(_ODD_CELLS[i] for i in odd))
+    lines = write_map_csv(synth_map(nx=nx, ny=ny)).splitlines()
+    for r in range(ny):
+        lines[r - ny] = ",".join(draw(st.lists(cell, min_size=nx, max_size=nx)))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    """The parsed values' bytes, or the ParseError text."""
+    try:
+        return parse(text).values.tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
 class TestMapCsvBytes:
     @settings(max_examples=300, deadline=None)
     @given(field_maps())
@@ -269,6 +326,11 @@ class TestMapCsvBytes:
         back = parse_map_csv(text)
         assert back.values.dtype == fmap.values.dtype
         assert back.values.tobytes() == fmap.values.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_texts())
+    def test_parser_matches_per_row_parser(self, text):
+        assert _parse_outcome(parse_map_csv, text) == _parse_outcome(parse_map_csv_per_row, text)
 
 
 class TestCfCsv:
