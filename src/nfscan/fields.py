@@ -7,9 +7,12 @@ reverses horizontal current (and preserves vertical current), enforcing
 zero normal H on the plane.
 
 The coupling between a point and a segment depends on geometry only, so
-`segment_kernel` returns it per unit current, one chunk of points at a
-time; callers contract it with the currents of as many frequencies as
-they need.
+`segment_kernel` returns it per unit current, as the field component along
+one direction: an (npts, nseg) array, built from per-axis (npts, nseg)
+arrays with no (npts, nseg, 3) temporary.  `kernel_blocks` feeds it whole
+probes at a time, at most `PAIRS` point x segment pairs per call (or one
+probe), and callers contract each block with the currents of as many
+frequencies as they need.
 """
 
 from __future__ import annotations
@@ -25,19 +28,27 @@ from .model import C_LIGHT, DriveSpec, Substrate, TracePath
 #: a closer point raises SingularityError.
 EPS_GEOM = 1e-9
 
-#: Most evaluation points per kernel call in `segment_fields`; bounds each
-#: kernel temporary at CHUNK x segments x 3 doubles.  The probe chain in
-#: `nfscan.scan` puts whole probes in each call, so one call there takes
-#: at most max(CHUNK, 1 + quad_n**2) points.
-CHUNK = 512
+#: Most point x segment pairs per kernel call, unless one probe alone has
+#: more.  A call peaks near 106 B per pair (measured), so 2**15 pairs stay
+#: under 4 MB; at 60 segments a block is 546 points.
+PAIRS = 2 ** 15
 
 _FOUR_PI = 4.0 * math.pi
 
 
-def segment_kernel(starts, ends, points, n_real=None):
-    """Real field per unit current, (npts, nseg, 3) in A/m per A.
+def _sum3(x0, x1, x2):
+    """x0 + x1 + x2 rounded as (x0 + x2) + x1, the order in which numpy's
+    einsum sums a length-3 axis; the kernel keeps it so that its values
+    are bit-identical to the 3-vector form it replaced.  Reuses x0."""
+    x0 += x2
+    x0 += x1
+    return x0
 
-    Entry [i, k] is the field at points[i] of segment k carrying 1 A:
+
+def segment_kernel(starts, ends, points, normal, n_real=None):
+    """Field along `normal` per unit current, (npts, nseg) in A/m per A.
+
+    Entry [i, k] is n . H at points[i] of segment k carrying 1 A:
 
         H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
 
@@ -48,23 +59,38 @@ def segment_kernel(starts, ends, points, n_real=None):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
-    Computes every point it is given; callers bound the count (CHUNK in
-    `segment_fields`).  `n_real` marks how many leading segments are
-    physical; later ones are reported as image segments.  Raises
-    SingularityError for the first (point, segment) pair, in point-major
-    order, closer than EPS_GEOM to the segment.
+    Each vector quantity is held as three (npts, nseg) component arrays.
+    u x r1 uses np.cross's formula, and every three-term sum (dot
+    products, |r|**2 and the projection on `normal`, whose zero
+    components are skipped) is rounded in einsum's order, (x0 + x2) + x1,
+    and the projection is summed from +0.0 as einsum's is, so the values
+    equal those of the former (npts, nseg, 3) kernel projected with
+    einsum, bit for bit.  Keeping that order keeps every map and .s2p
+    byte-identical to the ones the 3-vector kernel wrote.
+
+    Computes every point it is given; `kernel_blocks` bounds the count.
+    `n_real` marks how many leading segments are physical; later ones
+    are reported as image segments.  Raises SingularityError for the
+    first (point, segment) pair, in point-major order, closer than
+    EPS_GEOM to the segment.
     """
     seg = ends - starts
     length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
-    u = seg / length[:, None]
-    r1 = points[:, None, :] - starts
-    r2 = points[:, None, :] - ends
-    c = np.cross(u, r1)
-    rho2 = np.einsum("psk,psk->ps", c, c)
-    t1 = np.einsum("psk,sk->ps", r1, u)
-    t2 = np.einsum("psk,sk->ps", r2, u)
-    n1 = np.sqrt(np.einsum("psk,psk->ps", r1, r1))
-    n2 = np.sqrt(np.einsum("psk,psk->ps", r2, r2))
+    # Component-major copies: broadcasting strided columns is several times slower.
+    u = np.ascontiguousarray((seg / length[:, None]).T)
+    p = np.ascontiguousarray(points.T)[:, :, None]
+    r2 = p - np.ascontiguousarray(ends.T)[:, None, :]
+    t2 = _sum3(r2[0] * u[0], r2[1] * u[1], r2[2] * u[2])
+    n2 = np.sqrt(_sum3(r2[0] * r2[0], r2[1] * r2[1], r2[2] * r2[2]))
+    del r2
+    r1 = p - np.ascontiguousarray(starts.T)[:, None, :]
+    t1 = _sum3(r1[0] * u[0], r1[1] * u[1], r1[2] * u[2])
+    n1 = np.sqrt(_sum3(r1[0] * r1[0], r1[1] * r1[1], r1[2] * r1[2]))
+    c = (u[1] * r1[2] - u[2] * r1[1],
+         u[2] * r1[0] - u[0] * r1[2],
+         u[0] * r1[1] - u[1] * r1[0])
+    del r1
+    rho2 = _sum3(c[0] * c[0], c[1] * c[1], c[2] * c[2])
     beyond = t1 * t2 > 0.0
     dist2 = np.where(beyond, np.minimum(n1, n2) ** 2, rho2)
     near = (dist2 < EPS_GEOM * EPS_GEOM) | (length == 0.0)
@@ -76,32 +102,59 @@ def segment_kernel(starts, ends, points, n_real=None):
         raise SingularityError(
             f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {idx}",
             segment=idx, point=pt, image=image)
+    del dist2, near
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(beyond,
                         (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
                         (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
-    return coef[:, :, None] * c
+    out = np.zeros_like(coef)
+    for k in (0, 2, 1):
+        if normal[k] != 0.0:
+            term = coef * c[k]
+            term *= normal[k]
+            out += term
+    return out
+
+
+def kernel_blocks(starts, ends, centers, normal, offsets=None, n_real=None):
+    """Kernel along `normal` for probes at `centers`, one block at a time.
+
+    A probe's points are its center, then center + each of `offsets` (its
+    quadrature nodes) if given.  Each block holds whole probes, at most
+    PAIRS // nseg points, and always at least one probe.  Yields (lo, hi,
+    g) for probes lo..hi-1, g being the block's (npts, nseg)
+    `segment_kernel` array, rows probe-major.  A SingularityError's
+    `point` is the index of the probe in `centers`.
+    """
+    m = 1 if offsets is None else 1 + len(offsets)
+    step = max(1, PAIRS // len(starts) // m)
+    for lo in range(0, len(centers), step):
+        c = centers[lo:lo + step]
+        pts = c if offsets is None else np.concatenate(
+            [c[:, None], c[:, None] + offsets], axis=1).reshape(-1, 3)
+        try:
+            g = segment_kernel(starts, ends, pts, normal, n_real)
+        except SingularityError as exc:
+            exc.point = lo + exc.point // m
+            raise
+        yield lo, lo + len(c), g
 
 
 def segment_fields(starts, ends, currents, points, n_real=None):
     """Field (npts, 3) complex, A/m, of filament segments with given currents.
 
-    `n_real` marks how many leading segments are physical; indices at or
-    beyond it are reported as image segments in singularity errors, whose
-    point index refers to `points`.
+    One pass over the points per axis.  `n_real` marks how many leading
+    segments are physical; indices at or beyond it are reported as image
+    segments in singularity errors, whose point index refers to `points`.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     currents = np.asarray(currents, dtype=complex)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((points.shape[0], 3), dtype=complex)
-    for lo in range(0, len(points), CHUNK):
-        try:
-            g = segment_kernel(starts, ends, points[lo:lo + CHUNK], n_real)
-        except SingularityError as exc:
-            exc.point += lo
-            raise
-        out[lo:lo + CHUNK] = np.einsum("psk,s->pk", g, currents)
+    for k, axis in enumerate(np.eye(3)):
+        for lo, hi, g in kernel_blocks(starts, ends, points, axis, n_real=n_real):
+            out[lo:hi, k] = np.einsum("ps,s->p", g, currents)
     return out
 
 

@@ -10,7 +10,8 @@ Map CSVs hold dB maps only, and every cell is a finite dB value written
 as Python `repr` of a double: the shortest decimal that parses back to
 the same double.  A cell parses if `float()` accepts it and the result is
 finite; surrounding whitespace and `1_0` are accepted.  A bad cell raises
-ParseError naming its line and its text.
+ParseError naming its line and its text.  Lines end at "\n" (a CRLF's
+"\r" is stripped as padding); a bare "\r" does not end a line.
 
 The body is parsed by numpy's C text reader (`np.loadtxt`), which
 converts each cell with `PyOS_string_to_double`, the routine `float()`
@@ -342,12 +343,24 @@ def _parse_cell(cell, lineno):
         raise ParseError(f"bad db cell {cell.strip()!r}", line=lineno) from None
 
 
+#: ASCII separators that str.strip() and numpy's reader take as spaces
+#: and float() does not; a line holding one could pass for valid.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _split_header(text, magic, what):
     """('#' metadata dict, [(lineno, body line), ...])."""
+    found = [i for i in map(text.find, _SEPARATORS) if i >= 0]
+    if found:
+        pos = min(found)
+        raise ParseError(f"control character {text[pos]!r}", line=text.count("\n", 0, pos) + 1)
     header = {}
     body = []
     saw_magic = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines would also break at characters
+    # float() takes as padding (\x0c, \x85, \u2028, ...).  strip() drops
+    # the "\r" of a CRLF line end.
+    for lineno, raw in enumerate(text.removesuffix("\n").split("\n"), start=1):
         line = raw.strip()
         if not line:
             if body:

@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import CFTable, field_from_voltage
 from .errors import ConfigError, SingularityError
 from . import fields
-from .fields import CHUNK, current_distribution, mirrored_segments
+from .fields import current_distribution, mirrored_segments
 from .formats import FieldMap
 from .model import DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points
 from .probe import PortWaveModel, induced_emf, port_voltage, quad_offsets, synthesize_s21
@@ -78,26 +78,16 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive):
     normal = np.asarray(model.probe.normal, dtype=float)
     integrated = model.aperture == "integrated"
     # A probe's points: its center, then its quadrature nodes if integrated.
-    offsets, weights = quad_offsets(model.probe, model.quad_n) if integrated else ([], [])
+    offsets, weights = quad_offsets(model.probe, model.quad_n) if integrated else (None, [])
     m = 1 + len(weights)
-    step = max(1, CHUNK // m)
     h = np.empty((len(centers), cur.shape[1]))
     flux = np.empty_like(h) if integrated else None
-    for lo in range(0, len(centers), step):
-        c = centers[lo:lo + step]
-        pts = np.concatenate([c[:, None], c[:, None] + offsets], axis=1) if integrated else c
-        try:
-            g = fields.segment_kernel(seg_s, seg_e, pts.reshape(-1, 3), n)
-        except SingularityError as exc:
-            exc.point = lo + exc.point // m
-            raise
-        gn = np.einsum("psk,k->ps", g, normal)
-        del g                                    # free it before the next kernel call
-        rows = (gn[:, :n] - gn[:, n:]).reshape(len(c), m, n)
-        h[lo:lo + step] = np.einsum("ps,sf->pf", rows[:, 0], cur)
+    for lo, hi, g in fields.kernel_blocks(seg_s, seg_e, centers, normal, offsets, n):
+        rows = (g[:, :n] - g[:, n:]).reshape(hi - lo, m, n)
+        h[lo:hi] = np.einsum("ps,sf->pf", rows[:, 0], cur)
         if integrated:
-            flux[lo:lo + step] = np.einsum("ps,sf->pf",
-                                           np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
+            flux[lo:hi] = np.einsum("ps,sf->pf",
+                                    np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
     nf = len(freqs)
     area = model.probe.side_s ** 2
     hs, vs, s21s = [], [], []

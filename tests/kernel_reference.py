@@ -1,10 +1,18 @@
-"""Per-segment loop reference for nfscan.fields.segment_kernel.
+"""References for nfscan.fields.segment_kernel.
 
-The same arithmetic as the kernel, one segment at a time over all points,
-accumulating complex fields in segment order.
+`segment_field_sum` does the same arithmetic as the kernel, one segment at
+a time over all points, accumulating complex fields in segment order.
+
+`vector_kernel` is the kernel as it was before it returned one component:
+the full (npts, nseg, 3) field per unit current, built with np.cross and
+einsum.  Projected on a normal with einsum, it must equal today's kernel
+bit for bit.
 """
 
 import numpy as np
+
+from nfscan.errors import SingularityError
+from nfscan.fields import EPS_GEOM
 
 _FOUR_PI = 4.0 * np.pi
 
@@ -58,3 +66,35 @@ def segment_field_sum(starts, ends, currents, points, eps, out):
 def _first_code(mask, k, ns, best):
     code = int(np.argmax(mask)) * ns + k
     return code if best < 0 or code < best else best
+
+
+def vector_kernel(starts, ends, points, n_real=None):
+    """Real field per unit current, (npts, nseg, 3) in A/m per A."""
+    seg = ends - starts
+    length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
+    u = seg / length[:, None]
+    r1 = points[:, None, :] - starts
+    r2 = points[:, None, :] - ends
+    c = np.cross(u, r1)
+    rho2 = np.einsum("psk,psk->ps", c, c)
+    t1 = np.einsum("psk,sk->ps", r1, u)
+    t2 = np.einsum("psk,sk->ps", r2, u)
+    n1 = np.sqrt(np.einsum("psk,psk->ps", r1, r1))
+    n2 = np.sqrt(np.einsum("psk,psk->ps", r2, r2))
+    beyond = t1 * t2 > 0.0
+    dist2 = np.where(beyond, np.minimum(n1, n2) ** 2, rho2)
+    near = (dist2 < EPS_GEOM * EPS_GEOM) | (length == 0.0)
+    if near.any():
+        pt, k = divmod(int(np.argmax(near)), near.shape[1])
+        image = n_real is not None and k >= n_real
+        idx = k - n_real if image else k
+        kind = "image segment" if image else "segment"
+        raise SingularityError(
+            f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {idx}",
+            segment=idx, point=pt, image=image)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(beyond,
+                        (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
+                        (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
+    return coef[:, :, None] * c
+

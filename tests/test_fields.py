@@ -1,17 +1,53 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, SingularityError, TracePath, closed_form_line_h,
                     current_distribution, eps_eff_hammerstad, h_segment,
                     h_trace_grounded)
-from nfscan.fields import CHUNK, mirrored_segments, segment_fields, segment_kernel
+from nfscan.fields import PAIRS, mirrored_segments, segment_fields, segment_kernel
 
 from conftest import H_SUB, rng
-from kernel_reference import segment_field_sum
+from kernel_reference import segment_field_sum, vector_kernel
+
+lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Segments on a 0.25 mm lattice, vertical ones among them, with their
+    ground-plane images appended when n_real is set; points on the lattice
+    and on segment axes past an end, and sometimes one on a filament."""
+    starts, ends = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.tuples(lattice, lattice, lattice))
+        if draw(st.booleans()):
+            b = (a[0], a[1], draw(lattice.filter(lambda z: z != a[2])))
+        else:
+            b = draw(st.tuples(lattice, lattice, lattice).filter(lambda p: p != a))
+        starts.append(a)
+        ends.append(b)
+    starts, ends = np.array(starts), np.array(ends)
+    pts = [draw(st.tuples(lattice, lattice, lattice)) for _ in range(draw(st.integers(1, 8)))]
+    for k in draw(st.lists(st.integers(0, len(starts) - 1), max_size=3)):
+        t = draw(st.sampled_from((-2.0, -0.5, 1.5, 3.0)))
+        pts.append(starts[k] + t * (ends[k] - starts[k]))
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, len(starts) - 1))
+        pts.insert(draw(st.integers(0, len(pts))), (starts[k] + ends[k]) / 2)
+    n_real = None
+    if draw(st.booleans()):
+        n_real = len(starts)
+        starts, ends, _ = mirrored_segments(starts, ends, np.zeros(n_real))
+    return starts, ends, np.array(pts, dtype=float), n_real
+
+
+NORMALS = [np.array(n) for n in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0), (0.48, -0.6, 0.64))]
 
 
 class TestHSegment:
@@ -115,6 +151,21 @@ class TestGroundedTrace:
             h2 = np.linalg.norm(np.abs(h_trace_grounded(tr, [1.0], (0, 0, H_SUB + 2 * r))))
             assert abs(h2 / h1 - 0.25) < 0.05 * 0.25
 
+    @settings(max_examples=150, deadline=None)
+    @given(xz=st.lists(st.tuples(lattice, lattice.filter(lambda z: z > 0)), min_size=2,
+                       max_size=6, unique=True),
+           phases=st.lists(st.floats(0, 6.28), min_size=5, max_size=5),
+           pts=st.lists(st.tuples(lattice, lattice.filter(lambda y: y != 0), lattice),
+                        min_size=1, max_size=6))
+    def test_mirror_symmetry_about_trace_plane(self, xz, phases, pts):
+        # a trace in the plane y=0 (vias included): H(x, -y, z) = (-Hx, Hy, -Hz)(x, y, z)
+        tr = TracePath(vertices=tuple((x, 0.0, z) for x, z in xz))
+        cur = np.exp(1j * np.array(phases[:tr.n_segments]))
+        p = np.array(pts)
+        q = p * [1, -1, 1]
+        assert_allclose(h_trace_grounded(tr, cur, q), h_trace_grounded(tr, cur, p) * [-1, 1, -1],
+                        rtol=1e-12, atol=0)
+
     def test_wrong_current_count(self):
         tr = TracePath(vertices=((-0.1, 0, H_SUB), (0.1, 0, H_SUB)))
         with pytest.raises(ConfigError):
@@ -199,7 +250,8 @@ class TestCurrentDistribution:
 class TestKernel:
     def test_matches_reference_loop(self):
         r = rng(3)
-        ns, npts = 17, CHUNK + 40
+        ns = 17
+        npts = PAIRS // ns + 40                # two kernel blocks
         starts = r.uniform(-0.1, 0.1, (ns, 3))
         ends = starts + r.uniform(0.01, 0.05, (ns, 3))
         ends[0, :2] = starts[0, :2]            # one vertical segment
@@ -218,14 +270,68 @@ class TestKernel:
         pts = np.array([[0.5, 5.0, 0], [0.5, 1.0, 0], [0.5, 0.0, 0]])
         # first singular pair in point-major order: point 1 x segment 1
         assert segment_field_sum(starts, ends, cur, pts, 1e-9, np.empty((3, 3), complex)) == 3
+        normal = np.array([0.0, 0.0, 1.0])
         with pytest.raises(SingularityError) as err:
-            segment_kernel(starts, ends, pts)
+            segment_kernel(starts, ends, pts, normal)
         assert (err.value.point, err.value.segment, err.value.image) == (1, 1, False)
         with pytest.raises(SingularityError) as err:
-            segment_kernel(starts, ends, pts, n_real=1)
+            segment_kernel(starts, ends, pts, normal, n_real=1)
         assert (err.value.segment, err.value.image) == (0, True)
-        # past the first chunk the index still refers to the caller's points
-        far = np.column_stack([np.full(CHUNK, 0.5), np.full(CHUNK, 3.0), np.zeros(CHUNK)])
+        # past the first block the index still refers to the caller's points
+        nfar = PAIRS // len(starts)
+        far = np.column_stack([np.full(nfar, 0.5), np.full(nfar, 3.0), np.zeros(nfar)])
         with pytest.raises(SingularityError) as err:
             segment_fields(starts, ends, cur, np.vstack([far, pts]))
-        assert (err.value.point, err.value.segment) == (CHUNK + 1, 1)
+        assert (err.value.point, err.value.segment) == (nfar + 1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_vector_kernel(self, case):
+        starts, ends, pts, n_real = case
+        try:
+            g = vector_kernel(starts, ends, pts, n_real)
+        except SingularityError as ref:
+            for normal in NORMALS:
+                with pytest.raises(SingularityError) as err:
+                    segment_kernel(starts, ends, pts, normal, n_real)
+                assert (err.value.point, err.value.segment, err.value.image) == \
+                    (ref.point, ref.segment, ref.image)
+                assert str(err.value) == str(ref)
+            return
+        for normal in NORMALS:
+            got = segment_kernel(starts, ends, pts, normal, n_real)
+            want = np.einsum("psk,k->ps", g, normal)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_reversed_segment_negates_column(self, case):
+        starts, ends, pts, _ = case
+        try:
+            fwd = [segment_kernel(starts, ends, pts, normal) for normal in NORMALS]
+        except SingularityError:
+            return
+        # u x r1 and u x r2 round apart, so a component that cancels to 0
+        # is compared against the largest field component
+        atol = 1e-12 * max(np.abs(g).max() for g in fwd)
+        for normal, g in zip(NORMALS, fwd):
+            assert_allclose(segment_kernel(ends, starts, pts, normal), -g, rtol=1e-12, atol=atol)
+
+    def test_peak_memory_within_pair_budget(self):
+        # 10^4 segments x 40 points: one kernel call over all of them would
+        # hold 4e5 pairs.  segment_fields peaks near 117 B per pair (measured
+        # at 60 segments x 2,000 points); 128 B leaves room for the
+        # per-segment arrays.
+        r = rng(5)
+        ns = 10_000
+        starts = r.uniform(-1, 1, (ns, 3))
+        ends = starts + r.uniform(0.01, 0.02, (ns, 3))
+        currents = np.ones(ns, dtype=complex)
+        points = r.uniform(2, 3, (40, 3))
+        tracemalloc.start()
+        try:
+            segment_fields(starts, ends, currents, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PAIRS * 128

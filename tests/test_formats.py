@@ -219,8 +219,11 @@ class TestMapCsv:
             parse_map_csv(text)
 
     def test_cells_accept_what_float_accepts(self):
-        cells = [" -1.5", "1_0", "+2E0 ", "\t.5", "\uff11", "\u0661\u0662", " -2"]
-        text, _ = with_body(synth_map(nx=7, ny=2, seed=19), 1, ",".join(cells))
+        # padding str.splitlines would take as a line end: "\x0b", "\x0c",
+        # "\x85", "\u2028" and a bare "\r" inside a row
+        cells = [" -1.5", "1_0", "+2E0 ", "\t.5", "\uff11", "\u0661\u0662", "1\x0b",
+                 "\x0c2", "3\x85", "\u20284", "5\r", " -2"]
+        text, _ = with_body(synth_map(nx=12, ny=2, seed=19), 1, ",".join(cells))
         assert parse_map_csv(text).values[1].tolist() == [float(c) for c in cells]
 
     @pytest.mark.parametrize("cell", ["1.0#x", "'1'", "1\x00"])
@@ -231,6 +234,15 @@ class TestMapCsv:
         with pytest.raises(ParseError) as exc:
             parse_map_csv(text)
         assert str(exc.value) == f"line {lineno}: bad db cell {cell!r}"
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize("col", [0, 1, 3])
+    def test_separator_characters_rejected(self, char, col):
+        # str.strip() and numpy's reader take these for spaces; float() does not
+        text, lineno = with_cell(synth_map(nx=4, ny=3, seed=20), 1, col, "1" + char)
+        with pytest.raises(ParseError) as exc:
+            parse_map_csv(text)
+        assert str(exc.value) == f"line {lineno}: control character {char!r}"
 
     def test_written_map_parses_without_the_per_cell_path(self, monkeypatch):
         def per_cell(cell, lineno):

@@ -21,11 +21,11 @@ def s21_at(probe, trace, substrate, drive, aperture="integrated", quad_n=8):
 
 
 def uniform_kernel(direction):
-    """Stand-in kernel: every physical segment gives `direction` per ampere
-    at every point, and every image nothing."""
-    def kernel(starts, ends, points, n_real):
-        g = np.zeros((len(points), len(starts), 3))
-        g[:, :n_real] = direction
+    """Stand-in kernel: every physical segment gives the field `direction`
+    per ampere at every point, and every image nothing."""
+    def kernel(starts, ends, points, normal, n_real):
+        g = np.zeros((len(points), len(starts)))
+        g[:, :n_real] = np.dot(direction, normal)
         return g
     return kernel
 

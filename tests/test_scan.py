@@ -12,7 +12,7 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
                     grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
                     run_simulated_scan, synthesize_s21)
 from nfscan import fields
-from nfscan.fields import CHUNK, EPS_GEOM, mirrored_segments
+from nfscan.fields import EPS_GEOM, PAIRS, mirrored_segments
 from nfscan.scan import MapStats
 
 from conftest import H_SUB, SCAN_HEIGHT, rng
@@ -74,11 +74,13 @@ class TestRunSimulatedScan:
 
     def test_node_singularity_names_grid_point(self, cal_model, substrate, drive,
                                                table2_grid):
-        # a trace through one quadrature node of grid point 15; with 256 nodes
-        # a node chunk holds 2 grid points, so the index must be rebased
-        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=16)
+        # a trace through one quadrature node of grid point 15; at 1,025 points
+        # per probe and 2 segments a block holds 15 probes, so grid point 15
+        # opens the second block and the index must be rebased
+        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=32)
+        assert fields.PAIRS // 2 // (1 + 32 * 32) == 15
         half = model.probe.side_s / 2
-        y = table2_grid.y_coords()[15] + half * np.polynomial.legendre.leggauss(16)[0][3]
+        y = table2_grid.y_coords()[15] + half * np.polynomial.legendre.leggauss(32)[0][3]
         z = SCAN_HEIGHT + H_SUB
         trace = TracePath(vertices=((-0.1, y, z), (0.1, y, z)))
         with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=15\)"):
@@ -132,8 +134,16 @@ class TestRunSimulatedScan:
                                                       table2_grid):
         calls = []       # points per kernel call
         kernel = fields.segment_kernel
-        monkeypatch.setattr(fields, "segment_kernel",
-                            lambda *args: calls.append(len(args[2])) or kernel(*args))
+
+        def counted(starts, ends, points, *args):
+            g = kernel(starts, ends, points, *args)
+            # the fast path: one field component, never a 3-vector per pair
+            assert g.shape == (len(points), len(starts))
+            calls.append(len(points))
+            return g
+
+        monkeypatch.setattr(fields, "segment_kernel", counted)
+        nseg = 2 * straight_trace.n_segments
         models = [(cal_model, 1)] + [
             (PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=q), 1 + q * q)
             for q in (2, 8, 32)]
@@ -144,8 +154,8 @@ class TestRunSimulatedScan:
                 sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=n)
                 run_simulated_scan(straight_trace, substrate, model, table2_grid, sweep, drive)
                 counts.append(len(calls))
-                # whole probes per call, never more than CHUNK points or one probe
-                assert all(k % m == 0 and k <= max(CHUNK, m) for k in calls)
+                # whole probes per call, within the pair budget or one probe
+                assert all(k % m == 0 and (k * nseg <= PAIRS or k == m) for k in calls)
             assert counts[0] == counts[1] > 0
             calls.clear()
             probe_transfer(model, straight_trace, substrate, sweep, drive)
