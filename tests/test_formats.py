@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -96,6 +98,17 @@ class TestTouchstoneParse:
     def test_empty_without_hint_fails(self):
         with pytest.raises(ParseError, match="ports"):
             parse_touchstone("# GHz S RI R 50\n")
+
+    @pytest.mark.parametrize("space", ["\x0c", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, space):
+        # str.split() takes these as whitespace; str.splitlines() would also
+        # end a line at them and shift every later line number.
+        rows = f"1 0.3{space}0.4 0.5 0 0 0 0 0\r\n2 0 0 0 0 0 0 0 0\r\n"
+        net = parse_touchstone("# GHz S RI R 50\r\n" + rows)
+        assert net.s[0, 0, 0] == 0.3 + 0.4j
+        assert net.s[0, 1, 0] == 0.5
+        with pytest.raises(ParseError, match="^line 4: expected 9 columns, got 3$"):
+            parse_touchstone("# GHz S RI R 50\n" + rows + "3 1 2\n")
 
 
 class TestTouchstoneRoundTrip:
@@ -272,7 +285,9 @@ class TestMapCsv:
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
-            1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e22, 1e-7]
+            1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e22, 1e-7,
+            # both sides of the bounds where the writer falls back to `repr`
+            1e-4, 9.999999999999999e-05, 1e-05, -5.5e-05, 1e15, 9999999999999998.0, -1e16]
 _DOUBLES = st.one_of(
     st.sampled_from(_SPECIAL),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -281,14 +296,20 @@ _DOUBLES = st.one_of(
               st.integers(10**16, 10**17 - 1), st.integers(-340, 291)))
 
 
-@st.composite
-def field_maps(draw):
-    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    cells = st.lists(_DOUBLES, min_size=nx * ny, max_size=nx * ny)
-    vals = np.array(draw(cells)).reshape(ny, nx)
+def _db_map(vals):
+    ny, nx = vals.shape
     fmap = synth_map(nx=nx, ny=ny)
     return FieldMap(grid=fmap.grid, f=fmap.f, component=fmap.component, values=vals,
                     value_kind="db", meta=fmap.meta)
+
+
+@st.composite
+def field_maps(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = np.array(draw(st.lists(_DOUBLES, min_size=nx * ny, max_size=nx * ny)))
+    if draw(st.booleans()):
+        return _db_map(cells.reshape(nx, ny).T)  # not C-contiguous
+    return _db_map(cells.reshape(ny, nx))
 
 
 _TO_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -329,15 +350,52 @@ def _parse_outcome(parse, text):
         return str(exc)
 
 
+#: Zeros and doubles with 1e-4 <= |x| < 1e16: orjson spells them as `repr`.
+_ORJSON_AS_REPR = [0.0, -0.0, 1e-4, -1e-4, 1.0000000000000002e-4, 0.00015, 0.1, 1 / 3, -1.0,
+                   2.5, -53.0, 123.456, -350.00000000000006, 1e15, 2.0 ** 53 - 1,
+                   9999999999999998.0, -9999999999999998.0, 123456789012345.6]
+#: Doubles with 0 < |x| < 1e-4 or |x| >= 1e16: the writer spells them with `repr`.
+_REPR_ONLY = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, -1.5e-06, 1e-05, -5.5e-05,
+              9.999999999999999e-05, -9.999999999999999e-05, 1e16, -1e16, 1.5e16, 1e22,
+              1.7976931348623157e308, -1e308]
+
+
 class TestMapCsvBytes:
     @settings(max_examples=300, deadline=None)
     @given(field_maps())
+    @example(_db_map(np.array([_SPECIAL])))                        # one row
+    @example(_db_map(np.array([_SPECIAL]).T))                      # one column
+    @example(_db_map(np.array(_SPECIAL).reshape(3, 7).T))          # transposed
+    @example(_db_map(np.array(_SPECIAL).reshape(3, 7)[:, ::-2]))   # strided
     def test_matches_per_cell_writer_and_round_trips_bits(self, fmap):
         text = write_map_csv(fmap)
         assert text == write_map_csv_per_cell(fmap)
         back = parse_map_csv(text)
         assert back.values.dtype == fmap.values.dtype
         assert back.values.tobytes() == fmap.values.tobytes()
+
+    def test_peak_memory_below_three_texts(self):
+        vals = np.random.default_rng(7).uniform(-350.0, 0.0, (1001, 1001))
+        vals[500, 500] = -5e-05  # one row written with `repr`
+        fmap = _db_map(vals)
+        tracemalloc.start()
+        try:
+            text = write_map_csv(fmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.9 * len(text)
+
+    def test_orjson_spells_doubles_as_repr(self):
+        # The writer relies on these spellings; an orjson that changes one
+        # fails here, naming the value, instead of changing map bytes.
+        for x in _ORJSON_AS_REPR:
+            for got in (orjson.dumps(x),
+                        orjson.dumps(np.array([[x]]), option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]):
+                assert got == repr(x).encode(), f"orjson writes {x!r} as {got.decode()!r}"
+            assert formats._repr_rows(np.array([[x]])) == [], f"{x!r} written with repr"
+        for x in _REPR_ONLY:
+            assert formats._repr_rows(np.array([[x]])) == [0], f"{x!r} written with orjson"
 
     @settings(max_examples=300, deadline=None)
     @given(map_texts())
