@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -64,11 +65,10 @@ def _freq_tag(i, f_hz):
 _DB_FLOOR = 1e-15
 
 
-def _db_map(cmap):
-    """Complex map -> dB-magnitude map (|.| clipped to a representable floor)."""
-    vals = 20.0 * np.log10(np.maximum(np.abs(cmap.values), _DB_FLOOR))
-    return FieldMap(grid=cmap.grid, f=cmap.f, component=cmap.component,
-                    values=vals, value_kind="db", meta=dict(cmap.meta))
+def _db_map(values, *, grid, f, component, meta):
+    """Complex (ny, nx) values -> dB-magnitude map (|.| clipped to a representable floor)."""
+    vals = 20.0 * np.log10(np.maximum(np.abs(values), _DB_FLOOR))
+    return FieldMap(grid=grid, f=f, component=component, values=vals, meta=meta)
 
 
 def cmd_simulate(args):
@@ -79,15 +79,16 @@ def cmd_simulate(args):
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from None
+    comp = result.component
+    maps = (("s21_db", result.s21, "s21", {}),
+            ("v_dbv", result.vport, "vport", {"normal": comp}),
+            (f"{comp}_dba_m", result.hfield, comp, {}))
     for i, f_hz in enumerate(result.freqs):
         tag = _freq_tag(i, f_hz)
-        _write_text(os.path.join(args.out, f"s21_db_{tag}.csv"),
-                    write_map_csv(_db_map(result.s21[i])))
-        _write_text(os.path.join(args.out, f"v_dbv_{tag}.csv"),
-                    write_map_csv(_db_map(result.vport[i])))
-        comp = result.hfield[i].component
-        _write_text(os.path.join(args.out, f"{comp}_dba_m_{tag}.csv"),
-                    write_map_csv(_db_map(result.hfield[i])))
+        for prefix, values, component, meta in maps:
+            fmap = _db_map(values[i], grid=result.grid, f=float(f_hz), component=component,
+                           meta=meta)
+            _write_text(os.path.join(args.out, f"{prefix}_{tag}.csv"), write_map_csv(fmap))
     provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
                   "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
     _write_text(os.path.join(args.out, "provenance.json"),
@@ -156,7 +157,9 @@ def _finite_float(text):
     return val
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(prog="nfscan",
                                  description="Magnetic near-field scan simulation and "
                                              "probe-calibration toolkit")

@@ -6,12 +6,12 @@ CSV metadata lines start with '#' and use SI units; body rows run from
 y_min upward (row-major, matching grid_points).  PGM output puts y_max at
 the top, as an image viewer would expect.
 
-Map CSVs hold dB maps only, and every cell is a finite dB value written
-as Python `repr` of a double: the shortest decimal that parses back to
-the same double.  The body is formatted by orjson (Ryu-style shortest
-round-trip digits) in one call for the whole map: a 1001 x 1001 map
-takes 0.2 s, against 1.0 s with one `repr` per cell (Intel Xeon, one
-core).  orjson spells a double as `repr` does except for
+A map CSV holds one dB map (FieldMap), and every cell is a finite dB
+value written as Python `repr` of a double: the shortest decimal that
+parses back to the same double.  The body is formatted by orjson
+(Ryu-style shortest round-trip digits) in one call for the whole map: a
+1001 x 1001 map takes 0.2 s, against 1.0 s with one `repr` per cell
+(Intel Xeon, one core).  orjson spells a double as `repr` does except for
 0 < |x| < 1e-4 and |x| >= 1e16 ("0.00005", "1e16" for "5e-05",
 "1e+16"); the rows holding such a cell are written with `repr`, which is
 what keeps every file byte-identical to one `repr` per cell.
@@ -46,7 +46,6 @@ CF_MAGIC = "nfscan-cf 1"
 PROFILE_MAGIC = "nfscan-profile 1"
 
 COMPONENTS = ("hx", "hy", "hz", "mag", "s21", "vport")
-VALUE_KINDS = ("db", "complex")
 
 _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _TS_FORMATS = ("ri", "ma", "db")
@@ -250,38 +249,34 @@ def write_touchstone(net: NetworkData, fmt="RI"):
 
 @dataclass(frozen=True)
 class FieldMap:
-    """Values over a ScanGrid at one frequency.
+    """The dB map of one map CSV: values over a ScanGrid at one frequency.
 
-    `values` has shape (ny, nx) with row 0 at y_min: either complex
-    phasors (value_kind 'complex') or finite dB magnitudes ('db').
-    Complex maps exist in memory only; the map CSV holds dB maps.
+    `values` has shape (ny, nx) with row 0 at y_min and holds finite dB
+    magnitudes.  Complex scan products are plain arrays (ScanResult).
     """
 
     grid: ScanGrid
     f: float
     component: str
     values: np.ndarray
-    value_kind: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.component not in COMPONENTS:
             raise ConfigError(f"map component must be one of {COMPONENTS}")
-        if self.value_kind not in VALUE_KINDS:
-            raise ConfigError(f"map value_kind must be one of {VALUE_KINDS}")
-        kind = complex if self.value_kind == "complex" else float
-        vals = np.asarray(self.values, dtype=kind)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals):
+            raise ConfigError("map values must be real dB values, not complex")
+        vals = np.asarray(vals, dtype=float)
         object.__setattr__(self, "values", vals)
         expect = (self.grid.ny, self.grid.nx)
         if vals.shape != expect:
             raise ConfigError(f"map values shape {vals.shape} != grid shape {expect}")
-        if self.value_kind == "db" and not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals)):
             raise ConfigError("dB map contains non-finite values")
 
 
 def write_map_csv(fmap: FieldMap):
-    if fmap.value_kind != "db":
-        raise ConfigError("map CSV holds dB maps only")
     grid = fmap.grid
     lines = [f"# {MAP_MAGIC}"]
     for key, val in (("x_min", grid.x_min), ("x_max", grid.x_max),
@@ -370,7 +365,7 @@ def parse_map_csv(text):
         lineno, line = body[r]
         raise ParseError(f"non-finite db cell {line.split(',')[c].strip()!r}", line=lineno)
     return FieldMap(grid=grid, f=nums["f_hz"], component=header["component"],
-                    values=values, value_kind="db", meta=meta)
+                    values=values, meta=meta)
 
 
 def _parse_cell(cell, lineno):
@@ -494,8 +489,6 @@ def render_pgm(fmap: FieldMap, lo, hi):
     Pixels are round(255 * clamp((v - lo)/(hi - lo), 0, 1)) with
     round-half-up, so repeated renders are byte-identical.
     """
-    if fmap.value_kind != "db":
-        raise ConfigError("render requires a dB-magnitude map, not a complex one")
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:

@@ -9,6 +9,10 @@ coupling from every trace segment (its ground-plane image folded in) to
 the field along the probe normal, and multiplies it by the segments x
 frequencies current matrix.  Each point's sums run in a fixed order, so
 results are byte-identical from run to run.
+
+A scan returns its complex observables as (nf, ny, nx) arrays
+(ScanResult); the calibration, profile and statistics steps work on dB
+maps (FieldMap), the content of one map CSV.
 """
 
 from __future__ import annotations
@@ -38,17 +42,21 @@ class MapStats(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Per-frequency complex maps of the probe observables.
+    """Complex probe observables of a raster scan.
 
     `s21`, `vport` and `hfield` (the field component along the probe
-    normal at the probe center, the simulation ground truth) are lists of
-    complex FieldMaps, one per sweep frequency.
+    normal at the probe center, the simulation ground truth) are
+    (nf, ny, nx) complex arrays: one map per sweep frequency, row 0 at
+    y_min.  `component` names the field component of `hfield` ('hx',
+    'hy', 'hz', or 'mag' for an oblique normal).
     """
 
     freqs: np.ndarray
-    s21: tuple
-    vport: tuple
-    hfield: tuple
+    grid: ScanGrid
+    component: str
+    s21: np.ndarray
+    vport: np.ndarray
+    hfield: np.ndarray
 
 
 def _component_tag(normal):
@@ -64,9 +72,9 @@ def _component_tag(normal):
 def _probe_chain(trace, substrate, model, centers, freqs, drive):
     """Observables of the probe centred at each of `centers` (npts, 3).
 
-    Returns (h, v, s21), each a list with one (npts,) complex array per
-    frequency: the field along the probe normal at the center, the port
-    voltage and S21.  A SingularityError carries the index of the center.
+    Returns a (3, nf, npts) complex array holding, per frequency, the
+    field along the probe normal at the center, the port voltage and S21.
+    A SingularityError carries the index of the center.
     """
     if np.any(centers[:, 2] <= 0):
         raise ConfigError("probe centers must lie strictly above the ground plane z=0")
@@ -90,15 +98,14 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive):
                                     np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
     nf = len(freqs)
     area = model.probe.side_s ** 2
-    hs, vs, s21s = [], [], []
+    out = np.empty((3, nf, len(centers)), dtype=complex)
+    hf, v, s21 = out
     for i, f in enumerate(freqs):
-        hf = h[:, i] + 1j * h[:, nf + i]
-        fl = flux[:, i] + 1j * flux[:, nf + i] if integrated else hf * area
-        v = port_voltage(induced_emf(fl, f), model)
-        hs.append(hf)
-        vs.append(v)
-        s21s.append(synthesize_s21(v, drive, model.probe.port_z))
-    return hs, vs, s21s
+        hf[i] = h[:, i] + 1j * h[:, nf + i]
+        fl = flux[:, i] + 1j * flux[:, nf + i] if integrated else hf[i] * area
+        v[i] = port_voltage(induced_emf(fl, f), model)
+        s21[i] = synthesize_s21(v[i], drive, model.probe.port_z)
+    return out
 
 
 def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveModel,
@@ -110,7 +117,7 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
     z_height is measured from the conductor plane) and the port chain is
     evaluated; per frequency the complex S21, port voltage and
     ground-truth field component (along the probe normal, at the probe
-    center) are stored as maps.
+    center) are stored as (ny, nx) maps of the returned ScanResult.
 
     A SingularityError names the first grid point, in row-major order,
     whose probe center or any of whose quadrature nodes lies within
@@ -120,20 +127,12 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
     centers[:, 2] += substrate.h
     freqs = sweep.frequencies()
     try:
-        h, v, s21 = _probe_chain(trace, substrate, model, centers, freqs, drive)
+        out = _probe_chain(trace, substrate, model, centers, freqs, drive)
     except SingularityError as exc:
         raise _at_grid_point(exc, grid, exc.point) from None
-    tag = _component_tag(model.probe.normal)
-    shape = (grid.ny, grid.nx)
-    s21_maps, v_maps, h_maps = [], [], []
-    for i, f in enumerate(freqs):
-        common = dict(grid=grid, f=float(f), value_kind="complex")
-        s21_maps.append(FieldMap(component="s21", values=s21[i].reshape(shape), **common))
-        v_maps.append(FieldMap(component="vport", values=v[i].reshape(shape),
-                               meta={"normal": tag}, **common))
-        h_maps.append(FieldMap(component=tag, values=h[i].reshape(shape), **common))
-    return ScanResult(freqs=freqs, s21=tuple(s21_maps), vport=tuple(v_maps),
-                      hfield=tuple(h_maps))
+    h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
+    return ScanResult(freqs=freqs, grid=grid, component=_component_tag(model.probe.normal),
+                      s21=s21, vport=v, hfield=h)
 
 
 def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
@@ -153,7 +152,7 @@ def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
         raise SingularityError(
             f"probe at {list(model.probe.center)}: {exc}", segment=exc.segment,
             point=exc.point, image=exc.image) from None
-    return freqs, np.array([s[0] for s in s21])
+    return freqs, s21[:, 0]
 
 
 def _at_grid_point(exc, grid, flat):
@@ -171,8 +170,6 @@ def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-con
     The CF value at f comes from the table (log-f interpolation, no
     extrapolation).  The map frequency must match f.
     """
-    if vmap.value_kind != "db":
-        raise ConfigError("calibration expects a dBV map (value_kind 'db')")
     if abs(vmap.f - f) > 1e-6 * max(abs(f), 1.0):
         raise ConfigError(f"map frequency {vmap.f} Hz does not match requested {f} Hz")
     cf_db = cf.cf_at(f)
@@ -182,8 +179,7 @@ def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-con
     meta.update({"kernel": cf.kernel, "sign_mode": sign_mode,
                  "cf_d": repr(float(cf.d)), "cf_h": repr(float(cf.h))})
     meta.pop("normal", None)
-    return FieldMap(grid=vmap.grid, f=vmap.f, component=tag, values=out,
-                    value_kind="db", meta=meta)
+    return FieldMap(grid=vmap.grid, f=vmap.f, component=tag, values=out, meta=meta)
 
 
 def extract_profile(fmap: FieldMap, axis, at):
@@ -214,8 +210,6 @@ def map_stats(fmap: FieldMap):
 
     Ties resolve to the lowest row-major index (y outer, x inner).
     """
-    if fmap.value_kind != "db":
-        raise ConfigError("map_stats expects a dB map")
     flat = fmap.values.ravel()
     imin = int(np.argmin(flat))
     imax = int(np.argmax(flat))

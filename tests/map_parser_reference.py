@@ -50,7 +50,7 @@ def parse_map_csv_per_row(text):
         lineno, line = body[r]
         raise ParseError(f"non-finite db cell {line.split(',')[c].strip()!r}", line=lineno)
     return FieldMap(grid=grid, f=nums["f_hz"], component=header["component"],
-                    values=values, value_kind="db", meta=meta)
+                    values=values, meta=meta)
 
 
 def _parse_cell(cell, lineno):

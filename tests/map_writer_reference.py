@@ -21,7 +21,7 @@ def write_map_csv_per_cell(fmap):
                      ("z_height", grid.z_height), ("f_hz", fmap.f)):
         lines.append(f"# {key}: {_rfmt(val)}")
     lines.append(f"# component: {fmap.component}")
-    lines.append(f"# value_kind: {fmap.value_kind}")
+    lines.append("# value_kind: db")
     for key in sorted(fmap.meta):
         lines.append(f"# meta.{key}: {fmap.meta[key]}")
     for row in fmap.values:

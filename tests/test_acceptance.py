@@ -108,11 +108,11 @@ def test_c4_calibration_closure_on_scan_line():
     table = calibrate(NetworkData(f=f, s=s, n_ports=2), D_SCAN, H_SUB, "image-theory")
 
     result, grid = table2_scan(f_hz)
-    v_db = 20 * np.log10(np.abs(result.vport[0].values))
-    vmap = FieldMap(grid=grid, f=f_hz, component="vport", values=v_db, value_kind="db",
+    v_db = 20 * np.log10(np.abs(result.vport[0]))
+    vmap = FieldMap(grid=grid, f=f_hz, component="vport", values=v_db,
                     meta={"normal": "hy"})
     extracted = apply_calibration_to_scan(vmap, table, f_hz, "eq1-consistent")
-    truth_db = 20 * np.log10(np.abs(result.hfield[0].values))
+    truth_db = 20 * np.log10(np.abs(result.hfield[0]))
     worst = float(np.max(np.abs(extracted.values - truth_db)))
     assert worst < 0.5, f"worst deviation {worst} dB"
     print(f"criterion 4 (calibration closure <= 0.5 dB, worst {worst:.3f} dB): PASS")
@@ -122,7 +122,7 @@ def test_c5_paper_range_consistency():
     """Simulated peak Hy on the scan line (2 GHz, -10 dBm, 1 mm) within the
     reported [-20, 0] dBA/m window and within 3 dB of the analytic level."""
     result, _ = table2_scan(2e9)
-    peak = float(np.max(20 * np.log10(np.abs(result.hfield[0].values))))
+    peak = float(np.max(20 * np.log10(np.abs(result.hfield[0]))))
     analytic = 20 * math.log10(closed_form_line_h(D_SCAN, H_SUB, I_RMS))
     assert -20.0 <= peak <= 0.0, f"peak {peak} dBA/m"
     assert abs(peak - analytic) <= 3.0, f"peak {peak} vs analytic {analytic}"
@@ -133,8 +133,8 @@ def test_c5_paper_range_consistency():
 def test_c6_profile_symmetry():
     """|Hy(y) - Hy(-y)| < 0.1 dB across the 21-point transverse profile."""
     result, grid = table2_scan(2e9)
-    db = 20 * np.log10(np.abs(result.hfield[0].values))
-    fmap = FieldMap(grid=grid, f=2e9, component="hy", values=db, value_kind="db")
+    db = 20 * np.log10(np.abs(result.hfield[0]))
+    fmap = FieldMap(grid=grid, f=2e9, component="hy", values=db)
     _, prof = extract_profile(fmap, axis="y", at=0.0)
     asym = float(np.max(np.abs(prof - prof[::-1])))
     assert asym < 0.1, f"asymmetry {asym} dB"
@@ -148,10 +148,10 @@ def test_c7_grid_shape_and_argmax():
     assert (cfg.grid.nx, cfg.grid.ny) == (41, 51)
     result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.port, cfg.grid,
                                 cfg.sweep, cfg.drive)
-    assert result.hfield[0].values.shape == (51, 41)
-    db = 20 * np.log10(np.abs(result.hfield[0].values))
+    assert result.hfield[0].shape == (51, 41)
+    db = 20 * np.log10(np.abs(result.hfield[0]))
     stats = map_stats(FieldMap(grid=cfg.grid, f=float(result.freqs[0]), component="hy",
-                               values=db, value_kind="db"))
+                               values=db))
     assert stats.argmax[1] == 0.0, f"argmax off centerline: {stats.argmax}"
     print("criterion 7 (41x51 grid, argmax on conductor centerline): PASS")
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
-from nfscan import cli
+from nfscan import __version__, cli
 from nfscan.cli import main
 from nfscan import config
 from nfscan.config import MAX_CELLS, MAX_SEGMENTS
@@ -66,6 +66,31 @@ class TestHelpAndUsage:
         assert main([]) == 2
 
 
+class TestParserBuiltOnce:
+    def test_calls_share_one_parser_and_match_a_fresh_one(self, pipeline, capsys,
+                                                           monkeypatch):
+        _, _, _, sim = pipeline
+        argvs = [["stats", "--bogus"],
+                 ["stats", "--map", str(sim / "hy_dba_m_000_2GHz.csv")],
+                 ["--version"]]
+
+        def run_all():
+            results = []
+            for argv in argvs:
+                rc = main(argv)
+                results.append((rc, *capsys.readouterr()))
+            return results
+
+        assert cli._parser() is cli._parser()
+        shared = run_all()
+        again = run_all()
+        monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a new parser per call
+        fresh = run_all()
+        assert [r[0] for r in shared] == [2, 0, 0]
+        assert shared == again == fresh
+        assert shared[2][1] == f"nfscan {__version__}\n"
+
+
 class TestSimulate:
     def test_table2_bundle(self, tmp_path, capsys):
         out = tmp_path / "t2"
@@ -78,6 +103,16 @@ class TestSimulate:
         assert -20.0 <= hy.values.max() <= 0.0
         prov = json.loads((out / "provenance.json").read_text())
         assert set(prov) == {"config_sha256", "kernel", "sign_mode", "tool"}
+
+    def test_map_components_and_meta(self, pipeline):
+        _, _, _, sim = pipeline
+        headers = {}
+        for name in ("s21_db_000_2GHz.csv", "v_dbv_000_2GHz.csv", "hy_dba_m_000_2GHz.csv"):
+            fmap = parse_map_csv((sim / name).read_text())
+            headers[name] = (fmap.component, fmap.meta, fmap.f)
+        assert headers == {"s21_db_000_2GHz.csv": ("s21", {}, 2e9),
+                           "v_dbv_000_2GHz.csv": ("vport", {"normal": "hy"}, 2e9),
+                           "hy_dba_m_000_2GHz.csv": ("hy", {}, 2e9)}
 
     def test_table3_bundle(self, tmp_path):
         out = tmp_path / "t3"

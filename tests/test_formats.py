@@ -25,16 +25,13 @@ def synth_network(n=301, ports=2, seed=1):
     return NetworkData(f=f, s=s, n_ports=ports, z_ref=50.0)
 
 
-def synth_map(nx=41, ny=51, kind="db", seed=2, component="hy"):
+def synth_map(nx=41, ny=51, seed=2, component="hy"):
     r = np.random.default_rng(seed)
     grid = ScanGrid(x_min=-10e-3, x_max=-10e-3 + (nx - 1) * 0.5e-3,
                     y_min=-12.5e-3, y_max=-12.5e-3 + (ny - 1) * 0.5e-3,
                     dx=0.5e-3, dy=0.5e-3, z_height=1e-3)
-    if kind == "db":
-        vals = r.uniform(-60, 0, (ny, nx))
-    else:
-        vals = r.uniform(-1, 1, (ny, nx)) + 1j * r.uniform(-1, 1, (ny, nx))
-    return FieldMap(grid=grid, f=2e9, component=component, values=vals, value_kind=kind,
+    vals = r.uniform(-60, 0, (ny, nx))
+    return FieldMap(grid=grid, f=2e9, component=component, values=vals,
                     meta={"kernel": "image-theory", "sign_mode": "eq1-consistent"})
 
 
@@ -173,8 +170,7 @@ class TestMapCsv:
     def test_single_cell(self):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
-        fmap = FieldMap(grid=grid, f=1e9, component="mag", values=[[-12.5]],
-                        value_kind="db")
+        fmap = FieldMap(grid=grid, f=1e9, component="mag", values=[[-12.5]])
         text = write_map_csv(fmap)
         assert text.rstrip().splitlines()[-1] == "-12.5"
         back = parse_map_csv(text)
@@ -266,10 +262,6 @@ class TestMapCsv:
         monkeypatch.setattr(formats, "_parse_cell", per_cell)
         assert parse_map_csv(text).values.tobytes() == fmap.values.tobytes()
 
-    def test_complex_map_not_written(self):
-        with pytest.raises(ConfigError, match="^map CSV holds dB maps only$"):
-            write_map_csv(synth_map(kind="complex", nx=3, ny=2, seed=18))
-
     def test_complex_header_rejected(self):
         text = write_map_csv(synth_map(nx=2, ny=2, seed=16))
         text = text.replace("# value_kind: db\n", "# value_kind: complex\n")
@@ -280,8 +272,16 @@ class TestMapCsv:
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
         with pytest.raises(ConfigError, match="non-finite"):
-            FieldMap(grid=grid, f=1e9, component="hy", values=[[math.inf]],
-                     value_kind="db")
+            FieldMap(grid=grid, f=1e9, component="hy", values=[[math.inf]])
+
+    @pytest.mark.parametrize("values", [[[1 + 2j, 3 + 4j]], np.array([[1 + 2j, 3 + 4j]]),
+                                        np.array([[1.0, -2.0]], dtype=np.complex64)])
+    def test_map_rejects_complex_values(self, values):
+        # Not cast to the real part, even when every imaginary part is 0.
+        grid = ScanGrid(x_min=0, x_max=1e-3, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
+                        z_height=1e-3)
+        with pytest.raises(ConfigError, match="^map values must be real dB values, not complex$"):
+            FieldMap(grid=grid, f=1e9, component="hy", values=values)
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -300,7 +300,7 @@ def _db_map(vals):
     ny, nx = vals.shape
     fmap = synth_map(nx=nx, ny=ny)
     return FieldMap(grid=fmap.grid, f=fmap.f, component=fmap.component, values=vals,
-                    value_kind="db", meta=fmap.meta)
+                    meta=fmap.meta)
 
 
 @st.composite
@@ -426,7 +426,7 @@ class TestPgm:
         ny, nx = vals.shape
         grid = ScanGrid(x_min=0, x_max=(nx - 1) * 1e-3, y_min=0, y_max=(ny - 1) * 1e-3,
                         dx=1e-3, dy=1e-3, z_height=1e-3)
-        return FieldMap(grid=grid, f=1e9, component="hy", values=vals, value_kind="db")
+        return FieldMap(grid=grid, f=1e9, component="hy", values=vals)
 
     def test_endpoints_and_midpoint(self):
         img = render_pgm(self._map([[-53.0, -21.0, -37.0]]), lo=-53, hi=-21)
@@ -447,11 +447,6 @@ class TestPgm:
     def test_deterministic(self):
         fmap = synth_map(seed=11)
         assert render_pgm(fmap, -60, 0) == render_pgm(fmap, -60, 0)
-
-    def test_complex_map_rejected(self):
-        fmap = synth_map(kind="complex", nx=3, ny=3, seed=12)
-        with pytest.raises(ConfigError, match="dB"):
-            render_pgm(fmap, -60, 0)
 
     def test_bad_range(self):
         with pytest.raises(ConfigError, match="lo"):

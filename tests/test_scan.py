@@ -25,35 +25,35 @@ def run_table2(cal_model, straight_trace, substrate, drive, table2_grid, f=2e9):
                               sweep, drive)
 
 
-def db_of(fmap):
-    return 20 * np.log10(np.abs(fmap.values))
+def db_of(values):
+    return 20 * np.log10(np.abs(values))
 
 
 class TestRunSimulatedScan:
     def test_table2_line_scan(self, cal_model, straight_trace, substrate, drive,
                               table2_grid):
         res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
-        assert res.hfield[0].values.shape == (21, 1)
+        assert res.hfield[0].shape == (21, 1)
         peak = db_of(res.hfield[0]).max()
         assert -20.0 <= peak <= 0.0
 
     def test_observables_consistent(self, cal_model, straight_trace, substrate, drive,
                                     table2_grid):
         res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
-        s21 = res.s21[0].values
-        v = res.vport[0].values
+        s21 = res.s21[0]
+        v = res.vport[0]
         # S21 = V / sqrt(Z*P) pointwise
         assert_allclose(s21, v / math.sqrt(50 * drive.power), rtol=1e-12)
         # V = -j*2*pi*f*mu0 * Hy * area / 2 pointwise (uniform aperture, halving)
-        emf = -1j * 2 * math.pi * 2e9 * 4e-7 * math.pi * res.hfield[0].values * (4e-3) ** 2
+        emf = -1j * 2 * math.pi * 2e9 * 4e-7 * math.pi * res.hfield[0] * (4e-3) ** 2
         assert_allclose(v, emf / 2, rtol=1e-12)
 
     def test_single_point_everything(self, cal_model, straight_trace, substrate, drive):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=SCAN_HEIGHT)
         res = run_table2(cal_model, straight_trace, substrate, drive, grid, f=1e9)
-        assert res.s21[0].values.shape == (1, 1)
-        assert res.vport[0].values.shape == (1, 1)
+        assert res.s21[0].shape == (1, 1)
+        assert res.vport[0].shape == (1, 1)
 
     def test_drive_scaling_linearity(self, cal_model, straight_trace, substrate,
                                      table2_grid):
@@ -61,8 +61,8 @@ class TestRunSimulatedScan:
                           table2_grid)
         strong = run_table2(cal_model, straight_trace, substrate, DriveSpec(power=1e-2),
                             table2_grid)
-        assert_allclose(strong.vport[0].values, 10 * weak.vport[0].values, rtol=1e-12)
-        assert_allclose(strong.s21[0].values, weak.s21[0].values, rtol=1e-12)
+        assert_allclose(strong.vport[0], 10 * weak.vport[0], rtol=1e-12)
+        assert_allclose(strong.s21[0], weak.s21[0], rtol=1e-12)
 
     def test_singularity_names_grid_point(self, cal_model, straight_trace, substrate,
                                           drive):
@@ -104,8 +104,7 @@ class TestRunSimulatedScan:
         res = run_table2(model, straight_trace, substrate, drive, table2_grid)
         # averaged |V| differs from the small-loop model over a peaked field
         res_u = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
-        assert not np.allclose(np.abs(res.vport[0].values),
-                               np.abs(res_u.vport[0].values), rtol=0.05)
+        assert not np.allclose(np.abs(res.vport[0]), np.abs(res_u.vport[0]), rtol=0.05)
 
     def test_determinism_across_runs_and_threads(self, cal_model, straight_trace,
                                                  substrate, drive, table2_grid):
@@ -115,9 +114,9 @@ class TestRunSimulatedScan:
             c, d = pool.map(lambda _: run_table2(cal_model, straight_trace, substrate, drive,
                                                  table2_grid), range(2))
         for x, y in ((a, b), (a, c), (a, d)):
-            assert x.vport[0].values.tobytes() == y.vport[0].values.tobytes()
-            assert x.s21[0].values.tobytes() == y.s21[0].values.tobytes()
-            assert x.hfield[0].values.tobytes() == y.hfield[0].values.tobytes()
+            assert x.vport[0].tobytes() == y.vport[0].tobytes()
+            assert x.s21[0].tobytes() == y.s21[0].tobytes()
+            assert x.hfield[0].tobytes() == y.hfield[0].tobytes()
 
     def test_probe_transfer_is_one_point_scan(self, cal_model, straight_trace, substrate,
                                               drive):
@@ -127,7 +126,7 @@ class TestRunSimulatedScan:
         for model in (cal_model, PortWaveModel(probe=cal_model.probe, aperture="integrated")):
             res = run_simulated_scan(straight_trace, substrate, model, grid, sweep, drive)
             _, s21 = probe_transfer(model, straight_trace, substrate, sweep, drive)
-            assert s21.tobytes() == np.array([m.values[0, 0] for m in res.s21]).tobytes()
+            assert s21.tobytes() == np.array([m[0, 0] for m in res.s21]).tobytes()
 
     def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_model,
                                                       straight_trace, substrate, drive,
@@ -250,8 +249,8 @@ class TestChainMatchesReference:
             return
         res = run_simulated_scan(trace, substrate, model, grid, sweep, drive)
         for k, maps in enumerate((res.hfield, res.vport, res.s21)):
-            for fmap, w in zip(maps, want):
-                assert_allclose(fmap.values.ravel(), w[k][0], rtol=0, atol=w[k][1])
+            for values, w in zip(maps, want):
+                assert_allclose(values.ravel(), w[k][0], rtol=0, atol=w[k][1])
 
 
 class TestApplyCalibration:
@@ -259,8 +258,7 @@ class TestApplyCalibration:
         grid = grid or ScanGrid(x_min=0, x_max=2e-3, y_min=0, y_max=2e-3,
                                 dx=1e-3, dy=1e-3, z_height=1e-3)
         vals = np.full((grid.ny, grid.nx), value, dtype=float)
-        return FieldMap(grid=grid, f=1e9, component="vport", values=vals,
-                        value_kind="db", meta={"normal": "hy"})
+        return FieldMap(grid=grid, f=1e9, component="vport", values=vals, meta={"normal": "hy"})
 
     def _cf(self, *rows):
         f = np.array([r[0] for r in rows], dtype=float)
@@ -298,21 +296,12 @@ class TestApplyCalibration:
         with pytest.raises(ConfigError, match="does not match"):
             apply_calibration_to_scan(self._vmap(-60.0), self._cf((2e9, 40.0)), 2e9)
 
-    def test_complex_map_rejected(self):
-        grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
-                        z_height=1e-3)
-        vmap = FieldMap(grid=grid, f=1e9, component="vport", values=[[1 + 1j]],
-                        value_kind="complex")
-        with pytest.raises(ConfigError, match="dBV"):
-            apply_calibration_to_scan(vmap, self._cf((1e9, 40.0)), 1e9)
-
 
 class TestExtractProfile:
     def _dbmap(self, cal_model, straight_trace, substrate, drive, table2_grid):
         res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
-        fmap = res.hfield[0]
-        return FieldMap(grid=fmap.grid, f=fmap.f, component="hy", values=db_of(fmap),
-                        value_kind="db")
+        return FieldMap(grid=res.grid, f=float(res.freqs[0]), component="hy",
+                        values=db_of(res.hfield[0]))
 
     def test_symmetric_about_trace(self, cal_model, straight_trace, substrate, drive,
                                    table2_grid):
@@ -325,7 +314,7 @@ class TestExtractProfile:
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=3e-3, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
         fmap = FieldMap(grid=grid, f=1e9, component="hy",
-                        values=[[-1.0], [-2.0], [-3.0], [-4.0]], value_kind="db")
+                        values=[[-1.0], [-2.0], [-3.0], [-4.0]])
         x, vals = extract_profile(fmap, axis="x", at=2e-3)
         assert len(x) == 1 and vals[0] == -3.0
         y, col = extract_profile(fmap, axis="y", at=0.0)
@@ -335,7 +324,7 @@ class TestExtractProfile:
         grid = ScanGrid(x_min=0, x_max=4e-3, y_min=0, y_max=2e-3, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
         fmap = FieldMap(grid=grid, f=1e9, component="hy",
-                        values=np.zeros((3, 5)), value_kind="db")
+                        values=np.zeros((3, 5)))
         with pytest.raises(ConfigError, match="0.001.*0.002"):
             extract_profile(fmap, axis="x", at=1.4e-3)
 
@@ -344,8 +333,7 @@ class TestMapStats:
     def test_constant_map_ties_to_first_point(self):
         grid = ScanGrid(x_min=0, x_max=2e-3, y_min=0, y_max=2e-3, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
-        fmap = FieldMap(grid=grid, f=1e9, component="hy", values=np.full((3, 3), -7.0),
-                        value_kind="db")
+        fmap = FieldMap(grid=grid, f=1e9, component="hy", values=np.full((3, 3), -7.0))
         s = map_stats(fmap)
         assert s == MapStats(-7.0, -7.0, (0.0, 0.0), (0.0, 0.0), (0, 0), (0, 0))
 
@@ -354,8 +342,7 @@ class TestMapStats:
         grid = ScanGrid(x_min=0, x_max=4e-3, y_min=0, y_max=3e-3, dx=1e-3, dy=1e-3,
                         z_height=1e-3)
         vals = r.uniform(-60, 0, (4, 5))
-        s = map_stats(FieldMap(grid=grid, f=1e9, component="hy", values=vals,
-                               value_kind="db"))
+        s = map_stats(FieldMap(grid=grid, f=1e9, component="hy", values=vals))
         assert s.min_db <= vals.min() + 1e-15
         assert np.all(vals >= s.min_db) and np.all(vals <= s.max_db)
 
@@ -364,9 +351,9 @@ class TestMapStats:
                         z_height=1e-3)
         vals = [[-3.0, -9.0, -1.0], [-7.0, -2.0, -8.0]]
         a = map_stats(FieldMap(grid=grid, f=1e9, component="hy", values=vals,
-                               value_kind="db", meta={"kernel": "paper"}))
+                               meta={"kernel": "paper"}))
         b = map_stats(FieldMap(grid=grid, f=2e9, component="mag", values=vals,
-                               value_kind="db", meta={"anything": "else"}))
+                               meta={"anything": "else"}))
         assert a == b
 
     def test_argmax_on_conductor_centerline(self, cal_model, substrate, drive):
@@ -376,9 +363,7 @@ class TestMapStats:
                         dx=0.5e-3, dy=0.5e-3, z_height=SCAN_HEIGHT)
         sweep = FrequencySweep(f_min=2e9, f_max=2e9, n_points=1)
         res = run_simulated_scan(trace, substrate, cal_model, grid, sweep, drive)
-        fmap = res.hfield[0]
-        dbmap = FieldMap(grid=grid, f=2e9, component="hy", values=db_of(fmap),
-                         value_kind="db")
+        dbmap = FieldMap(grid=grid, f=2e9, component="hy", values=db_of(res.hfield[0]))
         s = map_stats(dbmap)
         assert s.argmax[1] == 0.0      # on the centerline y = 0
         assert s.argmax_idx[1] == 25   # middle row of 51
