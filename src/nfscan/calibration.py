@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .model import readonly
 
 KERNELS = ("paper", "image-theory")
 SIGN_MODES = ("eq1-consistent", "eq3-printed")
@@ -54,8 +55,8 @@ class CFTable:
     h: float               # m, trace height above its ground plane
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        cf = np.asarray(self.cf_db, dtype=float)
+        f = readonly(self.f, float)
+        cf = readonly(self.cf_db, float)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "cf_db", cf)
         if f.shape != cf.shape or f.ndim != 1:

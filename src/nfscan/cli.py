@@ -68,6 +68,7 @@ _DB_FLOOR = 1e-15
 def _db_map(values, *, grid, f, component, meta):
     """Complex (ny, nx) values -> dB-magnitude map (|.| clipped to a representable floor)."""
     vals = 20.0 * np.log10(np.maximum(np.abs(values), _DB_FLOOR))
+    vals.flags.writeable = False  # kept by the FieldMap without a copy
     return FieldMap(grid=grid, f=f, component=component, values=vals, meta=meta)
 
 

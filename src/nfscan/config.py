@@ -33,7 +33,7 @@ _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
-#: is 2,000.  A kernel call holds about 154 bytes per point x segment.
+#: is 2,000.  A kernel call holds about 106 bytes per point x segment.
 MAX_SEGMENTS = 2000
 
 

@@ -56,6 +56,24 @@ def undb20(x_db, ref=1.0):
     return float(out) if out.ndim == 0 else out
 
 
+def readonly(a, dtype):
+    """`a` as a read-only `dtype` array that no other reference can change.
+
+    An ndarray of that dtype that is read-only down to the array owning
+    its memory is returned as is; anything else is copied, so a value
+    type never keeps an array its caller can still write to.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == dtype:
+        owner = a
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            if owner.base is None:
+                return a
+            owner = owner.base
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)

@@ -27,7 +27,8 @@ from .errors import ConfigError, SingularityError
 from . import fields
 from .fields import current_distribution, mirrored_segments
 from .formats import FieldMap
-from .model import DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points
+from .model import (DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points,
+                    readonly)
 from .probe import PortWaveModel, induced_emf, port_voltage, quad_offsets, synthesize_s21
 
 
@@ -57,6 +58,11 @@ class ScanResult:
     s21: np.ndarray
     vport: np.ndarray
     hfield: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "freqs", readonly(self.freqs, float))
+        for name in ("s21", "vport", "hfield"):
+            object.__setattr__(self, name, readonly(getattr(self, name), complex))
 
 
 def _component_tag(normal):
@@ -130,6 +136,7 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
         out = _probe_chain(trace, substrate, model, centers, freqs, drive)
     except SingularityError as exc:
         raise _at_grid_point(exc, grid, exc.point) from None
+    out.flags.writeable = False  # kept by the ScanResult without a copy
     h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
     return ScanResult(freqs=freqs, grid=grid, component=_component_tag(model.probe.normal),
                       s21=s21, vport=v, hfield=h)
@@ -174,6 +181,7 @@ def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-con
         raise ConfigError(f"map frequency {vmap.f} Hz does not match requested {f} Hz")
     cf_db = cf.cf_at(f)
     out = field_from_voltage(vmap.values, cf_db, sign_mode)
+    out.flags.writeable = False  # kept by the FieldMap without a copy
     tag = vmap.meta.get("normal", "mag")
     meta = dict(vmap.meta)
     meta.update({"kernel": cf.kernel, "sign_mode": sign_mode,

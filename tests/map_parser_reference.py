@@ -1,7 +1,7 @@
 """Reference map CSV body parser: `float()` on each row's cells, row by row.
 
-This is the parser `nfscan.formats.parse_map_csv` replaced with one that
-hands the whole body to numpy's C text reader.  Tests require the two to
+This is the parser `nfscan.formats.parse_map_csv` replaced, first with
+numpy's C text reader and now with orjson.  Tests require the two to
 return the same bits, or to raise the same ParseError text.
 """
 

@@ -13,7 +13,7 @@ from map_parser_reference import parse_map_csv_per_row
 from map_writer_reference import write_map_csv_per_cell
 
 from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, formats,
-                    parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
+                    model, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
 
 
@@ -327,6 +327,10 @@ _ODD_CELLS = [
     _DOUBLES.map(lambda x: f'"{x!r}"'),
     st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e999"]),
     st.sampled_from(["1e", "", "1\x00"]),
+    # JSON values numpy would cast to a float, and numbers JSON reads
+    # differently from float() or not at all
+    st.sampled_from(["true", "false", "null", '"1.0"', "[1]", "{}", "-0", "0", "-00",
+                     "9007199254740993"]),
 ]
 
 
@@ -340,6 +344,11 @@ def map_texts(draw):
     for r in range(ny):
         lines[r - ny] = ",".join(draw(st.lists(cell, min_size=nx, max_size=nx)))
     return "\n".join(lines) + "\n"
+
+
+def _map_with_cell(cell):
+    """A written 3 x 2 map whose last row is `-1.5,<cell>,0.0`."""
+    return with_body(synth_map(nx=3, ny=2), 1, f"-1.5,{cell},0.0")[0]
 
 
 def _parse_outcome(parse, text):
@@ -386,6 +395,17 @@ class TestMapCsvBytes:
             tracemalloc.stop()
         assert peak < 2.9 * len(text)
 
+    def test_parse_peak_memory_below_2_1_texts(self):
+        # Rows are parsed in blocks, and the parsed array is not copied.
+        text = write_map_csv(_db_map(np.random.default_rng(8).uniform(-350.0, 0.0, (1001, 1001))))
+        tracemalloc.start()
+        try:
+            parse_map_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * len(text)
+
     def test_orjson_spells_doubles_as_repr(self):
         # The writer relies on these spellings; an orjson that changes one
         # fails here, naming the value, instead of changing map bytes.
@@ -399,8 +419,66 @@ class TestMapCsvBytes:
 
     @settings(max_examples=300, deadline=None)
     @given(map_texts())
+    @example(_map_with_cell("-0"))
+    @example(_map_with_cell(" -0 "))
+    @example(_map_with_cell("-0.0"))
+    @example(_map_with_cell("1E5"))
+    @example(_map_with_cell("9007199254740993"))
+    @example(_map_with_cell("1.7976931348623159e308"))
+    @example(_map_with_cell("\t-2.5\t"))
+    @example(_map_with_cell("\x0c-2.5"))
+    @example(_map_with_cell('"0.0"'))
+    @example(_map_with_cell("null"))
+    @example(_map_with_cell("true"))
+    @example(_map_with_cell("false"))
+    @example(_map_with_cell("{}"))
     def test_parser_matches_per_row_parser(self, text):
         assert _parse_outcome(parse_map_csv, text) == _parse_outcome(parse_map_csv_per_row, text)
+
+
+def _stored_arrays():
+    """Every array kept by a FieldMap, NetworkData or CFTable, built from
+    caller arrays and by the parsers."""
+    fmap = synth_map(nx=3, ny=2)
+    net = synth_network(n=4)
+    table = CFTable(f=[1e9, 2e9], cf_db=[30.0, 25.0], kernel="paper", d=1e-3, h=1.6e-3)
+    owners = {"FieldMap": fmap, "parse_map_csv": parse_map_csv(write_map_csv(fmap)),
+              "parse_map_csv cell by cell": parse_map_csv(with_cell(fmap, 0, 0, "1_0")[0]),
+              "NetworkData": net, "parse_touchstone": parse_touchstone(write_touchstone(net)),
+              "CFTable": table, "parse_cf_csv": parse_cf_csv(write_cf_csv(table))}
+    attrs = {FieldMap: ("values",), NetworkData: ("f", "s"), CFTable: ("f", "cf_db")}
+    return [pytest.param(getattr(obj, attr), id=f"{name}.{attr}")
+            for name, obj in owners.items() for attr in attrs[type(obj)]]
+
+
+class TestReadOnlyValues:
+    def test_later_write_to_caller_array_changes_nothing(self):
+        grid = ScanGrid(x_min=0, x_max=1e-3, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
+                        z_height=1e-3)
+        vals = np.array([[-1.0, -2.0]])
+        fmap = FieldMap(grid=grid, f=1e9, component="hy", values=vals)
+        vals[0, 0] = np.nan
+        assert write_map_csv(fmap).endswith("\n-1.0,-2.0\n")
+
+    @pytest.mark.parametrize("values", _stored_arrays())
+    def test_stored_arrays_reject_writes(self, values):
+        assert values.size
+        with pytest.raises(ValueError, match="read-only"):
+            values.flat[0] = 0
+
+    @pytest.mark.parametrize("cell", ["-1.5", "1_0"])
+    def test_parsed_values_are_kept_without_a_copy(self, monkeypatch, cell):
+        text = with_cell(synth_map(nx=3, ny=2), 1, 1, cell)[0]
+        kept = []
+
+        def spy(a, dtype):
+            out = model.readonly(a, dtype)
+            kept.append(out is a)
+            return out
+
+        monkeypatch.setattr(formats, "readonly", spy)
+        parse_map_csv(text)
+        assert kept == [True]
 
 
 class TestCfCsv:

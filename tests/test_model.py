@@ -137,3 +137,34 @@ class TestInvariants:
     def test_drive_positive(self):
         with pytest.raises(ConfigError):
             m.DriveSpec(power=0.0)
+
+
+class TestReadonly:
+    def test_writable_array_is_copied(self):
+        a = np.array([1.0, 2.0])
+        out = m.readonly(a, float)
+        a[0] = np.nan
+        assert out.tolist() == [1.0, 2.0]
+        assert not out.flags.writeable
+
+    def test_read_only_owner_and_its_views_are_kept(self):
+        a = np.arange(6.0)
+        a.flags.writeable = False
+        assert m.readonly(a, float) is a
+        view = a.reshape(2, 3)[1]
+        assert m.readonly(view, float) is view
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        a = np.arange(3.0)
+        view = a[:]
+        view.flags.writeable = False
+        out = m.readonly(view, float)
+        a[0] = 7.0
+        assert out is not view and out.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("a, dtype", [([1, 2], float), (np.arange(2), float),
+                                          (np.ones(2), complex)])
+    def test_other_inputs_are_converted(self, a, dtype):
+        out = m.readonly(a, dtype)
+        assert out.dtype == dtype and out.tolist() == list(np.asarray(a, dtype=dtype))
+        assert not out.flags.writeable

@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,8 +15,9 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
                     grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
                     run_simulated_scan, synthesize_s21)
 from nfscan import fields
+from nfscan.config import build_config
 from nfscan.fields import EPS_GEOM, PAIRS, mirrored_segments
-from nfscan.scan import MapStats
+from nfscan.scan import MapStats, ScanResult
 
 from conftest import H_SUB, SCAN_HEIGHT, rng
 from kernel_reference import segment_field_sum
@@ -63,6 +67,22 @@ class TestRunSimulatedScan:
                             table2_grid)
         assert_allclose(strong.vport[0], 10 * weak.vport[0], rtol=1e-12)
         assert_allclose(strong.s21[0], weak.s21[0], rtol=1e-12)
+
+    def test_arrays_read_only_and_shared(self, cal_model, straight_trace, substrate, drive,
+                                         table2_grid):
+        res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+        for values in (res.freqs, res.s21, res.vport, res.hfield):
+            with pytest.raises(ValueError, match="read-only"):
+                values.flat[0] = 0
+        # the scan's own buffer is kept, not copied
+        assert res.s21.base is res.vport.base is res.hfield.base is not None
+
+    def test_caller_arrays_are_copied(self, table2_grid):
+        maps = np.ones((1, 21, 1), dtype=complex)
+        res = ScanResult(freqs=np.array([1e9]), grid=table2_grid, component="hy",
+                         s21=maps, vport=maps, hfield=maps)
+        maps[0, 0, 0] = np.nan
+        assert np.isfinite(res.s21).all() and np.isfinite(res.hfield).all()
 
     def test_singularity_names_grid_point(self, cal_model, straight_trace, substrate,
                                           drive):
@@ -234,6 +254,30 @@ def reference_scan(trace, substrate, model, grid, sweep, drive):
                     (synthesize_s21(v, drive, model.probe.port_z),
                      synthesize_s21(tol_v, drive, model.probe.port_z))))
     return out
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "configs", "table2.json")) as _fh:
+    TABLE2_DOC = json.load(_fh)
+
+
+class TestDriveLinearity:
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-80.0, 40.0), st.floats(-80.0, 40.0))
+    def test_observables_scale_with_drive_amplitude(self, dbm1, dbm2):
+        """Through config, currents and probe chain: S21 does not depend on
+        the drive level, V and H scale with sqrt(P2 / P1)."""
+        runs = []
+        for dbm in (dbm1, dbm2):
+            doc = copy.deepcopy(TABLE2_DOC)
+            doc["drive"]["power_dbm"] = dbm
+            cfg = build_config(doc)
+            runs.append((cfg.drive.power, run_simulated_scan(cfg.trace, cfg.substrate, cfg.port,
+                                                             cfg.grid, cfg.sweep, cfg.drive)))
+        (p1, a), (p2, b) = runs
+        scale = math.sqrt(p2 / p1)
+        assert_allclose(b.s21, a.s21, rtol=1e-12, atol=0)
+        assert_allclose(b.vport, scale * a.vport, rtol=1e-12, atol=0)
+        assert_allclose(b.hfield, scale * a.hfield, rtol=1e-12, atol=0)
 
 
 class TestChainMatchesReference:
