@@ -48,7 +48,7 @@ STANDARD_CONSTANT_DB = 34.0
 class CFTable:
     """Antenna factor vs frequency, with the geometry it was derived from."""
 
-    f: np.ndarray          # Hz, strictly increasing
+    f: np.ndarray          # Hz, > 0 and strictly increasing
     cf_db: np.ndarray      # dB(1/m)
     kernel: str
     d: float               # m, probe-to-conductor distance
@@ -67,6 +67,8 @@ class CFTable:
             raise ConfigError("CF table: frequencies must be strictly increasing")
         if not (np.all(np.isfinite(cf)) and np.all(np.isfinite(f))):
             raise ConfigError("CF table: values must be finite")
+        if not f[0] > 0:  # cf_at interpolates in log f
+            raise ConfigError(f"CF table: frequency {float(f[0])!r} Hz is not > 0")
         if self.kernel not in KERNELS:
             raise ConfigError(f"CF table: kernel must be one of {KERNELS}")
 

@@ -121,21 +121,23 @@ def _dbm_to_w(dbm):
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def _segment_count(vertices, max_len):
-    """Segments _subdivide makes, as a Python int; None if too many to count."""
+def _edge_counts(vertices, max_len):
+    """Segments `_subdivide` makes of each edge, as Python ints; None if
+    too many to count.  An edge too long to square in a double counts as
+    too many."""
     try:
-        return sum(max(1, math.ceil(float(np.linalg.norm(np.subtract(b, a))) / max_len))
-                   for a, b in zip(vertices, vertices[1:]))
+        with np.errstate(over="ignore"):
+            return [max(1, math.ceil(float(np.linalg.norm(np.subtract(b, a))) / max_len))
+                    for a, b in zip(vertices, vertices[1:])]
     except (OverflowError, ZeroDivisionError):
         return None
 
 
-def _subdivide(vertices, max_len):
+def _subdivide(vertices, counts):
     out = [vertices[0]]
-    for a, b in zip(vertices, vertices[1:]):
+    for a, b, n in zip(vertices, vertices[1:], counts):
         a = np.asarray(a)
         b = np.asarray(b)
-        n = max(1, math.ceil(float(np.linalg.norm(b - a)) / max_len))
         for k in range(1, n + 1):
             out.append(tuple(a + (b - a) * (k / n)))
     return tuple(out)
@@ -183,12 +185,13 @@ def build_config(doc):
                 or not _finite(max_seg) or max_seg <= 0):
             raise ConfigError("trace.max_segment: expected a positive number (mm) or null")
         max_len = _mm(float(max_seg))
-        n = _segment_count(verts, max_len)
+        counts = _edge_counts(verts, max_len)
+        n = None if counts is None else sum(counts)
         if n is None or n > MAX_SEGMENTS:
             count = "too many" if n is None else n
             raise ConfigError(f"trace.max_segment: {max_seg!r} mm makes {count} segments, "
                               f"more than {MAX_SEGMENTS}")
-        verts = _subdivide(verts, max_len)
+        verts = _subdivide(verts, counts)
     elif len(verts) - 1 > MAX_SEGMENTS:
         raise ConfigError(f"trace.vertices: {len(verts) - 1} segments, more than {MAX_SEGMENTS}")
     trace = TracePath(vertices=tuple(verts), width=_mm(t.take("width", 3.0)),

@@ -1,18 +1,16 @@
 """Quasi-static magnetic field of trace currents above a perfect ground plane.
 
 The field of each straight filament segment is the exact finite-length
-Biot-Savart result; the ground plane is handled with image theory: every
-segment is mirrored through z=0 and its current phasor negated, which
-reverses horizontal current (and preserves vertical current), enforcing
-zero normal H on the plane.
+Biot-Savart result.  The coupling between a point and a segment depends
+on geometry only, so `segment_kernel` returns it per unit current, as the
+field component along one direction: an (npts, nseg) array, built from
+per-axis (npts, nseg) arrays with no (npts, nseg, 3) temporary.
 
-The coupling between a point and a segment depends on geometry only, so
-`segment_kernel` returns it per unit current, as the field component along
-one direction: an (npts, nseg) array, built from per-axis (npts, nseg)
-arrays with no (npts, nseg, 3) temporary.  `kernel_blocks` feeds it whole
-probes at a time, at most `PAIRS` point x segment pairs per call (or one
-probe), and callers contract each block with the currents of as many
-frequencies as they need.
+`kernel_blocks` is the one grounded path: it applies the image rule
+(stated there) and feeds the kernel whole probes at a time, at most
+`PAIRS` point x segment pairs per call (or one probe).  Callers contract
+each block with the currents of as many frequencies as they need: the
+scan's probe chain, and `h_trace_grounded` once per axis.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ EPS_GEOM = 1e-9
 
 #: Most point x segment pairs per kernel call, unless one probe alone has
 #: more.  A call peaks near 106 B per pair (measured), so 2**15 pairs stay
-#: under 4 MB; at 60 segments a block is 546 points.
+#: under 4 MB; at 30 trace segments (60 with images) a block is 546 points.
 PAIRS = 2 ** 15
 
 _FOUR_PI = 4.0 * math.pi
@@ -116,50 +114,48 @@ def segment_kernel(starts, ends, points, normal, n_real=None):
     return out
 
 
-def kernel_blocks(starts, ends, centers, normal, offsets=None, n_real=None):
-    """Kernel along `normal` for probes at `centers`, one block at a time.
+def kernel_blocks(trace: TracePath, centers, normal, offsets=None):
+    """Coupling along `normal` of a grounded trace to probes at `centers`,
+    one block at a time.
+
+    The ground plane enters here and nowhere else.  Each segment is
+    mirrored through z=0 and its image carries the negated current, which
+    reverses horizontal current and preserves vertical current, enforcing
+    zero normal H on the plane.  So g is a segment's `segment_kernel`
+    column minus its image's: the field along `normal` per unit current
+    in the trace segment.
 
     A probe's points are its center, then center + each of `offsets` (its
     quadrature nodes) if given.  Each block holds whole probes, at most
-    PAIRS // nseg points, and always at least one probe.  Yields (lo, hi,
-    g) for probes lo..hi-1, g being the block's (npts, nseg)
-    `segment_kernel` array, rows probe-major.  A SingularityError's
-    `point` is the index of the probe in `centers`.
+    PAIRS // (2 * n_segments) points, and always at least one probe.
+    Yields (lo, hi, g) for probes lo..hi-1, g being the block's (npts,
+    n_segments) coupling, rows probe-major.  A SingularityError's `point`
+    is the index of the probe in `centers`, with `image` set if the
+    filament is an image.
     """
+    starts, ends = trace.segment_arrays()
+    n = trace.n_segments
+    mirror = np.array([1.0, 1.0, -1.0])
+    starts = np.vstack([starts, starts * mirror])
+    ends = np.vstack([ends, ends * mirror])
     m = 1 if offsets is None else 1 + len(offsets)
-    step = max(1, PAIRS // len(starts) // m)
+    step = max(1, PAIRS // (2 * n) // m)
     for lo in range(0, len(centers), step):
         c = centers[lo:lo + step]
         pts = c if offsets is None else np.concatenate(
             [c[:, None], c[:, None] + offsets], axis=1).reshape(-1, 3)
         try:
-            g = segment_kernel(starts, ends, pts, normal, n_real)
+            g = segment_kernel(starts, ends, pts, normal, n)
         except SingularityError as exc:
             exc.point = lo + exc.point // m
             raise
+        g = g[:, :n] - g[:, n:]  # rebound: the next call holds no unfolded block
         yield lo, lo + len(c), g
 
 
-def segment_fields(starts, ends, currents, points, n_real=None):
-    """Field (npts, 3) complex, A/m, of filament segments with given currents.
-
-    One pass over the points per axis.  `n_real` marks how many leading
-    segments are physical; indices at or beyond it are reported as image
-    segments in singularity errors, whose point index refers to `points`.
-    """
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    currents = np.asarray(currents, dtype=complex)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((points.shape[0], 3), dtype=complex)
-    for k, axis in enumerate(np.eye(3)):
-        for lo, hi, g in kernel_blocks(starts, ends, points, axis, n_real=n_real):
-            out[lo:hi, k] = np.einsum("ps,s->p", g, currents)
-    return out
-
-
 def h_segment(start, end, current, point):
-    """Field of a single straight segment carrying RMS phasor `current` (A).
+    """Field of a single straight segment in free space carrying RMS phasor
+    `current` (A).
 
     Returns the complex (hx, hy, hz) vector in A/m:
 
@@ -168,45 +164,32 @@ def h_segment(start, end, current, point):
     with rho the perpendicular distance to the supporting line, theta the
     signed endpoint angles and phi_hat the right-hand circulation direction.
     """
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
+    start = np.asarray(start, dtype=float).reshape(1, 3)
+    end = np.asarray(end, dtype=float).reshape(1, 3)
     if np.array_equal(start, end):
         raise ConfigError("segment start and end must be distinct")
-    return segment_fields(start[None, :], end[None, :], [complex(current)], point)[0]
-
-
-def mirrored_segments(starts, ends, currents):
-    """Extend segment arrays with their ground-plane images.
-
-    Images are mirrored through z=0 with negated current, the perfect
-    electric conductor rule for arbitrary current direction.
-    """
-    m_starts = starts.copy()
-    m_ends = ends.copy()
-    m_starts[:, 2] *= -1.0
-    m_ends[:, 2] *= -1.0
-    all_starts = np.vstack([starts, m_starts])
-    all_ends = np.vstack([ends, m_ends])
-    all_currents = np.concatenate([currents, -np.asarray(currents, dtype=complex)])
-    return all_starts, all_ends, all_currents
+    p = np.asarray(point, dtype=float).reshape(1, 3)
+    g = np.array([segment_kernel(start, end, p, axis)[0, 0] for axis in np.eye(3)])
+    return g * complex(current)
 
 
 def h_trace_grounded(trace: TracePath, currents, points):
-    """Field of a grounded trace: segments plus their images.
+    """Field of a grounded trace (see `kernel_blocks`), one pass per axis.
 
     `currents` is one complex RMS phasor per trace segment.  `points` may
     be a single (3,) point or an (n, 3) array; the result matches.
     """
-    starts, ends = trace.segment_arrays()
     currents = np.asarray(currents, dtype=complex)
     if currents.shape != (trace.n_segments,):
         raise ConfigError(
             f"currents: expected {trace.n_segments} per-segment values, got {currents.shape}")
-    s, e, c = mirrored_segments(starts, ends, currents)
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    out = segment_fields(s, e, c, pts, n_real=trace.n_segments)
-    return out[0] if single else out
+    flat = np.atleast_2d(pts)
+    out = np.empty((len(flat), 3), dtype=complex)
+    for k, axis in enumerate(np.eye(3)):
+        for lo, hi, g in kernel_blocks(trace, flat, axis):
+            out[lo:hi, k] = g @ currents
+    return out[0] if pts.ndim == 1 else out
 
 
 def closed_form_line_h(y, h, i_rms):

@@ -433,8 +433,12 @@ def _split_header(text, magic, what):
     saw_magic = False
     # Lines end at "\n" only: str.splitlines would also break at characters
     # float() takes as padding (\x0c, \x85, \u2028, ...).  strip() drops
-    # the "\r" of a CRLF line end.
-    for lineno, raw in enumerate(text.removesuffix("\n").split("\n"), start=1):
+    # the "\r" of a CRLF line end.  The text is split before the empty
+    # element after a final "\n" is dropped, so it is never copied whole.
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             if body:

@@ -115,8 +115,12 @@ class TracePath:
         _require(len(verts) >= 2, "trace.vertices: need at least 2 vertices")
         _require(all(len(v) == 3 for v in verts), "trace.vertices: vertices must be 3-D points")
         _require(all(v[2] > 0 for v in verts), "trace.vertices: all vertices must lie strictly above z=0")
-        for a, b in zip(verts, verts[1:]):
+        for i, (a, b) in enumerate(zip(verts, verts[1:])):
             _require(a != b, "trace.vertices: consecutive vertices must be distinct")
+            # The kernel divides by the length, computed from its square.
+            d = math.dist(a, b)
+            _require(0.0 < d * d < math.inf, f"trace.vertices: segment {i} is {d!r} m long, "
+                     "its square is outside the range of a double")
         _require(self.width > 0, "trace.width: must be > 0")
         _require(self.z0_line > 0, "trace.z0: must be > 0")
         _require(self.termination in TERMINATIONS,

@@ -4,9 +4,9 @@ raw voltage maps into field maps, extract profiles and statistics.
 One chain serves both raster scans and the probe transfer sweep (a
 one-point scan).  It walks the probes in blocks of whole probes, each
 probe's points being its center and, for the integrated aperture, its
-quadrature nodes.  Per block it makes one kernel call, builds the real
+quadrature nodes.  Per block `fields.kernel_blocks` gives the real
 coupling from every trace segment (its ground-plane image folded in) to
-the field along the probe normal, and multiplies it by the segments x
+the field along the probe normal, which is multiplied by the segments x
 frequencies current matrix.  Each point's sums run in a fixed order, so
 results are byte-identical from run to run.
 
@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import CFTable, field_from_voltage
 from .errors import ConfigError, SingularityError
 from . import fields
-from .fields import current_distribution, mirrored_segments
+from .fields import current_distribution
 from .formats import FieldMap
 from .model import (DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points,
                     readonly)
@@ -86,8 +86,6 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive):
         raise ConfigError("probe centers must lie strictly above the ground plane z=0")
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
-    seg_s, seg_e, _ = mirrored_segments(*trace.segment_arrays(), currents)
-    n = trace.n_segments
     cur = np.concatenate([currents.real, currents.imag], axis=1)
     normal = np.asarray(model.probe.normal, dtype=float)
     integrated = model.aperture == "integrated"
@@ -96,8 +94,8 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive):
     m = 1 + len(weights)
     h = np.empty((len(centers), cur.shape[1]))
     flux = np.empty_like(h) if integrated else None
-    for lo, hi, g in fields.kernel_blocks(seg_s, seg_e, centers, normal, offsets, n):
-        rows = (g[:, :n] - g[:, n:]).reshape(hi - lo, m, n)
+    for lo, hi, g in fields.kernel_blocks(trace, centers, normal, offsets):
+        rows = g.reshape(hi - lo, m, -1)
         h[lo:hi] = np.einsum("ps,sf->pf", rows[:, 0], cur)
         if integrated:
             flux[lo:hi] = np.einsum("ps,sf->pf",

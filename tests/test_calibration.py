@@ -121,6 +121,15 @@ class TestCalibrate:
             CFTable(f=np.array([2e9, 1e9]), cf_db=np.array([1.0, 2.0]),
                     kernel="paper", d=1e-3, h=1.6e-3)
 
+    @pytest.mark.parametrize("f", [[0.0, 2.0], [-1.0, 1.0]])
+    def test_non_positive_frequency_rejected(self, f):
+        with pytest.raises(ConfigError, match=f"frequency {f[0]!r} Hz is not > 0"):
+            CFTable(f=np.array(f), cf_db=np.array([10.0, 12.0]),
+                    kernel="paper", d=1e-3, h=1.6e-3)
+        net = NetworkData(f=np.array(f), s=np.full((2, 2, 2), 0.5 + 0j), n_ports=2)
+        with pytest.raises(ConfigError, match="is not > 0"):
+            calibrate(net, d=D_CAL, h=H_SUB)
+
     def test_one_port_network_has_no_s21(self):
         net = NetworkData(f=np.array([1e9]), s=np.array([[[0.5 + 0j]]]), n_ports=1)
         with pytest.raises(ParseError):

@@ -1,13 +1,16 @@
+import copy
 import errno
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
-from nfscan import __version__, cli
+from nfscan import ConfigError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
 from nfscan.config import MAX_CELLS, MAX_SEGMENTS
@@ -155,8 +158,17 @@ class TestSimulate:
     @pytest.mark.parametrize("section, patch, err", [
         ("drive", {"power_dbm": 1e308}, "drive.power_dbm: 1e+308 dBm is out of range"),
         ("drive", {"power_dbm": -1e308}, "drive.power_dbm: -1e+308 dBm is out of range"),
-        ("probe", {"side": 1e300}, "probe.side: too large, its loop area overflows")],
-        ids=["power-high", "power-low", "side"])
+        ("probe", {"side": 1e300}, "probe.side: too large, its loop area overflows"),
+        ("trace", {"vertices": [[0, 0], [1e308, 0]], "max_segment": None},
+         "trace.vertices: segment 0 is 1e+305 m long, "
+         "its square is outside the range of a double"),
+        ("trace", {"vertices": [[0, 0], [1e308, 0]], "max_segment": 1.0},
+         f"trace.max_segment: 1.0 mm makes too many segments, more than {MAX_SEGMENTS}"),
+        ("trace", {"vertices": [[0, 0], [1e-200, 0]], "max_segment": None},
+         "trace.vertices: segment 0 is 1e-203 m long, "
+         "its square is outside the range of a double")],
+        ids=["power-high", "power-low", "side", "segment-long", "segment-long-subdivided",
+             "segment-short"])
     def test_overflowing_number_names_key(self, tmp_path, capsys, section, patch, err):
         cfg = write_config(tmp_path, **{section: patch})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -406,6 +418,25 @@ class TestComplexMapFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonPositiveCfFrequency:
+    """A CF table with a row at f <= 0 exits 2: `cf_at` interpolates in log f."""
+
+    @pytest.mark.parametrize("rows", ["0.0,10.0\n2.0,12.0\n", "-1.0,10.0\n1.0,12.0\n"],
+                             ids=["zero", "negative"])
+    def test_extract_exits_2(self, tmp_path, capsys, rows):
+        cf = tmp_path / "cf.csv"
+        cf.write_text("# nfscan-cf 1\n# kernel: paper\n# d: 0.001\n# h: 0.0016\n" + rows)
+        scan = tmp_path / "v.csv"
+        header = TestMapRowsCheckedBeforeAllocation.HEADER.format(x_max=0, y_max=0, dx=0.001)
+        scan.write_text(header.replace("# f_hz: 1e9\n", "# f_hz: 0.5\n") + "-40\n")
+        out = tmp_path / "h.csv"
+        assert main(["extract", "--scan", str(scan), "--cf", str(cf), "--freq", "0.5",
+                     "--out", str(out)]) == 2
+        f0 = rows.split(",")[0]
+        assert capsys.readouterr().err == f"error: CF table: frequency {f0} Hz is not > 0\n"
+        assert not out.exists()
+
+
 class TestUnmodelledKeys:
     """Accepted, range-checked and hashed keys that no computation reads."""
 
@@ -521,6 +552,63 @@ class TestSegmentBudget:
         assert capsys.readouterr().err == (f"error: trace.vertices: {MAX_SEGMENTS + 1} "
                                            f"segments, more than {MAX_SEGMENTS}\n")
         assert not out.exists()
+
+
+def _doc_paths(node, path=()):
+    """Every key and list index path in a parsed JSON document, root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _doc_paths(child, path + (key,))
+
+
+_DOCS = {}
+for _name in (TABLE2, TABLE3):
+    with open(_name, encoding="utf-8") as _fh:
+        _DOCS[_name] = json.load(_fh)
+_DROP = object()
+#: What a mutation puts at a path: nothing (the key or element is dropped),
+#: or a value of the wrong type or at the edge of the range of a double.
+_ODD_VALUES = [_DROP, None, True, False, "", "1.0", [], [1.0, 2.0], {}, 0, 0.0, -0.0,
+               1e-300, -1e-300, 1e300, -1e300, 10**400, -10**400, math.nan, math.inf]
+
+
+@st.composite
+def mutated_docs(draw):
+    doc = copy.deepcopy(_DOCS[draw(st.sampled_from(sorted(_DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _doc_paths(doc) if p]
+        *parents, key = draw(st.sampled_from(paths))
+        node = doc
+        for k in parents:
+            node = node[k]
+        value = draw(st.sampled_from(_ODD_VALUES))
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    return doc
+
+
+_LONG_EDGE = copy.deepcopy(_DOCS[TABLE2])
+_LONG_EDGE["trace"].update(vertices=[[0, 0], [1e308, 0]], max_segment=1.0)
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_docs())
+    @example(_LONG_EDGE)
+    def test_build_config_returns_or_raises_config_error(self, doc):
+        """A config with keys dropped or set to odd values either builds or
+        raises ConfigError, with no other exception and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = config.build_config(doc)
+            except ConfigError:
+                return
+        assert isinstance(cfg, config.ScanConfig)
 
 
 class TestDeterminism:

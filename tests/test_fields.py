@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from nfscan import (ConfigError, SingularityError, TracePath, closed_form_line_h,
                     current_distribution, eps_eff_hammerstad, h_segment,
                     h_trace_grounded)
-from nfscan.fields import PAIRS, mirrored_segments, segment_fields, segment_kernel
+from nfscan.config import MAX_SEGMENTS
+from nfscan.fields import PAIRS, kernel_blocks, segment_kernel
 
 from conftest import H_SUB, rng
 from kernel_reference import segment_field_sum, vector_kernel
@@ -21,8 +22,9 @@ lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
 @st.composite
 def kernel_cases(draw):
     """Segments on a 0.25 mm lattice, vertical ones among them, with their
-    ground-plane images appended when n_real is set; points on the lattice
-    and on segment axes past an end, and sometimes one on a filament."""
+    ground-plane images (mirrored through z=0) appended when n_real is
+    set; points on the lattice and on segment axes past an end, and
+    sometimes one on a filament."""
     starts, ends = [], []
     for _ in range(draw(st.integers(1, 5))):
         a = draw(st.tuples(lattice, lattice, lattice))
@@ -43,7 +45,8 @@ def kernel_cases(draw):
     n_real = None
     if draw(st.booleans()):
         n_real = len(starts)
-        starts, ends, _ = mirrored_segments(starts, ends, np.zeros(n_real))
+        mirror = np.array([1.0, 1.0, -1.0])
+        starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
     return starts, ends, np.array(pts, dtype=float), n_real
 
 
@@ -175,10 +178,9 @@ class TestGroundedTrace:
         # probing exactly on the mirrored filament
         tr = TracePath(vertices=((-0.1, 0, 2e-3), (0.1, 0, 2e-3)))
         with pytest.raises(SingularityError) as err:
-            segment_fields(*mirrored_segments(*tr.segment_arrays(),
-                                              np.array([1.0 + 0j])),
-                           points=(0, 0, -2e-3), n_real=1)
+            h_trace_grounded(tr, [1.0], (0, 0, -2e-3))
         assert err.value.image
+        assert (err.value.point, err.value.segment) == (0, 0)
 
 
 class TestClosedForm:
@@ -249,18 +251,25 @@ class TestCurrentDistribution:
 
 class TestKernel:
     def test_matches_reference_loop(self):
+        # the folded blocks of h_trace_grounded against the per-segment sum
+        # over the trace and its images
         r = rng(3)
         ns = 17
-        npts = PAIRS // ns + 40                # two kernel blocks
-        starts = r.uniform(-0.1, 0.1, (ns, 3))
-        ends = starts + r.uniform(0.01, 0.05, (ns, 3))
-        ends[0, :2] = starts[0, :2]            # one vertical segment
+        npts = PAIRS // (2 * ns) + 40          # two kernel blocks
+        steps = r.uniform(0.01, 0.05, (ns, 3))
+        steps[0, :2] = 0.0                     # one vertical segment
+        tr = TracePath(vertices=np.cumsum(np.vstack([[-0.1, -0.1, 0.01], steps]), axis=0))
+        starts, ends = tr.segment_arrays()
         currents = r.uniform(-1, 1, ns) + 1j * r.uniform(-1, 1, ns)
         points = r.uniform(0.2, 0.4, (npts, 3))
         points[-1] = starts[0] + 3 * (ends[0] - starts[0])    # on its axis, past the end
-        out_a = segment_fields(starts, ends, currents, points)
+        out_a = h_trace_grounded(tr, currents, points)
         out_b = np.empty_like(out_a)
-        assert segment_field_sum(starts, ends, currents, points, 1e-9, out_b) == -1
+        mirror = np.array([1.0, 1.0, -1.0])
+        assert segment_field_sum(np.vstack([starts, starts * mirror]),
+                                 np.vstack([ends, ends * mirror]),
+                                 np.concatenate([currents, -currents]),
+                                 points, 1e-9, out_b) == -1
         assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-20)
 
     def test_singularity_code_point_major(self):
@@ -278,11 +287,15 @@ class TestKernel:
             segment_kernel(starts, ends, pts, normal, n_real=1)
         assert (err.value.segment, err.value.image) == (0, True)
         # past the first block the index still refers to the caller's points
-        nfar = PAIRS // len(starts)
-        far = np.column_stack([np.full(nfar, 0.5), np.full(nfar, 3.0), np.zeros(nfar)])
+        tr = TracePath(vertices=((1.0, 1, 1), (0.0, 1, 1), (0.0, 0, 1), (1.0, 0, 1)))
+        nfar = PAIRS // (2 * tr.n_segments)
+        far = np.column_stack([np.full(nfar, 0.5), np.full(nfar, 3.0), np.ones(nfar)])
         with pytest.raises(SingularityError) as err:
-            segment_fields(starts, ends, cur, np.vstack([far, pts]))
-        assert (err.value.point, err.value.segment) == (nfar + 1, 1)
+            list(kernel_blocks(tr, np.vstack([far, pts + [0, 0, 1]]), normal))
+        assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, False)
+        with pytest.raises(SingularityError) as err:
+            list(kernel_blocks(tr, np.vstack([far, pts - [0, 0, 1]]), normal))
+        assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, True)
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
@@ -318,19 +331,21 @@ class TestKernel:
             assert_allclose(segment_kernel(ends, starts, pts, normal), -g, rtol=1e-12, atol=atol)
 
     def test_peak_memory_within_pair_budget(self):
-        # 10^4 segments x 40 points: one kernel call over all of them would
-        # hold 4e5 pairs.  segment_fields peaks near 117 B per pair (measured
-        # at 60 segments x 2,000 points); 128 B leaves room for the
+        # the longest trace a config may ask for, 2,000 segments, x 200
+        # points: one kernel call over them and their images would hold
+        # 8e5 pairs.  h_trace_grounded peaks near 113 B per pair (measured
+        # on a 60-segment trace x 2,000 points); 128 B leaves room for the
         # per-segment arrays.
         r = rng(5)
-        ns = 10_000
-        starts = r.uniform(-1, 1, (ns, 3))
-        ends = starts + r.uniform(0.01, 0.02, (ns, 3))
+        ns = MAX_SEGMENTS
+        tr = TracePath(vertices=np.column_stack([np.arange(ns + 1) * 1e-4,
+                                                 r.uniform(-0.01, 0.01, ns + 1),
+                                                 r.uniform(0.5, 1.0, ns + 1)]))
         currents = np.ones(ns, dtype=complex)
-        points = r.uniform(2, 3, (40, 3))
+        points = r.uniform(2, 3, (200, 3))
         tracemalloc.start()
         try:
-            segment_fields(starts, ends, currents, points)
+            h_trace_grounded(tr, currents, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

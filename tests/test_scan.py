@@ -16,7 +16,7 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
                     run_simulated_scan, synthesize_s21)
 from nfscan import fields
 from nfscan.config import build_config
-from nfscan.fields import EPS_GEOM, PAIRS, mirrored_segments
+from nfscan.fields import EPS_GEOM, PAIRS
 from nfscan.scan import MapStats, ScanResult
 
 from conftest import H_SUB, SCAN_HEIGHT, rng
@@ -231,11 +231,15 @@ def reference_scan(trace, substrate, model, grid, sweep, drive):
         offsets = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
         weights = np.outer(w, w).ravel() * half * half
         points = np.vstack([centers, (centers[:, None, :] + offsets).reshape(-1, 3)])
+    # the trace's segments, then their images mirrored through z=0
+    starts, ends = trace.segment_arrays()
+    mirror = np.array([1.0, 1.0, -1.0])
+    starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
     fields_at = []
     for f in sweep.frequencies():
         cur = current_distribution(trace, f, drive, substrate)
         h = np.empty((len(points), 3), dtype=complex)
-        if segment_field_sum(*mirrored_segments(*trace.segment_arrays(), cur), points,
+        if segment_field_sum(starts, ends, np.concatenate([cur, -cur]), points,
                              EPS_GEOM, h) >= 0:
             return None
         fields_at.append((f, h))
