@@ -22,8 +22,7 @@ from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv,
                       write_touchstone)
 from .model import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
                     TracePath, db20, grid_points, undb20)
-from .probe import (PortWaveModel, induced_emf, port_voltage, probe_over_trace,
-                    synthesize_s21)
+from .probe import center_over_trace, induced_emf, port_voltage, synthesize_s21
 from .scan import (MapStats, ScanResult, apply_calibration_to_scan, extract_profile,
                    map_stats, probe_transfer, run_simulated_scan)
 

@@ -8,7 +8,8 @@ measured transmission coefficient as
 
 where G is a geometry factor of the reference setup (trace height h above
 its ground plane, probe-to-conductor distance d) and 34 is the standard's
-wave-normalization constant (close to 10*log10(50 ohm * 50 ohm)).
+wave-normalization constant (close to 10*log10(50 ohm * 50 ohm)), which
+holds for a 50 ohm port only: `calibrate` rejects other references.
 
 Two geometry kernels are provided because the published forms disagree:
 
@@ -124,11 +125,14 @@ def field_from_voltage(v_db, cf_db, sign_mode="eq1-consistent"):
 def calibrate(network, d, h, kernel="paper"):
     """Antenna-factor table from a probe transmission network.
 
-    `network` is a NetworkData with at least 2 ports; S21 must be present
-    (and non-zero, since CF is a dB quantity) at every frequency row.
+    `network` is a NetworkData with at least 2 ports and R = 50 ohm; S21
+    must be present (and non-zero, since CF is a dB quantity) at every row.
     """
     if network.n_ports < 2:
         raise ParseError(f"need a 2-port network with S21, got {network.n_ports} port(s)")
+    if network.z_ref != 50.0:
+        raise ConfigError(f"network reference impedance is R {network.z_ref!r} ohm; the CF "
+                          f"formula's {STANDARD_CONSTANT_DB:g} dB constant assumes R 50")
     cf = np.empty(len(network.f), dtype=float)
     for i, f in enumerate(network.f):
         s21 = network.s[i, 1, 0]

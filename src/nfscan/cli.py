@@ -19,21 +19,13 @@ import numpy as np
 
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
-from .config import load_config
+from .config import load_config, read_text as _read_text
 from .errors import ConfigError, SingularityError
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone,
                       render_pgm, write_cf_csv, write_map_csv, write_profile_csv,
                       write_touchstone)
 from .scan import (apply_calibration_to_scan, extract_profile, map_stats, probe_transfer,
                    run_simulated_scan)
-
-
-def _read_text(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _write_text(path, data):
@@ -74,7 +66,7 @@ def _db_map(values, *, grid, f, component, meta):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.port, cfg.grid,
+    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
                                 cfg.sweep, cfg.drive)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -99,11 +91,11 @@ def cmd_simulate(args):
 
 def cmd_probe_transfer(args):
     cfg = load_config(args.config)
-    freqs, s21 = probe_transfer(cfg.port, cfg.trace, cfg.substrate, cfg.sweep, cfg.drive)
+    freqs, s21 = probe_transfer(cfg.trace, cfg.substrate, cfg.probe, cfg.sweep, cfg.drive)
     s = np.zeros((len(freqs), 2, 2), dtype=complex)
     s[:, 1, 0] = s21
     s[:, 0, 1] = s21
-    net = NetworkData(f=freqs, s=s, n_ports=2, z_ref=cfg.port.probe.port_z)
+    net = NetworkData(f=freqs, s=s, n_ports=2, z_ref=cfg.probe.port_z)
     _write_text(args.out, write_touchstone(net, fmt="RI"))
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 from .calibration import KERNELS, SIGN_MODES
 from .errors import ConfigError
 from .model import DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath
-from .probe import PortWaveModel, probe_over_trace
+from .probe import center_over_trace
 
 _REQUIRED = object()
 
@@ -35,6 +35,10 @@ MAX_CELLS = 10**7
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
 #: is 2,000.  A kernel call holds about 106 bytes per point x segment.
 MAX_SEGMENTS = 2000
+
+#: Bound on the magnitude of every length and coordinate in a config (mm,
+#: 1 km); the field kernel's squared distances then stay within a double.
+MAX_LENGTH_MM = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class CalSpec:
 class ScanConfig:
     substrate: Substrate
     trace: TracePath
-    port: PortWaveModel       # probe posed over the trace midpoint at the scan height
+    probe: LoopProbe          # posed over the trace midpoint at the scan height
     grid: ScanGrid
     sweep: FrequencySweep
     drive: DriveSpec
@@ -99,6 +103,9 @@ class _Section:
                 if val < 0 or (positive and val == 0):
                     raise ConfigError(f"{self.name}.{key}: must be {'>' if positive else '>='} 0")
 
+    def length(self, key, default=_REQUIRED):
+        return _length(f"{self.name}.{key}", self.take(key, default))
+
     def done(self):
         if self.data:
             raise ConfigError(f"{self.name}.{next(iter(self.data))}: unknown key")
@@ -111,6 +118,12 @@ def _finite(num):
         return math.isfinite(num)
     except OverflowError:
         return False
+
+
+def _length(name, mm):
+    if abs(mm) > MAX_LENGTH_MM:
+        raise ConfigError(f"{name}: {mm!r} mm is beyond the length bound of {MAX_LENGTH_MM} mm")
+    return _mm(mm)
 
 
 def _mm(v):
@@ -163,7 +176,7 @@ def build_config(doc):
         raise ConfigError(f"{next(iter(doc))}: unknown section")
 
     s = sections["substrate"]
-    substrate = Substrate(h=_mm(s.take("h", 1.6)), eps_r=s.take("eps_r", 4.6))
+    substrate = Substrate(h=s.length("h", 1.6), eps_r=s.take("eps_r", 4.6))
     s.drop("tan_d", "t")
     s.drop("sigma", positive=True)
     s.done()
@@ -188,12 +201,15 @@ def build_config(doc):
         counts = _edge_counts(verts, max_len)
         n = None if counts is None else sum(counts)
         if n is None or n > MAX_SEGMENTS:
-            count = "too many" if n is None else n
+            count = "too many" if n is None or n >= 10**12 else n
             raise ConfigError(f"trace.max_segment: {max_seg!r} mm makes {count} segments, "
                               f"more than {MAX_SEGMENTS}")
-        verts = _subdivide(verts, counts)
     elif len(verts) - 1 > MAX_SEGMENTS:
         raise ConfigError(f"trace.vertices: {len(verts) - 1} segments, more than {MAX_SEGMENTS}")
+    for i, v in enumerate(raw_verts):
+        _length(f"trace.vertices[{i}]", max(v, key=abs))
+    if max_seg is not None:
+        verts = _subdivide(verts, counts)
     trace = TracePath(vertices=tuple(verts), width=_mm(t.take("width", 3.0)),
                       z0_line=t.take("z0", 50.0),
                       termination=t.take("termination", "matched", kind=str))
@@ -203,24 +219,20 @@ def build_config(doc):
     axis = p.take("normal", "y", kind=str)
     if axis not in _AXES:
         raise ConfigError("probe.normal: must be 'x', 'y' or 'z'")
-    height = _mm(p.take("height"))
+    height = p.length("height")
     if height <= 0:
         raise ConfigError("probe.height: must be > 0")
-    side = _mm(p.take("side", 4.0))
-    if not math.isfinite(side * side):
-        raise ConfigError("probe.side: too large, its loop area overflows")
-    probe0 = LoopProbe(center=(0.0, 0.0, substrate.h + height), normal=_AXES[axis],
-                       side_s=side, port_z=p.take("port_z", 50.0))
+    probe = LoopProbe(center=center_over_trace(trace, substrate, height), normal=_AXES[axis],
+                      side_s=p.length("side", 4.0), port_z=p.take("port_z", 50.0),
+                      loading=p.take("loading", "matched-halving", kind=str),
+                      quad_n=p.take("quad_n", 8, kind=int),
+                      aperture=p.take("aperture", "uniform", kind=str))
     p.drop("trace_w")
-    probe = probe_over_trace(probe0, trace, substrate, height)
-    port = PortWaveModel(probe=probe, loading=p.take("loading", "matched-halving", kind=str),
-                         quad_n=p.take("quad_n", 8, kind=int),
-                         aperture=p.take("aperture", "uniform", kind=str))
     p.done()
 
     g = sections["grid"]
-    grid = ScanGrid(x_min=_mm(g.take("x_min")), x_max=_mm(g.take("x_max")),
-                    y_min=_mm(g.take("y_min")), y_max=_mm(g.take("y_max")),
+    grid = ScanGrid(x_min=g.length("x_min"), x_max=g.length("x_max"),
+                    y_min=g.length("y_min"), y_max=g.length("y_max"),
                     dx=_mm(g.take("dx", 0.5)), dy=_mm(g.take("dy", 0.5)),
                     z_height=height)
     g.done()
@@ -253,16 +265,25 @@ def build_config(doc):
     c.drop("d", "h", positive=True)
     c.done()
 
-    return ScanConfig(substrate=substrate, trace=trace, port=port, grid=grid,
+    return ScanConfig(substrate=substrate, trace=trace, probe=probe, grid=grid,
                       sweep=sweep, drive=drive, cal=cal, digest=digest)
+
+
+def read_text(path):
+    """The UTF-8 text of the file at `path`, or a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text "
+                          f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
 def load_config(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return build_config(doc)

@@ -92,6 +92,8 @@ class Substrate:
 
 
 TERMINATIONS = ("matched", "open", "short")
+LOADINGS = ("matched-halving", "open-circuit")
+APERTURES = ("uniform", "integrated")
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,15 @@ class TracePath:
 
 @dataclass(frozen=True)
 class LoopProbe:
-    """Square magnetic loop sensor: pose, side length and port model."""
+    """Square magnetic loop sensor: pose, side length and port model (`nfscan.probe`)."""
 
     center: tuple
     normal: tuple
     side_s: float = DEFAULT_LOOP_SIDE
     port_z: float = DEFAULT_PORT_Z
+    loading: str = "matched-halving"
+    quad_n: int = 8
+    aperture: str = "uniform"
 
     def __post_init__(self):
         center = tuple(float(c) for c in self.center)
@@ -163,6 +168,9 @@ class LoopProbe:
         _require(abs(n - 1.0) <= 1e-12, "probe.normal: must be a unit vector")
         _require(self.side_s > 0, "probe.side: must be > 0")
         _require(self.port_z > 0, "probe.port_z: must be > 0")
+        _require(self.loading in LOADINGS, f"probe.loading: must be one of {LOADINGS}")
+        _require(2 <= self.quad_n <= 32, "probe.quad_n: must be between 2 and 32")
+        _require(self.aperture in APERTURES, f"probe.aperture: must be one of {APERTURES}")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Loop probe port model: aperture quadrature, Faraday EMF, port voltage and
 synthetic S21.
 
-Two aperture models are available:
+A `LoopProbe` carries the port model; its two aperture models are:
 
 * ``uniform`` (default): the electrically-small-loop model.  The field is
   taken as uniform over the loop, so the flux is H(center).normal times
   the loop area.  This is the model the calibration chain inverts exactly,
   and the one used for scans.
-* ``integrated``: Gauss-Legendre quadrature of H.normal over the loop
-  footprint, a square of side `side_s` lying flat at the center height.
-  Useful to quantify how much a finite aperture averages a non-uniform
-  field.
+* ``integrated``: Gauss-Legendre quadrature (`quad_n` nodes per side) of
+  H.normal over the loop footprint, a square of side `side_s` lying flat
+  at the center height.  Useful to quantify how much a finite aperture
+  averages a non-uniform field.
 
 The chain from trace currents to these observables runs in
 `nfscan.scan` (`run_simulated_scan`, `probe_transfer`).  Loop
@@ -21,42 +21,20 @@ electrically small regime (perimeter below about lambda/20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import MU_0, DriveSpec, LoopProbe, Substrate, TracePath
 
-LOADINGS = ("matched-halving", "open-circuit")
-APERTURES = ("uniform", "integrated")
 
-
-@dataclass(frozen=True)
-class PortWaveModel:
-    """How a probe's port observables are derived from the local field."""
-
-    probe: LoopProbe
-    loading: str = "matched-halving"
-    quad_n: int = 8
-    aperture: str = "uniform"
-
-    def __post_init__(self):
-        if self.loading not in LOADINGS:
-            raise ConfigError(f"probe.loading: must be one of {LOADINGS}")
-        if not 2 <= self.quad_n <= 32:
-            raise ConfigError("probe.quad_n: must be between 2 and 32")
-        if self.aperture not in APERTURES:
-            raise ConfigError(f"probe.aperture: must be one of {APERTURES}")
-
-
-def quad_offsets(probe: LoopProbe, quad_n: int):
-    """Quadrature node offsets (n^2, 3) from the loop center and weights
-    (n^2,) over the loop footprint, a square lying flat at the center."""
-    x, w = np.polynomial.legendre.leggauss(quad_n)
+def quad_offsets(probe: LoopProbe):
+    """Offsets (n^2, 3) from the loop center and weights (n^2,) of the
+    n = `probe.quad_n` squared nodes over the loop footprint, flat at the center."""
+    x, w = np.polynomial.legendre.leggauss(probe.quad_n)
     half = probe.side_s / 2.0
     gx, gy = np.meshgrid(x, x, indexing="ij")
-    offsets = np.zeros((quad_n * quad_n, 3), dtype=float)
+    offsets = np.zeros((x.size * x.size, 3), dtype=float)
     offsets[:, 0] = half * gx.ravel()
     offsets[:, 1] = half * gy.ravel()
     weights = (np.outer(w, w).ravel()) * half * half
@@ -70,13 +48,13 @@ def induced_emf(flux, f):
     return -1j * 2.0 * math.pi * f * MU_0 * flux
 
 
-def port_voltage(emf, model: PortWaveModel):
+def port_voltage(emf, probe: LoopProbe):
     """Voltage at the probe port for the chosen loading.
 
     matched-halving: Thevenin source with negligible loop impedance into a
     matched receiver, V = emf/2.  open-circuit: V = emf.
     """
-    if model.loading == "matched-halving":
+    if probe.loading == "matched-halving":
         return emf / 2.0
     return emf
 
@@ -89,10 +67,7 @@ def synthesize_s21(v_port, drive: DriveSpec, port_z):
     return v_port / math.sqrt(port_z * drive.power)
 
 
-def probe_over_trace(probe: LoopProbe, trace: TracePath, substrate: Substrate,
-                     height):
-    """Reposition a probe over the trace midpoint at `height` above it."""
-    verts = np.asarray(trace.vertices, dtype=float)
-    mid = 0.5 * (verts[0] + verts[-1])
-    center = (float(mid[0]), float(mid[1]), substrate.h + height)
-    return replace(probe, center=center)
+def center_over_trace(trace: TracePath, substrate: Substrate, height):
+    """Probe center over the trace midpoint, `height` above the trace."""
+    mid = 0.5 * (np.asarray(trace.vertices[0]) + np.asarray(trace.vertices[-1]))
+    return (float(mid[0]), float(mid[1]), substrate.h + height)

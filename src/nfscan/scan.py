@@ -27,9 +27,9 @@ from .errors import ConfigError, SingularityError
 from . import fields
 from .fields import current_distribution
 from .formats import FieldMap
-from .model import (DriveSpec, FrequencySweep, ScanGrid, Substrate, TracePath, grid_points,
-                    readonly)
-from .probe import PortWaveModel, induced_emf, port_voltage, quad_offsets, synthesize_s21
+from .model import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath,
+                    grid_points, readonly)
+from .probe import induced_emf, port_voltage, quad_offsets, synthesize_s21
 
 
 class MapStats(NamedTuple):
@@ -75,7 +75,7 @@ def _component_tag(normal):
     return "mag"
 
 
-def _probe_chain(trace, substrate, model, centers, freqs, drive):
+def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     """Observables of the probe centred at each of `centers` (npts, 3).
 
     Returns a (3, nf, npts) complex array holding, per frequency, the
@@ -87,10 +87,10 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive):
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
     cur = np.concatenate([currents.real, currents.imag], axis=1)
-    normal = np.asarray(model.probe.normal, dtype=float)
-    integrated = model.aperture == "integrated"
+    normal = np.asarray(probe.normal, dtype=float)
+    integrated = probe.aperture == "integrated"
     # A probe's points: its center, then its quadrature nodes if integrated.
-    offsets, weights = quad_offsets(model.probe, model.quad_n) if integrated else (None, [])
+    offsets, weights = quad_offsets(probe) if integrated else (None, [])
     m = 1 + len(weights)
     h = np.empty((len(centers), cur.shape[1]))
     flux = np.empty_like(h) if integrated else None
@@ -101,18 +101,18 @@ def _probe_chain(trace, substrate, model, centers, freqs, drive):
             flux[lo:hi] = np.einsum("ps,sf->pf",
                                     np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
     nf = len(freqs)
-    area = model.probe.side_s ** 2
+    area = probe.side_s ** 2
     out = np.empty((3, nf, len(centers)), dtype=complex)
     hf, v, s21 = out
     for i, f in enumerate(freqs):
         hf[i] = h[:, i] + 1j * h[:, nf + i]
         fl = flux[:, i] + 1j * flux[:, nf + i] if integrated else hf[i] * area
-        v[i] = port_voltage(induced_emf(fl, f), model)
-        s21[i] = synthesize_s21(v[i], drive, model.probe.port_z)
+        v[i] = port_voltage(induced_emf(fl, f), probe)
+        s21[i] = synthesize_s21(v[i], drive, probe.port_z)
     return out
 
 
-def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveModel,
+def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
                        grid: ScanGrid, sweep: FrequencySweep, drive: DriveSpec):
     """Simulate a raster scan of the probe over a driven trace.
 
@@ -131,16 +131,16 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, model: PortWaveMo
     centers[:, 2] += substrate.h
     freqs = sweep.frequencies()
     try:
-        out = _probe_chain(trace, substrate, model, centers, freqs, drive)
+        out = _probe_chain(trace, substrate, probe, centers, freqs, drive)
     except SingularityError as exc:
         raise _at_grid_point(exc, grid, exc.point) from None
     out.flags.writeable = False  # kept by the ScanResult without a copy
     h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
-    return ScanResult(freqs=freqs, grid=grid, component=_component_tag(model.probe.normal),
+    return ScanResult(freqs=freqs, grid=grid, component=_component_tag(probe.normal),
                       s21=s21, vport=v, hfield=h)
 
 
-def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
+def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe,
                    sweep: FrequencySweep, drive: DriveSpec):
     """Synthetic probe transmission sweep over a driven trace.
 
@@ -150,12 +150,12 @@ def probe_transfer(model: PortWaveModel, trace: TracePath, substrate: Substrate,
     behavior of an induction probe).
     """
     freqs = sweep.frequencies()
-    center = np.array([model.probe.center], dtype=float)
+    center = np.array([probe.center], dtype=float)
     try:
-        _, _, s21 = _probe_chain(trace, substrate, model, center, freqs, drive)
+        _, _, s21 = _probe_chain(trace, substrate, probe, center, freqs, drive)
     except SingularityError as exc:
         raise SingularityError(
-            f"probe at {list(model.probe.center)}: {exc}", segment=exc.segment,
+            f"probe at {list(probe.center)}: {exc}", segment=exc.segment,
             point=exc.point, image=exc.image) from None
     return freqs, s21[:, 0]
 

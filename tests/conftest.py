@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nfscan import (DriveSpec, FrequencySweep, LoopProbe, PortWaveModel, ScanGrid,
-                    Substrate, TracePath, probe_over_trace)
+from nfscan import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath,
+                    center_over_trace)
 
 H_SUB = 1.6e-3
 SCAN_HEIGHT = 1e-3
@@ -27,13 +27,8 @@ def drive():
 @pytest.fixture
 def cal_probe(straight_trace, substrate):
     """Probe over the trace midpoint at the 1 mm calibration height."""
-    probe = LoopProbe(center=(0.0, 0.0, H_SUB + SCAN_HEIGHT), normal=(0.0, 1.0, 0.0))
-    return probe_over_trace(probe, straight_trace, substrate, SCAN_HEIGHT)
-
-
-@pytest.fixture
-def cal_model(cal_probe):
-    return PortWaveModel(probe=cal_probe)
+    return LoopProbe(center=center_over_trace(straight_trace, substrate, SCAN_HEIGHT),
+                     normal=(0.0, 1.0, 0.0))
 
 
 @pytest.fixture

@@ -13,11 +13,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nfscan import (DriveSpec, FieldMap, FrequencySweep, LoopProbe, NetworkData,
-                    PortWaveModel, ScanGrid, Substrate, TracePath,
-                    apply_calibration_to_scan, calibrate, closed_form_line_h,
-                    extract_profile, field_from_voltage, geometry_term_db,
-                    h_trace_grounded, map_stats, parse_map_csv, parse_touchstone,
-                    probe_over_trace, probe_transfer, render_pgm, run_simulated_scan,
+                    ScanGrid, Substrate, TracePath,
+                    apply_calibration_to_scan, calibrate, center_over_trace,
+                    closed_form_line_h, extract_profile, field_from_voltage,
+                    geometry_term_db, h_trace_grounded, map_stats, parse_map_csv,
+                    parse_touchstone, probe_transfer, render_pgm, run_simulated_scan,
                     write_map_csv, write_touchstone)
 from nfscan.cli import main
 from nfscan.config import load_config
@@ -37,17 +37,16 @@ TABLE3 = os.path.join(CONFIG_DIR, "table3.json")
 def standard_setup():
     substrate = Substrate()
     trace = TracePath(vertices=((-0.1, 0.0, H_SUB), (0.1, 0.0, H_SUB)))
-    probe = probe_over_trace(LoopProbe(center=(0, 0, H_SUB + D_SCAN), normal=(0, 1, 0)),
-                             trace, substrate, D_SCAN)
-    return substrate, trace, PortWaveModel(probe=probe), DriveSpec()
+    probe = LoopProbe(center=center_over_trace(trace, substrate, D_SCAN), normal=(0, 1, 0))
+    return substrate, trace, probe, DriveSpec()
 
 
 def table2_scan(f_hz):
-    substrate, trace, model, drive = standard_setup()
+    substrate, trace, probe, drive = standard_setup()
     grid = ScanGrid(x_min=0, x_max=0, y_min=-5e-3, y_max=5e-3, dx=0.5e-3, dy=0.5e-3,
                     z_height=D_SCAN)
     sweep = FrequencySweep(f_min=f_hz, f_max=f_hz, n_points=1)
-    return run_simulated_scan(trace, substrate, model, grid, sweep, drive), grid
+    return run_simulated_scan(trace, substrate, probe, grid, sweep, drive), grid
 
 
 def test_c1_field_oracle_matches_closed_form():
@@ -81,9 +80,9 @@ def test_c2_geometry_term_arithmetic():
 
 def test_c3_high_pass_probe_law():
     """|S21| slope +20 +/- 1 dB/decade over 0.1-0.5 GHz; CF slope -20 +/- 2."""
-    substrate, trace, model, drive = standard_setup()
+    substrate, trace, probe, drive = standard_setup()
     sweep = FrequencySweep(f_min=0.1e9, f_max=0.5e9, n_points=9, spacing="log")
-    f, s21 = probe_transfer(model, trace, substrate, sweep, drive)
+    f, s21 = probe_transfer(trace, substrate, probe, sweep, drive)
     db = 20 * np.log10(np.abs(s21))
     decades = math.log10(f[-1] / f[0])
     slope = (db[-1] - db[0]) / decades
@@ -100,9 +99,9 @@ def test_c4_calibration_closure_on_scan_line():
     """Simulated V -> CF(image kernel) -> H matches ground-truth Hy within
     0.5 dB at all 21 points of the scan line at 0.5 GHz."""
     f_hz = 0.5e9
-    substrate, trace, model, drive = standard_setup()
+    substrate, trace, probe, drive = standard_setup()
     sweep = FrequencySweep(f_min=f_hz, f_max=f_hz, n_points=1)
-    f, s21 = probe_transfer(model, trace, substrate, sweep, drive)
+    f, s21 = probe_transfer(trace, substrate, probe, sweep, drive)
     s = np.zeros((1, 2, 2), complex)
     s[:, 1, 0] = s21
     table = calibrate(NetworkData(f=f, s=s, n_ports=2), D_SCAN, H_SUB, "image-theory")
@@ -146,7 +145,7 @@ def test_c7_grid_shape_and_argmax():
     sits on the conductor centerline."""
     cfg = load_config(TABLE3)
     assert (cfg.grid.nx, cfg.grid.ny) == (41, 51)
-    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.port, cfg.grid,
+    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
                                 cfg.sweep, cfg.drive)
     assert result.hfield[0].shape == (51, 41)
     db = 20 * np.log10(np.abs(result.hfield[0]))

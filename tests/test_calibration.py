@@ -92,8 +92,8 @@ class TestFieldFromVoltage:
             field_from_voltage(0.0, 0.0, "eq2")
 
 
-def _probe_network(cal_model, straight_trace, substrate, drive, sweep):
-    f, s21 = probe_transfer(cal_model, straight_trace, substrate, sweep, drive)
+def _probe_network(cal_probe, straight_trace, substrate, drive, sweep):
+    f, s21 = probe_transfer(straight_trace, substrate, cal_probe, sweep, drive)
     s = np.zeros((len(f), 2, 2), dtype=complex)
     s[:, 1, 0] = s21
     s[:, 0, 1] = s21
@@ -101,17 +101,17 @@ def _probe_network(cal_model, straight_trace, substrate, drive, sweep):
 
 
 class TestCalibrate:
-    def test_cf_trend_minus_20db_per_decade(self, cal_model, straight_trace, substrate,
+    def test_cf_trend_minus_20db_per_decade(self, cal_probe, straight_trace, substrate,
                                             drive):
         sweep = FrequencySweep(f_min=0.1e9, f_max=1e9, n_points=11, spacing="log")
-        net = _probe_network(cal_model, straight_trace, substrate, drive, sweep)
+        net = _probe_network(cal_probe, straight_trace, substrate, drive, sweep)
         table = calibrate(net, d=D_CAL, h=H_SUB, kernel="paper")
         slope = (table.cf_db[-1] - table.cf_db[0]) / math.log10(table.f[-1] / table.f[0])
         assert abs(slope - (-20.0)) < 2.0
 
-    def test_single_row(self, cal_model, straight_trace, substrate, drive):
+    def test_single_row(self, cal_probe, straight_trace, substrate, drive):
         sweep = FrequencySweep(f_min=1e9, f_max=1e9, n_points=1)
-        net = _probe_network(cal_model, straight_trace, substrate, drive, sweep)
+        net = _probe_network(cal_probe, straight_trace, substrate, drive, sweep)
         table = calibrate(net, d=D_CAL, h=H_SUB)
         assert len(table.f) == 1
         assert table.cf_at(1e9) == table.cf_db[0]
@@ -135,11 +135,19 @@ class TestCalibrate:
         with pytest.raises(ParseError):
             calibrate(net, d=D_CAL, h=H_SUB)
 
-    def test_kernel_choice_is_constant_offset_over_frequency(self, cal_model,
+    @pytest.mark.parametrize("z_ref", [75.0, 49.9])
+    def test_non_50_ohm_reference_rejected(self, z_ref):
+        # the -34 dB constant of the CF formula holds for a 50 ohm port only
+        net = NetworkData(f=np.array([1e9]), s=np.full((1, 2, 2), 0.5 + 0j), n_ports=2,
+                          z_ref=z_ref)
+        with pytest.raises(ConfigError, match=f"reference impedance is R {z_ref!r} ohm"):
+            calibrate(net, d=D_CAL, h=H_SUB)
+
+    def test_kernel_choice_is_constant_offset_over_frequency(self, cal_probe,
                                                              straight_trace, substrate,
                                                              drive):
         sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=7, spacing="log")
-        net = _probe_network(cal_model, straight_trace, substrate, drive, sweep)
+        net = _probe_network(cal_probe, straight_trace, substrate, drive, sweep)
         t_p = calibrate(net, d=D_CAL, h=H_SUB, kernel="paper")
         t_i = calibrate(net, d=D_CAL, h=H_SUB, kernel="image-theory")
         offsets = t_p.cf_db - t_i.cf_db
@@ -157,7 +165,7 @@ class TestCalibrate:
 
 
 class TestClosure:
-    def test_extraction_recovers_closed_form_across_sweep(self, cal_model, straight_trace,
+    def test_extraction_recovers_closed_form_across_sweep(self, cal_probe, straight_trace,
                                                           substrate, drive):
         """Full simulation loop: S21 -> CF (image kernel) -> H from V.
 
@@ -165,8 +173,8 @@ class TestClosure:
         0.5 dB at every frequency from 0.1 to 1 GHz.
         """
         sweep = FrequencySweep(f_min=0.1e9, f_max=1e9, n_points=10, spacing="log")
-        f, s21 = probe_transfer(cal_model, straight_trace, substrate, sweep, drive)
-        net = _probe_network(cal_model, straight_trace, substrate, drive, sweep)
+        f, s21 = probe_transfer(straight_trace, substrate, cal_probe, sweep, drive)
+        net = _probe_network(cal_probe, straight_trace, substrate, drive, sweep)
         table = calibrate(net, d=D_CAL, h=H_SUB, kernel="image-theory")
         # port voltage from the same chain: V = S21 * sqrt(Z*P)
         v_db = 20 * np.log10(np.abs(s21) * math.sqrt(50 * drive.power))

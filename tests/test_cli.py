@@ -13,7 +13,7 @@ from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
 from nfscan import ConfigError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
-from nfscan.config import MAX_CELLS, MAX_SEGMENTS
+from nfscan.config import MAX_CELLS, MAX_LENGTH_MM, MAX_SEGMENTS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 TABLE2 = os.path.join(CONFIG_DIR, "table2.json")
@@ -158,10 +158,10 @@ class TestSimulate:
     @pytest.mark.parametrize("section, patch, err", [
         ("drive", {"power_dbm": 1e308}, "drive.power_dbm: 1e+308 dBm is out of range"),
         ("drive", {"power_dbm": -1e308}, "drive.power_dbm: -1e+308 dBm is out of range"),
-        ("probe", {"side": 1e300}, "probe.side: too large, its loop area overflows"),
+        ("probe", {"side": 1e300},
+         f"probe.side: 1e+300 mm is beyond the length bound of {MAX_LENGTH_MM} mm"),
         ("trace", {"vertices": [[0, 0], [1e308, 0]], "max_segment": None},
-         "trace.vertices: segment 0 is 1e+305 m long, "
-         "its square is outside the range of a double"),
+         f"trace.vertices[1]: 1e+308 mm is beyond the length bound of {MAX_LENGTH_MM} mm"),
         ("trace", {"vertices": [[0, 0], [1e308, 0]], "max_segment": 1.0},
          f"trace.max_segment: 1.0 mm makes too many segments, more than {MAX_SEGMENTS}"),
         ("trace", {"vertices": [[0, 0], [1e-200, 0]], "max_segment": None},
@@ -174,6 +174,26 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer"])
+    @pytest.mark.parametrize("patch, err", [
+        ({"trace": {"vertices": [[2e157, 0], [2.1e157, 0]], "max_segment": None}},
+         "trace.vertices[0]: 2e+157 mm"),
+        ({"probe": {"height": 1e200}}, "probe.height: 1e+200 mm"),
+        ({"probe": {"side": 1e150, "aperture": "integrated"}}, "probe.side: 1e+150 mm"),
+        ({"grid": {"x_min": -1e200, "dx": 1e200, "x_max": 0}}, "grid.x_min: -1e+200 mm"),
+        ({"substrate": {"h": 1e200}}, "substrate.h: 1e+200 mm")],
+        ids=["far-trace", "height", "side", "grid", "substrate"])
+    def test_length_beyond_bound_exits_2(self, tmp_path, capsys, cmd, patch, err):
+        """Lengths the field kernel would square past the range of a double."""
+        cfg = write_config(tmp_path, **patch)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {err} is beyond the length bound of "
+                                           f"{MAX_LENGTH_MM} mm\n")
+        assert not out.exists()
 
     def test_out_names_existing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -313,6 +333,17 @@ class TestPipeline:
         assert main(["calibrate", "--probe", str(bad), "--d", "1.0", "--h", "1.6",
                      "--out", str(base / "cf.csv")]) == 2
 
+    def test_calibrate_rejects_non_50_ohm_reference(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, probe={"port_z": 75.0})
+        s2p, cf = tmp_path / "probe.s2p", tmp_path / "cf.csv"
+        assert main(["probe-transfer", "--config", cfg, "--out", str(s2p)]) == 0
+        assert main(["calibrate", "--probe", str(s2p), "--d", "1.0", "--h", "1.6",
+                     "--out", str(cf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: network reference impedance is R 75.0 ohm;")
+        assert err.count("\n") == 1
+        assert not cf.exists()
+
     def test_calibrate_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["calibrate", "--probe", str(tmp_path / "nope.s2p"), "--d", "1.0",
                      "--h", "1.6", "--out", str(tmp_path / "cf.csv")]) == 2
@@ -393,6 +424,21 @@ class TestFiniteOptions:
         err = capsys.readouterr().err
         assert f"argument {opt}: expected a finite number, got '{value}'" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["stats", "--map"],
+                                  ["calibrate", "--d", "1", "--h", "1.6", "--out", "cf.csv",
+                                   "--probe"],
+                                  ["simulate", "--out", "o", "--config"]],
+                         ids=["stats", "calibrate", "simulate"])
+def test_non_utf8_input_names_path(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff\xfe{}\n")
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read {path}: not UTF-8 text "
+                                       "(byte 0xff: invalid start byte)\n")
+    assert os.listdir(tmp_path) == ["in.txt"]
 
 
 class TestComplexMapFile:
@@ -543,6 +589,15 @@ class TestSegmentBudget:
                              for k in range(1, MAX_SEGMENTS + 1)]
         assert len(cfg.trace.vertices) == MAX_SEGMENTS + 1
         assert cfg.trace.vertices == tuple(want)
+
+    def test_count_beyond_a_short_number_is_not_printed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, trace={"vertices": [[0, 0], [1e150, 0]],
+                                            "max_segment": 1.0})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: trace.max_segment: 1.0 mm makes too many segments, "
+                       f"more than {MAX_SEGMENTS}\n")
+        assert len(err) < 120
 
     def test_vertex_list_over_budget_exits_2(self, tmp_path, capsys):
         verts = [[0.01 * i, 0.0] for i in range(MAX_SEGMENTS + 2)]

@@ -103,6 +103,7 @@ class TestDefaults:
         pr = m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 0, 1))
         assert pr.side_s == 4e-3
         assert pr.port_z == 50.0
+        assert (pr.loading, pr.quad_n, pr.aperture) == ("matched-halving", 8, "uniform")
 
     def test_sweep_and_drive_defaults(self):
         sw = m.FrequencySweep()
@@ -121,6 +122,15 @@ class TestInvariants:
     def test_trace_above_ground(self):
         with pytest.raises(ConfigError):
             m.TracePath(vertices=((0, 0, 0.0), (0.1, 0, 1.6e-3)))
+
+    def test_segment_square_overflow_rejected(self):
+        # the library reaches the kernel without the config's length bound
+        with pytest.raises(ConfigError, match="segment 0 is 1e[+]305 m long, its square"):
+            m.TracePath(vertices=((0, 0, 1e-3), (1e305, 0, 1e-3)))
+
+    def test_unknown_aperture_rejected(self):
+        with pytest.raises(ConfigError, match="probe.aperture: must be one of"):
+            m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 0, 1), aperture="disc")
 
     def test_unit_normal_enforced(self):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, LoopProbe,
-                    PortWaveModel, ScanGrid, SingularityError, Substrate, TracePath,
+                    ScanGrid, SingularityError, Substrate, TracePath,
                     apply_calibration_to_scan, current_distribution, extract_profile,
                     grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
                     run_simulated_scan, synthesize_s21)
@@ -23,9 +24,9 @@ from conftest import H_SUB, SCAN_HEIGHT, rng
 from kernel_reference import segment_field_sum
 
 
-def run_table2(cal_model, straight_trace, substrate, drive, table2_grid, f=2e9):
+def run_table2(probe, straight_trace, substrate, drive, table2_grid, f=2e9):
     sweep = FrequencySweep(f_min=f, f_max=f, n_points=1)
-    return run_simulated_scan(straight_trace, substrate, cal_model, table2_grid,
+    return run_simulated_scan(straight_trace, substrate, probe, table2_grid,
                               sweep, drive)
 
 
@@ -34,16 +35,16 @@ def db_of(values):
 
 
 class TestRunSimulatedScan:
-    def test_table2_line_scan(self, cal_model, straight_trace, substrate, drive,
+    def test_table2_line_scan(self, cal_probe, straight_trace, substrate, drive,
                               table2_grid):
-        res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+        res = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
         assert res.hfield[0].shape == (21, 1)
         peak = db_of(res.hfield[0]).max()
         assert -20.0 <= peak <= 0.0
 
-    def test_observables_consistent(self, cal_model, straight_trace, substrate, drive,
+    def test_observables_consistent(self, cal_probe, straight_trace, substrate, drive,
                                     table2_grid):
-        res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+        res = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
         s21 = res.s21[0]
         v = res.vport[0]
         # S21 = V / sqrt(Z*P) pointwise
@@ -52,25 +53,25 @@ class TestRunSimulatedScan:
         emf = -1j * 2 * math.pi * 2e9 * 4e-7 * math.pi * res.hfield[0] * (4e-3) ** 2
         assert_allclose(v, emf / 2, rtol=1e-12)
 
-    def test_single_point_everything(self, cal_model, straight_trace, substrate, drive):
+    def test_single_point_everything(self, cal_probe, straight_trace, substrate, drive):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=SCAN_HEIGHT)
-        res = run_table2(cal_model, straight_trace, substrate, drive, grid, f=1e9)
+        res = run_table2(cal_probe, straight_trace, substrate, drive, grid, f=1e9)
         assert res.s21[0].shape == (1, 1)
         assert res.vport[0].shape == (1, 1)
 
-    def test_drive_scaling_linearity(self, cal_model, straight_trace, substrate,
+    def test_drive_scaling_linearity(self, cal_probe, straight_trace, substrate,
                                      table2_grid):
-        weak = run_table2(cal_model, straight_trace, substrate, DriveSpec(power=1e-4),
+        weak = run_table2(cal_probe, straight_trace, substrate, DriveSpec(power=1e-4),
                           table2_grid)
-        strong = run_table2(cal_model, straight_trace, substrate, DriveSpec(power=1e-2),
+        strong = run_table2(cal_probe, straight_trace, substrate, DriveSpec(power=1e-2),
                             table2_grid)
         assert_allclose(strong.vport[0], 10 * weak.vport[0], rtol=1e-12)
         assert_allclose(strong.s21[0], weak.s21[0], rtol=1e-12)
 
-    def test_arrays_read_only_and_shared(self, cal_model, straight_trace, substrate, drive,
+    def test_arrays_read_only_and_shared(self, cal_probe, straight_trace, substrate, drive,
                                          table2_grid):
-        res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+        res = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
         for values in (res.freqs, res.s21, res.vport, res.hfield):
             with pytest.raises(ValueError, match="read-only"):
                 values.flat[0] = 0
@@ -84,29 +85,29 @@ class TestRunSimulatedScan:
         maps[0, 0, 0] = np.nan
         assert np.isfinite(res.s21).all() and np.isfinite(res.hfield).all()
 
-    def test_singularity_names_grid_point(self, cal_model, straight_trace, substrate,
+    def test_singularity_names_grid_point(self, cal_probe, straight_trace, substrate,
                                           drive):
         # scan surface grazing the conductor plane: points right on the filament
         grid = ScanGrid(x_min=-1e-3, x_max=1e-3, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=1e-12)
         with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=0\)"):
-            run_table2(cal_model, straight_trace, substrate, drive, grid)
+            run_table2(cal_probe, straight_trace, substrate, drive, grid)
 
-    def test_node_singularity_names_grid_point(self, cal_model, substrate, drive,
+    def test_node_singularity_names_grid_point(self, cal_probe, substrate, drive,
                                                table2_grid):
         # a trace through one quadrature node of grid point 15; at 1,025 points
         # per probe and 2 segments a block holds 15 probes, so grid point 15
         # opens the second block and the index must be rebased
-        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=32)
+        probe = replace(cal_probe, aperture="integrated", quad_n=32)
         assert fields.PAIRS // 2 // (1 + 32 * 32) == 15
-        half = model.probe.side_s / 2
+        half = probe.side_s / 2
         y = table2_grid.y_coords()[15] + half * np.polynomial.legendre.leggauss(32)[0][3]
         z = SCAN_HEIGHT + H_SUB
         trace = TracePath(vertices=((-0.1, y, z), (0.1, y, z)))
         with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=15\)"):
-            run_table2(model, trace, substrate, drive, table2_grid)
+            run_table2(probe, trace, substrate, drive, table2_grid)
 
-    def test_first_probe_with_any_singular_point_is_named(self, cal_model, substrate,
+    def test_first_probe_with_any_singular_point_is_named(self, cal_probe, substrate,
                                                            drive):
         # at the trace height, the node 1.55 mm right of x = 1 mm lies on the
         # trace, which starts at x = 2.5 mm; the center x = 3 mm lies on it too
@@ -114,41 +115,41 @@ class TestRunSimulatedScan:
         trace = TracePath(vertices=((2.5e-3, 0, z), (10e-3, 0, z), (10e-3, 5e-3, z)))
         grid = ScanGrid(x_min=0, x_max=3e-3, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=SCAN_HEIGHT)
-        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=3)
+        probe = replace(cal_probe, aperture="integrated", quad_n=3)
         with pytest.raises(SingularityError, match=r"grid point \(ix=1, iy=0\)"):
-            run_table2(model, trace, substrate, drive, grid)
+            run_table2(probe, trace, substrate, drive, grid)
 
-    def test_integrated_aperture_scan_runs(self, cal_model, straight_trace, substrate,
+    def test_integrated_aperture_scan_runs(self, cal_probe, straight_trace, substrate,
                                            drive, table2_grid):
-        model = PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=4)
-        res = run_table2(model, straight_trace, substrate, drive, table2_grid)
+        probe = replace(cal_probe, aperture="integrated", quad_n=4)
+        res = run_table2(probe, straight_trace, substrate, drive, table2_grid)
         # averaged |V| differs from the small-loop model over a peaked field
-        res_u = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+        res_u = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
         assert not np.allclose(np.abs(res.vport[0]), np.abs(res_u.vport[0]), rtol=0.05)
 
-    def test_determinism_across_runs_and_threads(self, cal_model, straight_trace,
+    def test_determinism_across_runs_and_threads(self, cal_probe, straight_trace,
                                                  substrate, drive, table2_grid):
-        a = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
-        b = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+        a = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
+        b = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            c, d = pool.map(lambda _: run_table2(cal_model, straight_trace, substrate, drive,
+            c, d = pool.map(lambda _: run_table2(cal_probe, straight_trace, substrate, drive,
                                                  table2_grid), range(2))
         for x, y in ((a, b), (a, c), (a, d)):
             assert x.vport[0].tobytes() == y.vport[0].tobytes()
             assert x.s21[0].tobytes() == y.s21[0].tobytes()
             assert x.hfield[0].tobytes() == y.hfield[0].tobytes()
 
-    def test_probe_transfer_is_one_point_scan(self, cal_model, straight_trace, substrate,
+    def test_probe_transfer_is_one_point_scan(self, cal_probe, straight_trace, substrate,
                                               drive):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=SCAN_HEIGHT)
         sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=5)
-        for model in (cal_model, PortWaveModel(probe=cal_model.probe, aperture="integrated")):
-            res = run_simulated_scan(straight_trace, substrate, model, grid, sweep, drive)
-            _, s21 = probe_transfer(model, straight_trace, substrate, sweep, drive)
+        for probe in (cal_probe, replace(cal_probe, aperture="integrated")):
+            res = run_simulated_scan(straight_trace, substrate, probe, grid, sweep, drive)
+            _, s21 = probe_transfer(straight_trace, substrate, probe, sweep, drive)
             assert s21.tobytes() == np.array([m[0, 0] for m in res.s21]).tobytes()
 
-    def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_model,
+    def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_probe,
                                                       straight_trace, substrate, drive,
                                                       table2_grid):
         calls = []       # points per kernel call
@@ -163,21 +164,21 @@ class TestRunSimulatedScan:
 
         monkeypatch.setattr(fields, "segment_kernel", counted)
         nseg = 2 * straight_trace.n_segments
-        models = [(cal_model, 1)] + [
-            (PortWaveModel(probe=cal_model.probe, aperture="integrated", quad_n=q), 1 + q * q)
+        probes = [(cal_probe, 1)] + [
+            (replace(cal_probe, aperture="integrated", quad_n=q), 1 + q * q)
             for q in (2, 8, 32)]
-        for model, m in models:
+        for probe, m in probes:
             counts = []
             for n in (1, 31):
                 calls.clear()
                 sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=n)
-                run_simulated_scan(straight_trace, substrate, model, table2_grid, sweep, drive)
+                run_simulated_scan(straight_trace, substrate, probe, table2_grid, sweep, drive)
                 counts.append(len(calls))
                 # whole probes per call, within the pair budget or one probe
                 assert all(k % m == 0 and (k * nseg <= PAIRS or k == m) for k in calls)
             assert counts[0] == counts[1] > 0
             calls.clear()
-            probe_transfer(model, straight_trace, substrate, sweep, drive)
+            probe_transfer(straight_trace, substrate, probe, sweep, drive)
             assert calls == [m]
 
 
@@ -187,7 +188,7 @@ level = st.integers(1, 12).map(lambda k: k * 0.25e-3)
 
 @st.composite
 def scan_cases(draw):
-    """A 3-D trace (vertical segments included), a small grid, a probe model
+    """A 3-D trace (vertical segments included), a small grid, a probe
     and a sweep of 1-7 frequencies, on a 0.25 mm lattice."""
     verts = [(draw(lattice), draw(lattice), draw(level))]
     for _ in range(draw(st.integers(1, 4))):
@@ -205,16 +206,16 @@ def scan_cases(draw):
     grid = ScanGrid(x_min=x0, x_max=x0 + dx * draw(st.integers(0, 4)), y_min=y0,
                     y_max=y0 + dy * draw(st.integers(0, 4)), dx=dx, dy=dy, z_height=draw(level))
     normal = draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    probe = LoopProbe(center=(0, 0, 1e-3), normal=normal, side_s=draw(st.sampled_from((2e-3, 4e-3))))
-    aperture = draw(st.sampled_from(("uniform", "integrated")))
-    model = PortWaveModel(probe=probe, aperture=aperture, quad_n=draw(st.integers(2, 8)))
+    probe = LoopProbe(center=(0, 0, 1e-3), normal=normal, side_s=draw(st.sampled_from((2e-3, 4e-3))),
+                      aperture=draw(st.sampled_from(("uniform", "integrated"))),
+                      quad_n=draw(st.integers(2, 8)))
     f0 = draw(st.floats(0.1e9, 3e9))
     sweep = FrequencySweep(f_min=f0, f_max=f0 + draw(st.floats(0.0, 2e9)),
                            n_points=draw(st.integers(1, 7)))
-    return TracePath(vertices=tuple(verts)), grid, model, sweep
+    return TracePath(vertices=tuple(verts)), grid, probe, sweep
 
 
-def reference_scan(trace, substrate, model, grid, sweep, drive):
+def reference_scan(trace, substrate, probe, grid, sweep, drive):
     """(H, V, S21) per frequency from the per-segment loop, images and
     quadrature, each with its tolerance: 1e-12 of the largest |H| at any
     evaluated point, carried through the chain.  None when a point is
@@ -222,11 +223,11 @@ def reference_scan(trace, substrate, model, grid, sweep, drive):
     centers = grid_points(grid)
     centers[:, 2] += substrate.h
     points = centers
-    normal = np.asarray(model.probe.normal, dtype=float)
-    area = model.probe.side_s ** 2
-    if model.aperture == "integrated":
-        x, w = np.polynomial.legendre.leggauss(model.quad_n)
-        half = model.probe.side_s / 2
+    normal = np.asarray(probe.normal, dtype=float)
+    area = probe.side_s ** 2
+    if probe.aperture == "integrated":
+        x, w = np.polynomial.legendre.leggauss(probe.quad_n)
+        half = probe.side_s / 2
         gx, gy = np.meshgrid(half * x, half * x, indexing="ij")
         offsets = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
         weights = np.outer(w, w).ravel() * half * half
@@ -248,15 +249,15 @@ def reference_scan(trace, substrate, model, grid, sweep, drive):
     for f, h in fields_at:
         hn = h @ normal
         h0 = hn[:len(centers)]
-        if model.aperture == "integrated":
+        if probe.aperture == "integrated":
             flux = hn[len(centers):].reshape(len(centers), -1) @ weights
         else:
             flux = h0 * area
-        v = port_voltage(induced_emf(flux, f), model)
-        tol_v = abs(port_voltage(induced_emf(tol_h * area, f), model))
+        v = port_voltage(induced_emf(flux, f), probe)
+        tol_v = abs(port_voltage(induced_emf(tol_h * area, f), probe))
         out.append(((h0, tol_h), (v, tol_v),
-                    (synthesize_s21(v, drive, model.probe.port_z),
-                     synthesize_s21(tol_v, drive, model.probe.port_z))))
+                    (synthesize_s21(v, drive, probe.port_z),
+                     synthesize_s21(tol_v, drive, probe.port_z))))
     return out
 
 
@@ -275,7 +276,7 @@ class TestDriveLinearity:
             doc = copy.deepcopy(TABLE2_DOC)
             doc["drive"]["power_dbm"] = dbm
             cfg = build_config(doc)
-            runs.append((cfg.drive.power, run_simulated_scan(cfg.trace, cfg.substrate, cfg.port,
+            runs.append((cfg.drive.power, run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe,
                                                              cfg.grid, cfg.sweep, cfg.drive)))
         (p1, a), (p2, b) = runs
         scale = math.sqrt(p2 / p1)
@@ -288,14 +289,14 @@ class TestChainMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(scan_cases())
     def test_scan_matches_reference_loop(self, case):
-        trace, grid, model, sweep = case
+        trace, grid, probe, sweep = case
         substrate, drive = Substrate(), DriveSpec()
-        want = reference_scan(trace, substrate, model, grid, sweep, drive)
+        want = reference_scan(trace, substrate, probe, grid, sweep, drive)
         if want is None:
             with pytest.raises(SingularityError):
-                run_simulated_scan(trace, substrate, model, grid, sweep, drive)
+                run_simulated_scan(trace, substrate, probe, grid, sweep, drive)
             return
-        res = run_simulated_scan(trace, substrate, model, grid, sweep, drive)
+        res = run_simulated_scan(trace, substrate, probe, grid, sweep, drive)
         for k, maps in enumerate((res.hfield, res.vport, res.s21)):
             for values, w in zip(maps, want):
                 assert_allclose(values.ravel(), w[k][0], rtol=0, atol=w[k][1])
@@ -346,14 +347,14 @@ class TestApplyCalibration:
 
 
 class TestExtractProfile:
-    def _dbmap(self, cal_model, straight_trace, substrate, drive, table2_grid):
-        res = run_table2(cal_model, straight_trace, substrate, drive, table2_grid)
+    def _dbmap(self, cal_probe, straight_trace, substrate, drive, table2_grid):
+        res = run_table2(cal_probe, straight_trace, substrate, drive, table2_grid)
         return FieldMap(grid=res.grid, f=float(res.freqs[0]), component="hy",
                         values=db_of(res.hfield[0]))
 
-    def test_symmetric_about_trace(self, cal_model, straight_trace, substrate, drive,
+    def test_symmetric_about_trace(self, cal_probe, straight_trace, substrate, drive,
                                    table2_grid):
-        dbmap = self._dbmap(cal_model, straight_trace, substrate, drive, table2_grid)
+        dbmap = self._dbmap(cal_probe, straight_trace, substrate, drive, table2_grid)
         y, vals = extract_profile(dbmap, axis="y", at=0.0)
         assert len(vals) == 21
         assert np.max(np.abs(vals - vals[::-1])) < 0.1
@@ -404,13 +405,13 @@ class TestMapStats:
                                meta={"anything": "else"}))
         assert a == b
 
-    def test_argmax_on_conductor_centerline(self, cal_model, substrate, drive):
+    def test_argmax_on_conductor_centerline(self, cal_probe, substrate, drive):
         # full-surface scan (table3-config shape) of a straight trace along x at y=0
         trace = TracePath(vertices=((-15e-3, 0.0, H_SUB), (15e-3, 0.0, H_SUB)))
         grid = ScanGrid(x_min=-10e-3, x_max=10e-3, y_min=-12.5e-3, y_max=12.5e-3,
                         dx=0.5e-3, dy=0.5e-3, z_height=SCAN_HEIGHT)
         sweep = FrequencySweep(f_min=2e9, f_max=2e9, n_points=1)
-        res = run_simulated_scan(trace, substrate, cal_model, grid, sweep, drive)
+        res = run_simulated_scan(trace, substrate, cal_probe, grid, sweep, drive)
         dbmap = FieldMap(grid=grid, f=2e9, component="hy", values=db_of(res.hfield[0]))
         s = map_stats(dbmap)
         assert s.argmax[1] == 0.0      # on the centerline y = 0
