@@ -55,6 +55,7 @@ def _freq_tag(i, f_hz):
 
 #: Magnitude floor of a dB map: -300 dB.
 _DB_FLOOR = 1e-15
+_DB_FLOOR_DB = 20.0 * math.log10(_DB_FLOOR)
 
 
 def _db_map(values, *, grid, f, component, meta):
@@ -76,12 +77,18 @@ def cmd_simulate(args):
     maps = (("s21_db", result.s21, "s21", {}),
             ("v_dbv", result.vport, "vport", {"normal": comp}),
             (f"{comp}_dba_m", result.hfield, comp, {}))
+    clipped = cells = 0
     for i, f_hz in enumerate(result.freqs):
         tag = _freq_tag(i, f_hz)
         for prefix, values, component, meta in maps:
             fmap = _db_map(values[i], grid=result.grid, f=float(f_hz), component=component,
                            meta=meta)
+            clipped += int(np.count_nonzero(fmap.values <= _DB_FLOOR_DB))
+            cells += fmap.values.size
             _write_text(os.path.join(args.out, f"{prefix}_{tag}.csv"), write_map_csv(fmap))
+    if clipped:
+        print(f"warning: {clipped} of {cells} map cells clipped to the {_DB_FLOOR_DB:g} dB floor",
+              file=sys.stderr)
     provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
                   "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
     _write_text(os.path.join(args.out, "provenance.json"),

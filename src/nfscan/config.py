@@ -5,9 +5,9 @@ in dBm); everything is converted to SI on load.  Unknown keys anywhere
 are rejected, and every error names the offending field path.
 
 Some keys describe the bench but do not enter the quasi-static model:
-substrate.tan_d, t, sigma, probe.trace_w, drive.source_z and
-calibration.d, h.  They are range-checked and count in the config
-digest, and nothing else reads them.
+substrate.tan_d, t, sigma, drive.source_z and calibration.d, h.  They
+are range-checked and count in the config digest, and nothing else
+reads them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ MAX_CELLS = 10**7
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
 #: is 2,000.  A kernel call holds about 106 bytes per point x segment.
 MAX_SEGMENTS = 2000
+
+#: Most point x segment pairs in the kernel call of one integrated probe,
+#: (1 + quad_n^2) x 2 x segments (images included): `kernel_blocks` never
+#: splits a probe.  quad_n 16 over 2,000 segments is 1,028,000 pairs, a
+#: 100 MB peak (tracemalloc).
+MAX_PROBE_PAIRS = 2**20
 
 #: Bound on the magnitude of every length and coordinate in a config (mm,
 #: 1 km); the field kernel's squared distances then stay within a double.
@@ -227,8 +233,12 @@ def build_config(doc):
                       loading=p.take("loading", "matched-halving", kind=str),
                       quad_n=p.take("quad_n", 8, kind=int),
                       aperture=p.take("aperture", "uniform", kind=str))
-    p.drop("trace_w")
     p.done()
+    if probe.aperture == "integrated":
+        pairs = (1 + probe.quad_n**2) * 2 * trace.n_segments
+        if pairs > MAX_PROBE_PAIRS:
+            raise ConfigError(f"probe.quad_n: {probe.quad_n} makes {pairs} point x segment "
+                              f"pairs per probe, more than {MAX_PROBE_PAIRS}")
 
     g = sections["grid"]
     grid = ScanGrid(x_min=g.length("x_min"), x_max=g.length("x_max"),

@@ -6,20 +6,24 @@ CSV metadata lines start with '#' and use SI units; body rows run from
 y_min upward (row-major, matching grid_points).  PGM output puts y_max at
 the top, as an image viewer would expect.
 
+Every text parser reads its lines from `_lines`: lines end at "\n" (a
+CRLF's "\r" is stripped as padding; a bare "\r" does not end a line),
+and a file holding one of the ASCII separators "\x1c"-"\x1f" is an
+error naming that line.  Every CSV is written by `_write_table`.
+
 A map CSV holds one dB map (FieldMap), and every cell is a finite dB
 value written as Python `repr` of a double: the shortest decimal that
-parses back to the same double.  The body is formatted by orjson
-(Ryu-style shortest round-trip digits) in one call for the whole map: a
-1001 x 1001 map takes 0.2 s, against 1.0 s with one `repr` per cell
-(Intel Xeon, one core).  orjson spells a double as `repr` does except for
-0 < |x| < 1e-4 and |x| >= 1e16 ("0.00005", "1e16" for "5e-05",
-"1e+16"); the rows holding such a cell are written with `repr`, which is
-what keeps every file byte-identical to one `repr` per cell.
+parses back to the same double.  A CSV body is formatted by orjson
+(Ryu-style shortest round-trip digits) in one call for the whole table:
+a 1001 x 1001 map takes 0.2 s (Intel Xeon, one core).  orjson spells a
+double as `repr` does except for 0 < |x| < 1e-4 and |x| >= 1e16
+("0.00005", "1e16" for "5e-05", "1e+16"); the rows holding such a cell
+are written with `repr`, which is what keeps every file byte-identical
+to one `repr` per cell.
 
 A cell parses if `float()` accepts it and the result is finite;
 surrounding whitespace and `1_0` are accepted.  A bad cell raises
-ParseError naming its line and its text.  Lines end at "\n" (a CRLF's
-"\r" is stripped as padding); a bare "\r" does not end a line.
+ParseError naming its line and its text.
 
 The body is parsed as JSON by orjson, in blocks of 64 rows joined as
 "[[row],[row],...]" and converted with `np.array(..., dtype=float)`.
@@ -32,8 +36,7 @@ exact zero spelled `-0`, or that orjson rejects, or not shaped (rows,
 nx), sends the whole body cell by cell: each row's cells are counted,
 then `float()` parses every cell, taking the spellings JSON does not
 (`1_0`, `+1`, `.5`, non-ASCII digits, "\x0c" padding) and naming the
-first bad cell.  A 201 x 201 map parses in 4 ms, against 13 ms with
-numpy's C text reader, used before (Intel Xeon, one core).
+first bad cell.  A 201 x 201 map parses in 4 ms (Intel Xeon, one core).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
+from .calibration import CFTable
 from .errors import ConfigError, ParseError
 from .model import ScanGrid, readonly, undb20
 
@@ -67,6 +71,29 @@ def _gfmt(x):
 def _rfmt(x):
     """Shortest decimal that round-trips the exact double (CSV bodies)."""
     return repr(float(x))
+
+
+#: ASCII separators that str.strip() takes as spaces and float() does
+#: not; a line holding one could pass for valid.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _lines(text):
+    """(lineno, line) for each line of `text`; ParseError on a separator.
+
+    Lines end at "\n" only: str.splitlines would also break at characters
+    float() and str.split() take as padding (\x0c, \x85, \u2028, ...).
+    The text is split before the empty element after a final "\n" is
+    dropped, so it is never copied whole.
+    """
+    found = [i for i in map(text.find, _SEPARATORS) if i >= 0]
+    if found:
+        pos = min(found)
+        raise ParseError(f"control character {text[pos]!r}", line=text.count("\n", 0, pos) + 1)
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return enumerate(lines, start=1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +143,7 @@ def parse_touchstone(text):
     rows = []
     freqs = []
     ncols = None
-
-    # Lines end at "\n" only, as in _split_header: str.splitlines would
-    # also break at characters str.split() takes as whitespace (\x0c,
-    # \x85, \u2028, ...).  strip() drops the "\r" of a CRLF line end.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in _lines(text):
         line, _, comment = raw.partition("!")
         comment = comment.strip().lower()
         if comment.startswith("ports:"):
@@ -168,12 +191,7 @@ def parse_touchstone(text):
         return NetworkData(f=np.zeros(0), s=s, n_ports=n_ports, z_ref=z_ref)
 
     n_ports = 1 if ncols == 3 else 2
-    s = np.empty((len(rows), n_ports, n_ports), dtype=complex)
-    for i, vals in enumerate(rows):
-        if n_ports == 1:
-            s[i, 0, 0] = vals[0]
-        else:
-            s[i, 0, 0], s[i, 1, 0], s[i, 0, 1], s[i, 1, 1] = vals
+    s = np.array(rows).reshape(-1, n_ports, n_ports).transpose(0, 2, 1)  # rows are column-major
     return NetworkData(f=np.asarray(freqs), s=s, n_ports=n_ports, z_ref=z_ref)
 
 
@@ -238,14 +256,10 @@ def write_touchstone(net: NetworkData, fmt="RI"):
         raise ConfigError(f"touchstone format must be one of {tuple(f.upper() for f in _TS_FORMATS)}")
     lines = [f"! ports: {net.n_ports}",
              f"# GHz S {fmt.upper()} R {_gfmt(net.z_ref)}"]
-    if net.n_ports == 1:
-        order = [(0, 0)]
-    else:
-        order = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for i, f_hz in enumerate(net.f):
+    for f_hz, s in zip(net.f, net.s):
         cells = [_gfmt(f_hz / 1e9)]
-        for (r, c) in order:
-            a, b = _encode_pair(complex(net.s[i, r, c]), fmt)
+        for v in s.T.ravel():  # S11 S21 S12 S22: column-major
+            a, b = _encode_pair(complex(v), fmt)
             cells.append(_gfmt(a))
             cells.append(_gfmt(b))
         lines.append(" ".join(cells))
@@ -285,22 +299,24 @@ class FieldMap:
 
 def write_map_csv(fmap: FieldMap):
     grid = fmap.grid
-    lines = [f"# {MAP_MAGIC}"]
-    for key, val in (("x_min", grid.x_min), ("x_max", grid.x_max),
-                     ("y_min", grid.y_min), ("y_max", grid.y_max),
-                     ("dx", grid.dx), ("dy", grid.dy),
-                     ("z_height", grid.z_height), ("f_hz", fmap.f)):
-        lines.append(f"# {key}: {_rfmt(val)}")
-    lines.append(f"# component: {fmap.component}")
-    lines.append("# value_kind: db")
-    for key in sorted(fmap.meta):
-        lines.append(f"# meta.{key}: {fmap.meta[key]}")
-    header = "\n".join(lines)
-    # One orjson call for the whole map, "[[a,b],[c,d]]", with `repr`'s
+    items = [(key, _rfmt(val)) for key, val in (
+        ("x_min", grid.x_min), ("x_max", grid.x_max), ("y_min", grid.y_min),
+        ("y_max", grid.y_max), ("dx", grid.dx), ("dy", grid.dy),
+        ("z_height", grid.z_height), ("f_hz", fmap.f))]
+    items += [("component", fmap.component), ("value_kind", "db")]
+    items += [(f"meta.{key}", fmap.meta[key]) for key in sorted(fmap.meta)]
+    return _write_table(MAP_MAGIC, items, fmap.values)
+
+
+def _write_table(magic, items, values):
+    """CSV text: '# magic', a '# key: value' line per (key, text) item,
+    then the rows of the 2-D float array `values`, each cell its `repr`."""
+    header = "\n".join([f"# {magic}", *(f"# {key}: {val}" for key, val in items)])
+    # One orjson call for the whole table, "[[a,b],[c,d]]", with `repr`'s
     # digits; the rows it spells differently (_repr_rows) are redone with
     # `repr`.  Each copy is dropped before the next is made, so the writer
     # peaks below 3x the text it returns.
-    values = np.ascontiguousarray(fmap.values)
+    values = np.ascontiguousarray(values)
     repr_rows = _repr_rows(values)
     body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\n")
     body = str(memoryview(body)[2:-2], "ascii")
@@ -319,12 +335,14 @@ def _repr_rows(values):
     Both write the shortest round-trip digits.  For 0 < |x| < 1e-4 and
     |x| >= 1e16 `repr` writes an exponent ("5e-05", "5e-07", "1e+16"),
     and orjson a positional decimal ("0.00005") or an exponent with no
-    "+" or zero padding ("5e-7", "1e16").  Elsewhere they agree.  Built
-    from comparisons, so no float copy of the map is made.
+    "+" or zero padding ("5e-7", "1e16").  orjson writes NaN and +-inf
+    as "null".  Elsewhere they agree.  Built from comparisons, so no
+    float copy of the map is made.
     """
     odd = (values < 1e-4) & (values > -1e-4) & (values != 0)
     odd |= values >= 1e16
     odd |= values <= -1e16
+    odd |= values != values  # NaN
     return np.flatnonzero(odd.any(axis=1)).tolist()
 
 
@@ -417,28 +435,12 @@ def _parse_cell(cell, lineno):
         raise ParseError(f"bad db cell {cell.strip()!r}", line=lineno) from None
 
 
-#: ASCII separators that str.strip() takes as spaces and float() does
-#: not; a line holding one could pass for valid.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
-
-
 def _split_header(text, magic, what):
     """('#' metadata dict, [(lineno, body line), ...])."""
-    found = [i for i in map(text.find, _SEPARATORS) if i >= 0]
-    if found:
-        pos = min(found)
-        raise ParseError(f"control character {text[pos]!r}", line=text.count("\n", 0, pos) + 1)
     header = {}
     body = []
     saw_magic = False
-    # Lines end at "\n" only: str.splitlines would also break at characters
-    # float() takes as padding (\x0c, \x85, \u2028, ...).  strip() drops
-    # the "\r" of a CRLF line end.  The text is split before the empty
-    # element after a final "\n" is dropped, so it is never copied whole.
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in _lines(text):
         line = raw.strip()
         if not line:
             if body:
@@ -470,19 +472,13 @@ def _split_header(text, magic, what):
 # Antenna-factor tables
 
 def write_cf_csv(table):
-    lines = [f"# {CF_MAGIC}",
-             f"# kernel: {table.kernel}",
-             f"# d: {_rfmt(table.d)}",
-             f"# h: {_rfmt(table.h)}",
-             "# columns: f_hz,cf_db"]
-    for f_hz, cf in zip(table.f, table.cf_db):
-        lines.append(f"{_rfmt(f_hz)},{_rfmt(cf)}")
-    return "\n".join(lines) + "\n"
+    items = [("kernel", table.kernel), ("d", _rfmt(table.d)), ("h", _rfmt(table.h)),
+             ("columns", "f_hz,cf_db")]
+    return _write_table(CF_MAGIC, items, np.column_stack([table.f, table.cf_db]))
 
 
 def parse_cf_csv(text):
     """CFTable from a CF CSV; header keys other than kernel/d/h are ignored."""
-    from .calibration import CFTable
     header, body = _split_header(text, CF_MAGIC, "calibration table")
     for key in ("kernel", "d", "h"):
         if key not in header:
@@ -514,16 +510,9 @@ def parse_cf_csv(text):
 
 def write_profile_csv(coords, values, axis, at, f_hz, component):
     """Profile CSV of a cut through a dB map."""
-    lines = [f"# {PROFILE_MAGIC}",
-             f"# axis: {axis}",
-             f"# at: {_rfmt(at)}",
-             f"# f_hz: {_rfmt(f_hz)}",
-             f"# component: {component}",
-             "# value_kind: db",
-             "# columns: coord_m,value"]
-    for x, v in zip(coords, values):
-        lines.append(f"{_rfmt(x)},{_rfmt(v)}")
-    return "\n".join(lines) + "\n"
+    items = [("axis", axis), ("at", _rfmt(at)), ("f_hz", _rfmt(f_hz)),
+             ("component", component), ("value_kind", "db"), ("columns", "coord_m,value")]
+    return _write_table(PROFILE_MAGIC, items, np.column_stack([coords, values]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Reference map CSV writer: one `repr` call per cell, one cell at a time.
+"""Reference CSV writers: one `repr` call per cell, one cell at a time.
 
-This is the writer `nfscan.formats.write_map_csv` replaced, first with
-a row-at-a-time `repr` and then with one orjson call per map.  Tests
-require the two to produce the same bytes.
+`write_map_csv_per_cell` is the writer `nfscan.formats.write_map_csv`
+replaced, first with a row-at-a-time `repr` and then with one orjson
+call per map; the CF and profile writers are the per-row loops that
+`nfscan.formats._write_table` replaced.  Tests require each pair to
+produce the same bytes.
 """
 
-from nfscan.formats import MAP_MAGIC
+from nfscan.formats import CF_MAGIC, MAP_MAGIC, PROFILE_MAGIC
 
 
 def _rfmt(x):
@@ -26,4 +28,28 @@ def write_map_csv_per_cell(fmap):
         lines.append(f"# meta.{key}: {fmap.meta[key]}")
     for row in fmap.values:
         lines.append(",".join(_rfmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_cf_csv_per_row(table):
+    lines = [f"# {CF_MAGIC}",
+             f"# kernel: {table.kernel}",
+             f"# d: {_rfmt(table.d)}",
+             f"# h: {_rfmt(table.h)}",
+             "# columns: f_hz,cf_db"]
+    for f_hz, cf in zip(table.f, table.cf_db):
+        lines.append(f"{_rfmt(f_hz)},{_rfmt(cf)}")
+    return "\n".join(lines) + "\n"
+
+
+def write_profile_csv_per_row(coords, values, axis, at, f_hz, component):
+    lines = [f"# {PROFILE_MAGIC}",
+             f"# axis: {axis}",
+             f"# at: {_rfmt(at)}",
+             f"# f_hz: {_rfmt(f_hz)}",
+             f"# component: {component}",
+             "# value_kind: db",
+             "# columns: coord_m,value"]
+    for x, v in zip(coords, values):
+        lines.append(f"{_rfmt(x)},{_rfmt(v)}")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import shlex
+import shutil
 import warnings
 
 import numpy as np
@@ -13,9 +15,10 @@ from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
 from nfscan import ConfigError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
-from nfscan.config import MAX_CELLS, MAX_LENGTH_MM, MAX_SEGMENTS
+from nfscan.config import MAX_CELLS, MAX_LENGTH_MM, MAX_PROBE_PAIRS, MAX_SEGMENTS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 TABLE2 = os.path.join(CONFIG_DIR, "table2.json")
 TABLE3 = os.path.join(CONFIG_DIR, "table3.json")
 
@@ -39,7 +42,6 @@ UNMODELLED = [
     ("substrate", "tan_d", 0.0, -0.016),
     ("substrate", "t", 0.07, -0.035),
     ("substrate", "sigma", 1.0, 0.0),
-    ("probe", "trace_w", 0.0, -0.5),
     ("drive", "source_z", 75.0, 0.0),
     ("calibration", "d", 2.0, 0.0),
     ("calibration", "h", 0.8, -1.6),
@@ -106,6 +108,7 @@ class TestSimulate:
         assert -20.0 <= hy.values.max() <= 0.0
         prov = json.loads((out / "provenance.json").read_text())
         assert set(prov) == {"config_sha256", "kernel", "sign_mode", "tool"}
+        assert capsys.readouterr() == ("", "")  # no cell at the dB floor, no warning
 
     def test_map_components_and_meta(self, pipeline):
         _, _, _, sim = pipeline
@@ -138,6 +141,16 @@ class TestSimulate:
         cfg = write_config(tmp_path, probe={"sides": 4.0})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "probe.sides" in capsys.readouterr().err
+
+    def test_cells_at_the_db_floor_are_counted(self, tmp_path, capsys):
+        # A -3000 dBm drive leaves every Hy and V cell below 1e-15: 42 of
+        # the 3 maps x 21 cells.  The maps are written as before.
+        files = simulate_files(write_config(tmp_path, drive={"power_dbm": -3000}),
+                               tmp_path / "o")
+        assert capsys.readouterr().err == (
+            "warning: 42 of 63 map cells clipped to the -300 dB floor\n")
+        hy = parse_map_csv(files["hy_dba_m_000_2GHz.csv"].decode())
+        assert (hy.values == -300.0).all()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -507,6 +520,14 @@ class TestUnmodelledKeys:
         assert len(maps) == 3
         assert all(got[name] != table2_files[name] for name in maps)
 
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_trace_w_is_an_unknown_key(self, tmp_path, capsys, value):
+        # Once accepted and ignored; no bundled config carries it.
+        cfg = write_config(tmp_path, probe={"trace_w": value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: probe.trace_w: unknown key\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, key, _good, bad", UNMODELLED)
     @pytest.mark.parametrize("which", ["range", "type", "finite"])
     def test_bad_value_names_key(self, tmp_path, capsys, section, key, _good, bad, which):
@@ -607,6 +628,52 @@ class TestSegmentBudget:
         assert capsys.readouterr().err == (f"error: trace.vertices: {MAX_SEGMENTS + 1} "
                                            f"segments, more than {MAX_SEGMENTS}\n")
         assert not out.exists()
+
+
+class TestProbePairBudget:
+    """One integrated probe is one kernel call: its (1 + quad_n^2) points
+    x 2 x segments pairs must not exceed MAX_PROBE_PAIRS."""
+
+    PATCH = {"trace": {"max_segment": 0.1}}  # table2 at 2,000 segments
+
+    def test_quad_n_32_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scan run")
+        monkeypatch.setattr(cli, "run_simulated_scan", no_scan)
+        cfg = write_config(tmp_path, probe={"aperture": "integrated", "quad_n": 32},
+                           **self.PATCH)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: probe.quad_n: 32 makes 4100000 point x segment pairs per probe, "
+            f"more than {MAX_PROBE_PAIRS}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("probe", [{"aperture": "integrated", "quad_n": 16},
+                                       {"aperture": "uniform", "quad_n": 32}])
+    def test_within_budget_builds(self, tmp_path, probe):
+        cfg = config.load_config(write_config(tmp_path, probe=probe, **self.PATCH))
+        assert (cfg.probe.quad_n, cfg.trace.n_segments) == (probe["quad_n"], MAX_SEGMENTS)
+
+
+def _readme_commands():
+    """The `nfscan ...` commands of README's "Command-line usage" block."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.startswith("nfscan ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert [argv[1] for argv in commands] == ["simulate", "probe-transfer", "calibrate",
+                                              "extract", "profile", "stats", "render"]
+    shutil.copytree(CONFIG_DIR, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 def _doc_paths(node, path=()):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from map_parser_reference import parse_map_csv_per_row
-from map_writer_reference import write_map_csv_per_cell
+from map_writer_reference import (write_cf_csv_per_row, write_map_csv_per_cell,
+                                  write_profile_csv_per_row)
 
 from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, formats,
                     model, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
+from nfscan.calibration import KERNELS
 
 
 def synth_network(n=301, ports=2, seed=1):
@@ -106,6 +108,17 @@ class TestTouchstoneParse:
         assert net.s[0, 1, 0] == 0.5
         with pytest.raises(ParseError, match="^line 4: expected 9 columns, got 3$"):
             parse_touchstone("# GHz S RI R 50\n" + rows + "3 1 2\n")
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize("where", ["data", "comment"])
+    def test_separator_characters_rejected(self, char, where):
+        # str.split() takes these for spaces: "0.3\x1c0.4" would read as two cells
+        row = f"1 0 0 0.3{char}0.4 0.3 0.4 0 0"
+        if where == "comment":
+            row = f"1 0 0 0.3 0.4 0.3 0.4 0 0 ! {char}"
+        with pytest.raises(ParseError) as exc:
+            parse_touchstone(f"# GHz S RI R 50\r\n! two-port\r\n{row}\r\n2 0 0 0 0 0 0 0 0\r\n")
+        assert str(exc.value) == f"line 3: control character {char!r}"
 
 
 class TestTouchstoneRoundTrip:
@@ -363,10 +376,11 @@ def _parse_outcome(parse, text):
 _ORJSON_AS_REPR = [0.0, -0.0, 1e-4, -1e-4, 1.0000000000000002e-4, 0.00015, 0.1, 1 / 3, -1.0,
                    2.5, -53.0, 123.456, -350.00000000000006, 1e15, 2.0 ** 53 - 1,
                    9999999999999998.0, -9999999999999998.0, 123456789012345.6]
-#: Doubles with 0 < |x| < 1e-4 or |x| >= 1e16: the writer spells them with `repr`.
+#: Doubles with 0 < |x| < 1e-4 or |x| >= 1e16, and NaN: the writer spells
+#: them with `repr`.
 _REPR_ONLY = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, -1.5e-06, 1e-05, -5.5e-05,
               9.999999999999999e-05, -9.999999999999999e-05, 1e16, -1e16, 1.5e16, 1e22,
-              1.7976931348623157e308, -1e308]
+              1.7976931348623157e308, -1e308, math.inf, -math.inf, math.nan]
 
 
 class TestMapCsvBytes:
@@ -497,6 +511,41 @@ class TestCfCsv:
     def test_empty_rejected(self):
         with pytest.raises(ParseError, match="no rows"):
             parse_cf_csv("# nfscan-cf 1\n# kernel: paper\n# d: 0.001\n# h: 0.0016\n")
+
+
+#: Cells the body writer spells with `repr` (0 < |x| < 1e-4, |x| >= 1e16,
+#: non-finite) or where a sign or a subnormal could be lost.
+_TABLE_CELLS = [1e-7, 9.999999999999999e-05, 1e16, -1e16, -0.0, 5e-324, math.nan, -math.inf]
+
+
+@st.composite
+def cf_tables(draw):
+    f = sorted(set(draw(st.lists(_DOUBLES.filter(lambda x: x > 0), min_size=1, max_size=8))))
+    cf = draw(st.lists(_DOUBLES, min_size=len(f), max_size=len(f)))
+    d, h = draw(_DOUBLES.filter(lambda x: x > 0)), draw(_DOUBLES.filter(lambda x: x > 0))
+    return CFTable(f=f, cf_db=cf, kernel=draw(st.sampled_from(KERNELS)), d=d, h=h)
+
+
+class TestTableBytes:
+    """CF and profile CSVs are written by the map writer's body code; each
+    must equal the per-row `repr` writer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cf_tables())
+    @example(CFTable(f=[5e-324, 1e-7, 1e16, 1.5e16], cf_db=[-0.0, -1e16, 9.999999999999999e-05,
+                                                          5e-324], kernel="paper", d=1e-3, h=1e16))
+    def test_cf_matches_per_row_writer(self, table):
+        assert write_cf_csv(table) == write_cf_csv_per_row(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_DOUBLES, st.one_of(_DOUBLES, st.floats())), min_size=1,
+                    max_size=8),
+           st.sampled_from(["x", "y"]), _DOUBLES, _DOUBLES)
+    @example(list(zip(_TABLE_CELLS, _TABLE_CELLS[::-1])), "y", -0.0, 1e16)
+    def test_profile_matches_per_row_writer(self, rows, axis, at, f_hz):
+        coords, values = (np.array(col) for col in zip(*rows))
+        args = (coords, values, axis, at, f_hz, "hy")
+        assert formats.write_profile_csv(*args) == write_profile_csv_per_row(*args)
 
 
 class TestPgm:
