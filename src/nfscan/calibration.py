@@ -72,6 +72,9 @@ class CFTable:
             raise ConfigError(f"CF table: frequency {float(f[0])!r} Hz is not > 0")
         if self.kernel not in KERNELS:
             raise ConfigError(f"CF table: kernel must be one of {KERNELS}")
+        for name, length in (("d", self.d), ("h", self.h)):
+            if not 0 < length < math.inf:
+                raise ConfigError(f"CF table: {name} = {length!r} m must be finite and > 0")
 
     def cf_at(self, f):
         """CF at frequency f, linear interpolation in (log f, dB).

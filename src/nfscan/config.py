@@ -248,6 +248,7 @@ def build_config(doc):
     g.done()
 
     w = sections["sweep"]
+    # FrequencySweep rejects a frequency that is not finite in Hz (1e300 GHz).
     sweep = FrequencySweep(f_min=w.take("f_min") * 1e9, f_max=w.take("f_max") * 1e9,
                            n_points=w.take("n_points", 31, kind=int),
                            spacing=w.take("spacing", "linear", kind=str))
@@ -266,6 +267,14 @@ def build_config(doc):
     if not 0 < power < math.inf:
         raise ConfigError(f"drive.power_dbm: {dbm!r} dBm is out of range")
     drive = DriveSpec(power=power)
+    # The chain takes sqrt(power / z0) as the line current and divides by
+    # sqrt(port_z x power) for S21.
+    if not math.isfinite(power / trace.z0_line):
+        raise ConfigError(f"trace.z0: {trace.z0_line!r} ohm is out of range: drive power "
+                          f"{power!r} W / z0 overflows a double")
+    if not 0 < probe.port_z * power < math.inf:
+        raise ConfigError(f"probe.port_z: {probe.port_z!r} ohm is out of range: port_z x drive "
+                          f"power {power!r} W is {probe.port_z * power!r}")
     d.drop("source_z", positive=True)
     d.done()
 

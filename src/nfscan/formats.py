@@ -9,7 +9,10 @@ the top, as an image viewer would expect.
 Every text parser reads its lines from `_lines`: lines end at "\n" (a
 CRLF's "\r" is stripped as padding; a bare "\r" does not end a line),
 and a file holding one of the ASCII separators "\x1c"-"\x1f" is an
-error naming that line.  Every CSV is written by `_write_table`.
+error naming that line.  Every CSV is written by `_write_table`, and
+every CSV is read by `_read_table` (header keys and numbers) and
+`_read_body` (cells), so map and CF tables share one set of rules and
+error texts.
 
 A map CSV holds one dB map (FieldMap), and every cell is a finite dB
 value written as Python `repr` of a double: the shortest decimal that
@@ -44,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import orjson
@@ -124,6 +127,8 @@ class NetworkData:
                 f"network: S shape {s.shape} inconsistent with {len(f)} rows x {self.n_ports} ports")
         if len(f) > 1 and not np.all(np.diff(f) > 0):
             raise ConfigError("network: frequencies must be strictly increasing")
+        if not (np.isfinite(f).all() and np.isfinite(s).all()):
+            raise ConfigError("network: frequencies and S-parameters must be finite")
 
 
 def parse_touchstone(text):
@@ -286,6 +291,8 @@ class FieldMap:
     def __post_init__(self):
         if self.component not in COMPONENTS:
             raise ConfigError(f"map component must be one of {COMPONENTS}")
+        if not 0 < self.f < math.inf:
+            raise ConfigError(f"map frequency {self.f!r} Hz: must be finite and > 0")
         if np.iscomplexobj(self.values):
             raise ConfigError("map values must be real dB values, not complex")
         vals = readonly(self.values, float)
@@ -297,12 +304,12 @@ class FieldMap:
             raise ConfigError("dB map contains non-finite values")
 
 
+#: The map header's numbers: the ScanGrid fields in order, then f_hz.
+_MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "f_hz")
+
+
 def write_map_csv(fmap: FieldMap):
-    grid = fmap.grid
-    items = [(key, _rfmt(val)) for key, val in (
-        ("x_min", grid.x_min), ("x_max", grid.x_max), ("y_min", grid.y_min),
-        ("y_max", grid.y_max), ("dx", grid.dx), ("dy", grid.dy),
-        ("z_height", grid.z_height), ("f_hz", fmap.f))]
+    items = [(key, _rfmt(val)) for key, val in zip(_MAP_FLOAT_KEYS, (*astuple(fmap.grid), fmap.f))]
     items += [("component", fmap.component), ("value_kind", "db")]
     items += [(f"meta.{key}", fmap.meta[key]) for key in sorted(fmap.meta)]
     return _write_table(MAP_MAGIC, items, fmap.values)
@@ -346,39 +353,47 @@ def _repr_rows(values):
     return np.flatnonzero(odd.any(axis=1)).tolist()
 
 
-_MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "f_hz")
-
-
 def parse_map_csv(text):
-    header, body = _split_header(text, MAP_MAGIC, "field map")
-    missing = [k for k in _MAP_FLOAT_KEYS + ("component", "value_kind") if k not in header]
-    if missing:
-        raise ParseError(f"missing header keys: {', '.join(missing)}")
-    nums = {}
-    for key in _MAP_FLOAT_KEYS:
-        try:
-            nums[key] = float(header[key])
-        except ValueError:
-            raise ParseError(f"header {key}: not a number: {header[key]!r}") from None
-    grid = ScanGrid(x_min=nums["x_min"], x_max=nums["x_max"], y_min=nums["y_min"],
-                    y_max=nums["y_max"], dx=nums["dx"], dy=nums["dy"],
-                    z_height=nums["z_height"])
+    header, nums, body = _read_table(text, MAP_MAGIC, "field map", ("component", "value_kind"),
+                                     _MAP_FLOAT_KEYS)
+    grid = ScanGrid(*nums[:-1])
     if header["value_kind"] != "db":
         raise ParseError(f"header value_kind: must be db, got {header['value_kind']!r}")
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}
 
     if len(body) != grid.ny:
         raise ParseError(f"expected {grid.ny} data rows, got {len(body)}")
-    values = _parse_json(body, grid.nx)
+    return FieldMap(grid=grid, f=nums[-1], component=header["component"],
+                    values=_read_body(body, grid.nx), meta=meta)
+
+
+def _read_table(text, magic, what, keys, floats):
+    """(header dict, [float of each `floats` key], body) of a CSV, whose
+    header must hold every key of `floats` and `keys`."""
+    header, body = _split_header(text, magic, what)
+    missing = [k for k in floats + keys if k not in header]
+    if missing:
+        raise ParseError(f"missing header keys: {', '.join(missing)}")
+    nums = []
+    for key in floats:
+        try:
+            nums.append(float(header[key]))
+        except ValueError:
+            raise ParseError(f"header {key}: not a number: {header[key]!r}") from None
+    return header, nums, body
+
+
+def _read_body(body, ncols):
+    """The (rows, ncols) read-only array of a non-empty body of finite cells."""
+    values = _parse_json(body, ncols)
     if values is None:
-        values = _parse_cells(body, grid.nx)
-    values.flags.writeable = False  # kept by the FieldMap without a copy
+        values = _parse_cells(body, ncols)
+    values.flags.writeable = False  # kept by the FieldMap or CFTable without a copy
     if not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
         lineno, line = body[r]
         raise ParseError(f"non-finite db cell {line.split(',')[c].strip()!r}", line=lineno)
-    return FieldMap(grid=grid, f=nums["f_hz"], component=header["component"],
-                    values=values, meta=meta)
+    return values
 
 
 #: Body rows per `orjson.loads` call: a block's Python floats are a few
@@ -479,30 +494,12 @@ def write_cf_csv(table):
 
 def parse_cf_csv(text):
     """CFTable from a CF CSV; header keys other than kernel/d/h are ignored."""
-    header, body = _split_header(text, CF_MAGIC, "calibration table")
-    for key in ("kernel", "d", "h"):
-        if key not in header:
-            raise ParseError(f"missing header key {key}")
-    try:
-        d = float(header["d"])
-        h = float(header["h"])
-    except ValueError:
-        raise ParseError("header d/h: not a number") from None
-    freqs = []
-    cfs = []
-    for lineno, line in body:
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ParseError(f"expected 'f_hz,cf_db', got {line!r}", line=lineno)
-        try:
-            freqs.append(float(cells[0]))
-            cfs.append(float(cells[1]))
-        except ValueError:
-            raise ParseError(f"bad number in row {line!r}", line=lineno) from None
-    if not freqs:
+    header, (d, h), body = _read_table(text, CF_MAGIC, "calibration table", ("kernel",),
+                                       ("d", "h"))
+    if not body:  # _read_body needs a row
         raise ParseError("calibration table has no rows")
-    return CFTable(f=np.asarray(freqs), cf_db=np.asarray(cfs),
-                   kernel=header["kernel"], d=d, h=h)
+    values = _read_body(body, 2)
+    return CFTable(f=values[:, 0], cf_db=values[:, 1], kernel=header["kernel"], d=d, h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,8 @@ class FrequencySweep:
     spacing: str = "linear"
 
     def __post_init__(self):
-        _require(self.f_min > 0, "sweep.f_min: must be > 0")
-        _require(self.f_max >= self.f_min, "sweep.f_max: must be >= f_min")
+        _require(0 < self.f_min < math.inf, "sweep.f_min: must be finite and > 0")
+        _require(self.f_min <= self.f_max < math.inf, "sweep.f_max: must be finite and >= f_min")
         _require(self.n_points >= 1, "sweep.n_points: must be >= 1")
         _require(self.spacing in ("linear", "log"), "sweep.spacing: must be 'linear' or 'log'")
 

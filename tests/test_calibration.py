@@ -130,6 +130,13 @@ class TestCalibrate:
         with pytest.raises(ConfigError, match="is not > 0"):
             calibrate(net, d=D_CAL, h=H_SUB)
 
+    @pytest.mark.parametrize("d, h", [(math.nan, 1.6e-3), (math.inf, 1.6e-3), (0.0, 1.6e-3),
+                                      (1e-3, math.nan), (1e-3, -math.inf), (1e-3, -1.6e-3)])
+    def test_geometry_must_be_finite_and_positive(self, d, h):
+        name, bad = ("d", d) if not 0 < d < math.inf else ("h", h)
+        with pytest.raises(ConfigError, match=f"CF table: {name} = {bad!r} m must be finite"):
+            CFTable(f=np.array([1e9]), cf_db=np.array([10.0]), kernel="paper", d=d, h=h)
+
     def test_one_port_network_has_no_s21(self):
         net = NetworkData(f=np.array([1e9]), s=np.array([[[0.5 + 0j]]]), n_ports=1)
         with pytest.raises(ParseError):

@@ -1,10 +1,14 @@
+import contextlib
 import copy
 import errno
+import glob
+import io
 import json
 import math
 import os
 import shlex
 import shutil
+import tempfile
 import warnings
 
 import numpy as np
@@ -273,6 +277,23 @@ class TestPipeline:
         assert main(["stats", "--map", str(out)]) == 0
         text = capsys.readouterr().out
         assert text.startswith("min ") and "max " in text
+
+    @pytest.mark.parametrize("which, key, err", [
+        ("scan", "f_hz", "map frequency nan Hz: must be finite and > 0"),
+        ("cf", "d", "CF table: d = nan m must be finite and > 0")], ids=["map-f_hz", "cf-d"])
+    def test_extract_rejects_nan_header_number(self, pipeline, tmp_path, capsys, which, key,
+                                               err):
+        _, _, cf, sim = pipeline
+        files = {"scan": sim / "v_dbv_000_2GHz.csv", "cf": cf}
+        bad = tmp_path / files[which].name
+        bad.write_text("".join(f"# {key}: nan\n" if line.startswith(f"# {key}: ") else line
+                               for line in files[which].read_text().splitlines(keepends=True)))
+        files[which] = bad
+        out = tmp_path / "hy.csv"
+        assert main(["extract", "--scan", str(files["scan"]), "--cf", str(files["cf"]),
+                     "--freq", "2e9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
     def test_extract_freq_outside_span_exits_2(self, pipeline, tmp_path, capsys):
         _, _, cf, sim = pipeline
@@ -693,7 +714,7 @@ _DROP = object()
 #: What a mutation puts at a path: nothing (the key or element is dropped),
 #: or a value of the wrong type or at the edge of the range of a double.
 _ODD_VALUES = [_DROP, None, True, False, "", "1.0", [], [1.0, 2.0], {}, 0, 0.0, -0.0,
-               1e-300, -1e-300, 1e300, -1e300, 10**400, -10**400, math.nan, math.inf]
+               1e-300, -1e-300, 1e300, -1e300, 5e-324, 10**400, -10**400, math.nan, math.inf]
 
 
 @st.composite
@@ -717,6 +738,39 @@ _LONG_EDGE = copy.deepcopy(_DOCS[TABLE2])
 _LONG_EDGE["trace"].update(vertices=[[0, 0], [1e308, 0]], max_segment=1.0)
 
 
+def _patched(name, section, **patch):
+    doc = copy.deepcopy(_DOCS[name])
+    doc[section].update(patch)
+    return doc
+
+
+#: Configs with every value finite and in range whose probe chain would
+#: overflow, and the key each one's error names.
+_CHAIN_OVERFLOWS = [
+    pytest.param(_patched(TABLE2, "trace", z0=1e-320), "trace.z0", id="z0"),
+    pytest.param(_patched(TABLE2, "probe", port_z=1e-320), "probe.port_z", id="port_z"),
+    pytest.param(_patched(TABLE2, "sweep", f_min=1e300, f_max=1e300), "sweep.f_min",
+                 id="f_min"),
+    pytest.param(_patched(TABLE3, "sweep", f_max=1e300), "sweep.f_max", id="f_max")]
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of `main(argv)`; a warning is raised as an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _numbers_finite(path):
+    """True if every cell of the data lines (not '#' or '!') of a map CSV
+    or Touchstone file is a finite number."""
+    with open(path, encoding="utf-8") as fh:
+        return all(math.isfinite(float(cell)) for line in fh if line[0] not in "#!"
+                   for cell in line.replace(",", " ").split())
+
+
 class TestMutatedConfigs:
     @settings(max_examples=400, deadline=None)
     @given(mutated_docs())
@@ -731,6 +785,42 @@ class TestMutatedConfigs:
             except ConfigError:
                 return
         assert isinstance(cfg, config.ScanConfig)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_docs())
+    @example(_CHAIN_OVERFLOWS[0].values[0])
+    @example(_CHAIN_OVERFLOWS[1].values[0])
+    @example(_CHAIN_OVERFLOWS[2].values[0])
+    @example(_CHAIN_OVERFLOWS[3].values[0])
+    def test_commands_exit_cleanly_with_finite_outputs(self, doc):
+        """`simulate` and `probe-transfer` on a mutated config that builds
+        exit 0, 2 or 3 with no warning and no traceback, and every number
+        they write is finite."""
+        try:
+            config.build_config(doc)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            maps, s2p = os.path.join(tmp, "maps"), os.path.join(tmp, "probe.s2p")
+            for cmd, out in (("simulate", maps), ("probe-transfer", s2p)):
+                code, err = _run_quietly([cmd, "--config", cfg, "--out", out])
+                assert code in (0, 2, 3), err
+            written = glob.glob(os.path.join(maps, "*.csv")) + glob.glob(s2p)
+            assert all(_numbers_finite(path) for path in written)
+
+    @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer"])
+    @pytest.mark.parametrize("doc, key", _CHAIN_OVERFLOWS)
+    def test_chain_overflow_names_key(self, tmp_path, cmd, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code, err = _run_quietly([cmd, "--config", str(cfg), "--out", str(out)])
+        assert (code, err.count("\n")) == (2, 1)
+        assert err.startswith(f"error: {key}: ")
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -54,6 +54,13 @@ class TestTouchstoneParse:
         net = parse_touchstone("# Hz S MA R 50\n1e9 1 90 0 0 0 0 0 0\n")
         assert_allclose(net.s[0, 0, 0], 1j, atol=1e-12)
 
+    @pytest.mark.parametrize("row", ["1 0 0 nan 0 0 0 0 0", "1 0 0 0.5 0 0 0 0 -inf",
+                                     "inf 0 0 0.5 0 0 0 0 0"])
+    def test_non_finite_values_rejected(self, row):
+        with pytest.raises(ConfigError, match="^network: frequencies and S-parameters must be "
+                                              "finite$"):
+            parse_touchstone(f"# GHz S RI R 50\n{row}\n")
+
     def test_one_port(self):
         net = parse_touchstone("# GHz S RI R 75\n1 0.2 -0.1\n2 0.3 0.0\n")
         assert net.n_ports == 1
@@ -179,6 +186,24 @@ class TestMapCsv:
         assert back.f == fmap.f
         assert back.component == fmap.component
         assert back.meta == fmap.meta
+
+    def test_missing_header_keys_in_header_order(self):
+        text = "# nfscan-map 1\n-1.5\n"
+        for parse in (parse_map_csv, parse_map_csv_per_row):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == ("missing header keys: x_min, x_max, y_min, y_max, dx, dy, "
+                                       "z_height, f_hz, component, value_kind")
+
+    @pytest.mark.parametrize("f_hz", ["nan", "inf", "-inf", "0.0", "-2e9"])
+    def test_frequency_must_be_finite_and_positive(self, f_hz):
+        """Checked by FieldMap, so the parser and its reference agree."""
+        text = write_map_csv(synth_map(nx=3, ny=2)).replace("# f_hz: 2000000000.0\n",
+                                                            f"# f_hz: {f_hz}\n")
+        for parse in (parse_map_csv, parse_map_csv_per_row):
+            with pytest.raises(ConfigError) as info:
+                parse(text)
+            assert str(info.value) == f"map frequency {float(f_hz)!r} Hz: must be finite and > 0"
 
     def test_single_cell(self):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
@@ -496,6 +521,17 @@ class TestReadOnlyValues:
         assert kept == [True]
 
 
+@st.composite
+def cf_tables(draw):
+    f = sorted(set(draw(st.lists(_DOUBLES.filter(lambda x: x > 0), min_size=1, max_size=8))))
+    cf = draw(st.lists(_DOUBLES, min_size=len(f), max_size=len(f)))
+    d, h = draw(_DOUBLES.filter(lambda x: x > 0)), draw(_DOUBLES.filter(lambda x: x > 0))
+    return CFTable(f=f, cf_db=cf, kernel=draw(st.sampled_from(KERNELS)), d=d, h=h)
+
+
+_CF_HEAD = "# nfscan-cf 1\n# kernel: paper\n# d: 0.001\n# h: 0.0016\n# columns: f_hz,cf_db\n"
+
+
 class TestCfCsv:
     def test_round_trip(self):
         table = CFTable(f=np.geomspace(1e8, 3e9, 16), cf_db=np.linspace(45, 15, 16),
@@ -512,18 +548,40 @@ class TestCfCsv:
         with pytest.raises(ParseError, match="no rows"):
             parse_cf_csv("# nfscan-cf 1\n# kernel: paper\n# d: 0.001\n# h: 0.0016\n")
 
+    @pytest.mark.parametrize("text, message", [
+        (_CF_HEAD + "1e9,30\n2e9,25,1\n", "line 7: row 1: expected 2 columns, got 3"),
+        (_CF_HEAD + "1e9,30\n2e9,nan\n", "line 7: non-finite db cell 'nan'"),
+        (_CF_HEAD + "1e9,x\n", "line 6: bad db cell 'x'"),
+        ("# nfscan-cf 1\n# kernel: paper\n1e9,30\n", "missing header keys: d, h"),
+        ("# nfscan-cf 1\n1e9,30\n", "missing header keys: d, h, kernel"),
+        (_CF_HEAD.replace("d: 0.001", "d: abc") + "1e9,30\n", "header d: not a number: 'abc'"),
+    ], ids=["columns", "non-finite", "bad-cell", "missing-d-h", "missing-all", "bad-number"])
+    def test_errors_are_the_map_readers(self, text, message):
+        """CF tables are read by the map reader and raise its error texts."""
+        with pytest.raises(ParseError) as info:
+            parse_cf_csv(text)
+        assert str(info.value) == message
+
+    def test_cells_json_does_not_read(self):
+        """`+1_0e8`, ` .5` and `-0` send the body cell by cell, where
+        `float()` reads each cell."""
+        back = parse_cf_csv(_CF_HEAD + "+1_0e8, .5\n2e9,-0\n")
+        assert back.f.tolist() == [1e9, 2e9]
+        assert back.cf_db.tobytes() == np.array([0.5, -0.0]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cf_tables())
+    def test_parse_returns_the_written_table_bit_for_bit(self, table):
+        back = parse_cf_csv(write_cf_csv(table))
+        assert back.f.tobytes() == table.f.tobytes()
+        assert back.cf_db.tobytes() == table.cf_db.tobytes()
+        assert (back.kernel, back.d.hex(), back.h.hex()) == (table.kernel, table.d.hex(),
+                                                              table.h.hex())
+
 
 #: Cells the body writer spells with `repr` (0 < |x| < 1e-4, |x| >= 1e16,
 #: non-finite) or where a sign or a subnormal could be lost.
 _TABLE_CELLS = [1e-7, 9.999999999999999e-05, 1e16, -1e16, -0.0, 5e-324, math.nan, -math.inf]
-
-
-@st.composite
-def cf_tables(draw):
-    f = sorted(set(draw(st.lists(_DOUBLES.filter(lambda x: x > 0), min_size=1, max_size=8))))
-    cf = draw(st.lists(_DOUBLES, min_size=len(f), max_size=len(f)))
-    d, h = draw(_DOUBLES.filter(lambda x: x > 0)), draw(_DOUBLES.filter(lambda x: x > 0))
-    return CFTable(f=f, cf_db=cf, kernel=draw(st.sampled_from(KERNELS)), d=d, h=h)
 
 
 class TestTableBytes:

@@ -144,6 +144,13 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             m.FrequencySweep(n_points=0)
 
+    @pytest.mark.parametrize("f_min, f_max, key", [
+        (math.inf, math.inf, "sweep.f_min"), (1e9, math.inf, "sweep.f_max"),
+        (math.nan, 1e9, "sweep.f_min"), (1e9, math.nan, "sweep.f_max")])
+    def test_sweep_rejects_non_finite_frequency(self, f_min, f_max, key):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+            m.FrequencySweep(f_min=f_min, f_max=f_max)
+
     def test_drive_positive(self):
         with pytest.raises(ConfigError):
             m.DriveSpec(power=0.0)
