@@ -26,8 +26,6 @@ from .probe import center_over_trace
 
 _REQUIRED = object()
 
-_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-
 #: Most grid points x sweep frequencies a config may ask for; table3 at
 #: 0.1 mm with 5 frequencies is 252,255.
 MAX_CELLS = 10**7
@@ -222,13 +220,11 @@ def build_config(doc):
     t.done()
 
     p = sections["probe"]
-    axis = p.take("normal", "y", kind=str)
-    if axis not in _AXES:
-        raise ConfigError("probe.normal: must be 'x', 'y' or 'z'")
     height = p.length("height")
     if height <= 0:
         raise ConfigError("probe.height: must be > 0")
-    probe = LoopProbe(center=center_over_trace(trace, substrate, height), normal=_AXES[axis],
+    probe = LoopProbe(center=center_over_trace(trace, substrate, height),
+                      normal=p.take("normal", "y", kind=str),
                       side_s=p.length("side", 4.0), port_z=p.take("port_z", 50.0),
                       loading=p.take("loading", "matched-halving", kind=str),
                       quad_n=p.take("quad_n", 8, kind=int),

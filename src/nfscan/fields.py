@@ -3,7 +3,7 @@
 The field of each straight filament segment is the exact finite-length
 Biot-Savart result.  The coupling between a point and a segment depends
 on geometry only, so `segment_kernel` returns it per unit current, as the
-field component along one direction: an (npts, nseg) array, built from
+field component along one axis: an (npts, nseg) array, built from
 per-axis (npts, nseg) arrays with no (npts, nseg, 3) temporary.
 
 `kernel_blocks` is the one grounded path: it applies the image rule
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, SingularityError
-from .model import C_LIGHT, DriveSpec, Substrate, TracePath
+from .model import AXES, C_LIGHT, DriveSpec, Substrate, TracePath
 
 #: Minimum distance from a field point to any source filament (m), 1 nm;
 #: a closer point raises SingularityError.
@@ -43,10 +43,12 @@ def _sum3(x0, x1, x2):
     return x0
 
 
-def segment_kernel(starts, ends, points, normal, n_real=None):
-    """Field along `normal` per unit current, (npts, nseg) in A/m per A.
+def segment_kernel(starts, ends, points, axis, n_real=None):
+    """Field component `axis` ("x", "y" or "z") per unit current, (npts,
+    nseg) in A/m per A.
 
-    Entry [i, k] is n . H at points[i] of segment k carrying 1 A:
+    Entry [i, k] is that component of H at points[i] of segment k
+    carrying 1 A:
 
         H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
 
@@ -59,12 +61,11 @@ def segment_kernel(starts, ends, points, normal, n_real=None):
 
     Each vector quantity is held as three (npts, nseg) component arrays.
     u x r1 uses np.cross's formula, and every three-term sum (dot
-    products, |r|**2 and the projection on `normal`, whose zero
-    components are skipped) is rounded in einsum's order, (x0 + x2) + x1,
-    and the projection is summed from +0.0 as einsum's is, so the values
+    products, |r|**2) is rounded in einsum's order, (x0 + x2) + x1.  The
+    component is added to +0.0, as einsum's projection on a unit axis
+    sums it, so even an exact zero has the sign it had.  The values thus
     equal those of the former (npts, nseg, 3) kernel projected with
-    einsum, bit for bit.  Keeping that order keeps every map and .s2p
-    byte-identical to the ones the 3-vector kernel wrote.
+    einsum, bit for bit, and every map and .s2p stays byte-identical.
 
     Computes every point it is given; `kernel_blocks` bounds the count.
     `n_real` marks how many leading segments are physical; later ones
@@ -106,24 +107,20 @@ def segment_kernel(starts, ends, points, normal, n_real=None):
                         (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
                         (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
     out = np.zeros_like(coef)
-    for k in (0, 2, 1):
-        if normal[k] != 0.0:
-            term = coef * c[k]
-            term *= normal[k]
-            out += term
+    out += coef * c[AXES.index(axis)]
     return out
 
 
-def kernel_blocks(trace: TracePath, centers, normal, offsets=None):
-    """Coupling along `normal` of a grounded trace to probes at `centers`,
-    one block at a time.
+def kernel_blocks(trace: TracePath, centers, axis, offsets=None):
+    """Coupling of a grounded trace to field component `axis` of probes
+    at `centers`, one block at a time.
 
     The ground plane enters here and nowhere else.  Each segment is
     mirrored through z=0 and its image carries the negated current, which
     reverses horizontal current and preserves vertical current, enforcing
     zero normal H on the plane.  So g is a segment's `segment_kernel`
-    column minus its image's: the field along `normal` per unit current
-    in the trace segment.
+    column minus its image's: field component `axis` per unit current in
+    the trace segment.
 
     A probe's points are its center, then center + each of `offsets` (its
     quadrature nodes) if given.  Each block holds whole probes, at most
@@ -145,7 +142,7 @@ def kernel_blocks(trace: TracePath, centers, normal, offsets=None):
         pts = c if offsets is None else np.concatenate(
             [c[:, None], c[:, None] + offsets], axis=1).reshape(-1, 3)
         try:
-            g = segment_kernel(starts, ends, pts, normal, n)
+            g = segment_kernel(starts, ends, pts, axis, n)
         except SingularityError as exc:
             exc.point = lo + exc.point // m
             raise
@@ -169,7 +166,7 @@ def h_segment(start, end, current, point):
     if np.array_equal(start, end):
         raise ConfigError("segment start and end must be distinct")
     p = np.asarray(point, dtype=float).reshape(1, 3)
-    g = np.array([segment_kernel(start, end, p, axis)[0, 0] for axis in np.eye(3)])
+    g = np.array([segment_kernel(start, end, p, axis)[0, 0] for axis in AXES])
     return g * complex(current)
 
 
@@ -186,7 +183,7 @@ def h_trace_grounded(trace: TracePath, currents, points):
     pts = np.asarray(points, dtype=float)
     flat = np.atleast_2d(pts)
     out = np.empty((len(flat), 3), dtype=complex)
-    for k, axis in enumerate(np.eye(3)):
+    for k, axis in enumerate(AXES):
         for lo, hi, g in kernel_blocks(trace, flat, axis):
             out[lo:hi, k] = g @ currents
     return out[0] if pts.ndim == 1 else out

@@ -94,6 +94,7 @@ class Substrate:
 TERMINATIONS = ("matched", "open", "short")
 LOADINGS = ("matched-halving", "open-circuit")
 APERTURES = ("uniform", "integrated")
+AXES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class LoopProbe:
     """Square magnetic loop sensor: pose, side length and port model (`nfscan.probe`)."""
 
     center: tuple
-    normal: tuple
+    normal: str                # the axis the loop faces: "x", "y" or "z"
     side_s: float = DEFAULT_LOOP_SIDE
     port_z: float = DEFAULT_PORT_Z
     loading: str = "matched-halving"
@@ -159,13 +160,10 @@ class LoopProbe:
 
     def __post_init__(self):
         center = tuple(float(c) for c in self.center)
-        normal = tuple(float(c) for c in self.normal)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "normal", normal)
         _require(len(center) == 3, "probe.center: must be a 3-D point")
-        _require(len(normal) == 3, "probe.normal: must be a 3-vector")
-        n = math.sqrt(sum(c * c for c in normal))
-        _require(abs(n - 1.0) <= 1e-12, "probe.normal: must be a unit vector")
+        _require(isinstance(self.normal, str) and self.normal in AXES,
+                 "probe.normal: must be 'x', 'y' or 'z'")
         _require(self.side_s > 0, "probe.side: must be > 0")
         _require(self.port_z > 0, "probe.port_z: must be > 0")
         _require(self.loading in LOADINGS, f"probe.loading: must be one of {LOADINGS}")

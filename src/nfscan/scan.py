@@ -48,8 +48,8 @@ class ScanResult:
     `s21`, `vport` and `hfield` (the field component along the probe
     normal at the probe center, the simulation ground truth) are
     (nf, ny, nx) complex arrays: one map per sweep frequency, row 0 at
-    y_min.  `component` names the field component of `hfield` ('hx',
-    'hy', 'hz', or 'mag' for an oblique normal).
+    y_min.  `component` names the field component of `hfield`: 'hx',
+    'hy' or 'hz'.
     """
 
     freqs: np.ndarray
@@ -65,16 +65,6 @@ class ScanResult:
             object.__setattr__(self, name, readonly(getattr(self, name), complex))
 
 
-def _component_tag(normal):
-    n = np.asarray(normal, dtype=float)
-    for axis, tag in enumerate(("hx", "hy", "hz")):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        if abs(abs(n @ e) - 1.0) <= 1e-12:
-            return tag
-    return "mag"
-
-
 def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     """Observables of the probe centred at each of `centers` (npts, 3).
 
@@ -87,14 +77,13 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
     cur = np.concatenate([currents.real, currents.imag], axis=1)
-    normal = np.asarray(probe.normal, dtype=float)
     integrated = probe.aperture == "integrated"
     # A probe's points: its center, then its quadrature nodes if integrated.
     offsets, weights = quad_offsets(probe) if integrated else (None, [])
     m = 1 + len(weights)
     h = np.empty((len(centers), cur.shape[1]))
     flux = np.empty_like(h) if integrated else None
-    for lo, hi, g in fields.kernel_blocks(trace, centers, normal, offsets):
+    for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
         rows = g.reshape(hi - lo, m, -1)
         h[lo:hi] = np.einsum("ps,sf->pf", rows[:, 0], cur)
         if integrated:
@@ -136,7 +125,7 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
         raise _at_grid_point(exc, grid, exc.point) from None
     out.flags.writeable = False  # kept by the ScanResult without a copy
     h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
-    return ScanResult(freqs=freqs, grid=grid, component=_component_tag(probe.normal),
+    return ScanResult(freqs=freqs, grid=grid, component="h" + probe.normal,
                       s21=s21, vport=v, hfield=h)
 
 

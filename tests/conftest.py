@@ -28,7 +28,7 @@ def drive():
 def cal_probe(straight_trace, substrate):
     """Probe over the trace midpoint at the 1 mm calibration height."""
     return LoopProbe(center=center_over_trace(straight_trace, substrate, SCAN_HEIGHT),
-                     normal=(0.0, 1.0, 0.0))
+                     normal="y")
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ TABLE3 = os.path.join(CONFIG_DIR, "table3.json")
 def standard_setup():
     substrate = Substrate()
     trace = TracePath(vertices=((-0.1, 0.0, H_SUB), (0.1, 0.0, H_SUB)))
-    probe = LoopProbe(center=center_over_trace(trace, substrate, D_SCAN), normal=(0, 1, 0))
+    probe = LoopProbe(center=center_over_trace(trace, substrate, D_SCAN), normal="y")
     return substrate, trace, probe, DriveSpec()
 
 

@@ -100,7 +100,7 @@ class TestDefaults:
         assert tr.width == 3e-3
         assert tr.z0_line == 50.0
         assert tr.termination == "matched"
-        pr = m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 0, 1))
+        pr = m.LoopProbe(center=(0, 0, 1e-3), normal="z")
         assert pr.side_s == 4e-3
         assert pr.port_z == 50.0
         assert (pr.loading, pr.quad_n, pr.aperture) == ("matched-halving", 8, "uniform")
@@ -130,11 +130,11 @@ class TestInvariants:
 
     def test_unknown_aperture_rejected(self):
         with pytest.raises(ConfigError, match="probe.aperture: must be one of"):
-            m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 0, 1), aperture="disc")
+            m.LoopProbe(center=(0, 0, 1e-3), normal="z", aperture="disc")
 
     def test_unit_normal_enforced(self):
-        with pytest.raises(ConfigError):
-            m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 0.5, 0))
+        with pytest.raises(ConfigError, match="probe.normal: must be 'x', 'y' or 'z'"):
+            m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 1, 0))
 
     def test_sweep_bounds(self):
         with pytest.raises(ConfigError):

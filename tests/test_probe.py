@@ -24,9 +24,9 @@ def s21_at(probe, trace, substrate, drive, aperture="integrated", quad_n=8):
 def uniform_kernel(direction):
     """Stand-in kernel: every physical segment gives the field `direction`
     per ampere at every point, and every image nothing."""
-    def kernel(starts, ends, points, normal, n_real):
+    def kernel(starts, ends, points, axis, n_real):
         g = np.zeros((len(points), len(starts)))
-        g[:, :n_real] = np.dot(direction, normal)
+        g[:, :n_real] = direction["xyz".index(axis)]
         return g
     return kernel
 
@@ -34,7 +34,7 @@ def uniform_kernel(direction):
 class TestLoopFlux:
     def test_uniform_parallel(self, monkeypatch, straight_trace, substrate, drive):
         monkeypatch.setattr(fields, "segment_kernel", uniform_kernel((0, 0, 1)))
-        probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
+        probe = LoopProbe(center=(0, 0, 5e-3), normal="z")
         s_int = s21_at(probe, straight_trace, substrate, drive)
         s_uni = s21_at(probe, straight_trace, substrate, drive, aperture="uniform")
         assert s_uni != 0
@@ -42,34 +42,34 @@ class TestLoopFlux:
 
     def test_uniform_perpendicular(self, monkeypatch, straight_trace, substrate, drive):
         monkeypatch.setattr(fields, "segment_kernel", uniform_kernel((1, 0, 0)))
-        probe = LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1))
+        probe = LoopProbe(center=(0, 0, 5e-3), normal="z")
         assert abs(s21_at(probe, straight_trace, substrate, drive)) < 1e-20
 
     def test_quadrature_16_vs_32(self, straight_trace, substrate, drive):
         # standoff side/4 = 1 mm over the trace: integrand is smooth
-        probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal=(0, 1, 0))
+        probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal="y")
         f16, f32 = (s21_at(probe, straight_trace, substrate, drive, quad_n=n)
                     for n in (16, 32))
         assert abs(f16 - f32) / abs(f32) < 1e-3
 
     def test_richardson_monotone(self, straight_trace, substrate, drive):
-        probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal=(0, 1, 0))
+        probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal="y")
         f4, f8, f16, f32 = (s21_at(probe, straight_trace, substrate, drive, quad_n=n)
                             for n in (4, 8, 16, 32))
         assert abs(f8 - f4) >= abs(f16 - f8) >= abs(f32 - f16)
 
     def test_quad_n_minimum(self):
         with pytest.raises(ConfigError):
-            LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1), aperture="integrated", quad_n=1)
+            LoopProbe(center=(0, 0, 5e-3), normal="z", aperture="integrated", quad_n=1)
 
     def test_quad_n_maximum(self):
-        LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1), aperture="integrated", quad_n=32)
+        LoopProbe(center=(0, 0, 5e-3), normal="z", aperture="integrated", quad_n=32)
         with pytest.raises(ConfigError, match="probe.quad_n: must be between 2 and 32"):
-            LoopProbe(center=(0, 0, 5e-3), normal=(0, 0, 1), aperture="integrated", quad_n=33)
+            LoopProbe(center=(0, 0, 5e-3), normal="z", aperture="integrated", quad_n=33)
 
     def test_singularity_carries_probe_location(self, straight_trace, substrate, drive):
         # odd quad_n puts a node at the center, which here sits on the filament
-        probe = LoopProbe(center=(0, 0, H_SUB), normal=(0, 0, 1))
+        probe = LoopProbe(center=(0, 0, H_SUB), normal="z")
         with pytest.raises(SingularityError, match=r"probe at \[0\.0, 0\.0, 0\.0016\]"):
             s21_at(probe, straight_trace, substrate, drive, quad_n=9)
 
@@ -100,7 +100,7 @@ class TestEmfAndPort:
         assert induced_emf(0.0, 1e9) == 0.0
 
     def test_port_voltage_modes(self):
-        halving = LoopProbe(center=(0, 0, 1e-3), normal=(0, 1, 0), loading="matched-halving")
+        halving = LoopProbe(center=(0, 0, 1e-3), normal="y", loading="matched-halving")
         open_ck = replace(halving, loading="open-circuit")
         assert port_voltage(0.2, halving) == 0.1
         assert port_voltage(0.2, open_ck) == 0.2
@@ -108,7 +108,7 @@ class TestEmfAndPort:
 
     def test_bad_loading_rejected(self):
         with pytest.raises(ConfigError, match="probe.loading: must be one of"):
-            LoopProbe(center=(0, 0, 1e-3), normal=(0, 1, 0), loading="thevenin")
+            LoopProbe(center=(0, 0, 1e-3), normal="y", loading="thevenin")
 
 
 class TestS21:
@@ -164,7 +164,7 @@ class TestProbeTransfer:
         volts = []
         for power in (1e-4, 4e-4):
             h = h_trace_grounded(straight_trace, [math.sqrt(power / 50)], cal_probe.center)
-            flux = (h @ np.asarray(cal_probe.normal)) * cal_probe.side_s ** 2
+            flux = h["xyz".index(cal_probe.normal)] * cal_probe.side_s ** 2
             volts.append(port_voltage(induced_emf(flux, 0.5e9), cal_probe))
         assert_allclose(volts[1], 2 * volts[0], rtol=1e-12)
 

@@ -205,7 +205,7 @@ def scan_cases(draw):
     x0, y0 = vx - dx * draw(st.integers(0, 3)), vy - dy * draw(st.integers(0, 3))
     grid = ScanGrid(x_min=x0, x_max=x0 + dx * draw(st.integers(0, 4)), y_min=y0,
                     y_max=y0 + dy * draw(st.integers(0, 4)), dx=dx, dy=dy, z_height=draw(level))
-    normal = draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    normal = draw(st.sampled_from(("x", "y", "z")))
     probe = LoopProbe(center=(0, 0, 1e-3), normal=normal, side_s=draw(st.sampled_from((2e-3, 4e-3))),
                       aperture=draw(st.sampled_from(("uniform", "integrated"))),
                       quad_n=draw(st.integers(2, 8)))
@@ -223,7 +223,7 @@ def reference_scan(trace, substrate, probe, grid, sweep, drive):
     centers = grid_points(grid)
     centers[:, 2] += substrate.h
     points = centers
-    normal = np.asarray(probe.normal, dtype=float)
+    normal = np.eye(3)["xyz".index(probe.normal)]
     area = probe.side_s ** 2
     if probe.aperture == "integrated":
         x, w = np.polynomial.legendre.leggauss(probe.quad_n)
