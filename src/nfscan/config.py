@@ -44,6 +44,12 @@ MAX_PROBE_PAIRS = 2**20
 #: 1 km); the field kernel's squared distances then stay within a double.
 MAX_LENGTH_MM = 10**6
 
+#: Bound on sweep frequencies (GHz, 1 PHz), far above any near-field scan.
+#: It keeps the chain's products of f within a double: the phase beta * l
+#: stays below about 1e165 for any finite eps_r over lengths within
+#: MAX_LENGTH_MM, where 1e299 GHz overflowed beta itself.
+MAX_FREQ_GHZ = 10**6
+
 
 @dataclass(frozen=True)
 class CalSpec:
@@ -128,6 +134,13 @@ def _length(name, mm):
     if abs(mm) > MAX_LENGTH_MM:
         raise ConfigError(f"{name}: {mm!r} mm is beyond the length bound of {MAX_LENGTH_MM} mm")
     return _mm(mm)
+
+
+def _ghz(name, ghz):
+    if ghz > MAX_FREQ_GHZ:
+        raise ConfigError(f"{name}: {ghz!r} GHz is beyond the frequency bound of "
+                          f"{MAX_FREQ_GHZ} GHz")
+    return ghz * 1e9
 
 
 def _mm(v):
@@ -244,8 +257,8 @@ def build_config(doc):
     g.done()
 
     w = sections["sweep"]
-    # FrequencySweep rejects a frequency that is not finite in Hz (1e300 GHz).
-    sweep = FrequencySweep(f_min=w.take("f_min") * 1e9, f_max=w.take("f_max") * 1e9,
+    sweep = FrequencySweep(f_min=_ghz("sweep.f_min", w.take("f_min")),
+                           f_max=_ghz("sweep.f_max", w.take("f_max")),
                            n_points=w.take("n_points", 31, kind=int),
                            spacing=w.take("spacing", "linear", kind=str))
     w.done()

@@ -64,6 +64,8 @@ COMPONENTS = ("hx", "hy", "hz", "mag", "s21", "vport")
 
 _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _TS_FORMATS = ("ri", "ma", "db")
+#: 20*log10 of the largest double: a DB magnitude from here up overflows.
+_TS_DB_MAX = 20.0 * math.log10(np.finfo(float).max)
 
 
 def _gfmt(x):
@@ -137,8 +139,9 @@ def parse_touchstone(text):
     Option line "# <unit> S <fmt> R <z>" with units Hz/kHz/MHz/GHz and
     formats RI, MA (magnitude, angle in degrees) or DB (20*log10
     magnitude, angle in degrees); any token may be omitted (defaults GHz,
-    MA, 50).  '!' starts a comment.  Two-port rows are ordered
-    S11 S21 S12 S22.  Errors carry the offending line number.
+    MA, 50); it must come before the first data row.  '!' starts a
+    comment.  Two-port rows are ordered S11 S21 S12 S22.  Errors carry
+    the offending line number.
     """
     unit = 1e9
     fmt = "ma"
@@ -161,6 +164,8 @@ def parse_touchstone(text):
         if line.startswith("#"):
             if saw_option:
                 raise ParseError("multiple option lines", line=lineno)
+            if freqs:
+                raise ParseError("option line after a data row", line=lineno)
             saw_option = True
             unit, fmt, z_ref = _parse_option_line(line, lineno)
             continue
@@ -170,15 +175,15 @@ def parse_touchstone(text):
         except ValueError:
             raise ParseError(f"non-numeric token in data row: {line!r}", line=lineno) from None
         if ncols is None:
-            if len(values) == 3:
-                ncols = 3
-            elif len(values) == 9:
-                ncols = 9
-            else:
+            if len(values) not in (3, 9):
                 raise ParseError(
                     f"expected 3 (1-port) or 9 (2-port) columns, got {len(values)}", line=lineno)
+            ncols = len(values)
         elif len(values) != ncols:
             raise ParseError(f"expected {ncols} columns, got {len(values)}", line=lineno)
+        if fmt == "db" and any(a >= _TS_DB_MAX for a in values[1::2]):
+            raise ParseError(f"DB magnitude of {_TS_DB_MAX:.6g} dB or more overflows a double",
+                             line=lineno)
         f_hz = values[0] * unit
         if freqs and not f_hz > freqs[-1]:
             raise ParseError(f"frequency {f_hz} Hz not strictly increasing", line=lineno)
@@ -235,9 +240,8 @@ def _parse_option_line(line, lineno):
 def _decode_pair(a, b, fmt):
     if fmt == "ri":
         return complex(a, b)
-    if fmt == "ma":
-        return a * cmath.exp(1j * math.radians(b))
-    return undb20(a) * cmath.exp(1j * math.radians(b))  # db
+    mag = a if fmt == "ma" else undb20(a)
+    return mag * cmath.exp(1j * math.radians(b))
 
 
 def _encode_pair(v, fmt):

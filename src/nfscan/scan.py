@@ -162,18 +162,20 @@ def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-con
     """Convert a dBV port-voltage map into a dBA/m field map via the CF table.
 
     The CF value at f comes from the table (log-f interpolation, no
-    extrapolation).  The map frequency must match f.
+    extrapolation).  The map must be a 'vport' map at frequency f.
     """
+    if vmap.component != "vport":
+        raise ConfigError(f"scan map component is {vmap.component!r}: the CF table "
+                          "applies to a port-voltage map ('vport')")
     if abs(vmap.f - f) > 1e-6 * max(abs(f), 1.0):
         raise ConfigError(f"map frequency {vmap.f} Hz does not match requested {f} Hz")
     cf_db = cf.cf_at(f)
     out = field_from_voltage(vmap.values, cf_db, sign_mode)
     out.flags.writeable = False  # kept by the FieldMap without a copy
-    tag = vmap.meta.get("normal", "mag")
     meta = dict(vmap.meta)
+    tag = meta.pop("normal", "mag")
     meta.update({"kernel": cf.kernel, "sign_mode": sign_mode,
                  "cf_d": repr(float(cf.d)), "cf_h": repr(float(cf.h))})
-    meta.pop("normal", None)
     return FieldMap(grid=vmap.grid, f=vmap.f, component=tag, values=out, meta=meta)
 
 

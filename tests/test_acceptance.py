@@ -7,6 +7,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ I_RMS = math.sqrt(1e-4 / 50.0)
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 TABLE2 = os.path.join(CONFIG_DIR, "table2.json")
 TABLE3 = os.path.join(CONFIG_DIR, "table3.json")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def standard_setup():
@@ -187,18 +192,23 @@ def test_c8_parser_round_trips_and_fuzz():
 
 
 def test_c9_byte_identical_outputs(tmp_path):
-    """simulate on the full-surface config twice, and with 1 vs 4 threads,
-    writes byte-identical CSVs and PGMs."""
+    """simulate on the full-surface config writes byte-identical CSVs and
+    PGMs: twice in this process, and in child processes with the BLAS and
+    OpenMP thread counts at 1 and at 4."""
     blobs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name, threads in (("a", None), ("b", None), ("c", "1"), ("d", "4")):
         out = tmp_path / name
-        assert main(["simulate", "--config", TABLE3, "--out", str(out),
-                     "--threads", threads]) == 0
+        argv = ["simulate", "--config", TABLE3, "--out", str(out)]
+        if threads is None:
+            assert main(argv) == 0
+        else:
+            env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads), "PYTHONPATH": SRC_DIR}
+            subprocess.run([sys.executable, "-m", "nfscan.cli", *argv], check=True, env=env)
         assert main(["render", "--map", str(out / "hy_dba_m_000_2GHz.csv"),
                      "--lo", "-53", "--hi", "-21",
                      "--out", str(out / "hy.pgm")]) == 0
         blobs.append({p: (out / p).read_bytes() for p in sorted(os.listdir(out))})
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
     # the rendered view of the reported display range uses the full pixel span
     pgm = blobs[0]["hy.pgm"]
     body = pgm.split(b"255\n", 1)[1]

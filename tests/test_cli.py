@@ -19,7 +19,7 @@ from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
 from nfscan import ConfigError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
-from nfscan.config import MAX_CELLS, MAX_LENGTH_MM, MAX_PROBE_PAIRS, MAX_SEGMENTS
+from nfscan.config import MAX_CELLS, MAX_FREQ_GHZ, MAX_LENGTH_MM, MAX_PROBE_PAIRS, MAX_SEGMENTS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -212,6 +212,31 @@ class TestSimulate:
                                            f"{MAX_LENGTH_MM} mm\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer"])
+    @pytest.mark.parametrize("sweep, key", [
+        ({"f_min": 1e299, "f_max": 1e299}, "f_min"),
+        ({"f_min": 1e20, "f_max": 1e20}, "f_min"),
+        ({"f_max": math.nextafter(MAX_FREQ_GHZ, math.inf)}, "f_max")],
+        ids=["overflow", "finite", "just-outside"])
+    def test_frequency_beyond_bound_exits_2(self, tmp_path, capsys, cmd, sweep, key):
+        cfg = write_config(tmp_path, sweep=sweep)
+        out = tmp_path / "o"
+        assert _run_quietly([cmd, "--config", cfg, "--out", str(out)]) == (
+            2, f"error: sweep.{key}: {sweep[key]!r} GHz is beyond the frequency bound of "
+               f"{MAX_FREQ_GHZ} GHz\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer"])
+    def test_frequency_at_bound_runs_clean(self, tmp_path, cmd):
+        """The bound itself, with eps_r 1e300 and the integrated aperture:
+        no warning, and every number written is finite."""
+        cfg = write_config(tmp_path, sweep={"f_min": MAX_FREQ_GHZ, "f_max": MAX_FREQ_GHZ},
+                           substrate={"eps_r": 1e300}, probe={"aperture": "integrated"})
+        out = tmp_path / "o"
+        assert _run_quietly([cmd, "--config", cfg, "--out", str(out)]) == (0, "")
+        written = glob.glob(str(out / "*.csv")) if cmd == "simulate" else [str(out)]
+        assert written and all(_numbers_finite(path) for path in written)
+
     def test_out_names_existing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
@@ -293,6 +318,17 @@ class TestPipeline:
         assert main(["extract", "--scan", str(files["scan"]), "--cf", str(files["cf"]),
                      "--freq", "2e9", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, comp", [("s21_db_000_2GHz.csv", "s21"),
+                                            ("hy_dba_m_000_2GHz.csv", "hy")])
+    def test_extract_rejects_non_vport_map(self, pipeline, tmp_path, capsys, name, comp):
+        _, _, cf, sim = pipeline
+        out = tmp_path / "hy.csv"
+        assert main(["extract", "--scan", str(sim / name), "--cf", str(cf),
+                     "--freq", "2e9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: scan map component is '{comp}': the CF "
+                                           "table applies to a port-voltage map ('vport')\n")
         assert not out.exists()
 
     def test_extract_freq_outside_span_exits_2(self, pipeline, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import orjson
@@ -100,6 +101,22 @@ class TestTouchstoneParse:
     def test_non_numeric_token(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_touchstone("# GHz S RI R 50\n1 0 zz\n")
+
+    def test_db_magnitude_beyond_a_double_names_line(self):
+        # 10**(7000/20) overflows: the row is rejected before it is exponentiated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"^line 2: DB magnitude of 6165\.09 dB or more "
+                                                 r"overflows a double$"):
+                parse_touchstone("# GHz S DB R 50\n1 0 0 7000 0 0 0 0 0\n")
+            net = parse_touchstone("# GHz S DB R 50\n1 0 0 6165 0 0 0 0 0\n")
+        assert 1e308 < abs(net.s[0, 1, 0]) < math.inf
+
+    def test_option_line_after_data_row_names_line(self):
+        # the first row would be read as GHz/MA and the last one as RI
+        with pytest.raises(ParseError, match="^line 2: option line after a data row$"):
+            parse_touchstone("1 0 0 0.5 90 0.5 90 0 0\n# GHz S RI R 50\n"
+                             "2 0 0 0.5 90 0.5 90 0 0\n")
 
     def test_empty_without_hint_fails(self):
         with pytest.raises(ParseError, match="ports"):

@@ -341,6 +341,12 @@ class TestApplyCalibration:
                                         sign_mode="eq3-printed")
         assert np.all(out.values == 100.0)
 
+    @pytest.mark.parametrize("component", ["s21", "hy", "mag"])
+    def test_non_vport_map_rejected(self, component):
+        vmap = replace(self._vmap(-60.0), component=component, meta={})
+        with pytest.raises(ConfigError, match=f"scan map component is '{component}'"):
+            apply_calibration_to_scan(vmap, self._cf((1e9, 40.0)), 1e9)
+
     def test_frequency_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="does not match"):
             apply_calibration_to_scan(self._vmap(-60.0), self._cf((2e9, 40.0)), 2e9)
