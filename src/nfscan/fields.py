@@ -44,8 +44,7 @@ def _sum3(x0, x1, x2):
 
 
 def segment_kernel(starts, ends, points, axis, n_real=None):
-    """Field component `axis` ("x", "y" or "z") per unit current, (npts,
-    nseg) in A/m per A.
+    """Component `axis` ("x", "y" or "z") of H per unit current, (npts, nseg) in A/m per A.
 
     Entry [i, k] is that component of H at points[i] of segment k
     carrying 1 A:
@@ -63,7 +62,7 @@ def segment_kernel(starts, ends, points, axis, n_real=None):
     u x r1 uses np.cross's formula, and every three-term sum (dot
     products, |r|**2) is rounded in einsum's order, (x0 + x2) + x1.  The
     component is added to +0.0, as einsum's projection on a unit axis
-    sums it, so even an exact zero has the sign it had.  The values thus
+    added it, so even an exact zero comes out as +0.0, as before.  The values thus
     equal those of the former (npts, nseg, 3) kernel projected with
     einsum, bit for bit, and every map and .s2p stays byte-identical.
 

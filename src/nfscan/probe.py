@@ -4,12 +4,13 @@ synthetic S21.
 A `LoopProbe` carries the port model; its two aperture models are:
 
 * ``uniform`` (default): the electrically-small-loop model.  The field is
-  taken as uniform over the loop, so the flux is the normal component
-  of H(center) (probe.normal: "x", "y" or "z") times the loop area.  This is the model the calibration chain inverts exactly,
-  and the one used for scans.
+  taken as uniform over the loop, so the flux is the component of
+  H(center) along probe.normal ("x", "y" or "z") times the loop area.
+  This is the model the calibration chain inverts exactly, and the one
+  used for scans.
 * ``integrated``: Gauss-Legendre quadrature (`quad_n` nodes per side) of
-  that component over the loop footprint, a square of side `side_s` lying flat
-  at the center height.  Useful to quantify how much a finite aperture
+  that component over the loop footprint, a square of side `side_s`
+  lying flat at the center height.  Useful to quantify how much a finite aperture
   averages a non-uniform field.
 
 The chain from trace currents to these observables runs in
