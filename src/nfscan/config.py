@@ -22,7 +22,6 @@ import numpy as np
 from .calibration import KERNELS, SIGN_MODES
 from .errors import ConfigError
 from .model import DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath
-from .probe import center_over_trace
 
 _REQUIRED = object()
 
@@ -171,6 +170,12 @@ def _subdivide(vertices, counts):
         for k in range(1, n + 1):
             out.append(tuple(a + (b - a) * (k / n)))
     return tuple(out)
+
+
+def center_over_trace(trace: TracePath, substrate: Substrate, height):
+    """Probe center over the trace midpoint, `height` above the trace."""
+    mid = 0.5 * (np.asarray(trace.vertices[0]) + np.asarray(trace.vertices[-1]))
+    return (float(mid[0]), float(mid[1]), substrate.h + height)
 
 
 def config_digest(doc):

@@ -148,7 +148,20 @@ class TracePath:
 
 @dataclass(frozen=True)
 class LoopProbe:
-    """Square magnetic loop sensor: pose, side length and port model (`nfscan.probe`)."""
+    """Square magnetic loop sensor: pose, side length and port model.
+
+    `aperture` sets the flux: ``uniform`` (default, the electrically
+    small loop that calibration inverts exactly) takes the component of
+    H(center) along `normal` times the loop area; ``integrated``
+    integrates that component over the loop footprint, flat at the
+    center height, by Gauss-Legendre quadrature (`quad_n` nodes per
+    side), to show how a finite aperture averages a non-uniform field.
+    `loading` sets the port voltage: ``matched-halving`` (default), a
+    source of negligible loop impedance into a matched receiver, gives
+    V = emf / 2, and ``open-circuit`` V = emf.  Loop self-inductance and
+    resonance are not modeled: valid while the perimeter is below about
+    lambda/20.  The chain runs in `nfscan.scan`.
+    """
 
     center: tuple
     normal: str                # the axis the loop faces: "x", "y" or "z"

@@ -17,6 +17,7 @@ maps (FieldMap), the content of one map CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,9 +28,8 @@ from .errors import ConfigError, SingularityError
 from . import fields
 from .fields import current_distribution
 from .formats import FieldMap
-from .model import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath,
-                    grid_points, readonly)
-from .probe import induced_emf, port_voltage, quad_offsets, synthesize_s21
+from .model import (MU_0, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
+                    TracePath, grid_points, readonly)
 
 
 class MapStats(NamedTuple):
@@ -65,12 +65,27 @@ class ScanResult:
             object.__setattr__(self, name, readonly(getattr(self, name), complex))
 
 
+def quad_offsets(probe: LoopProbe):
+    """Offsets (n^2, 3) from the loop center and weights (n^2,) of the
+    n = `probe.quad_n` squared nodes over the loop footprint, flat at the center."""
+    x, w = np.polynomial.legendre.leggauss(probe.quad_n)
+    half = probe.side_s / 2.0
+    gx, gy = np.meshgrid(x, x, indexing="ij")
+    offsets = np.zeros((x.size * x.size, 3), dtype=float)
+    offsets[:, 0] = half * gx.ravel()
+    offsets[:, 1] = half * gy.ravel()
+    weights = (np.outer(w, w).ravel()) * half * half
+    return offsets, weights
+
+
 def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     """Observables of the probe centred at each of `centers` (npts, 3).
 
     Returns a (3, nf, npts) complex array holding, per frequency, the
-    field along the probe normal at the center, the port voltage and S21.
-    A SingularityError carries the index of the center.
+    field along the probe normal at the center, the port voltage (the EMF
+    -j 2 pi f mu0 flux, halved if `matched-halving`) and S21 = V /
+    sqrt(port_z x drive power).  A SingularityError carries the index of
+    the center.
     """
     if np.any(centers[:, 2] <= 0):
         raise ConfigError("probe centers must lie strictly above the ground plane z=0")
@@ -91,13 +106,16 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
                                     np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
     nf = len(freqs)
     area = probe.side_s ** 2
+    s21_per_volt = math.sqrt(probe.port_z * drive.power)
     out = np.empty((3, nf, len(centers)), dtype=complex)
     hf, v, s21 = out
     for i, f in enumerate(freqs):
         hf[i] = h[:, i] + 1j * h[:, nf + i]
         fl = flux[:, i] + 1j * flux[:, nf + i] if integrated else hf[i] * area
-        v[i] = port_voltage(induced_emf(fl, f), probe)
-        s21[i] = synthesize_s21(v[i], drive, probe.port_z)
+        v[i] = -1j * 2.0 * math.pi * f * MU_0 * fl
+        if probe.loading == "matched-halving":
+            v[i] /= 2.0
+        s21[i] = v[i] / s21_per_volt
     return out
 
 

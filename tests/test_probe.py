@@ -6,11 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, DriveSpec, FrequencySweep, LoopProbe, SingularityError,
-                    current_distribution, h_trace_grounded, induced_emf, port_voltage,
-                    probe_transfer, synthesize_s21)
+                    current_distribution, h_trace_grounded, probe_transfer)
 from nfscan import fields
 
-from conftest import H_SUB, SCAN_HEIGHT
+from conftest import H_SUB, MU0, SCAN_HEIGHT, port_oracle
 
 F = 0.5e9
 ONE_F = FrequencySweep(f_min=F, f_max=F, n_points=1)
@@ -78,33 +77,52 @@ class TestLoopFlux:
         probe = cal_probe
         currents = current_distribution(straight_trace, F, drive, substrate)
         hy = h_trace_grounded(straight_trace, currents, probe.center)[1]
-        want = synthesize_s21(port_voltage(induced_emf(hy * probe.side_s ** 2, F), probe),
-                              drive, probe.port_z)
+        want = port_oracle(hy * probe.side_s ** 2, F, probe, drive)[1]
         assert_allclose(s21_at(probe, straight_trace, substrate, drive, aperture="uniform"),
                         want, rtol=1e-12)
 
 
+def fed_s21(monkeypatch, trace, substrate, drive, freqs, per_amp, **port):
+    """(S21, H) per frequency of a uniform y-normal probe whose loop sees
+    H = `per_amp` x the current of the trace's one segment, through the
+    `uniform_kernel` stand-in: the chain's port stage fed a known field."""
+    monkeypatch.setattr(fields, "segment_kernel", uniform_kernel((0, per_amp, 0)))
+    probe = LoopProbe(center=(0, 0, 5e-3), normal="y", **port)
+    sweep = FrequencySweep(f_min=freqs[0], f_max=freqs[-1], n_points=len(freqs))
+    f, s21 = probe_transfer(trace, substrate, probe, sweep, drive)
+    h = [per_amp * current_distribution(trace, fi, drive, substrate)[0] for fi in f]
+    return s21, np.array(h)
+
+
 class TestEmfAndPort:
-    def test_reference_emf(self):
-        # uniform 1 A/m over a 4 mm loop at 1 GHz
-        v = induced_emf(1.6e-5, 1e9)
-        assert_allclose(abs(v), 0.12633, atol=5e-6)
-        # phase: -j times a positive flux
-        assert_allclose(np.angle(v), -math.pi / 2, rtol=1e-12)
+    def test_reference_emf(self, monkeypatch, straight_trace, substrate, drive):
+        # 1 A/m over a 4 mm loop at 1 GHz, open circuit: V is the EMF
+        i0 = math.sqrt(drive.power / straight_trace.z0_line)
+        s21, h = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], 1 / i0,
+                         loading="open-circuit")
+        assert_allclose(abs(h), 1.0, rtol=1e-12)
+        assert_allclose(abs(s21) * math.sqrt(50 * drive.power), 0.12633, atol=5e-6)
+        # phase: -j times the flux
+        assert_allclose(np.angle(s21 / h), -math.pi / 2, rtol=1e-12)
 
-    def test_linearity_in_f(self):
-        assert_allclose(abs(induced_emf(1.6e-5, 2e9)), 2 * abs(induced_emf(1.6e-5, 1e9)),
+    def test_linearity_in_f(self, monkeypatch, straight_trace, substrate, drive):
+        s21, h = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9, 2e9], 1.0)
+        assert_allclose(abs(s21[1] / h[1]), 2 * abs(s21[0] / h[0]), rtol=1e-12)
+
+    def test_zero_flux(self, monkeypatch, straight_trace, substrate, drive):
+        for loading in ("matched-halving", "open-circuit"):
+            s21, _ = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], 0.0,
+                             loading=loading)
+            assert s21[0] == 0.0
+
+    def test_loading_modes(self, monkeypatch, straight_trace, substrate, drive):
+        halving, _ = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], 1.0)
+        open_ck, h = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], 1.0,
+                             loading="open-circuit")
+        assert halving[0] != 0 and open_ck[0] == 2 * halving[0]
+        probe = LoopProbe(center=(0, 0, 5e-3), normal="y", loading="open-circuit")
+        assert_allclose(open_ck, port_oracle(h * probe.side_s ** 2, 1e9, probe, drive)[1],
                         rtol=1e-12)
-
-    def test_zero_flux(self):
-        assert induced_emf(0.0, 1e9) == 0.0
-
-    def test_port_voltage_modes(self):
-        halving = LoopProbe(center=(0, 0, 1e-3), normal="y", loading="matched-halving")
-        open_ck = replace(halving, loading="open-circuit")
-        assert port_voltage(0.2, halving) == 0.1
-        assert port_voltage(0.2, open_ck) == 0.2
-        assert port_voltage(0.0, halving) == 0.0
 
     def test_bad_loading_rejected(self):
         with pytest.raises(ConfigError, match="probe.loading: must be one of"):
@@ -112,17 +130,28 @@ class TestEmfAndPort:
 
 
 class TestS21:
-    def test_unity_reference(self):
-        s = synthesize_s21(0.0707, DriveSpec(power=1e-4), 50.0)
-        assert_allclose(abs(s), 1.0, atol=2e-4)
+    def test_unity_reference(self, monkeypatch, straight_trace, substrate):
+        # the field whose port voltage is sqrt(port_z * P) gives |S21| = 1
+        for port_z, power in ((50.0, 1e-4), (75.0, 1e-2), (1.0, 1.0)):
+            drive = DriveSpec(power=power)
+            i0 = math.sqrt(power / straight_trace.z0_line)
+            h = 2 * math.sqrt(port_z * power) / (2 * math.pi * 1e9 * MU0 * 4e-3 ** 2)
+            s21, _ = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], h / i0,
+                             port_z=port_z)
+            assert_allclose(abs(s21[0]), 1.0, rtol=1e-12)
 
-    def test_zero(self):
-        assert synthesize_s21(0.0, DriveSpec(), 50.0) == 0.0
+    def test_zero(self, straight_trace, substrate, drive):
+        # a z-normal loop right over a trace along x sees no Hz
+        probe = LoopProbe(center=(0, 0, H_SUB + SCAN_HEIGHT), normal="z")
+        assert s21_at(probe, straight_trace, substrate, drive, aperture="uniform") == 0.0
 
-    def test_halving_is_6db(self):
-        s1 = synthesize_s21(0.2, DriveSpec(), 50.0)
-        s2 = synthesize_s21(0.1, DriveSpec(), 50.0)
-        assert_allclose(20 * math.log10(abs(s1) / abs(s2)), 6.02, atol=5e-3)
+    def test_halving_is_6db(self, cal_probe, straight_trace, substrate, drive):
+        for aperture in ("uniform", "integrated"):
+            s1 = s21_at(replace(cal_probe, loading="open-circuit"), straight_trace, substrate,
+                        drive, aperture=aperture)
+            s2 = s21_at(cal_probe, straight_trace, substrate, drive, aperture=aperture)
+            assert s1 == 2 * s2
+            assert_allclose(20 * math.log10(abs(s1) / abs(s2)), 6.02, atol=5e-3)
 
 
 class TestProbeTransfer:
@@ -165,7 +194,7 @@ class TestProbeTransfer:
         for power in (1e-4, 4e-4):
             h = h_trace_grounded(straight_trace, [math.sqrt(power / 50)], cal_probe.center)
             flux = h["xyz".index(cal_probe.normal)] * cal_probe.side_s ** 2
-            volts.append(port_voltage(induced_emf(flux, 0.5e9), cal_probe))
+            volts.append(port_oracle(flux, 0.5e9, cal_probe, DriveSpec(power=power))[0])
         assert_allclose(volts[1], 2 * volts[0], rtol=1e-12)
 
     def test_integrated_aperture_averages(self, cal_probe, straight_trace, substrate,

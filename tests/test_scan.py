@@ -13,14 +13,13 @@ from numpy.testing import assert_allclose
 from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, LoopProbe,
                     ScanGrid, SingularityError, Substrate, TracePath,
                     apply_calibration_to_scan, current_distribution, extract_profile,
-                    grid_points, induced_emf, map_stats, port_voltage, probe_transfer,
-                    run_simulated_scan, synthesize_s21)
+                    grid_points, map_stats, probe_transfer, run_simulated_scan)
 from nfscan import fields
 from nfscan.config import build_config
 from nfscan.fields import EPS_GEOM, PAIRS
 from nfscan.scan import MapStats, ScanResult
 
-from conftest import H_SUB, SCAN_HEIGHT, rng
+from conftest import H_SUB, SCAN_HEIGHT, port_oracle, rng
 from kernel_reference import segment_field_sum
 
 
@@ -253,11 +252,9 @@ def reference_scan(trace, substrate, probe, grid, sweep, drive):
             flux = hn[len(centers):].reshape(len(centers), -1) @ weights
         else:
             flux = h0 * area
-        v = port_voltage(induced_emf(flux, f), probe)
-        tol_v = abs(port_voltage(induced_emf(tol_h * area, f), probe))
-        out.append(((h0, tol_h), (v, tol_v),
-                    (synthesize_s21(v, drive, probe.port_z),
-                     synthesize_s21(tol_v, drive, probe.port_z))))
+        v, s21 = port_oracle(flux, f, probe, drive)
+        tol_v, tol_s21 = np.abs(port_oracle(tol_h * area, f, probe, drive))
+        out.append(((h0, tol_h), (v, tol_v), (s21, tol_s21)))
     return out
 
 
