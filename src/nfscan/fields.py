@@ -233,6 +233,4 @@ def current_distribution(trace: TracePath, f, drive: DriveSpec, substrate: Subst
     from_end = total - mid
     if trace.termination == "open":
         return i0 * np.sin(beta * from_end).astype(complex)
-    if trace.termination == "short":
-        return i0 * np.cos(beta * from_end).astype(complex)
-    raise ConfigError(f"trace.termination: unsupported value {trace.termination!r}")
+    return i0 * np.cos(beta * from_end).astype(complex)  # short

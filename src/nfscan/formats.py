@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
@@ -122,8 +122,8 @@ class NetworkData:
         object.__setattr__(self, "s", s)
         if self.n_ports < 1:
             raise ConfigError("network: n_ports must be >= 1")
-        if self.z_ref <= 0:
-            raise ConfigError("network: z_ref must be > 0")
+        if not 0 < self.z_ref < math.inf:
+            raise ConfigError("network: z_ref must be finite and > 0")
         if f.ndim != 1 or s.shape != (len(f), self.n_ports, self.n_ports):
             raise ConfigError(
                 f"network: S shape {s.shape} inconsistent with {len(f)} rows x {self.n_ports} ports")
@@ -185,11 +185,14 @@ def parse_touchstone(text):
             raise ParseError(f"DB magnitude of {_TS_DB_MAX:.6g} dB or more overflows a double",
                              line=lineno)
         f_hz = values[0] * unit
+        row = [_decode_pair(values[i], values[i + 1], fmt) for i in range(1, len(values), 2)]
+        if not (math.isfinite(f_hz) and all(map(cmath.isfinite, row))):
+            raise ParseError(f"non-finite frequency or S-parameter in data row: {line!r}",
+                             line=lineno)
         if freqs and not f_hz > freqs[-1]:
             raise ParseError(f"frequency {f_hz} Hz not strictly increasing", line=lineno)
         freqs.append(f_hz)
-        rows.append([_decode_pair(values[i], values[i + 1], fmt)
-                     for i in range(1, len(values), 2)])
+        rows.append(row)
 
     if ncols is None:
         n_ports = ports_hint
@@ -228,8 +231,9 @@ def _parse_option_line(line, lineno):
                 z_ref = float(tokens[i + 1])
             except ValueError:
                 raise ParseError(f"bad resistance value {tokens[i + 1]!r}", line=lineno) from None
-            if z_ref <= 0:
-                raise ParseError(f"reference impedance must be > 0, got {z_ref}", line=lineno)
+            if not 0 < z_ref < math.inf:
+                raise ParseError(f"reference impedance must be finite and > 0, got {z_ref}",
+                                 line=lineno)
             i += 1
         else:
             raise ParseError(f"unknown option token {tokens[i]!r}", line=lineno)
@@ -308,12 +312,13 @@ class FieldMap:
             raise ConfigError("dB map contains non-finite values")
 
 
-#: The map header's numbers: the ScanGrid fields in order, then f_hz.
+#: The map header's numbers: the ScanGrid fields by name, then f_hz.
 _MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "f_hz")
 
 
 def write_map_csv(fmap: FieldMap):
-    items = [(key, _rfmt(val)) for key, val in zip(_MAP_FLOAT_KEYS, (*astuple(fmap.grid), fmap.f))]
+    nums = {**vars(fmap.grid), "f_hz": fmap.f}
+    items = [(key, _rfmt(nums[key])) for key in _MAP_FLOAT_KEYS]
     items += [("component", fmap.component), ("value_kind", "db")]
     items += [(f"meta.{key}", fmap.meta[key]) for key in sorted(fmap.meta)]
     return _write_table(MAP_MAGIC, items, fmap.values)
@@ -373,7 +378,8 @@ def parse_map_csv(text):
 
 def _read_table(text, magic, what, keys, floats):
     """(header dict, [float of each `floats` key], body) of a CSV, whose
-    header must hold every key of `floats` and `keys`."""
+    header must hold every key of `floats` and `keys`, each `floats` key
+    a finite number."""
     header, body = _split_header(text, magic, what)
     missing = [k for k in floats + keys if k not in header]
     if missing:
@@ -384,6 +390,8 @@ def _read_table(text, magic, what, keys, floats):
             nums.append(float(header[key]))
         except ValueError:
             raise ParseError(f"header {key}: not a number: {header[key]!r}") from None
+        if not math.isfinite(nums[-1]):
+            raise ParseError(f"header {key}: not a finite number: {header[key]!r}")
     return header, nums, body
 
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nfscan import parse_cf_csv, parse_map_csv, parse_touchstone
+from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, parse_cf_csv, parse_map_csv,
+                    parse_touchstone, write_cf_csv, write_map_csv, write_touchstone)
 from nfscan import ConfigError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
@@ -304,8 +305,13 @@ class TestPipeline:
         assert text.startswith("min ") and "max " in text
 
     @pytest.mark.parametrize("which, key, err", [
-        ("scan", "f_hz", "map frequency nan Hz: must be finite and > 0"),
-        ("cf", "d", "CF table: d = nan m must be finite and > 0")], ids=["map-f_hz", "cf-d"])
+        ("scan", "f_hz", "header f_hz: not a finite number: 'nan'"),
+        ("cf", "d", "header d: not a finite number: 'nan'"),
+        ("scan", "x_min", "header x_min: not a finite number: 'nan'"),
+        ("scan", "x_max", "header x_max: not a finite number: 'nan'"),
+        ("scan", "dx", "header dx: not a finite number: 'nan'"),
+        ("cf", "h", "header h: not a finite number: 'nan'")],
+        ids=["map-f_hz", "cf-d", "map-x_min", "map-x_max", "map-dx", "cf-h"])
     def test_extract_rejects_nan_header_number(self, pipeline, tmp_path, capsys, which, key,
                                                err):
         _, _, cf, sim = pipeline
@@ -713,11 +719,16 @@ class TestProbePairBudget:
         assert (cfg.probe.quad_n, cfg.trace.n_segments) == (probe["quad_n"], MAX_SEGMENTS)
 
 
-def _readme_commands():
-    """The `nfscan ...` commands of README's "Command-line usage" block."""
+def _readme_block(section, lang):
+    """The first ```lang code block of README's `## section`."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split(f"## {section}\n", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    """The `nfscan ...` commands of README's "Command-line usage" block."""
+    block = _readme_block("Command-line usage", "sh")
     return [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
             if cmd.startswith("nfscan ")]
 
@@ -731,6 +742,14 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     assert capsys.readouterr().err == ""
+
+
+def test_readme_library_imports_run():
+    """README's "Library entry points" import block names only names
+    nfscan exports."""
+    block = _readme_block("Library entry points", "python")
+    assert block.startswith("from nfscan import (")
+    exec(block, {})
 
 
 def _doc_paths(node, path=()):
@@ -856,6 +875,121 @@ class TestMutatedConfigs:
         code, err = _run_quietly([cmd, "--config", str(cfg), "--out", str(out)])
         assert (code, err.count("\n")) == (2, 1)
         assert err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
+
+def _input_files():
+    """A valid vport map CSV, CF CSV and 2-port Touchstone text, small."""
+    grid = ScanGrid(x_min=0.0, x_max=2e-3, y_min=-1e-3, y_max=1e-3, dx=1e-3, dy=1e-3,
+                    z_height=1e-3)
+    vmap = FieldMap(grid=grid, f=2e9, component="vport", meta={"normal": "hy"},
+                    values=np.linspace(-80.0, -40.0, 9).reshape(3, 3))
+    cf = CFTable(f=[1e9, 2e9, 3e9], cf_db=[36.0, 30.0, 26.5], kernel="paper", d=1e-3,
+                 h=1.6e-3)
+    s = np.zeros((3, 2, 2), dtype=complex)
+    s[:, 1, 0] = [0.01j, 0.02j, 0.03j]
+    net = NetworkData(f=np.array([1e9, 2e9, 3e9]), s=s, n_ports=2)
+    return write_map_csv(vmap), write_cf_csv(cf), write_touchstone(net)
+
+
+_MAP, _CF, _TS = _input_files()
+#: What a mutation puts in a cell, header value or token.
+_ODD_TOKENS = ["nan", "inf", "-0", "1e309", "5e-324", "", "x", "1_0", "\x0c1"]
+
+
+def _set_field(line, value, k):
+    """`line` with field `k` (mod their count) set to `value`: a '# key:
+    value' header's value, else a comma-separated cell, else a token."""
+    if line.startswith("#") and ":" in line:
+        return f"{line.partition(':')[0]}: {value}"
+    sep = "," if "," in line else " "
+    fields = line.split(sep)
+    fields[k % len(fields)] = value
+    return sep.join(fields)
+
+
+@st.composite
+def mutated_text(draw, text):
+    """`text` with 1-3 mutations: a field set to an odd token, a line
+    dropped or duplicated, or a blank line inserted."""
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("set", "drop", "duplicate", "blank")))
+        if kind == "set":
+            lines[i] = _set_field(lines[i], draw(st.sampled_from(_ODD_TOKENS)),
+                                  draw(st.integers(0, 8)))
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, "")
+    return "\n".join(lines) + "\n"
+
+
+def _file_case(map_text=_MAP, cf_text=_CF, ts_text=_TS):
+    return {"scan.csv": map_text, "cf.csv": cf_text, "probe.s2p": ts_text}
+
+
+#: Inputs that once ended wrongly: a DB magnitude beyond a double, an
+#: option line after a data row, an s21 map into extract, a non-finite
+#: Touchstone cell and a non-finite map header number.
+_FILE_FAULTS = [
+    _file_case(ts_text="# GHz S DB R 50\n1 0 0 7000 0 0 0 0 0\n"),
+    _file_case(ts_text="1 0 0 0.5 90 0.5 90 0 0\n# GHz S RI R 50\n2 0 0 0.5 90 0.5 90 0 0\n"),
+    _file_case(map_text=_MAP.replace("# component: vport", "# component: s21")),
+    _file_case(ts_text="# GHz S RI R 50\n1 nan 0 0 0 0 0 0 0\n"),
+    _file_case(map_text=_MAP.replace("# x_min: 0.0", "# x_min: nan")),
+]
+
+
+class TestMutatedFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(_file_case, mutated_text(_MAP), mutated_text(_CF), mutated_text(_TS)))
+    @example(_FILE_FAULTS[0])
+    @example(_FILE_FAULTS[1])
+    @example(_FILE_FAULTS[2])
+    @example(_FILE_FAULTS[3])
+    @example(_FILE_FAULTS[4])
+    def test_commands_exit_cleanly_with_finite_outputs(self, files):
+        """`calibrate`, `extract`, `profile`, `stats` and `render` on
+        mutated input files exit 0, 2 or 3 with no warning and no
+        traceback; an error is one `error: ` line, and every number a
+        successful run writes is finite."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = {name: os.path.join(tmp, name) for name in files}
+            for name, text in files.items():
+                with open(path[name], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            out = {name: os.path.join(tmp, name) for name in ("cf_out.csv", "hy.csv", "p.csv")}
+            runs = [(["calibrate", "--probe", path["probe.s2p"], "--d", "1.0", "--h", "1.6",
+                      "--out", out["cf_out.csv"]], out["cf_out.csv"]),
+                    (["extract", "--scan", path["scan.csv"], "--cf", path["cf.csv"],
+                      "--freq", "2e9", "--out", out["hy.csv"]], out["hy.csv"]),
+                    (["profile", "--map", path["scan.csv"], "--axis", "x", "--at", "0",
+                      "--out", out["p.csv"]], out["p.csv"]),
+                    (["stats", "--map", path["scan.csv"]], None),
+                    (["render", "--map", path["scan.csv"], "--lo", "-60", "--hi", "0",
+                      "--out", os.path.join(tmp, "r.pgm")], None)]
+            for argv, written in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code, err = _run_quietly(argv)
+                assert code in (0, 2, 3), (argv, err)
+                if code:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                elif written:
+                    assert _numbers_finite(written), argv
+
+
+    def test_non_finite_touchstone_cell_names_line(self, tmp_path):
+        s2p = tmp_path / "probe.s2p"
+        s2p.write_text(_FILE_FAULTS[3]["probe.s2p"])
+        out = tmp_path / "cf.csv"
+        assert _run_quietly(["calibrate", "--probe", str(s2p), "--d", "1", "--h", "1.6",
+                             "--out", str(out)]) == (
+            2, "error: line 2: non-finite frequency or S-parameter in data row: "
+               "'1 nan 0 0 0 0 0 0 0'\n")
         assert not out.exists()
 
 

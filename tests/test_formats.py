@@ -58,9 +58,30 @@ class TestTouchstoneParse:
     @pytest.mark.parametrize("row", ["1 0 0 nan 0 0 0 0 0", "1 0 0 0.5 0 0 0 0 -inf",
                                      "inf 0 0 0.5 0 0 0 0 0"])
     def test_non_finite_values_rejected(self, row):
-        with pytest.raises(ConfigError, match="^network: frequencies and S-parameters must be "
-                                              "finite$"):
+        with pytest.raises(ParseError) as info:
             parse_touchstone(f"# GHz S RI R 50\n{row}\n")
+        assert str(info.value) == ("line 2: non-finite frequency or S-parameter in data row: "
+                                   f"{row!r}")
+
+    @pytest.mark.parametrize("option, row", [
+        ("DB", "1 nan 0 0 0 0 0 0 0"), ("MA", "1 0 0 inf 0 0 0 0 0"),
+        ("MA", "1 0 0 0.5 inf 0 0 0 0"), ("MA", "1e300 0 0 0.5 0 0 0 0 0")],
+        ids=["db-nan", "ma-inf-magnitude", "ma-inf-angle", "frequency-overflows"])
+    def test_non_finite_decoded_value_names_line(self, option, row):
+        with pytest.raises(ParseError, match=r"^line 3: non-finite frequency or S-parameter"):
+            parse_touchstone(f"# GHz S {option} R 50\n1e-3 0 0 0 0 0 0 0 0\n{row}\n")
+
+    def test_db_minus_inf_reads_as_zero(self):
+        net = parse_touchstone("# GHz S DB R 50\n1 -inf 0 -20 0 -inf 0 -inf 0\n")
+        assert net.s[0, 0, 0] == 0 and abs(net.s[0, 1, 0]) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0"])
+    def test_reference_impedance_must_be_finite_and_positive(self, z):
+        with pytest.raises(ParseError, match=f"^line 1: reference impedance must be finite "
+                                             f"and > 0, got {float(z)}$"):
+            parse_touchstone(f"# GHz S RI R {z}\n1 0 0 0.5 0 0 0 0 0\n")
+        with pytest.raises(ConfigError, match="^network: z_ref must be finite and > 0$"):
+            NetworkData(f=np.array([1e9]), s=np.zeros((1, 1, 1)), n_ports=1, z_ref=float(z))
 
     def test_one_port(self):
         net = parse_touchstone("# GHz S RI R 75\n1 0.2 -0.1\n2 0.3 0.0\n")
@@ -214,13 +235,24 @@ class TestMapCsv:
 
     @pytest.mark.parametrize("f_hz", ["nan", "inf", "-inf", "0.0", "-2e9"])
     def test_frequency_must_be_finite_and_positive(self, f_hz):
-        """Checked by FieldMap, so the parser and its reference agree."""
+        """A non-finite header number is the header reader's ParseError; a
+        finite one out of range is FieldMap's ConfigError."""
         text = write_map_csv(synth_map(nx=3, ny=2)).replace("# f_hz: 2000000000.0\n",
                                                             f"# f_hz: {f_hz}\n")
-        for parse in (parse_map_csv, parse_map_csv_per_row):
-            with pytest.raises(ConfigError) as info:
-                parse(text)
-            assert str(info.value) == f"map frequency {float(f_hz)!r} Hz: must be finite and > 0"
+        finite = math.isfinite(float(f_hz))
+        with pytest.raises(ConfigError if finite else ParseError) as info:
+            parse_map_csv(text)
+        assert str(info.value) == (f"map frequency {float(f_hz)!r} Hz: must be finite and > 0"
+                                   if finite else f"header f_hz: not a finite number: {f_hz!r}")
+
+    @pytest.mark.parametrize("key", formats._MAP_FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_header_number_names_key(self, key, value):
+        text = "".join(f"# {key}: {value}\n" if line.startswith(f"# {key}: ") else line
+                       for line in write_map_csv(synth_map(nx=3, ny=2)).splitlines(True))
+        with pytest.raises(ParseError) as info:
+            parse_map_csv(text)
+        assert str(info.value) == f"header {key}: not a finite number: {value!r}"
 
     def test_single_cell(self):
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
@@ -572,7 +604,12 @@ class TestCfCsv:
         ("# nfscan-cf 1\n# kernel: paper\n1e9,30\n", "missing header keys: d, h"),
         ("# nfscan-cf 1\n1e9,30\n", "missing header keys: d, h, kernel"),
         (_CF_HEAD.replace("d: 0.001", "d: abc") + "1e9,30\n", "header d: not a number: 'abc'"),
-    ], ids=["columns", "non-finite", "bad-cell", "missing-d-h", "missing-all", "bad-number"])
+        (_CF_HEAD.replace("d: 0.001", "d: nan") + "1e9,30\n",
+         "header d: not a finite number: 'nan'"),
+        (_CF_HEAD.replace("h: 0.0016", "h: -inf") + "1e9,30\n",
+         "header h: not a finite number: '-inf'"),
+    ], ids=["columns", "non-finite", "bad-cell", "missing-d-h", "missing-all", "bad-number",
+            "non-finite-d", "non-finite-h"])
     def test_errors_are_the_map_readers(self, text, message):
         """CF tables are read by the map reader and raise its error texts."""
         with pytest.raises(ParseError) as info:
