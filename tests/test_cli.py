@@ -945,7 +945,7 @@ _FILE_FAULTS = [
 
 
 class TestMutatedFiles:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.builds(_file_case, mutated_text(_MAP), mutated_text(_CF), mutated_text(_TS)))
     @example(_FILE_FAULTS[0])
     @example(_FILE_FAULTS[1])

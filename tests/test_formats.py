@@ -236,17 +236,23 @@ class TestMapCsv:
     @pytest.mark.parametrize("f_hz", ["nan", "inf", "-inf", "0.0", "-2e9"])
     def test_frequency_must_be_finite_and_positive(self, f_hz):
         """A non-finite header number is the header reader's ParseError; a
-        finite one out of range is FieldMap's ConfigError."""
+        finite one out of range is FieldMap's ConfigError, so the parser
+        and its reference agree."""
         text = write_map_csv(synth_map(nx=3, ny=2)).replace("# f_hz: 2000000000.0\n",
                                                             f"# f_hz: {f_hz}\n")
-        finite = math.isfinite(float(f_hz))
-        with pytest.raises(ConfigError if finite else ParseError) as info:
-            parse_map_csv(text)
-        assert str(info.value) == (f"map frequency {float(f_hz)!r} Hz: must be finite and > 0"
-                                   if finite else f"header f_hz: not a finite number: {f_hz!r}")
+        if not math.isfinite(float(f_hz)):
+            with pytest.raises(ParseError) as info:
+                parse_map_csv(text)
+            assert str(info.value) == f"header f_hz: not a finite number: {f_hz!r}"
+            return
+        for parse in (parse_map_csv, parse_map_csv_per_row):
+            with pytest.raises(ConfigError) as info:
+                parse(text)
+            assert str(info.value) == f"map frequency {float(f_hz)!r} Hz: must be finite and > 0"
 
-    @pytest.mark.parametrize("key", formats._MAP_FLOAT_KEYS)
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    @pytest.mark.parametrize("key, value", [
+        ("x_min", "nan"), ("x_max", "inf"), ("y_min", "-inf"), ("y_max", "1e309"),
+        ("dx", "inf"), ("dy", "nan"), ("z_height", "-inf"), ("f_hz", "1e309")])
     def test_non_finite_header_number_names_key(self, key, value):
         text = "".join(f"# {key}: {value}\n" if line.startswith(f"# {key}: ") else line
                        for line in write_map_csv(synth_map(nx=3, ny=2)).splitlines(True))
