@@ -30,13 +30,14 @@ _REQUIRED = object()
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
-#: is 2,000.  A kernel call holds about 106 bytes per point x segment.
+#: is 2,000.  A kernel block peaks near 50 bytes per point x segment,
+#: images counted.
 MAX_SEGMENTS = 2000
 
-#: Most point x segment pairs in the kernel call of one integrated probe,
+#: Most point x segment pairs in the kernel block of one integrated probe,
 #: (1 + quad_n^2) x 2 x segments (images included): `kernel_blocks` never
 #: splits a probe.  quad_n 16 over 2,000 segments is 1,028,000 pairs, a
-#: 100 MB peak (tracemalloc).
+#: 50 MB peak (tracemalloc).
 MAX_PROBE_PAIRS = 2**20
 
 #: Bound on the magnitude of every length and coordinate in a config (mm,

@@ -3,14 +3,17 @@
 The field of each straight filament segment is the exact finite-length
 Biot-Savart result.  The coupling between a point and a segment depends
 on geometry only, so `segment_kernel` returns it per unit current, as the
-field component along one axis: an (npts, nseg) array, built from
-per-axis (npts, nseg) arrays with no (npts, nseg, 3) temporary.
+field component along one axis, for the segments of one polyline: an
+(npts, nseg) array with no (npts, nseg, 3) temporary.  Point-to-vertex
+distances are formed once per vertex, and the in-span formula only where
+a point projects into a segment (see there).
 
 `kernel_blocks` is the one grounded path: it applies the image rule
-(stated there) and feeds the kernel whole probes at a time, at most
-`PAIRS` point x segment pairs per call (or one probe).  Callers contract
-each block with the currents of as many frequencies as they need: the
-scan's probe chain, and `h_trace_grounded` once per axis.
+(stated there), calling the kernel on the trace and on its image, and
+feeds it whole probes at a time, at most `PAIRS` point x segment pairs
+per block, images counted (or one probe).  Callers contract each block
+with the currents of as many frequencies as they need: the scan's probe
+chain, and `h_trace_grounded` once per axis.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .model import AXES, C_LIGHT, DriveSpec, Substrate, TracePath
 #: a closer point raises SingularityError.
 EPS_GEOM = 1e-9
 
-#: Most point x segment pairs per kernel call, unless one probe alone has
-#: more.  A call peaks near 106 B per pair (measured), so 2**15 pairs stay
-#: under 4 MB; at 30 trace segments (60 with images) a block is 546 points.
+#: Most point x segment pairs per block, images counted, unless one probe
+#: alone has more.  A block's two kernel calls, trace then image, each hold
+#: half of them; it peaks near 50 B per pair (tracemalloc), so 2**15 pairs
+#: stay under 2 MB.  At 30 trace segments a block is 546 points.
 PAIRS = 2 ** 15
 
 _FOUR_PI = 4.0 * math.pi
@@ -43,11 +47,12 @@ def _sum3(x0, x1, x2):
     return x0
 
 
-def segment_kernel(starts, ends, points, axis, n_real=None):
-    """Component `axis` ("x", "y" or "z") of H per unit current, (npts, nseg) in A/m per A.
+def segment_kernel(vertices, points, axis, image=False):
+    """Component `axis` ("x", "y" or "z") of H per unit current in each
+    segment of the polyline `vertices` (nv, 3): (npts, nv - 1) in A/m per A.
 
-    Entry [i, k] is that component of H at points[i] of segment k
-    carrying 1 A:
+    Entry [i, k] is that component of H at points[i] of segment k, from
+    vertex k to vertex k + 1, carrying 1 A:
 
         H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
 
@@ -58,95 +63,108 @@ def segment_kernel(starts, ends, points, axis, n_real=None):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
-    Each vector quantity is held as three (npts, nseg) component arrays.
-    u x r1 uses np.cross's formula, and every three-term sum (dot
-    products, |r|**2) is rounded in einsum's order, (x0 + x2) + x1.  The
-    component is added to +0.0, as einsum's projection on a unit axis
-    added it, so even an exact zero comes out as +0.0, as before.  The values thus
-    equal those of the former (npts, nseg, 3) kernel projected with
-    einsum, bit for bit, and every map and .s2p stays byte-identical.
+    A segment's end is the next one's start, so r = p - v and |r| are
+    formed once per vertex; r1/r2 and |r1|/|r2| are views one vertex
+    apart.  Every pair gets the `axis` component of u x r1 and the beyond
+    coefficient; the other two components, rho**2 and the in-span formula
+    only the pairs with t1 * t2 <= 0, gathered by index.  Arrays are
+    segment-major per component (the result is a transposed view).  u x r1
+    uses np.cross's formula, every three-term sum is rounded in einsum's
+    order, (x0 + x2) + x1, and the result is added to +0.0 as einsum's
+    projection on a unit axis added it, so the values equal those of the
+    former (npts, nseg, 3) kernel projected with einsum, bit for bit.
 
     Computes every point it is given; `kernel_blocks` bounds the count.
-    `n_real` marks how many leading segments are physical; later ones
-    are reported as image segments.  Raises SingularityError for the
-    first (point, segment) pair, in point-major order, closer than
-    EPS_GEOM to the segment.
+    Raises SingularityError for the first (point, segment) pair, in
+    point-major order, closer than EPS_GEOM to the segment or of zero
+    length, naming the segment an image one if `image`.
     """
-    seg = ends - starts
-    length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
-    # Component-major copies: broadcasting strided columns is several times slower.
-    u = np.ascontiguousarray((seg / length[:, None]).T)
-    p = np.ascontiguousarray(points.T)[:, :, None]
-    r2 = p - np.ascontiguousarray(ends.T)[:, None, :]
-    t2 = _sum3(r2[0] * u[0], r2[1] * u[1], r2[2] * u[2])
-    n2 = np.sqrt(_sum3(r2[0] * r2[0], r2[1] * r2[1], r2[2] * r2[2]))
-    del r2
-    r1 = p - np.ascontiguousarray(starts.T)[:, None, :]
-    t1 = _sum3(r1[0] * u[0], r1[1] * u[1], r1[2] * u[2])
-    n1 = np.sqrt(_sum3(r1[0] * r1[0], r1[1] * r1[1], r1[2] * r1[2]))
-    c = (u[1] * r1[2] - u[2] * r1[1],
-         u[2] * r1[0] - u[0] * r1[2],
-         u[0] * r1[1] - u[1] * r1[0])
-    del r1
-    rho2 = _sum3(c[0] * c[0], c[1] * c[1], c[2] * c[2])
-    beyond = t1 * t2 > 0.0
-    dist2 = np.where(beyond, np.minimum(n1, n2) ** 2, rho2)
-    near = (dist2 < EPS_GEOM * EPS_GEOM) | (length == 0.0)
-    if near.any():
-        pt, k = divmod(int(np.argmax(near)), near.shape[1])
-        image = n_real is not None and k >= n_real
-        idx = k - n_real if image else k
-        kind = "image segment" if image else "segment"
-        raise SingularityError(
-            f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {idx}",
-            segment=idx, point=pt, image=image)
-    del dist2, near
+    verts = np.asarray(vertices, dtype=float)
+    seg = verts[1:] - verts[:-1]
+    npts = len(points)
+    eps2 = EPS_GEOM * EPS_GEOM
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(beyond,
-                        (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
-                        (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
-    out = np.zeros_like(coef)
-    out += coef * c[AXES.index(axis)]
-    return out
+        length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
+        u = (seg / length[:, None]).T[:, :, None]
+        # (3, nv, npts): component, vertex, point; segment k starts at vertex k.
+        r = np.ascontiguousarray(points.T)[:, None, :] - verts.T[:, :, None]
+        n = np.sqrt(_sum3(r[0] * r[0], r[1] * r[1], r[2] * r[2]))
+        r1, r2, n1, n2 = r[:, :-1], r[:, 1:], n[:-1], n[1:]
+        t1 = _sum3(r1[0] * u[0], r1[1] * u[1], r1[2] * u[2])
+        t2 = _sum3(r2[0] * u[0], r2[1] * u[1], r2[2] * u[2])
+        a = AXES.index(axis)
+        c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
+        # In-span pairs by flat (segment, point) index, where r1 and n1 share r's and n's.
+        i = np.flatnonzero(t1 * t2 <= 0.0)
+        ri, ui = r.reshape(3, -1)[:, i], u[:, i // npts, 0]
+        rho2 = _sum3(*((ui[(j + 1) % 3] * ri[(j + 2) % 3] - ui[(j + 2) % 3] * ri[(j + 1) % 3]) ** 2
+                       for j in range(3)))
+        # Beyond an end the nearest point of the segment is a vertex.
+        nmin = n.min()
+        if nmin * nmin < eps2 or (rho2 < eps2).any() or not length.all():
+            near = np.minimum(n1, n2) ** 2 < eps2
+            np.put(near, i, rho2 < eps2)
+            near[length == 0.0] = True
+            pt, k = divmod(int(np.argmax(near.T)), len(seg))
+            kind = "image segment" if image else "segment"
+            raise SingularityError(
+                f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {k}",
+                segment=k, point=pt, image=image)
+        den = _FOUR_PI * n1
+        den *= n2
+        w = t1 * n2
+        w += t2 * n1
+        den *= w
+        coef = t1 - t2
+        coef *= t1 + t2
+        coef /= den
+        t1, t2 = np.take(t1, i), np.take(t2, i)
+        np.put(coef, i, (t1 / np.take(n, i) - t2 / np.take(n, i + npts)) / (_FOUR_PI * rho2))
+    coef *= c
+    coef += 0.0
+    return coef.T
 
 
 def kernel_blocks(trace: TracePath, centers, axis, offsets=None):
     """Coupling of a grounded trace to field component `axis` of probes
     at `centers`, one block at a time.
 
-    The ground plane enters here and nowhere else.  Each segment is
+    The ground plane enters here and nowhere else.  The trace is
     mirrored through z=0 and its image carries the negated current, which
     reverses horizontal current and preserves vertical current, enforcing
-    zero normal H on the plane.  So g is a segment's `segment_kernel`
-    column minus its image's: field component `axis` per unit current in
-    the trace segment.
+    zero normal H on the plane.  So g is the trace's `segment_kernel`
+    block minus its image's: field component `axis` per unit current in
+    each trace segment.
 
     A probe's points are its center, then center + each of `offsets` (its
     quadrature nodes) if given.  Each block holds whole probes, at most
     PAIRS // (2 * n_segments) points, and always at least one probe.
-    Yields (lo, hi, g) for probes lo..hi-1, g being the block's (npts,
-    n_segments) coupling, rows probe-major.  A SingularityError's `point`
-    is the index of the probe in `centers`, with `image` set if the
-    filament is an image.
+    Yields (lo, hi, g) for probes lo..hi-1, g being the block's C-ordered
+    (npts, n_segments) coupling, rows probe-major.  A SingularityError
+    names the first near pair in point-major order, a trace segment
+    before an image at the same point; its `point` is the index of the
+    probe in `centers`, with `image` set if the filament is an image.
     """
-    starts, ends = trace.segment_arrays()
-    n = trace.n_segments
-    mirror = np.array([1.0, 1.0, -1.0])
-    starts = np.vstack([starts, starts * mirror])
-    ends = np.vstack([ends, ends * mirror])
+    verts = np.asarray(trace.vertices, dtype=float)
+    mirror = verts * [1.0, 1.0, -1.0]
     m = 1 if offsets is None else 1 + len(offsets)
-    step = max(1, PAIRS // (2 * n) // m)
+    step = max(1, PAIRS // (2 * trace.n_segments) // m)
     for lo in range(0, len(centers), step):
         c = centers[lo:lo + step]
         pts = c if offsets is None else np.concatenate(
             [c[:, None], c[:, None] + offsets], axis=1).reshape(-1, 3)
         try:
-            g = segment_kernel(starts, ends, pts, axis, n)
+            try:
+                g = segment_kernel(verts, pts, axis)
+            except SingularityError as exc:
+                if exc.point:  # an image pair at an earlier point comes first
+                    segment_kernel(mirror, pts[:exc.point], axis, image=True)
+                raise
+            g -= segment_kernel(mirror, pts, axis, image=True)
         except SingularityError as exc:
             exc.point = lo + exc.point // m
             raise
-        g = g[:, :n] - g[:, n:]  # rebound: the next call holds no unfolded block
-        yield lo, lo + len(c), g
+        yield lo, lo + len(c), np.ascontiguousarray(g)
 
 
 def h_segment(start, end, current, point):
@@ -160,12 +178,11 @@ def h_segment(start, end, current, point):
     with rho the perpendicular distance to the supporting line, theta the
     signed endpoint angles and phi_hat the right-hand circulation direction.
     """
-    start = np.asarray(start, dtype=float).reshape(1, 3)
-    end = np.asarray(end, dtype=float).reshape(1, 3)
-    if np.array_equal(start, end):
+    verts = np.array([start, end], dtype=float).reshape(2, 3)
+    if np.array_equal(verts[0], verts[1]):
         raise ConfigError("segment start and end must be distinct")
     p = np.asarray(point, dtype=float).reshape(1, 3)
-    g = np.array([segment_kernel(start, end, p, axis)[0, 0] for axis in AXES])
+    g = np.array([segment_kernel(verts, p, axis)[0, 0] for axis in AXES])
     return g * complex(current)
 
 

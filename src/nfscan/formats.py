@@ -17,12 +17,12 @@ error texts.
 A map CSV holds one dB map (FieldMap), and every cell is a finite dB
 value written as Python `repr` of a double: the shortest decimal that
 parses back to the same double.  A CSV body is formatted by orjson
-(Ryu-style shortest round-trip digits) in one call for the whole table:
-a 1001 x 1001 map takes 0.2 s (Intel Xeon, one core).  orjson spells a
-double as `repr` does except for 0 < |x| < 1e-4 and |x| >= 1e16
-("0.00005", "1e16" for "5e-05", "1e+16"); the rows holding such a cell
-are written with `repr`, which is what keeps every file byte-identical
-to one `repr` per cell.
+(Ryu-style shortest round-trip digits), one call per row, and the rows
+are joined with "\n": a 201 x 201 map takes 2.8 ms (Intel Xeon, one
+core).  orjson spells a double as `repr` does except for 0 < |x| < 1e-4
+and |x| >= 1e16 ("0.00005", "1e16" for "5e-05", "1e+16"); the rows
+holding such a cell are written with `repr`, which is what keeps every
+file byte-identical to one `repr` per cell.
 
 A cell parses if `float()` accepts it and the result is finite;
 surrounding whitespace and `1_0` are accepted.  A bad cell raises
@@ -328,21 +328,19 @@ def _write_table(magic, items, values):
     """CSV text: '# magic', a '# key: value' line per (key, text) item,
     then the rows of the 2-D float array `values`, each cell its `repr`."""
     header = "\n".join([f"# {magic}", *(f"# {key}: {val}" for key, val in items)])
-    # One orjson call for the whole table, "[[a,b],[c,d]]", with `repr`'s
+    # One orjson call per row, "[a,b]" sliced to "a,b", with `repr`'s
     # digits; the rows it spells differently (_repr_rows) are redone with
     # `repr`.  Each copy is dropped before the next is made, so the writer
-    # peaks below 3x the text it returns.
+    # peaks below 3x the text it returns: 39 MB for the 19 MB of a
+    # 1001 x 1001 map (tracemalloc), 2.0x.
     values = np.ascontiguousarray(values)
-    repr_rows = _repr_rows(values)
-    body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\n")
-    body = str(memoryview(body)[2:-2], "ascii")
-    if not repr_rows:
-        return "".join([header, "\n", body, "\n"])
-    rows = body.split("\n")
-    del body
-    for r in repr_rows:
-        rows[r] = ",".join(map(repr, values[r].tolist()))
-    return "\n".join([header, *rows, ""])
+    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in values]
+    for r in _repr_rows(values):
+        rows[r] = ",".join(map(repr, values[r].tolist())).encode()
+    body = b"\n".join(rows)
+    del rows
+    body = str(body, "ascii")
+    return "".join([header, "\n", body, "\n"])
 
 
 def _repr_rows(values):
@@ -365,7 +363,14 @@ def _repr_rows(values):
 def parse_map_csv(text):
     header, nums, body = _read_table(text, MAP_MAGIC, "field map", ("component", "value_kind"),
                                      _MAP_FLOAT_KEYS)
-    grid = ScanGrid(*nums[:-1])
+    try:
+        grid = ScanGrid(*nums[:-1])
+    except ConfigError as exc:
+        # ScanGrid names a config key, "grid.<field>: ..." ("grid.x" for the
+        # x extent); a map names the header key, the step for an extent.
+        field, _, why = str(exc)[len("grid."):].partition(": ")
+        key = "d" + field if field in ("x", "y") else field
+        raise ParseError(f"header {key}: {why}") from None
     if header["value_kind"] != "db":
         raise ParseError(f"header value_kind: must be db, got {header['value_kind']!r}")
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}

@@ -6,9 +6,11 @@ one-point scan).  It walks the probes in blocks of whole probes, each
 probe's points being its center and, for the integrated aperture, its
 quadrature nodes.  Per block `fields.kernel_blocks` gives the real
 coupling from every trace segment (its ground-plane image folded in) to
-the field along the probe normal, which is multiplied by the segments x
-frequencies current matrix.  Each point's sums run in a fixed order, so
-results are byte-identical from run to run.
+the field along the probe normal: two polyline kernel calls, the trace
+and its image, whose difference comes as one C-ordered (points x
+segments) array.  It is multiplied by the segments x frequencies current
+matrix.  Each point's sums run in a fixed order, so results are
+byte-identical from run to run.
 
 A scan returns its complex observables as (nf, ny, nx) arrays
 (ScanResult); the calibration, profile and statistics steps work on dB

@@ -647,7 +647,26 @@ class TestGridBudget:
         header = TestMapRowsCheckedBeforeAllocation.HEADER
         path.write_text(header.format(x_max=0.1, y_max=0, dx=1e-320) + "-10\n")
         assert main(["stats", "--map", str(path)]) == 2
-        assert capsys.readouterr().err == "error: grid.dx: too small for the extent\n"
+        assert capsys.readouterr().err == "error: header dx: too small for the extent\n"
+
+
+class TestMapHeaderGrid:
+    """A map header's invalid grid names the header key, not a config key."""
+
+    @pytest.mark.parametrize("key, value, err", [
+        ("dy", "-0", "header dy: must be > 0"),
+        ("dy", "5e-324", "header dy: too small for the extent"),
+        ("x_max", "-1", "header x_max: must be >= x_min"),
+        ("dx", "0.0007", "header dx: extent is not an integer multiple of the step")])
+    def test_stats_exits_2_naming_header_key(self, tmp_path, capsys, key, value, err):
+        header = TestMapRowsCheckedBeforeAllocation.HEADER.format(x_max=0.003, y_max=0.002,
+                                                                  dx=0.001)
+        path = tmp_path / "map.csv"
+        path.write_text("".join(f"# {key}: {value}\n" if line.startswith(f"# {key}: ")
+                                else line for line in header.splitlines(keepends=True))
+                        + "-1,-2,-3,-4\n" * 3)
+        assert main(["stats", "--map", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 class TestSegmentBudget:

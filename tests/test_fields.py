@@ -21,20 +21,27 @@ lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
 
 @st.composite
 def kernel_cases(draw):
-    """Segments on a 0.25 mm lattice, vertical ones among them, with their
-    ground-plane images (mirrored through z=0) appended when n_real is
-    set; points on the lattice and on segment axes past an end, and
-    sometimes one on a filament."""
-    starts, ends = [], []
+    """Polylines of 1-5 segments on a 0.25 mm lattice, vertical ones among
+    them; when n_real is set the polyline lies above z=0 and the segments
+    of its ground-plane image (mirrored through z=0) are appended to
+    starts and ends.  Points lie on the lattice and on segment axes past
+    an end, and sometimes one on a filament, images included."""
+    grounded = draw(st.booleans())
+    height = lattice.filter(lambda z: z > 0) if grounded else lattice
+    verts = [draw(st.tuples(lattice, lattice, height))]
     for _ in range(draw(st.integers(1, 5))):
-        a = draw(st.tuples(lattice, lattice, lattice))
+        a = verts[-1]
         if draw(st.booleans()):
-            b = (a[0], a[1], draw(lattice.filter(lambda z: z != a[2])))
+            verts.append((a[0], a[1], draw(height.filter(lambda z: z != a[2]))))
         else:
-            b = draw(st.tuples(lattice, lattice, lattice).filter(lambda p: p != a))
-        starts.append(a)
-        ends.append(b)
-    starts, ends = np.array(starts), np.array(ends)
+            verts.append(draw(st.tuples(lattice, lattice, height).filter(lambda p: p != a)))
+    verts = np.array(verts)
+    starts, ends = verts[:-1], verts[1:]
+    n_real = None
+    if grounded:
+        n_real = len(starts)
+        mirror = np.array([1.0, 1.0, -1.0])
+        starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
     pts = [draw(st.tuples(lattice, lattice, lattice)) for _ in range(draw(st.integers(1, 8)))]
     for k in draw(st.lists(st.integers(0, len(starts) - 1), max_size=3)):
         t = draw(st.sampled_from((-2.0, -0.5, 1.5, 3.0)))
@@ -42,12 +49,7 @@ def kernel_cases(draw):
     if draw(st.integers(0, 4)) == 0:
         k = draw(st.integers(0, len(starts) - 1))
         pts.insert(draw(st.integers(0, len(pts))), (starts[k] + ends[k]) / 2)
-    n_real = None
-    if draw(st.booleans()):
-        n_real = len(starts)
-        mirror = np.array([1.0, 1.0, -1.0])
-        starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
-    return starts, ends, np.array(pts, dtype=float), n_real
+    return verts, starts, ends, np.array(pts, dtype=float), n_real
 
 
 NORMALS = ("x", "y", "z")
@@ -279,15 +281,18 @@ class TestKernel:
         pts = np.array([[0.5, 5.0, 0], [0.5, 1.0, 0], [0.5, 0.0, 0]])
         # first singular pair in point-major order: point 1 x segment 1
         assert segment_field_sum(starts, ends, cur, pts, 1e-9, np.empty((3, 3), complex)) == 3
+        # the same two filaments as segments 0 and 2 of a polyline
+        verts = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]])
         normal = "z"
         with pytest.raises(SingularityError) as err:
-            segment_kernel(starts, ends, pts, normal)
-        assert (err.value.point, err.value.segment, err.value.image) == (1, 1, False)
+            segment_kernel(verts, pts, normal)
+        assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
         with pytest.raises(SingularityError) as err:
-            segment_kernel(starts, ends, pts, normal, n_real=1)
+            segment_kernel(verts, pts, normal, image=True)
         assert (err.value.segment, err.value.image) == (0, True)
+        assert "image segment 0" in str(err.value)
         # past the first block the index still refers to the caller's points
-        tr = TracePath(vertices=((1.0, 1, 1), (0.0, 1, 1), (0.0, 0, 1), (1.0, 0, 1)))
+        tr = TracePath(vertices=verts + [0, 0, 1])
         nfar = PAIRS // (2 * tr.n_segments)
         far = np.column_stack([np.full(nfar, 0.5), np.full(nfar, 3.0), np.ones(nfar)])
         with pytest.raises(SingularityError) as err:
@@ -297,45 +302,103 @@ class TestKernel:
             list(kernel_blocks(tr, np.vstack([far, pts - [0, 0, 1]]), normal))
         assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, True)
 
+    def test_earlier_image_hit_reported_first(self):
+        # the real filament is hit at point 2 and its image at point 1: in
+        # point-major order the image comes first, though the real segments
+        # are computed first; swapped, the real one does
+        tr = TracePath(vertices=((-0.1, 0, 2e-3), (0.1, 0, 2e-3), (0.1, 0.1, 2e-3)))
+        pts = np.array([[0, 0.05, 1e-3], [0.1, 0.05, -2e-3], [0, 0, 2e-3]])
+        for normal in NORMALS:
+            with pytest.raises(SingularityError) as err:
+                list(kernel_blocks(tr, pts, normal))
+            assert (err.value.point, err.value.segment, err.value.image) == (1, 1, True)
+            assert str(err.value) == (f"field point {pts[1].tolist()} is within 1e-09 m "
+                                      "of image segment 1")
+            with pytest.raises(SingularityError) as err:
+                list(kernel_blocks(tr, pts[[0, 2, 1]], normal))
+            assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
+
+    def test_near_corner_past_both_segment_ends(self):
+        # within 1 nm of the corner vertex but beyond the span of both
+        # segments that meet there: only the distance to the vertex finds it
+        verts = np.array([[0.0, 0, 1e-3], [1e-3, 0, 1e-3], [1e-3, 1e-3, 1e-3]])
+        pts = np.array([[5e-4, 5e-4, 1e-3], [1e-3 + 5e-10, -5e-10, 1e-3]])
+        with pytest.raises(SingularityError) as ref:
+            vector_kernel(verts[:-1], verts[1:], pts)
+        for normal in NORMALS:
+            with pytest.raises(SingularityError) as err:
+                segment_kernel(verts, pts, normal)
+            assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
+            assert str(err.value) == str(ref.value)
+
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_matches_vector_kernel(self, case):
-        starts, ends, pts, n_real = case
+        # the polyline kernel and the grounded blocks against the 3-vector
+        # kernel over the same segments, images appended when n_real is set
+        verts, starts, ends, pts, n_real = case
+
+        def kernel(normal):
+            if n_real is None:
+                return segment_kernel(verts, pts, normal)
+            (lo, hi, g), = kernel_blocks(TracePath(vertices=verts), pts, normal)
+            assert (lo, hi) == (0, len(pts)) and g.flags.c_contiguous
+            return g
+
         try:
             g = vector_kernel(starts, ends, pts, n_real)
         except SingularityError as ref:
             for normal in NORMALS:
                 with pytest.raises(SingularityError) as err:
-                    segment_kernel(starts, ends, pts, normal, n_real)
+                    kernel(normal)
                 assert (err.value.point, err.value.segment, err.value.image) == \
                     (ref.point, ref.segment, ref.image)
                 assert str(err.value) == str(ref)
             return
         for normal in NORMALS:
-            got = segment_kernel(starts, ends, pts, normal, n_real)
             want = np.einsum("psk,k->ps", g, np.eye(3)[NORMALS.index(normal)])
-            assert got.tobytes() == want.tobytes()
+            if n_real is not None:
+                mirror = verts * [1.0, 1.0, -1.0]
+                assert segment_kernel(verts, pts, normal).tobytes() == \
+                    want[:, :n_real].tobytes()
+                assert segment_kernel(mirror, pts, normal, image=True).tobytes() == \
+                    want[:, n_real:].tobytes()
+                want = want[:, :n_real] - want[:, n_real:]
+            assert kernel(normal).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_polyline_columns_equal_segment_calls(self, case):
+        verts, _, _, pts, _ = case
+        for normal in NORMALS:
+            try:
+                g = segment_kernel(verts, pts, normal)
+            except SingularityError:
+                return
+            for k in range(len(verts) - 1):
+                assert g[:, k].tobytes() == segment_kernel(verts[k:k + 2], pts, normal).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     def test_reversed_segment_negates_column(self, case):
-        starts, ends, pts, _ = case
+        verts, _, _, pts, _ = case
         try:
-            fwd = [segment_kernel(starts, ends, pts, normal) for normal in NORMALS]
+            fwd = [segment_kernel(verts, pts, normal) for normal in NORMALS]
         except SingularityError:
             return
         # u x r1 and u x r2 round apart, so a component that cancels to 0
         # is compared against the largest field component
         atol = 1e-12 * max(np.abs(g).max() for g in fwd)
         for normal, g in zip(NORMALS, fwd):
-            assert_allclose(segment_kernel(ends, starts, pts, normal), -g, rtol=1e-12, atol=atol)
+            rev = segment_kernel(verts[::-1], pts, normal)[:, ::-1]
+            assert_allclose(rev, -g, rtol=1e-12, atol=atol)
 
     def test_peak_memory_within_pair_budget(self):
         # the longest trace a config may ask for, 2,000 segments, x 200
         # points: one kernel call over them and their images would hold
-        # 8e5 pairs.  h_trace_grounded peaks near 113 B per pair (measured
-        # on a 60-segment trace x 2,000 points); 128 B leaves room for the
-        # per-segment arrays.
+        # 8e5 pairs.  h_trace_grounded peaks near 59 B per pair here and
+        # 56 B on a 60-segment trace x 2,000 points (measured); 72 B leaves
+        # room for numpy's temporaries to differ.
         r = rng(5)
         ns = MAX_SEGMENTS
         tr = TracePath(vertices=np.column_stack([np.arange(ns + 1) * 1e-4,
@@ -349,4 +412,4 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < PAIRS * 128
+        assert peak < PAIRS * 72

@@ -23,9 +23,10 @@ def s21_at(probe, trace, substrate, drive, aperture="integrated", quad_n=8):
 def uniform_kernel(direction):
     """Stand-in kernel: every physical segment gives the field `direction`
     per ampere at every point, and every image nothing."""
-    def kernel(starts, ends, points, axis, n_real):
-        g = np.zeros((len(points), len(starts)))
-        g[:, :n_real] = direction["xyz".index(axis)]
+    def kernel(vertices, points, axis, image=False):
+        g = np.zeros((len(points), len(vertices) - 1))
+        if not image:
+            g[:] = direction["xyz".index(axis)]
         return g
     return kernel
 

@@ -151,13 +151,13 @@ class TestRunSimulatedScan:
     def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_probe,
                                                       straight_trace, substrate, drive,
                                                       table2_grid):
-        calls = []       # points per kernel call
+        calls = []       # points per kernel call, one call for the trace and one for its image
         kernel = fields.segment_kernel
 
-        def counted(starts, ends, points, *args):
-            g = kernel(starts, ends, points, *args)
+        def counted(vertices, points, *args, **kwargs):
+            g = kernel(vertices, points, *args, **kwargs)
             # the fast path: one field component, never a 3-vector per pair
-            assert g.shape == (len(points), len(starts))
+            assert g.shape == (len(points), len(vertices) - 1)
             calls.append(len(points))
             return g
 
@@ -178,7 +178,7 @@ class TestRunSimulatedScan:
             assert counts[0] == counts[1] > 0
             calls.clear()
             probe_transfer(straight_trace, substrate, probe, sweep, drive)
-            assert calls == [m]
+            assert calls == [m, m]
 
 
 lattice = st.integers(-24, 24).map(lambda k: k * 0.25e-3)
