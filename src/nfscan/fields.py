@@ -94,7 +94,8 @@ def segment_kernel(vertices, points, axis, image=False):
         t2 = _sum3(r2[0] * u[0], r2[1] * u[1], r2[2] * u[2])
         a = AXES.index(axis)
         c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
-        # In-span pairs by flat (segment, point) index, where r1 and n1 share r's and n's.
+        # In-span pairs by flat index k * npts + p, which is also that of r and n
+        # at segment k's start vertex (and + npts at its end).
         i = np.flatnonzero(t1 * t2 <= 0.0)
         ri, ui = r.reshape(3, -1)[:, i], u[:, i // npts, 0]
         rho2 = _sum3(*((ui[(j + 1) % 3] * ri[(j + 2) % 3] - ui[(j + 2) % 3] * ri[(j + 1) % 3]) ** 2
