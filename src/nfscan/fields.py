@@ -4,20 +4,21 @@ The field of each straight filament segment is the exact finite-length
 Biot-Savart result.  The coupling between a point and a segment depends
 on geometry only, so `segment_kernel` returns it per unit current, as the
 field component along one axis, for the segments of one polyline: an
-(npts, nseg) array with no (npts, nseg, 3) temporary.  Point-to-vertex
-distances are formed once per vertex, and the in-span formula only where
-a point projects into a segment (see there).
+(npts, nseg) array with no (npts, nseg, 3) temporary.  Its points are a
+triple (x, y, z) of arrays that broadcast together, so that a raster's
+per-axis work is done once per grid line (see there).
 
 `kernel_blocks` is the one grounded path: it applies the image rule
-(stated there), calling the kernel on the trace and on its image, and
-feeds it whole probes at a time, at most `PAIRS` point x segment pairs
-per block, images counted (or one probe).  Callers contract each block
-with the currents of as many frequencies as they need: the scan's probe
+(stated there), calling the kernel on the trace and on its image, over
+blocks of whole rows, or a chunk of one row, of at most `PAIRS` point x
+segment pairs, images counted (or one probe).  Callers contract each
+block with the currents of the frequencies they need: the scan's probe
 chain, and `h_trace_grounded` once per axis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -30,29 +31,29 @@ from .model import AXES, C_LIGHT, DriveSpec, Substrate, TracePath
 EPS_GEOM = 1e-9
 
 #: Most point x segment pairs per block, images counted, unless one probe
-#: alone has more.  A block's two kernel calls, trace then image, each hold
-#: half of them; it peaks near 50 B per pair (tracemalloc), so 2**15 pairs
-#: stay under 2 MB.  At 30 trace segments a block is 546 points.
-PAIRS = 2 ** 15
+#: alone has more; each of a block's two kernel calls holds half.  A table3
+#: raster block (5 rows of 201 points at 0.1 mm) peaks at 2.1 MB, 36 B per
+#: pair (tracemalloc); at 2**15 pairs the scan took 17% longer.
+PAIRS = 2 ** 16
 
 _FOUR_PI = 4.0 * math.pi
 
 
 def _sum3(x0, x1, x2):
     """x0 + x1 + x2 rounded as (x0 + x2) + x1, the order in which numpy's
-    einsum sums a length-3 axis; the kernel keeps it so that its values
-    are bit-identical to the 3-vector form it replaced.  Reuses x0."""
-    x0 += x2
-    x0 += x1
-    return x0
+    einsum sums a length-3 axis, which the kernel keeps for bit identity;
+    a new array, each partial sum at its own broadcast shape."""
+    s = x0 + x2
+    return np.add(s, x1, out=s) if s.shape == np.broadcast(s, x1).shape else s + x1
 
 
 def segment_kernel(vertices, points, axis, image=False):
     """Component `axis` ("x", "y" or "z") of H per unit current in each
     segment of the polyline `vertices` (nv, 3): (npts, nv - 1) in A/m per A.
-
-    Entry [i, k] is that component of H at points[i] of segment k, from
-    vertex k to vertex k + 1, carrying 1 A:
+    `points` is a triple (x, y, z) of arrays that broadcast to one shape S;
+    the points are that broadcast in C order (an (n, 3) array's `.T` is
+    such a triple).  Entry [i, k] is at point i of segment k, from vertex k
+    to vertex k + 1, carrying 1 A:
 
         H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
 
@@ -63,16 +64,14 @@ def segment_kernel(vertices, points, axis, image=False):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
-    A segment's end is the next one's start, so r = p - v and |r| are
-    formed once per vertex; r1/r2 and |r1|/|r2| are views one vertex
-    apart.  Every pair gets the `axis` component of u x r1 and the beyond
-    coefficient; the other two components, rho**2 and the in-span formula
-    only the pairs with t1 * t2 <= 0, gathered by index.  Arrays are
-    segment-major per component (the result is a transposed view).  u x r1
-    uses np.cross's formula, every three-term sum is rounded in einsum's
-    order, (x0 + x2) + x1, and the result is added to +0.0 as einsum's
-    projection on a unit axis added it, so the values equal those of the
-    former (npts, nseg, 3) kernel projected with einsum, bit for bit.
+    r = p - v and |r| are formed once per vertex (r1/r2 are views one
+    vertex apart), each coordinate difference, square and per-axis product
+    at its own coordinate's shape: on a raster, once per grid line.  Only
+    the sums that mix axes (|r|, t1, t2), the in-span mask, the beyond
+    coefficient and the result are (nseg, *S).  The in-span formula runs
+    only on the pairs with t1 * t2 <= 0, gathered by index.  Sums are
+    rounded as the former (npts, nseg, 3) kernel's einsum projection
+    rounded them, so the values equal it bit for bit.
 
     Computes every point it is given; `kernel_blocks` bounds the count.
     Raises SingularityError for the first (point, segment) pair, in
@@ -81,23 +80,31 @@ def segment_kernel(vertices, points, axis, image=False):
     """
     verts = np.asarray(vertices, dtype=float)
     seg = verts[1:] - verts[:-1]
-    npts = len(points)
+    nseg = len(seg)
+    p = [np.asarray(c, dtype=float) for c in points]
+    shape = np.broadcast_shapes(*(c.shape for c in p))
+    npts = math.prod(shape)
     eps2 = EPS_GEOM * EPS_GEOM
     with np.errstate(divide="ignore", invalid="ignore"):
         length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
-        u = (seg / length[:, None]).T[:, :, None]
-        # (3, nv, npts): component, vertex, point; segment k starts at vertex k.
-        r = np.ascontiguousarray(points.T)[:, None, :] - verts.T[:, :, None]
-        n = np.sqrt(_sum3(r[0] * r[0], r[1] * r[1], r[2] * r[2]))
-        r1, r2, n1, n2 = r[:, :-1], r[:, 1:], n[:-1], n[1:]
+        u = (seg / length[:, None]).T.reshape(3, nseg, *(1,) * len(shape))
+        # Per coordinate, (nv, *its shape); segment k starts at vertex k.
+        r = [c - v.reshape(-1, *(1,) * len(shape)) for c, v in zip(p, verts.T)]
+        n = _sum3(r[0] * r[0], r[1] * r[1], r[2] * r[2])
+        np.sqrt(n, out=n)
+        r1, r2 = [rj[:-1] for rj in r], [rj[1:] for rj in r]
+        n1, n2 = n[:-1], n[1:]
         t1 = _sum3(r1[0] * u[0], r1[1] * u[1], r1[2] * u[2])
         t2 = _sum3(r2[0] * u[0], r2[1] * u[1], r2[2] * u[2])
         a = AXES.index(axis)
         c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
-        # In-span pairs by flat index k * npts + p, which is also that of r and n
+        # In-span pairs by flat index k * npts + q, which is also that of n
         # at segment k's start vertex (and + npts at its end).
         i = np.flatnonzero(t1 * t2 <= 0.0)
-        ri, ui = r.reshape(3, -1)[:, i], u[:, i // npts, 0]
+        at = np.unravel_index(i, (nseg, *shape))
+        ri = [rj[(at[0],) + tuple(x if m > 1 else 0 for x, m in zip(at[1:], rj.shape[1:]))]
+              for rj in r1]
+        ui = u[:, at[0]].reshape(3, -1)
         rho2 = _sum3(*((ui[(j + 1) % 3] * ri[(j + 2) % 3] - ui[(j + 2) % 3] * ri[(j + 1) % 3]) ** 2
                        for j in range(3)))
         # Beyond an end the nearest point of the segment is a vertex.
@@ -106,11 +113,11 @@ def segment_kernel(vertices, points, axis, image=False):
             near = np.minimum(n1, n2) ** 2 < eps2
             np.put(near, i, rho2 < eps2)
             near[length == 0.0] = True
-            pt, k = divmod(int(np.argmax(near.T)), len(seg))
+            pt, k = divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
+            where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
             kind = "image segment" if image else "segment"
-            raise SingularityError(
-                f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {k}",
-                segment=k, point=pt, image=image)
+            raise SingularityError(f"field point {where} is within {EPS_GEOM} m of {kind} {k}",
+                                   segment=k, point=pt, image=image)
         den = _FOUR_PI * n1
         den *= n2
         w = t1 * n2
@@ -123,12 +130,12 @@ def segment_kernel(vertices, points, axis, image=False):
         np.put(coef, i, (t1 / np.take(n, i) - t2 / np.take(n, i + npts)) / (_FOUR_PI * rho2))
     coef *= c
     coef += 0.0
-    return coef.T
+    return coef.reshape(nseg, npts).T
 
 
-def kernel_blocks(trace: TracePath, centers, axis, offsets=None):
+def kernel_blocks(trace: TracePath, points, axis, offsets=None):
     """Coupling of a grounded trace to field component `axis` of probes
-    at `centers`, one block at a time.
+    centred at `points`, one block at a time.
 
     The ground plane enters here and nowhere else.  The trace is
     mirrored through z=0 and its image carries the negated current, which
@@ -137,35 +144,48 @@ def kernel_blocks(trace: TracePath, centers, axis, offsets=None):
     block minus its image's: field component `axis` per unit current in
     each trace segment.
 
-    A probe's points are its center, then center + each of `offsets` (its
-    quadrature nodes) if given.  Each block holds whole probes, at most
-    PAIRS // (2 * n_segments) points, and always at least one probe.
-    Yields (lo, hi, g) for probes lo..hi-1, g being the block's C-ordered
-    (npts, n_segments) coupling, rows probe-major.  A SingularityError
-    names the first near pair in point-major order, a trace segment
-    before an image at the same point; its `point` is the index of the
-    probe in `centers`, with `image` set if the filament is an image.
+    `points` is a triple (x, y, z) that broadcasts to (rows, cols), probes
+    in row-major order: a raster passes its grid lines, other points are
+    one row.  A probe's points are its center, then center + each of
+    `offsets` (its quadrature nodes) if given, the triple's trailing axis.
+    A block holds at most PAIRS // (2 * n_segments) points and at least one
+    probe: whole rows if a row fits, else a chunk of one row, so a flat
+    range lo..hi-1.  Yields (lo, hi, g), g the block's C-ordered (npts,
+    n_segments) coupling, rows probe-major.
+
+    A SingularityError names the first near pair in point-major order, a
+    trace segment before an image at the same point: if the trace is hit,
+    the image runs over the whole block and is named if its first hit is
+    at an earlier point.  Its `point` is the probe's index.
     """
     verts = np.asarray(trace.vertices, dtype=float)
     mirror = verts * [1.0, 1.0, -1.0]
+    p = [np.atleast_2d(np.asarray(c, dtype=float)) for c in points]
+    nrows, ncols = np.broadcast_shapes(*(c.shape for c in p))
     m = 1 if offsets is None else 1 + len(offsets)
     step = max(1, PAIRS // (2 * trace.n_segments) // m)
-    for lo in range(0, len(centers), step):
-        c = centers[lo:lo + step]
-        pts = c if offsets is None else np.concatenate(
-            [c[:, None], c[:, None] + offsets], axis=1).reshape(-1, 3)
+    # whole rows if a row fits, else chunks of one row
+    nr, nc = max(1, step // ncols), min(step, ncols)
+    for r0, c0 in itertools.product(range(0, nrows, nr), range(0, ncols, nc)):
+        lo = r0 * ncols + c0
+        pts = [c[r0:r0 + nr] if len(c) > 1 else c for c in p]  # a size-1 axis stays whole
+        pts = [c[:, c0:c0 + nc] if c.shape[1] > 1 else c for c in pts]
+        if offsets is not None:
+            pts = [np.concatenate([c[..., None], c[..., None] + o], axis=-1)
+                   for c, o in zip(pts, np.asarray(offsets, dtype=float).T)]
         try:
-            try:
-                g = segment_kernel(verts, pts, axis)
-            except SingularityError as exc:
-                if exc.point:  # an image pair at an earlier point comes first
-                    segment_kernel(mirror, pts[:exc.point], axis, image=True)
-                raise
+            g = segment_kernel(verts, pts, axis)
             g -= segment_kernel(mirror, pts, axis, image=True)
         except SingularityError as exc:
-            exc.point = lo + exc.point // m
-            raise
-        yield lo, lo + len(c), np.ascontiguousarray(g)
+            err = exc
+            try:  # if the trace is hit, an image hit at an earlier point comes first
+                if not exc.image:
+                    segment_kernel(mirror, pts, axis, image=True)
+            except SingularityError as img:
+                err = img if img.point < exc.point else exc
+            err.point = lo + err.point // m
+            raise err from None
+        yield lo, lo + len(g) // m, np.ascontiguousarray(g)
 
 
 def h_segment(start, end, current, point):
@@ -183,7 +203,7 @@ def h_segment(start, end, current, point):
     if np.array_equal(verts[0], verts[1]):
         raise ConfigError("segment start and end must be distinct")
     p = np.asarray(point, dtype=float).reshape(1, 3)
-    g = np.array([segment_kernel(verts, p, axis)[0, 0] for axis in AXES])
+    g = np.array([segment_kernel(verts, p.T, axis)[0, 0] for axis in AXES])
     return g * complex(current)
 
 
@@ -201,7 +221,7 @@ def h_trace_grounded(trace: TracePath, currents, points):
     flat = np.atleast_2d(pts)
     out = np.empty((len(flat), 3), dtype=complex)
     for k, axis in enumerate(AXES):
-        for lo, hi, g in kernel_blocks(trace, flat, axis):
+        for lo, hi, g in kernel_blocks(trace, flat.T, axis):
             out[lo:hi, k] = g @ currents
     return out[0] if pts.ndim == 1 else out
 

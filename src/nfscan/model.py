@@ -129,11 +129,6 @@ class TracePath:
         _require(self.termination in TERMINATIONS,
                  f"trace.termination: must be one of {TERMINATIONS}")
 
-    def segment_arrays(self):
-        """(starts, ends) as float arrays of shape (n_segments, 3)."""
-        v = np.asarray(self.vertices, dtype=float)
-        return np.ascontiguousarray(v[:-1]), np.ascontiguousarray(v[1:])
-
     @property
     def n_segments(self):
         return len(self.vertices) - 1

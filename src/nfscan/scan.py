@@ -2,15 +2,15 @@
 raw voltage maps into field maps, extract profiles and statistics.
 
 One chain serves both raster scans and the probe transfer sweep (a
-one-point scan).  It walks the probes in blocks of whole probes, each
-probe's points being its center and, for the integrated aperture, its
-quadrature nodes.  Per block `fields.kernel_blocks` gives the real
-coupling from every trace segment (its ground-plane image folded in) to
-the field along the probe normal: two polyline kernel calls, the trace
-and its image, whose difference comes as one C-ordered (points x
-segments) array.  It is multiplied by the segments x frequencies current
-matrix.  Each point's sums run in a fixed order, so results are
-byte-identical from run to run.
+one-point scan).  A raster hands it its grid lines, a triple (x lines, y
+lines, one height) that broadcasts to the grid, so the kernel's per-axis
+work is done once per grid line.  Per block of whole rows, or a chunk of
+one row, `fields.kernel_blocks` gives the real coupling from every trace
+segment (its ground-plane image folded in) to the field along the probe
+normal at each probe's center and, for the integrated aperture, its
+quadrature nodes: one C-ordered (points x segments) array, multiplied by
+the segments x frequencies current matrix.  Each point's sums run in a
+fixed order, so results are byte-identical from run to run.
 
 A scan returns its complex observables as (nf, ny, nx) arrays
 (ScanResult); the calibration, profile and statistics steps work on dB
@@ -31,7 +31,7 @@ from . import fields
 from .fields import current_distribution
 from .formats import FieldMap
 from .model import (MU_0, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
-                    TracePath, grid_points, readonly)
+                    TracePath, readonly)
 
 
 class MapStats(NamedTuple):
@@ -81,15 +81,16 @@ def quad_offsets(probe: LoopProbe):
 
 
 def _probe_chain(trace, substrate, probe, centers, freqs, drive):
-    """Observables of the probe centred at each of `centers` (npts, 3).
+    """Observables of the probe centred at each of `centers`, a triple
+    (x, y, z) that broadcasts to (rows, cols) (see `fields.kernel_blocks`).
 
     Returns a (3, nf, npts) complex array holding, per frequency, the
     field along the probe normal at the center, the port voltage (the EMF
     -j 2 pi f mu0 flux, halved if `matched-halving`) and S21 = V /
     sqrt(port_z x drive power).  A SingularityError carries the index of
-    the center.
+    the center, numbered row-major.
     """
-    if np.any(centers[:, 2] <= 0):
+    if np.any(np.asarray(centers[2]) <= 0):
         raise ConfigError("probe centers must lie strictly above the ground plane z=0")
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
@@ -98,7 +99,8 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     # A probe's points: its center, then its quadrature nodes if integrated.
     offsets, weights = quad_offsets(probe) if integrated else (None, [])
     m = 1 + len(weights)
-    h = np.empty((len(centers), cur.shape[1]))
+    npts = np.broadcast(*centers).size
+    h = np.empty((npts, cur.shape[1]))
     flux = np.empty_like(h) if integrated else None
     for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
         rows = g.reshape(hi - lo, m, -1)
@@ -109,7 +111,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     nf = len(freqs)
     area = probe.side_s ** 2
     s21_per_volt = math.sqrt(probe.port_z * drive.power)
-    out = np.empty((3, nf, len(centers)), dtype=complex)
+    out = np.empty((3, nf, npts), dtype=complex)
     hf, v, s21 = out
     for i, f in enumerate(freqs):
         hf[i] = h[:, i] + 1j * h[:, nf + i]
@@ -136,8 +138,8 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
     whose probe center or any of whose quadrature nodes lies within
     fields.EPS_GEOM (1 nm) of a trace segment or its image.
     """
-    centers = grid_points(grid)
-    centers[:, 2] += substrate.h
+    centers = (grid.x_coords()[None, :], grid.y_coords()[:, None],
+               [[grid.z_height + substrate.h]])
     freqs = sweep.frequencies()
     try:
         out = _probe_chain(trace, substrate, probe, centers, freqs, drive)
@@ -159,7 +161,7 @@ def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe,
     behavior of an induction probe).
     """
     freqs = sweep.frequencies()
-    center = np.array([probe.center], dtype=float)
+    center = [[[c]] for c in probe.center]
     try:
         _, _, s21 = _probe_chain(trace, substrate, probe, center, freqs, drive)
     except SingularityError as exc:
@@ -171,11 +173,10 @@ def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe,
 
 def _at_grid_point(exc, grid, flat):
     iy, ix = divmod(int(flat), grid.nx)
-    err = SingularityError(
+    return SingularityError(
         f"singular field at grid point (ix={ix}, iy={iy}), "
         f"x={grid.x_min + ix * grid.dx}, y={grid.y_min + iy * grid.dy}: {exc}",
         segment=exc.segment, point=int(flat), image=exc.image)
-    return err
 
 
 def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-consistent"):

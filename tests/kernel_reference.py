@@ -17,6 +17,12 @@ from nfscan.fields import EPS_GEOM
 _FOUR_PI = 4.0 * np.pi
 
 
+def segment_arrays(trace):
+    """(starts, ends) of a TracePath's segments, (n_segments, 3) each."""
+    verts = np.asarray(trace.vertices, dtype=float)
+    return verts[:-1], verts[1:]
+
+
 def segment_field_sum(starts, ends, currents, points, eps, out):
     """Sum Biot-Savart fields of straight filament segments at many points.
 

@@ -7,7 +7,7 @@ return the same bits, or to raise the same ParseError text.
 
 import numpy as np
 
-from nfscan.errors import ParseError
+from nfscan.errors import ConfigError, ParseError
 from nfscan.formats import _MAP_FLOAT_KEYS, MAP_MAGIC, FieldMap, _split_header
 from nfscan.model import ScanGrid
 
@@ -23,9 +23,16 @@ def parse_map_csv_per_row(text):
             nums[key] = float(header[key])
         except ValueError:
             raise ParseError(f"header {key}: not a number: {header[key]!r}") from None
-    grid = ScanGrid(x_min=nums["x_min"], x_max=nums["x_max"], y_min=nums["y_min"],
-                    y_max=nums["y_max"], dx=nums["dx"], dy=nums["dy"],
-                    z_height=nums["z_height"])
+    try:
+        grid = ScanGrid(x_min=nums["x_min"], x_max=nums["x_max"], y_min=nums["y_min"],
+                        y_max=nums["y_max"], dx=nums["dx"], dy=nums["dy"],
+                        z_height=nums["z_height"])
+    except ConfigError as exc:
+        # ScanGrid names its config key ("grid.x" for an extent that is not a
+        # multiple of dx); a map file names the header key.
+        name, _, why = str(exc).partition(": ")
+        key = {"grid.x": "dx", "grid.y": "dy"}.get(name, name[len("grid."):])
+        raise ParseError(f"header {key}: {why}") from None
     if header["value_kind"] != "db":
         raise ParseError(f"header value_kind: must be db, got {header['value_kind']!r}")
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}

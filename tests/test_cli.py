@@ -17,10 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, parse_cf_csv, parse_map_csv,
                     parse_touchstone, write_cf_csv, write_map_csv, write_touchstone)
-from nfscan import ConfigError, __version__, cli
+from nfscan import ConfigError, ParseError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
 from nfscan.config import MAX_CELLS, MAX_FREQ_GHZ, MAX_LENGTH_MM, MAX_PROBE_PAIRS, MAX_SEGMENTS
+
+from map_parser_reference import parse_map_csv_per_row
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -653,20 +655,32 @@ class TestGridBudget:
 class TestMapHeaderGrid:
     """A map header's invalid grid names the header key, not a config key."""
 
-    @pytest.mark.parametrize("key, value, err", [
-        ("dy", "-0", "header dy: must be > 0"),
-        ("dy", "5e-324", "header dy: too small for the extent"),
-        ("x_max", "-1", "header x_max: must be >= x_min"),
-        ("dx", "0.0007", "header dx: extent is not an integer multiple of the step")])
-    def test_stats_exits_2_naming_header_key(self, tmp_path, capsys, key, value, err):
+    CASES = [("dy", "-0", "header dy: must be > 0"),
+             ("dy", "5e-324", "header dy: too small for the extent"),
+             ("x_max", "-1", "header x_max: must be >= x_min"),
+             ("dx", "0.0007", "header dx: extent is not an integer multiple of the step")]
+
+    @staticmethod
+    def map_text(key, value):
         header = TestMapRowsCheckedBeforeAllocation.HEADER.format(x_max=0.003, y_max=0.002,
                                                                   dx=0.001)
+        return ("".join(f"# {key}: {value}\n" if line.startswith(f"# {key}: ")
+                        else line for line in header.splitlines(keepends=True))
+                + "-1,-2,-3,-4\n" * 3)
+
+    @pytest.mark.parametrize("key, value, err", CASES)
+    def test_stats_exits_2_naming_header_key(self, tmp_path, capsys, key, value, err):
         path = tmp_path / "map.csv"
-        path.write_text("".join(f"# {key}: {value}\n" if line.startswith(f"# {key}: ")
-                                else line for line in header.splitlines(keepends=True))
-                        + "-1,-2,-3,-4\n" * 3)
+        path.write_text(self.map_text(key, value))
         assert main(["stats", "--map", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("key, value, err", CASES)
+    def test_reference_parser_raises_same_text(self, key, value, err):
+        for parse in (parse_map_csv, parse_map_csv_per_row):
+            with pytest.raises(ParseError) as exc:
+                parse(self.map_text(key, value))
+            assert str(exc.value) == err
 
 
 class TestSegmentBudget:

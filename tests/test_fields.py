@@ -10,11 +10,12 @@ from numpy.testing import assert_allclose
 from nfscan import (ConfigError, SingularityError, TracePath, closed_form_line_h,
                     current_distribution, eps_eff_hammerstad, h_segment,
                     h_trace_grounded)
+from nfscan import fields
 from nfscan.config import MAX_SEGMENTS
 from nfscan.fields import PAIRS, kernel_blocks, segment_kernel
 
 from conftest import H_SUB, rng
-from kernel_reference import segment_field_sum, vector_kernel
+from kernel_reference import segment_arrays, segment_field_sum, vector_kernel
 
 lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
 
@@ -24,7 +25,10 @@ def kernel_cases(draw):
     """Polylines of 1-5 segments on a 0.25 mm lattice, vertical ones among
     them; when n_real is set the polyline lies above z=0 and the segments
     of its ground-plane image (mirrored through z=0) are appended to
-    starts and ends.  Points lie on the lattice and on segment axes past
+    starts and ends.  Probes are a triple (x, y, z) that broadcasts to
+    (rows, cols).  Either a raster: 1-6 grid lines in x and in y on the
+    lattice at one height, sometimes with 1-3 flat quadrature offsets on
+    the lattice; or one row of points: on the lattice, on segment axes past
     an end, and sometimes one on a filament, images included."""
     grounded = draw(st.booleans())
     height = lattice.filter(lambda z: z > 0) if grounded else lattice
@@ -42,6 +46,14 @@ def kernel_cases(draw):
         n_real = len(starts)
         mirror = np.array([1.0, 1.0, -1.0])
         starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
+    offsets = None
+    if draw(st.booleans()):
+        lines = st.lists(lattice, min_size=1, max_size=6, unique=True).map(np.array)
+        probes = (draw(lines)[None, :], draw(lines)[:, None], np.array([[draw(lattice)]]))
+        if draw(st.booleans()):
+            offsets = np.array([(draw(lattice), draw(lattice), 0.0)
+                                for _ in range(draw(st.integers(1, 3)))])
+        return verts, starts, ends, probes, offsets, n_real
     pts = [draw(st.tuples(lattice, lattice, lattice)) for _ in range(draw(st.integers(1, 8)))]
     for k in draw(st.lists(st.integers(0, len(starts) - 1), max_size=3)):
         t = draw(st.sampled_from((-2.0, -0.5, 1.5, 3.0)))
@@ -49,10 +61,34 @@ def kernel_cases(draw):
     if draw(st.integers(0, 4)) == 0:
         k = draw(st.integers(0, len(starts) - 1))
         pts.insert(draw(st.integers(0, len(pts))), (starts[k] + ends[k]) / 2)
-    return verts, starts, ends, np.array(pts, dtype=float), n_real
+    return verts, starts, ends, np.array(pts, dtype=float).T, offsets, n_real
+
+
+def flat_points(probes, offsets):
+    """The points of `probes` (a triple) in row-major order, each its center
+    then center + each of `offsets`: (n, 3), built one point at a time."""
+    centers = np.stack(np.broadcast_arrays(*probes), axis=-1).reshape(-1, 3)
+    if offsets is None:
+        return centers
+    return np.array([q for c in centers for q in (c, *(c + o for o in offsets))])
+
+
+def kernel_triple(probes, offsets):
+    """The kernel's triple for `probes`, `offsets` a trailing axis."""
+    if offsets is None:
+        return probes
+    return tuple(np.concatenate([c[..., None], c[..., None] + o], axis=-1)
+                 for c, o in zip(probes, offsets.T))
 
 
 NORMALS = ("x", "y", "z")
+
+
+def via_to(x, y, z):
+    """A 30-segment trace: 29 segments 1 mm above (x, y, z), then segment 29
+    straight down to it."""
+    top = [(x - 0.5e-3 * (29 - k), y, z + 1e-3) for k in range(30)]
+    return TracePath(vertices=top + [(x, y, z)])
 
 
 class TestHSegment:
@@ -261,7 +297,7 @@ class TestKernel:
         steps = r.uniform(0.01, 0.05, (ns, 3))
         steps[0, :2] = 0.0                     # one vertical segment
         tr = TracePath(vertices=np.cumsum(np.vstack([[-0.1, -0.1, 0.01], steps]), axis=0))
-        starts, ends = tr.segment_arrays()
+        starts, ends = segment_arrays(tr)
         currents = r.uniform(-1, 1, ns) + 1j * r.uniform(-1, 1, ns)
         points = r.uniform(0.2, 0.4, (npts, 3))
         points[-1] = starts[0] + 3 * (ends[0] - starts[0])    # on its axis, past the end
@@ -285,10 +321,10 @@ class TestKernel:
         verts = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]])
         normal = "z"
         with pytest.raises(SingularityError) as err:
-            segment_kernel(verts, pts, normal)
+            segment_kernel(verts, pts.T, normal)
         assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
         with pytest.raises(SingularityError) as err:
-            segment_kernel(verts, pts, normal, image=True)
+            segment_kernel(verts, pts.T, normal, image=True)
         assert (err.value.segment, err.value.image) == (0, True)
         assert "image segment 0" in str(err.value)
         # past the first block the index still refers to the caller's points
@@ -296,10 +332,10 @@ class TestKernel:
         nfar = PAIRS // (2 * tr.n_segments)
         far = np.column_stack([np.full(nfar, 0.5), np.full(nfar, 3.0), np.ones(nfar)])
         with pytest.raises(SingularityError) as err:
-            list(kernel_blocks(tr, np.vstack([far, pts + [0, 0, 1]]), normal))
+            list(kernel_blocks(tr, np.vstack([far, pts + [0, 0, 1]]).T, normal))
         assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, False)
         with pytest.raises(SingularityError) as err:
-            list(kernel_blocks(tr, np.vstack([far, pts - [0, 0, 1]]), normal))
+            list(kernel_blocks(tr, np.vstack([far, pts - [0, 0, 1]]).T, normal))
         assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, True)
 
     def test_earlier_image_hit_reported_first(self):
@@ -310,13 +346,60 @@ class TestKernel:
         pts = np.array([[0, 0.05, 1e-3], [0.1, 0.05, -2e-3], [0, 0, 2e-3]])
         for normal in NORMALS:
             with pytest.raises(SingularityError) as err:
-                list(kernel_blocks(tr, pts, normal))
+                list(kernel_blocks(tr, pts.T, normal))
             assert (err.value.point, err.value.segment, err.value.image) == (1, 1, True)
             assert str(err.value) == (f"field point {pts[1].tolist()} is within 1e-09 m "
                                       "of image segment 1")
             with pytest.raises(SingularityError) as err:
-                list(kernel_blocks(tr, pts[[0, 2, 1]], normal))
+                list(kernel_blocks(tr, pts[[0, 2, 1]].T, normal))
             assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
+
+    def test_rows_over_several_blocks(self, monkeypatch):
+        # a raster whose rows fill three whole blocks and part of a fourth:
+        # the blocks are flat ranges of whole rows, their bytes those of one
+        # block over the raster, and a hit in the third names its flat index
+        nx, z = 40, 2.6e-3
+        line = TracePath(vertices=[(x, 0.0, 1.6e-3) for x in np.linspace(-15e-3, 15e-3, 31)])
+        rows = PAIRS // (2 * line.n_segments) // nx
+        xs, ys = -10e-3 + 0.5e-3 * np.arange(nx), -12.5e-3 + 0.1e-3 * np.arange(3 * rows + 5)
+        probes = (xs[None, :], ys[:, None], np.array([[z]]))
+        blocks = list(kernel_blocks(line, probes, "y"))
+        assert [(lo, hi) for lo, hi, _ in blocks] == [
+            (k * rows * nx, min((k + 1) * rows, len(ys)) * nx) for k in range(4)]
+        assert all(g.flags.c_contiguous for *_, g in blocks)
+        monkeypatch.setattr(fields, "PAIRS", 2 * line.n_segments * nx * len(ys))
+        (lo, hi, whole), = kernel_blocks(line, probes, "y")
+        assert (lo, hi) == (0, nx * len(ys))
+        assert np.vstack([g for *_, g in blocks]).tobytes() == whole.tobytes()
+        monkeypatch.undo()
+        ix, iy = 7, 2 * rows + 3
+        with pytest.raises(SingularityError) as err:
+            list(kernel_blocks(via_to(xs[ix], ys[iy], z), probes, "y"))
+        assert (err.value.point, err.value.segment, err.value.image) == (iy * nx + ix, 29, False)
+        where = [float(xs[ix]), float(ys[iy]), z]
+        assert str(err.value) == f"field point {where} is within 1e-09 m of segment 29"
+
+    def test_row_longer_than_a_block(self, monkeypatch):
+        # two rows of 2.5 blocks each: a block is a chunk of one row, and a hit
+        # in the third chunk of the second row names its flat index
+        z = 2.6e-3
+        line = TracePath(vertices=[(x, 0.0, 1.6e-3) for x in np.linspace(-15e-3, 15e-3, 31)])
+        step = PAIRS // (2 * line.n_segments)
+        nx = 2 * step + step // 2
+        xs, ys = -60e-3 + 0.05e-3 * np.arange(nx), np.array([0.0, 0.5e-3])
+        probes = (xs[None, :], ys[:, None], np.array([[z]]))
+        blocks = list(kernel_blocks(line, probes, "z"))
+        assert [(lo, hi) for lo, hi, _ in blocks] == [
+            (r * nx + c, r * nx + min(c + step, nx)) for r in range(2) for c in (0, step, 2 * step)]
+        monkeypatch.setattr(fields, "PAIRS", 2 * line.n_segments * 2 * nx)
+        (lo, hi, whole), = kernel_blocks(line, probes, "z")
+        assert (lo, hi) == (0, 2 * nx)
+        assert np.vstack([g for *_, g in blocks]).tobytes() == whole.tobytes()
+        monkeypatch.undo()
+        ix = 2 * step + 10
+        with pytest.raises(SingularityError) as err:
+            list(kernel_blocks(via_to(xs[ix], ys[1], z), probes, "z"))
+        assert (err.value.point, err.value.segment, err.value.image) == (nx + ix, 29, False)
 
     def test_near_corner_past_both_segment_ends(self):
         # within 1 nm of the corner vertex but beyond the span of both
@@ -327,7 +410,7 @@ class TestKernel:
             vector_kernel(verts[:-1], verts[1:], pts)
         for normal in NORMALS:
             with pytest.raises(SingularityError) as err:
-                segment_kernel(verts, pts, normal)
+                segment_kernel(verts, pts.T, normal)
             assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
             assert str(err.value) == str(ref.value)
 
@@ -335,14 +418,18 @@ class TestKernel:
     @given(kernel_cases())
     def test_matches_vector_kernel(self, case):
         # the polyline kernel and the grounded blocks against the 3-vector
-        # kernel over the same segments, images appended when n_real is set
-        verts, starts, ends, pts, n_real = case
+        # kernel over the same segments and the flattened points, images
+        # appended when n_real is set
+        verts, starts, ends, probes, offsets, n_real = case
+        pts = flat_points(probes, offsets)
+        triple = kernel_triple(probes, offsets)
+        m = 1 if offsets is None else 1 + len(offsets)
 
         def kernel(normal):
             if n_real is None:
-                return segment_kernel(verts, pts, normal)
-            (lo, hi, g), = kernel_blocks(TracePath(vertices=verts), pts, normal)
-            assert (lo, hi) == (0, len(pts)) and g.flags.c_contiguous
+                return segment_kernel(verts, triple, normal)
+            (lo, hi, g), = kernel_blocks(TracePath(vertices=verts), probes, normal, offsets)
+            assert (lo, hi) == (0, len(pts) // m) and g.flags.c_contiguous
             return g
 
         try:
@@ -351,17 +438,19 @@ class TestKernel:
             for normal in NORMALS:
                 with pytest.raises(SingularityError) as err:
                     kernel(normal)
+                # kernel_blocks names the probe, the kernel the point
+                point = ref.point if n_real is None else ref.point // m
                 assert (err.value.point, err.value.segment, err.value.image) == \
-                    (ref.point, ref.segment, ref.image)
+                    (point, ref.segment, ref.image)
                 assert str(err.value) == str(ref)
             return
         for normal in NORMALS:
             want = np.einsum("psk,k->ps", g, np.eye(3)[NORMALS.index(normal)])
             if n_real is not None:
                 mirror = verts * [1.0, 1.0, -1.0]
-                assert segment_kernel(verts, pts, normal).tobytes() == \
+                assert segment_kernel(verts, triple, normal).tobytes() == \
                     want[:, :n_real].tobytes()
-                assert segment_kernel(mirror, pts, normal, image=True).tobytes() == \
+                assert segment_kernel(mirror, triple, normal, image=True).tobytes() == \
                     want[:, n_real:].tobytes()
                 want = want[:, :n_real] - want[:, n_real:]
             assert kernel(normal).tobytes() == want.tobytes()
@@ -369,35 +458,37 @@ class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     def test_polyline_columns_equal_segment_calls(self, case):
-        verts, _, _, pts, _ = case
+        verts, _, _, probes, offsets, _ = case
+        triple = kernel_triple(probes, offsets)
         for normal in NORMALS:
             try:
-                g = segment_kernel(verts, pts, normal)
+                g = segment_kernel(verts, triple, normal)
             except SingularityError:
                 return
             for k in range(len(verts) - 1):
-                assert g[:, k].tobytes() == segment_kernel(verts[k:k + 2], pts, normal).tobytes()
+                assert g[:, k].tobytes() == segment_kernel(verts[k:k + 2], triple, normal).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     def test_reversed_segment_negates_column(self, case):
-        verts, _, _, pts, _ = case
+        verts, _, _, probes, offsets, _ = case
+        triple = kernel_triple(probes, offsets)
         try:
-            fwd = [segment_kernel(verts, pts, normal) for normal in NORMALS]
+            fwd = [segment_kernel(verts, triple, normal) for normal in NORMALS]
         except SingularityError:
             return
         # u x r1 and u x r2 round apart, so a component that cancels to 0
         # is compared against the largest field component
         atol = 1e-12 * max(np.abs(g).max() for g in fwd)
         for normal, g in zip(NORMALS, fwd):
-            rev = segment_kernel(verts[::-1], pts, normal)[:, ::-1]
+            rev = segment_kernel(verts[::-1], triple, normal)[:, ::-1]
             assert_allclose(rev, -g, rtol=1e-12, atol=atol)
 
     def test_peak_memory_within_pair_budget(self):
         # the longest trace a config may ask for, 2,000 segments, x 200
         # points: one kernel call over them and their images would hold
-        # 8e5 pairs.  h_trace_grounded peaks near 59 B per pair here and
-        # 56 B on a 60-segment trace x 2,000 points (measured); 72 B leaves
+        # 8e5 pairs.  h_trace_grounded peaks near 55 B per pair here and
+        # 54 B on a 60-segment trace x 2,000 points (measured); 72 B leaves
         # room for numpy's temporaries to differ.
         r = rng(5)
         ns = MAX_SEGMENTS

@@ -478,6 +478,7 @@ class TestMapCsvBytes:
         assert back.values.tobytes() == fmap.values.tobytes()
 
     def test_peak_memory_below_three_texts(self):
+        # the writer peaks at 2.01x the text here (tracemalloc, 39.1 MB for 19.5 MB)
         vals = np.random.default_rng(7).uniform(-350.0, 0.0, (1001, 1001))
         vals[500, 500] = -5e-05  # one row written with `repr`
         fmap = _db_map(vals)
@@ -487,7 +488,7 @@ class TestMapCsvBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.9 * len(text)
+        assert peak < 2.3 * len(text)
 
     def test_parse_peak_memory_below_1_95_texts(self):
         # The text is split without a copy of it, rows are parsed in

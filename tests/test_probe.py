@@ -24,7 +24,7 @@ def uniform_kernel(direction):
     """Stand-in kernel: every physical segment gives the field `direction`
     per ampere at every point, and every image nothing."""
     def kernel(vertices, points, axis, image=False):
-        g = np.zeros((len(points), len(vertices) - 1))
+        g = np.zeros((np.broadcast(*points).size, len(vertices) - 1))
         if not image:
             g[:] = direction["xyz".index(axis)]
         return g

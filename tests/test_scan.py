@@ -14,13 +14,13 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
                     ScanGrid, SingularityError, Substrate, TracePath,
                     apply_calibration_to_scan, current_distribution, extract_profile,
                     grid_points, map_stats, probe_transfer, run_simulated_scan)
-from nfscan import fields
+from nfscan import fields, scan
 from nfscan.config import build_config
 from nfscan.fields import EPS_GEOM, PAIRS
 from nfscan.scan import MapStats, ScanResult
 
 from conftest import H_SUB, SCAN_HEIGHT, port_oracle, rng
-from kernel_reference import segment_field_sum
+from kernel_reference import segment_arrays, segment_field_sum
 
 
 def run_table2(probe, straight_trace, substrate, drive, table2_grid, f=2e9):
@@ -94,17 +94,19 @@ class TestRunSimulatedScan:
 
     def test_node_singularity_names_grid_point(self, cal_probe, substrate, drive,
                                                table2_grid):
-        # a trace through one quadrature node of grid point 15; at 1,025 points
-        # per probe and 2 segments a block holds 15 probes, so grid point 15
-        # opens the second block and the index must be rebased
+        # a trace through one quadrature node of the probes in grid row 15; at
+        # 1,025 points per probe and 2 segments a block holds 15 rows of 2
+        # probes, so row 15 opens the second block and the index must be rebased
         probe = replace(cal_probe, aperture="integrated", quad_n=32)
-        assert fields.PAIRS // 2 // (1 + 32 * 32) == 15
+        grid = replace(table2_grid, x_max=table2_grid.dx)
+        assert fields.PAIRS // 2 // (1 + 32 * 32) // grid.nx == 15
         half = probe.side_s / 2
-        y = table2_grid.y_coords()[15] + half * np.polynomial.legendre.leggauss(32)[0][3]
+        y = grid.y_coords()[15] + half * np.polynomial.legendre.leggauss(32)[0][3]
         z = SCAN_HEIGHT + H_SUB
         trace = TracePath(vertices=((-0.1, y, z), (0.1, y, z)))
-        with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=15\)"):
-            run_table2(probe, trace, substrate, drive, table2_grid)
+        with pytest.raises(SingularityError, match=r"grid point \(ix=0, iy=15\)") as err:
+            run_table2(probe, trace, substrate, drive, grid)
+        assert err.value.point == 15 * grid.nx
 
     def test_first_probe_with_any_singular_point_is_named(self, cal_probe, substrate,
                                                            drive):
@@ -148,6 +150,26 @@ class TestRunSimulatedScan:
             _, s21 = probe_transfer(straight_trace, substrate, probe, sweep, drive)
             assert s21.tobytes() == np.array([m[0, 0] for m in res.s21]).tobytes()
 
+    def test_scan_points_are_grid_points(self, monkeypatch, cal_probe, straight_trace,
+                                         substrate, drive):
+        # the grid lines the scan hands the chain, broadcast, are grid_points
+        # lifted by the substrate height, bit for bit
+        seen = []
+        chain = scan._probe_chain
+
+        def spy(trace, substrate, probe, centers, *args):
+            seen.append(centers)
+            return chain(trace, substrate, probe, centers, *args)
+
+        monkeypatch.setattr(scan, "_probe_chain", spy)
+        grid = ScanGrid(x_min=-2.1e-3, x_max=3.5e-3, y_min=-1.3e-3, y_max=2.3e-3, dx=0.7e-3,
+                        dy=0.4e-3, z_height=SCAN_HEIGHT)
+        run_table2(cal_probe, straight_trace, substrate, drive, grid)
+        want = grid_points(grid)
+        want[:, 2] += substrate.h
+        got = np.stack(np.broadcast_arrays(*map(np.asarray, seen[0])), axis=-1).reshape(-1, 3)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_probe,
                                                       straight_trace, substrate, drive,
                                                       table2_grid):
@@ -156,9 +178,10 @@ class TestRunSimulatedScan:
 
         def counted(vertices, points, *args, **kwargs):
             g = kernel(vertices, points, *args, **kwargs)
+            npts = np.broadcast(*points).size
             # the fast path: one field component, never a 3-vector per pair
-            assert g.shape == (len(points), len(vertices) - 1)
-            calls.append(len(points))
+            assert g.shape == (npts, len(vertices) - 1)
+            calls.append(npts)
             return g
 
         monkeypatch.setattr(fields, "segment_kernel", counted)
@@ -232,7 +255,7 @@ def reference_scan(trace, substrate, probe, grid, sweep, drive):
         weights = np.outer(w, w).ravel() * half * half
         points = np.vstack([centers, (centers[:, None, :] + offsets).reshape(-1, 3)])
     # the trace's segments, then their images mirrored through z=0
-    starts, ends = trace.segment_arrays()
+    starts, ends = segment_arrays(trace)
     mirror = np.array([1.0, 1.0, -1.0])
     starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
     fields_at = []
