@@ -30,14 +30,14 @@ _REQUIRED = object()
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
-#: is 2,000.  A kernel block peaks near 50 bytes per point x segment,
-#: images counted.
+#: is 2,000.  A kernel block peaks near 52 bytes per point x segment,
+#: images counted (23 on a raster).
 MAX_SEGMENTS = 2000
 
 #: Most point x segment pairs in the kernel block of one integrated probe,
 #: (1 + quad_n^2) x 2 x segments (images included): `kernel_blocks` never
 #: splits a probe.  quad_n 16 over 2,000 segments is 1,028,000 pairs, a
-#: 50 MB peak (tracemalloc).
+#: 46 MB peak (tracemalloc).
 MAX_PROBE_PAIRS = 2**20
 
 #: Bound on the magnitude of every length and coordinate in a config (mm,
@@ -304,12 +304,19 @@ def build_config(doc):
 
 
 def read_text(path):
-    """The UTF-8 text of the file at `path`, or a ConfigError naming it."""
+    """The UTF-8 text of the file at `path`, or a ConfigError naming it.
+
+    The bytes are decoded as they are, with no newline translation, so the
+    parsers see the text a library caller would pass them: a bare carriage
+    return in a map row is a cell's padding, not a line end.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: not UTF-8 text "
                           f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None

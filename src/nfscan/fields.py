@@ -4,16 +4,18 @@ The field of each straight filament segment is the exact finite-length
 Biot-Savart result.  The coupling between a point and a segment depends
 on geometry only, so `segment_kernel` returns it per unit current, as the
 field component along one axis, for the segments of one polyline: an
-(npts, nseg) array with no (npts, nseg, 3) temporary.  Its points are a
+(nseg, npts) array with no (nseg, npts, 3) temporary.  Its points are a
 triple (x, y, z) of arrays that broadcast together, so that a raster's
-per-axis work is done once per grid line (see there).
+per-axis work is done once per grid line.  Grounded, it applies the
+image rule (stated there) in the same pass, the trace and its image
+sharing what does not depend on z.
 
-`kernel_blocks` is the one grounded path: it applies the image rule
-(stated there), calling the kernel on the trace and on its image, over
-blocks of whole rows, or a chunk of one row, of at most `PAIRS` point x
+`kernel_blocks` is the one grounded path: one grounded kernel pass per
+block of whole rows, or a chunk of one row, of at most `PAIRS` point x
 segment pairs, images counted (or one probe).  Callers contract each
-block with the currents of the frequencies they need: the scan's probe
-chain, and `h_trace_grounded` once per axis.
+block, in its (segments, points) layout, with the currents of the
+frequencies they need: the scan's probe chain, and `h_trace_grounded`
+once per axis.
 """
 
 from __future__ import annotations
@@ -31,28 +33,89 @@ from .model import AXES, C_LIGHT, DriveSpec, Substrate, TracePath
 EPS_GEOM = 1e-9
 
 #: Most point x segment pairs per block, images counted, unless one probe
-#: alone has more; each of a block's two kernel calls holds half.  A table3
-#: raster block (5 rows of 201 points at 0.1 mm) peaks at 2.1 MB, 36 B per
-#: pair (tracemalloc); at 2**15 pairs the scan took 17% longer.
+#: alone has more; the block's one grounded kernel pass holds the trace's
+#: half and the image's.  A table3 raster block (5 rows of 201 points at
+#: 0.1 mm) peaks at 1.4 MB, 23 B per pair (tracemalloc).  In-process scans
+#: of table3 at 0.1 mm, 5 frequencies, took 118, 80 and 68 ms at 2**15,
+#: 2**16 and 2**17 pairs (medians of 7, a shared 2-core x86-64 host).
 PAIRS = 2 ** 16
 
 _FOUR_PI = 4.0 * math.pi
 
 
-def _sum3(x0, x1, x2):
-    """x0 + x1 + x2 rounded as (x0 + x2) + x1, the order in which numpy's
-    einsum sums a length-3 axis, which the kernel keeps for bit identity;
-    a new array, each partial sum at its own broadcast shape."""
-    s = x0 + x2
-    return np.add(s, x1, out=s) if s.shape == np.broadcast(s, x1).shape else s + x1
+def _sum(first, *rest):
+    """first + rest[0] + ..., added left to right, each partial sum at its
+    own broadcast shape; `first` is a new array the caller gives up.  The
+    kernel adds the x, z and y terms of a 3-vector sum in that order,
+    the order in which numpy's einsum sums a length-3 axis, for bit
+    identity."""
+    s = first
+    for x in rest:
+        s = np.add(s, x, out=s) if s.shape == np.broadcast_shapes(s.shape, x.shape) else s + x
+    return s
 
 
-def segment_kernel(vertices, points, axis, image=False):
+def _in_span(r, u, live, shape):
+    """t1 = r1.u and t2 = r2.u over the `live` axes of one side (r per
+    coordinate, (nv, ...); u per axis, (nseg, 1, ...)), the flat indices
+    i of the in-span pairs (t1 * t2 <= 0) in `shape` = (nseg, *S), a
+    function giving an array's entries at those pairs, and
+    (t1 - t2)(t1 + t2), the beyond-end numerator."""
+    t1 = _sum(*(r[j][:-1] * u[j] for j in live))
+    t2 = _sum(*(r[j][1:] * u[j] for j in live))
+    i = np.flatnonzero(np.broadcast_to(t1 * t2 <= 0.0, shape))
+    at = np.unravel_index(i, shape)
+
+    def pick(x):
+        return x[(at[0],) + tuple(ix if m > 1 else 0 for ix, m in zip(at[1:], x.shape[1:]))]
+
+    num = t1 - t2
+    num *= t1 + t2
+    return t1, t2, i, pick, num
+
+
+def _side_coupling(r, u, span, length, a):
+    """One side's (nseg, *S) coupling to axis `a` (see `segment_kernel`),
+    from its r and u per axis and its `_in_span` result, and None; or
+    None and the first (point, segment) pair, in point-major order,
+    closer than EPS_GEOM to the segment or of zero length."""
+    t1, t2, i, pick, num = span
+    r1 = [rj[:-1] for rj in r]
+    c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
+    n = _sum(r[0] * r[0] + r[2] * r[2], r[1] * r[1])
+    np.sqrt(n, out=n)
+    n1, n2 = n[:-1], n[1:]
+    nseg, npts = n1.shape[0], n1[0].size
+    ri, ui = [pick(rj) for rj in r1], [pick(uj) for uj in u]
+    rho2 = _sum(*((ui[(j + 1) % 3] * ri[(j + 2) % 3] - ui[(j + 2) % 3] * ri[(j + 1) % 3]) ** 2
+                  for j in (0, 2, 1)))
+    # Beyond an end the nearest point of the segment is a vertex.
+    eps2 = EPS_GEOM * EPS_GEOM
+    nmin = n.min()
+    if nmin * nmin < eps2 or (rho2 < eps2).any() or not length.all():
+        near = np.minimum(n1, n2) ** 2 < eps2
+        np.put(near, i, rho2 < eps2)
+        near[length == 0.0] = True
+        return None, divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
+    den = t2 * n1  # w's second term, then the denominator
+    w = t1 * n2
+    w += den
+    np.multiply(_FOUR_PI, n1, out=den)
+    den *= n2
+    den *= w
+    coef = np.divide(num, den, out=den)
+    np.put(coef, i, (pick(t1) / np.take(n, i) - pick(t2) / np.take(n, i + npts))
+           / (_FOUR_PI * rho2))
+    coef *= c
+    return coef, None
+
+
+def segment_kernel(vertices, points, axis, grounded=False):
     """Component `axis` ("x", "y" or "z") of H per unit current in each
-    segment of the polyline `vertices` (nv, 3): (npts, nv - 1) in A/m per A.
+    segment of the polyline `vertices` (nv, 3): (nv - 1, npts) in A/m per A.
     `points` is a triple (x, y, z) of arrays that broadcast to one shape S;
     the points are that broadcast in C order (an (n, 3) array's `.T` is
-    such a triple).  Entry [i, k] is at point i of segment k, from vertex k
+    such a triple).  Entry [k, i] is at point i of segment k, from vertex k
     to vertex k + 1, carrying 1 A:
 
         H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
@@ -64,85 +127,78 @@ def segment_kernel(vertices, points, axis, image=False):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
+    If `grounded`, the polyline lies above a perfect ground plane z=0.
+    Its image, mirrored through z=0, carries the negated current, which
+    reverses horizontal current and preserves vertical current, so that
+    H normal to the plane is zero on it.  The result is then each
+    segment's coupling minus its image's, both sides in this one pass.
+
     r = p - v and |r| are formed once per vertex (r1/r2 are views one
-    vertex apart), each coordinate difference, square and per-axis product
-    at its own coordinate's shape: on a raster, once per grid line.  Only
-    the sums that mix axes (|r|, t1, t2), the in-span mask, the beyond
-    coefficient and the result are (nseg, *S).  The in-span formula runs
-    only on the pairs with t1 * t2 <= 0, gathered by index.  Sums are
-    rounded as the former (npts, nseg, 3) kernel's einsum projection
-    rounded them, so the values equal it bit for bit.
+    vertex apart), each coordinate difference, square and per-axis
+    product at its own coordinate's shape: on a raster, once per grid
+    line.  The image shares r_x, r_y, u_x and u_y.  t = r.u leaves out
+    an axis along which no segment runs, which drops only a signed zero.
+    So t1, t2, the in-span mask (t1 * t2 <= 0), the pairs it selects and
+    (t1 - t2)(t1 + t2) keep the shape of the axes left, and for a planar
+    trace the polyline and its image share them.  Per side, only |r|,
+    the beyond-end denominator and the result are (nseg, *S).  The
+    in-span formula runs only on the in-span pairs, gathered by index.
+    Sums are rounded as the former (npts, nseg, 3) kernel's einsum
+    projection rounded them, so the values equal it bit for bit.  A
+    signed zero in t reaches no output: the mask and the in-span formula
+    do not see its sign, the beyond-end formula runs only where t1 * t2
+    > 0, and the result gets + 0.0.
 
     Computes every point it is given; `kernel_blocks` bounds the count.
     Raises SingularityError for the first (point, segment) pair, in
     point-major order, closer than EPS_GEOM to the segment or of zero
-    length, naming the segment an image one if `image`.
+    length, a polyline segment before an image one at the same point.
     """
     verts = np.asarray(vertices, dtype=float)
     seg = verts[1:] - verts[:-1]
     nseg = len(seg)
     p = [np.asarray(c, dtype=float) for c in points]
     shape = np.broadcast_shapes(*(c.shape for c in p))
-    npts = math.prod(shape)
-    eps2 = EPS_GEOM * EPS_GEOM
+    npts, one = math.prod(shape), (1,) * len(shape)
+    a = AXES.index(axis)
+    g, hits = None, []
     with np.errstate(divide="ignore", invalid="ignore"):
         length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
-        u = (seg / length[:, None]).T.reshape(3, nseg, *(1,) * len(shape))
+        u = list((seg / length[:, None]).T.reshape(3, nseg, *one))
         # Per coordinate, (nv, *its shape); segment k starts at vertex k.
-        r = [c - v.reshape(-1, *(1,) * len(shape)) for c, v in zip(p, verts.T)]
-        n = _sum3(r[0] * r[0], r[1] * r[1], r[2] * r[2])
-        np.sqrt(n, out=n)
-        r1, r2 = [rj[:-1] for rj in r], [rj[1:] for rj in r]
-        n1, n2 = n[:-1], n[1:]
-        t1 = _sum3(r1[0] * u[0], r1[1] * u[1], r1[2] * u[2])
-        t2 = _sum3(r2[0] * u[0], r2[1] * u[1], r2[2] * u[2])
-        a = AXES.index(axis)
-        c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
-        # In-span pairs by flat index k * npts + q, which is also that of n
-        # at segment k's start vertex (and + npts at its end).
-        i = np.flatnonzero(t1 * t2 <= 0.0)
-        at = np.unravel_index(i, (nseg, *shape))
-        ri = [rj[(at[0],) + tuple(x if m > 1 else 0 for x, m in zip(at[1:], rj.shape[1:]))]
-              for rj in r1]
-        ui = u[:, at[0]].reshape(3, -1)
-        rho2 = _sum3(*((ui[(j + 1) % 3] * ri[(j + 2) % 3] - ui[(j + 2) % 3] * ri[(j + 1) % 3]) ** 2
-                       for j in range(3)))
-        # Beyond an end the nearest point of the segment is a vertex.
-        nmin = n.min()
-        if nmin * nmin < eps2 or (rho2 < eps2).any() or not length.all():
-            near = np.minimum(n1, n2) ** 2 < eps2
-            np.put(near, i, rho2 < eps2)
-            near[length == 0.0] = True
-            pt, k = divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
-            where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
-            kind = "image segment" if image else "segment"
-            raise SingularityError(f"field point {where} is within {EPS_GEOM} m of {kind} {k}",
-                                   segment=k, point=pt, image=image)
-        den = _FOUR_PI * n1
-        den *= n2
-        w = t1 * n2
-        w += t2 * n1
-        den *= w
-        coef = t1 - t2
-        coef *= t1 + t2
-        coef /= den
-        t1, t2 = np.take(t1, i), np.take(t2, i)
-        np.put(coef, i, (t1 / np.take(n, i) - t2 / np.take(n, i + npts)) / (_FOUR_PI * rho2))
-    coef *= c
-    coef += 0.0
-    return coef.reshape(nseg, npts).T
+        r = [c - v.reshape(-1, *one) for c, v in zip(p, verts.T)]
+        live = [j for j in (0, 2, 1) if u[j].any()]
+        for image in range(2 if grounded else 1):
+            if image:  # mirrored through z=0: only the z parts change
+                vz = -verts[:, 2]
+                r[2] = p[2] - vz.reshape(-1, *one)
+                u[2] = ((vz[1:] - vz[:-1]) / length).reshape(nseg, *one)
+            if not image or 2 in live:  # without a z term the image's t is the polyline's
+                span = _in_span(r, u, live, (nseg, *shape))
+            coef, hit = _side_coupling(r, u, span, length, a)
+            if hit:
+                hits.append((hit[0], image, hit[1]))
+            elif g is None:
+                g = coef
+            else:
+                g -= coef
+    if hits:
+        pt, image, k = min(hits)
+        where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
+        kind = "image segment" if image else "segment"
+        raise SingularityError(f"field point {where} is within {EPS_GEOM} m of {kind} {k}",
+                               segment=k, point=pt, image=bool(image))
+    g += 0.0
+    return g.reshape(nseg, npts)
 
 
 def kernel_blocks(trace: TracePath, points, axis, offsets=None):
     """Coupling of a grounded trace to field component `axis` of probes
     centred at `points`, one block at a time.
 
-    The ground plane enters here and nowhere else.  The trace is
-    mirrored through z=0 and its image carries the negated current, which
-    reverses horizontal current and preserves vertical current, enforcing
-    zero normal H on the plane.  So g is the trace's `segment_kernel`
-    block minus its image's: field component `axis` per unit current in
-    each trace segment.
+    Each block is one grounded `segment_kernel` pass (see there for the
+    image rule), the kernel's only grounded caller: field component
+    `axis` per unit current in each trace segment.
 
     `points` is a triple (x, y, z) that broadcasts to (rows, cols), probes
     in row-major order: a raster passes its grid lines, other points are
@@ -150,16 +206,14 @@ def kernel_blocks(trace: TracePath, points, axis, offsets=None):
     `offsets` (its quadrature nodes) if given, the triple's trailing axis.
     A block holds at most PAIRS // (2 * n_segments) points and at least one
     probe: whole rows if a row fits, else a chunk of one row, so a flat
-    range lo..hi-1.  Yields (lo, hi, g), g the block's C-ordered (npts,
-    n_segments) coupling, rows probe-major.
+    range lo..hi-1.  Yields (lo, hi, g), g the block's C-ordered
+    (n_segments, npts) coupling, columns probe-major.
 
     A SingularityError names the first near pair in point-major order, a
-    trace segment before an image at the same point: if the trace is hit,
-    the image runs over the whole block and is named if its first hit is
-    at an earlier point.  Its `point` is the probe's index.
+    trace segment before an image at the same point.  Its `point` is the
+    probe's index.
     """
     verts = np.asarray(trace.vertices, dtype=float)
-    mirror = verts * [1.0, 1.0, -1.0]
     p = [np.atleast_2d(np.asarray(c, dtype=float)) for c in points]
     nrows, ncols = np.broadcast_shapes(*(c.shape for c in p))
     m = 1 if offsets is None else 1 + len(offsets)
@@ -174,18 +228,11 @@ def kernel_blocks(trace: TracePath, points, axis, offsets=None):
             pts = [np.concatenate([c[..., None], c[..., None] + o], axis=-1)
                    for c, o in zip(pts, np.asarray(offsets, dtype=float).T)]
         try:
-            g = segment_kernel(verts, pts, axis)
-            g -= segment_kernel(mirror, pts, axis, image=True)
-        except SingularityError as exc:
-            err = exc
-            try:  # if the trace is hit, an image hit at an earlier point comes first
-                if not exc.image:
-                    segment_kernel(mirror, pts, axis, image=True)
-            except SingularityError as img:
-                err = img if img.point < exc.point else exc
+            g = segment_kernel(verts, pts, axis, grounded=True)
+        except SingularityError as err:
             err.point = lo + err.point // m
-            raise err from None
-        yield lo, lo + len(g) // m, np.ascontiguousarray(g)
+            raise
+        yield lo, lo + g.shape[1] // m, g
 
 
 def h_segment(start, end, current, point):
@@ -222,7 +269,7 @@ def h_trace_grounded(trace: TracePath, currents, points):
     out = np.empty((len(flat), 3), dtype=complex)
     for k, axis in enumerate(AXES):
         for lo, hi, g in kernel_blocks(trace, flat.T, axis):
-            out[lo:hi, k] = g @ currents
+            out[lo:hi, k] = g.T @ currents
     return out[0] if pts.ndim == 1 else out
 
 

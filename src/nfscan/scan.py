@@ -8,8 +8,9 @@ work is done once per grid line.  Per block of whole rows, or a chunk of
 one row, `fields.kernel_blocks` gives the real coupling from every trace
 segment (its ground-plane image folded in) to the field along the probe
 normal at each probe's center and, for the integrated aperture, its
-quadrature nodes: one C-ordered (points x segments) array, multiplied by
-the segments x frequencies current matrix.  Each point's sums run in a
+quadrature nodes: one C-ordered (segments x points) array.  The chain
+contracts it in that layout with the segments x frequencies current
+matrix into (frequencies x probes) rows.  Each point's sums run in a
 fixed order, so results are byte-identical from run to run.
 
 A scan returns its complex observables as (nf, ny, nx) arrays
@@ -80,6 +81,20 @@ def quad_offsets(probe: LoopProbe):
     return offsets, weights
 
 
+def _node_flux(g, weights, cur):
+    """(2 nf, probes) flux rows of a kernel block g (segments, probes,
+    points per probe): each probe's quadrature nodes summed with
+    `weights`, then contracted with the currents `cur` (segments, 2 nf).
+
+    einsum's rounding of a sum depends on the layout: over a contiguous
+    axis it adds in another order.  So the nodes are summed on a
+    (probes, nodes, segments) copy, segments contiguous, the layout that
+    fixed the bytes of every integrated-aperture output (tests pin it).
+    """
+    rows = np.ascontiguousarray(g.transpose(1, 2, 0))
+    return np.einsum("ps,sf->pf", np.einsum("pqs,q->ps", rows[:, 1:], weights), cur).T
+
+
 def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     """Observables of the probe centred at each of `centers`, a triple
     (x, y, z) that broadcasts to (rows, cols) (see `fields.kernel_blocks`).
@@ -100,22 +115,21 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     offsets, weights = quad_offsets(probe) if integrated else (None, [])
     m = 1 + len(weights)
     npts = np.broadcast(*centers).size
-    h = np.empty((npts, cur.shape[1]))
+    h = np.empty((cur.shape[1], npts))
     flux = np.empty_like(h) if integrated else None
     for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
-        rows = g.reshape(hi - lo, m, -1)
-        h[lo:hi] = np.einsum("ps,sf->pf", rows[:, 0], cur)
+        g = g.reshape(len(g), hi - lo, m)
+        h[:, lo:hi] = np.einsum("sp,sf->fp", g[..., 0], cur)
         if integrated:
-            flux[lo:hi] = np.einsum("ps,sf->pf",
-                                    np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
+            flux[:, lo:hi] = _node_flux(g, weights, cur)
     nf = len(freqs)
     area = probe.side_s ** 2
     s21_per_volt = math.sqrt(probe.port_z * drive.power)
     out = np.empty((3, nf, npts), dtype=complex)
     hf, v, s21 = out
     for i, f in enumerate(freqs):
-        hf[i] = h[:, i] + 1j * h[:, nf + i]
-        fl = flux[:, i] + 1j * flux[:, nf + i] if integrated else hf[i] * area
+        hf[i] = h[i] + 1j * h[nf + i]
+        fl = flux[i] + 1j * flux[nf + i] if integrated else hf[i] * area
         v[i] = -1j * 2.0 * math.pi * f * MU_0 * fl
         if probe.loading == "matched-halving":
             v[i] /= 2.0

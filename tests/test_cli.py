@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, parse_cf_csv, parse_map_csv,
-                    parse_touchstone, write_cf_csv, write_map_csv, write_touchstone)
+from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, map_stats, parse_cf_csv,
+                    parse_map_csv, parse_touchstone, write_cf_csv, write_map_csv,
+                    write_touchstone)
 from nfscan import ConfigError, ParseError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
@@ -619,6 +620,31 @@ class TestMapRowsCheckedBeforeAllocation:
         path.write_text(self.HEADER.format(x_max=x_max, y_max=y_max, dx=dx) + body)
         assert main(["stats", "--map", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+class TestLineEnds:
+    """The CLI reads a file's bytes as UTF-8 with no newline translation,
+    so a command parses the text a library caller would."""
+
+    HEADER = ("# nfscan-map 1\n# x_min: 0\n# x_max: 0.001\n# y_min: 0\n# y_max: 0.001\n"
+              "# dx: 0.001\n# dy: 0.001\n# z_height: 0.001\n# f_hz: 1e9\n"
+              "# component: hy\n# value_kind: db\n")
+
+    @pytest.mark.parametrize("text", [
+        # a bare CR pads a cell; read as a line end it made 3 rows of 2
+        HEADER + "-1.5,2.0\n3.0\r,-4.0\n",
+        (HEADER + "-1.5,2.0\n3.0,-4.0\n").replace("\n", "\r\n")], ids=["bare-cr", "crlf"])
+    def test_stats_prints_library_stats(self, tmp_path, capsys, text):
+        path = tmp_path / "map.csv"
+        path.write_bytes(text.encode())
+        assert main(["stats", "--map", str(path)]) == 0
+        s = map_stats(parse_map_csv(text))
+        assert capsys.readouterr().out == (
+            f"min {s.min_db!r} dB at x={s.argmin[0]!r} m y={s.argmin[1]!r} m "
+            f"(ix={s.argmin_idx[0]}, iy={s.argmin_idx[1]})\n"
+            f"max {s.max_db!r} dB at x={s.argmax[0]!r} m y={s.argmax[1]!r} m "
+            f"(ix={s.argmax_idx[0]}, iy={s.argmax_idx[1]})\n")
+        assert (s.min_db, s.max_db) == (-4.0, 3.0)
 
 
 class TestGridBudget:

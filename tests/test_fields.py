@@ -84,6 +84,45 @@ def kernel_triple(probes, offsets):
 NORMALS = ("x", "y", "z")
 
 
+@st.composite
+def grounded_cases(draw, kind):
+    """A polyline above the ground plane on the lattice: along x or y
+    (`kind` "x" or "y", each segment running either way along it), in one
+    plane ("xy") or in 3-D ("xyz", vias among its segments).  Its probes
+    take their coordinates from its vertices' as well as the lattice, so
+    that r is +0 against a segment running either way, and lie on, below
+    and under the trace plane and the ground plane.  Either a raster
+    triple, sometimes with 1-3 flat quadrature offsets, or one row of
+    points."""
+    height = lattice.filter(lambda z: z > 0)
+    verts = [(draw(lattice), draw(lattice), draw(height))]
+    for _ in range(draw(st.integers(1, 5))):
+        a = verts[-1]
+        if kind in ("x", "y"):
+            j = "xy".index(kind)
+            b = list(a)
+            b[j] = draw(lattice.filter(lambda c: c != a[j]))
+        elif kind == "xy":
+            b = (*draw(st.tuples(lattice, lattice).filter(lambda q: q != a[:2])), a[2])
+        elif draw(st.booleans()):
+            b = (a[0], a[1], draw(height.filter(lambda z: z != a[2])))
+        else:
+            b = draw(st.tuples(lattice, lattice, height).filter(lambda q: q != a))
+        verts.append(tuple(b))
+    verts = np.array(verts)
+    coord = [st.sampled_from(sorted(set(verts[:, j]))) | lattice for j in range(3)]
+    if draw(st.booleans()):
+        xs, ys = (np.array(draw(st.lists(c, min_size=1, max_size=6, unique=True)))
+                  for c in coord[:2])
+        offsets = None
+        if draw(st.booleans()):
+            offsets = np.array([(draw(lattice), draw(lattice), 0.0)
+                                for _ in range(draw(st.integers(1, 3)))])
+        return verts, (xs[None, :], ys[:, None], np.array([[draw(coord[2])]])), offsets
+    pts = [[draw(c) for c in coord] for _ in range(draw(st.integers(1, 8)))]
+    return verts, np.array(pts).T, None
+
+
 def via_to(x, y, z):
     """A 30-segment trace: 29 segments 1 mm above (x, y, z), then segment 29
     straight down to it."""
@@ -323,8 +362,10 @@ class TestKernel:
         with pytest.raises(SingularityError) as err:
             segment_kernel(verts, pts.T, normal)
         assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
+        # lifted 1 mm over the ground plane and probed 1 mm below it, the
+        # same filaments are the image's segments 0 and 2
         with pytest.raises(SingularityError) as err:
-            segment_kernel(verts, pts.T, normal, image=True)
+            segment_kernel(verts + [0, 0, 1], (pts - [0, 0, 1]).T, normal, grounded=True)
         assert (err.value.segment, err.value.image) == (0, True)
         assert "image segment 0" in str(err.value)
         # past the first block the index still refers to the caller's points
@@ -370,7 +411,7 @@ class TestKernel:
         monkeypatch.setattr(fields, "PAIRS", 2 * line.n_segments * nx * len(ys))
         (lo, hi, whole), = kernel_blocks(line, probes, "y")
         assert (lo, hi) == (0, nx * len(ys))
-        assert np.vstack([g for *_, g in blocks]).tobytes() == whole.tobytes()
+        assert np.hstack([g for *_, g in blocks]).tobytes() == whole.tobytes()
         monkeypatch.undo()
         ix, iy = 7, 2 * rows + 3
         with pytest.raises(SingularityError) as err:
@@ -394,7 +435,7 @@ class TestKernel:
         monkeypatch.setattr(fields, "PAIRS", 2 * line.n_segments * 2 * nx)
         (lo, hi, whole), = kernel_blocks(line, probes, "z")
         assert (lo, hi) == (0, 2 * nx)
-        assert np.vstack([g for *_, g in blocks]).tobytes() == whole.tobytes()
+        assert np.hstack([g for *_, g in blocks]).tobytes() == whole.tobytes()
         monkeypatch.undo()
         ix = 2 * step + 10
         with pytest.raises(SingularityError) as err:
@@ -414,6 +455,37 @@ class TestKernel:
             assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
             assert str(err.value) == str(ref.value)
 
+    @pytest.mark.parametrize("kind", ["x", "y", "xy", "xyz"])
+    @settings(max_examples=75, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_equals_trace_minus_image(self, kind, data):
+        # the grounded kernel evaluates the polyline and its image in one
+        # pass, sharing t = r.u when no segment leaves the plane; against
+        # the 3-vector kernel over both sets of segments, byte for byte
+        verts, probes, offsets = data.draw(grounded_cases(kind))
+        pts = flat_points(probes, offsets)
+        triple = kernel_triple(probes, offsets)
+        n = len(verts) - 1
+        mirror = np.array([1.0, 1.0, -1.0])
+        starts = np.vstack([verts[:-1], verts[:-1] * mirror])
+        ends = np.vstack([verts[1:], verts[1:] * mirror])
+        try:
+            g = vector_kernel(starts, ends, pts, n)
+        except SingularityError as ref:
+            for normal in NORMALS:
+                with pytest.raises(SingularityError) as err:
+                    segment_kernel(verts, triple, normal, grounded=True)
+                assert (err.value.point, err.value.segment, err.value.image) == \
+                    (ref.point, ref.segment, ref.image)
+                assert str(err.value) == str(ref)
+            return
+        for normal in NORMALS:
+            want = np.einsum("psk,k->ps", g, np.eye(3)[NORMALS.index(normal)])
+            one_pass = segment_kernel(verts, triple, normal, grounded=True)
+            assert one_pass.flags.c_contiguous
+            assert one_pass.T.tobytes() == (want[:, :n] - want[:, n:]).tobytes()
+            assert segment_kernel(verts, triple, normal).T.tobytes() == want[:, :n].tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_matches_vector_kernel(self, case):
@@ -427,10 +499,10 @@ class TestKernel:
 
         def kernel(normal):
             if n_real is None:
-                return segment_kernel(verts, triple, normal)
+                return segment_kernel(verts, triple, normal).T
             (lo, hi, g), = kernel_blocks(TracePath(vertices=verts), probes, normal, offsets)
             assert (lo, hi) == (0, len(pts) // m) and g.flags.c_contiguous
-            return g
+            return g.T
 
         try:
             g = vector_kernel(starts, ends, pts, n_real)
@@ -448,9 +520,9 @@ class TestKernel:
             want = np.einsum("psk,k->ps", g, np.eye(3)[NORMALS.index(normal)])
             if n_real is not None:
                 mirror = verts * [1.0, 1.0, -1.0]
-                assert segment_kernel(verts, triple, normal).tobytes() == \
+                assert segment_kernel(verts, triple, normal).T.tobytes() == \
                     want[:, :n_real].tobytes()
-                assert segment_kernel(mirror, triple, normal, image=True).tobytes() == \
+                assert segment_kernel(mirror, triple, normal).T.tobytes() == \
                     want[:, n_real:].tobytes()
                 want = want[:, :n_real] - want[:, n_real:]
             assert kernel(normal).tobytes() == want.tobytes()
@@ -466,7 +538,7 @@ class TestKernel:
             except SingularityError:
                 return
             for k in range(len(verts) - 1):
-                assert g[:, k].tobytes() == segment_kernel(verts[k:k + 2], triple, normal).tobytes()
+                assert g[k].tobytes() == segment_kernel(verts[k:k + 2], triple, normal).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
@@ -481,15 +553,15 @@ class TestKernel:
         # is compared against the largest field component
         atol = 1e-12 * max(np.abs(g).max() for g in fwd)
         for normal, g in zip(NORMALS, fwd):
-            rev = segment_kernel(verts[::-1], triple, normal)[:, ::-1]
+            rev = segment_kernel(verts[::-1], triple, normal)[::-1]
             assert_allclose(rev, -g, rtol=1e-12, atol=atol)
 
     def test_peak_memory_within_pair_budget(self):
         # the longest trace a config may ask for, 2,000 segments, x 200
-        # points: one kernel call over them and their images would hold
-        # 8e5 pairs.  h_trace_grounded peaks near 55 B per pair here and
-        # 54 B on a 60-segment trace x 2,000 points (measured); 72 B leaves
-        # room for numpy's temporaries to differ.
+        # points: one kernel pass over them and their images would hold
+        # 8e5 pairs.  h_trace_grounded peaks near 52.6 B per pair here and
+        # 51.1 B on a 60-segment trace x 2,000 points (measured, numpy
+        # 2.4); 60 B leaves 14% for numpy's temporaries to differ.
         r = rng(5)
         ns = MAX_SEGMENTS
         tr = TracePath(vertices=np.column_stack([np.arange(ns + 1) * 1e-4,
@@ -503,4 +575,4 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < PAIRS * 72
+        assert peak < PAIRS * 60

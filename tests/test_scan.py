@@ -173,14 +173,14 @@ class TestRunSimulatedScan:
     def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_probe,
                                                       straight_trace, substrate, drive,
                                                       table2_grid):
-        calls = []       # points per kernel call, one call for the trace and one for its image
+        calls = []       # points per kernel call, one call for the trace and its image
         kernel = fields.segment_kernel
 
         def counted(vertices, points, *args, **kwargs):
             g = kernel(vertices, points, *args, **kwargs)
             npts = np.broadcast(*points).size
             # the fast path: one field component, never a 3-vector per pair
-            assert g.shape == (npts, len(vertices) - 1)
+            assert g.shape == (len(vertices) - 1, npts)
             calls.append(npts)
             return g
 
@@ -201,7 +201,7 @@ class TestRunSimulatedScan:
             assert counts[0] == counts[1] > 0
             calls.clear()
             probe_transfer(straight_trace, substrate, probe, sweep, drive)
-            assert calls == [m, m]
+            assert calls == [m]
 
 
 lattice = st.integers(-24, 24).map(lambda k: k * 0.25e-3)
@@ -320,6 +320,55 @@ class TestChainMatchesReference:
         for k, maps in enumerate((res.hfield, res.vport, res.s21)):
             for values, w in zip(maps, want):
                 assert_allclose(values.ravel(), w[k][0], rtol=0, atol=w[k][1])
+
+
+def random_block(r, nseg, npts):
+    """A (nseg, npts) kernel block of both signs over 16 decades, one
+    value in ten a signed zero."""
+    g = r.standard_normal((nseg, npts)) * 10.0 ** r.integers(-8, 8, (nseg, npts))
+    zero = r.random(g.shape) < 0.1
+    g[zero] = np.copysign(0.0, r.standard_normal(zero.sum()))
+    return g
+
+
+class TestContractionOrder:
+    """The chain contracts each kernel block in the kernel's (segments,
+    points) layout.  Its sums must round as the former (points, segments)
+    forms did, byte for byte, on each numpy the package supports."""
+
+    def test_center_rows_match_points_major_form(self, monkeypatch, substrate, drive):
+        r = rng(29)
+        freqs = np.array([0.3e9, 1.1e9, 2.9e9])
+        nf = len(freqs)
+        for nseg in (1, 2, 7, 30):
+            xs = np.linspace(-0.05, 0.05, nseg + 1)
+            trace = TracePath(vertices=[(x, 0.0, H_SUB) for x in xs])
+            currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
+                                axis=1)
+            cur = np.concatenate([currents.real, currents.imag], axis=1)
+            for aperture, m in (("uniform", 1), ("integrated", 10)):
+                probe = LoopProbe(center=(0, 0, 1e-2), normal="y", aperture=aperture, quad_n=3)
+                blocks, npts = [], 0
+                for size in (17, 40, 3):
+                    blocks.append((npts, npts + size, random_block(r, nseg, size * m)))
+                    npts += size
+                monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
+                centers = (np.arange(npts, dtype=float)[None, :], np.zeros((1, 1)), np.ones((1, 1)))
+                hfield = scan._probe_chain(trace, substrate, probe, centers, freqs, drive)[0]
+                for lo, hi, g in blocks:
+                    rows = np.ascontiguousarray(g.T).reshape(hi - lo, m, nseg)
+                    h = np.einsum("ps,sf->pf", rows[:, 0], cur)
+                    assert hfield[:, lo:hi].tobytes() == (h[:, :nf] + 1j * h[:, nf:]).T.tobytes()
+
+    def test_node_sum_matches_points_major_form(self):
+        r = rng(31)
+        for nseg, npts, m in ((1, 13, 10), (2, 5, 65), (7, 40, 2), (30, 9, 17)):
+            g = random_block(r, nseg, npts * m)
+            weights, cur = r.standard_normal(m - 1), r.standard_normal((nseg, 6))
+            rows = np.ascontiguousarray(g.T).reshape(npts, m, nseg)
+            want = np.einsum("ps,sf->pf", np.einsum("pqs,q->ps", rows[:, 1:], weights), cur)
+            got = scan._node_flux(g.reshape(nseg, npts, m), weights, cur)
+            assert got.tobytes() == want.T.tobytes()
 
 
 class TestApplyCalibration:
