@@ -167,7 +167,9 @@ def segment_kernel(vertices, points, axis, grounded=False):
         u = list((seg / length[:, None]).T.reshape(3, nseg, *one))
         # Per coordinate, (nv, *its shape); segment k starts at vertex k.
         r = [c - v.reshape(-1, *one) for c, v in zip(p, verts.T)]
-        live = [j for j in (0, 2, 1) if u[j].any()]
+        # u is 0 along every axis only if every length overflows; t then
+        # keeps all its terms, and rho = 0 makes every pair near
+        live = [j for j in (0, 2, 1) if u[j].any()] or [0, 2, 1]
         for image in range(2 if grounded else 1):
             if image:  # mirrored through z=0: only the z parts change
                 vz = -verts[:, 2]

@@ -119,7 +119,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     flux = np.empty_like(h) if integrated else None
     for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
         g = g.reshape(len(g), hi - lo, m)
-        h[:, lo:hi] = np.einsum("sp,sf->fp", g[..., 0], cur)
+        np.einsum("sp,sf->fp", g[..., 0], cur, out=h[:, lo:hi])
         if integrated:
             flux[:, lo:hi] = _node_flux(g, weights, cur)
     nf = len(freqs)

@@ -155,6 +155,13 @@ class TestHSegment:
             h_segment((0, 0, 0), (1, 0, 0), 1.0, (0.5, 0, 0))
         assert err.value.segment == 0
 
+    def test_segment_length_overflow_is_singular(self):
+        # |seg|^2 overflows, so u is 0 along every axis and rho = |u x r1|
+        # is 0 at every point
+        with np.errstate(over="ignore"), pytest.raises(SingularityError) as err:
+            h_segment((-1e200, 0, 0), (1e200, 0, 0), 1.0, (0, 1, 0))
+        assert err.value.segment == 0
+
     def test_finite_segment_closed_form(self):
         # segment [0, L] on the x axis, points at x off the axis by rho, against
         # I/(4*pi*rho) * (cos(theta1) - cos(theta2)) in 50-digit decimal
