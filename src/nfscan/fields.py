@@ -82,6 +82,9 @@ def _side_coupling(r, u, span, length, a):
     t1, t2, i, pick, num = span
     r1 = [rj[:-1] for rj in r]
     c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
+    # The squares are formed per side: per grid line on a raster, but full
+    # size on scattered points, where keeping them for the image would hold
+    # two more full-size arrays.
     n = _sum(r[0] * r[0] + r[2] * r[2], r[1] * r[1])
     np.sqrt(n, out=n)
     n1, n2 = n[:-1], n[1:]
