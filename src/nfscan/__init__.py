@@ -16,13 +16,12 @@ from .calibration import (CFTable, calibrate, cf_from_s21, field_from_voltage,
                           geometry_term_db)
 from .config import center_over_trace
 from .errors import ConfigError, ParseError, SingularityError
-from .fields import (closed_form_line_h, current_distribution, eps_eff_hammerstad,
-                     h_segment, h_trace_grounded)
+from .fields import current_distribution, eps_eff_hammerstad, h_trace_grounded
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv,
                       parse_touchstone, render_pgm, write_cf_csv, write_map_csv,
                       write_touchstone)
 from .model import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
-                    TracePath, db20, grid_points, undb20)
+                    TracePath, undb20)
 from .scan import (MapStats, ScanResult, apply_calibration_to_scan, extract_profile,
                    map_stats, probe_transfer, run_simulated_scan)
 

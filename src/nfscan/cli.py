@@ -33,7 +33,8 @@ def _write_text(path, data):
 
     The bytes go to a temporary file in the target's directory, which then
     replaces the target (`os.replace`).  A failed write leaves the previous
-    file, if any, as it was, and no temporary file.
+    file, if any, as it was, and no temporary file.  The ConfigError names
+    `path`, by its repr if it holds a NUL byte.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -47,6 +48,8 @@ def _write_text(path, data):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path: nothing was opened
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
 def _freq_tag(i, f_hz):
@@ -73,6 +76,8 @@ def cmd_simulate(args):
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from None
     comp = result.component
     maps = (("s21_db", result.s21, "s21", {}),
             ("v_dbv", result.vport, "vport", {"normal": comp}),

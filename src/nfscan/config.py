@@ -304,7 +304,8 @@ def build_config(doc):
 
 
 def read_text(path):
-    """The UTF-8 text of the file at `path`, or a ConfigError naming it.
+    """The UTF-8 text of the file at `path`, or a ConfigError naming it
+    (by its repr if it holds a NUL byte).
 
     The bytes are decoded as they are, with no newline translation, so the
     parsers see the text a library caller would pass them: a bare carriage
@@ -315,6 +316,8 @@ def read_text(path):
             data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

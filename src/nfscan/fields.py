@@ -6,16 +6,15 @@ on geometry only, so `segment_kernel` returns it per unit current, as the
 field component along one axis, for the segments of one polyline: an
 (nseg, npts) array with no (nseg, npts, 3) temporary.  Its points are a
 triple (x, y, z) of arrays that broadcast together, so that a raster's
-per-axis work is done once per grid line.  Grounded, it applies the
-image rule (stated there) in the same pass, the trace and its image
-sharing what does not depend on z.
+per-axis work is done once per grid line.  It applies the image rule
+(stated there) in the same pass, the trace and its image sharing what
+does not depend on z.
 
-`kernel_blocks` is the one grounded path: one grounded kernel pass per
-block of whole rows, or a chunk of one row, of at most `PAIRS` point x
-segment pairs, images counted (or one probe).  Callers contract each
-block, in its (segments, points) layout, with the currents of the
-frequencies they need: the scan's probe chain, and `h_trace_grounded`
-once per axis.
+`kernel_blocks` is its one caller: one kernel pass per block of whole
+rows, or a chunk of one row, of at most `PAIRS` point x segment pairs,
+images counted (or one probe).  Callers contract each block, in its
+(segments, points) layout, with the currents of the frequencies they
+need: the scan's probe chain, and `h_trace_grounded` once per axis.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .model import AXES, C_LIGHT, DriveSpec, Substrate, TracePath
 EPS_GEOM = 1e-9
 
 #: Most point x segment pairs per block, images counted, unless one probe
-#: alone has more; the block's one grounded kernel pass holds the trace's
-#: half and the image's.  A table3 raster block (5 rows of 201 points at
+#: alone has more; the block's one kernel pass holds the trace's half
+#: and the image's.  A table3 raster block (5 rows of 201 points at
 #: 0.1 mm) peaks at 1.4 MB, 23 B per pair (tracemalloc).  In-process scans
 #: of table3 at 0.1 mm, 5 frequencies, took 118, 80 and 68 ms at 2**15,
 #: 2**16 and 2**17 pairs (medians of 7, a shared 2-core x86-64 host).
@@ -113,7 +112,7 @@ def _side_coupling(r, u, span, length, a):
     return coef, None
 
 
-def segment_kernel(vertices, points, axis, grounded=False):
+def segment_kernel(vertices, points, axis):
     """Component `axis` ("x", "y" or "z") of H per unit current in each
     segment of the polyline `vertices` (nv, 3): (nv - 1, npts) in A/m per A.
     `points` is a triple (x, y, z) of arrays that broadcast to one shape S;
@@ -130,11 +129,11 @@ def segment_kernel(vertices, points, axis, grounded=False):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
-    If `grounded`, the polyline lies above a perfect ground plane z=0.
-    Its image, mirrored through z=0, carries the negated current, which
-    reverses horizontal current and preserves vertical current, so that
-    H normal to the plane is zero on it.  The result is then each
-    segment's coupling minus its image's, both sides in this one pass.
+    The polyline lies above a perfect ground plane z=0.  Its image,
+    mirrored through z=0, carries the negated current, which reverses
+    horizontal current and preserves vertical current, so that H normal
+    to the plane is zero on it.  The result is each segment's coupling
+    minus its image's, both sides in this one pass.
 
     r = p - v and |r| are formed once per vertex (r1/r2 are views one
     vertex apart), each coordinate difference, square and per-axis
@@ -173,7 +172,7 @@ def segment_kernel(vertices, points, axis, grounded=False):
         # u is 0 along every axis only if every length overflows; t then
         # keeps all its terms, and rho = 0 makes every pair near
         live = [j for j in (0, 2, 1) if u[j].any()] or [0, 2, 1]
-        for image in range(2 if grounded else 1):
+        for image in (0, 1):
             if image:  # mirrored through z=0: only the z parts change
                 vz = -verts[:, 2]
                 r[2] = p[2] - vz.reshape(-1, *one)
@@ -198,12 +197,11 @@ def segment_kernel(vertices, points, axis, grounded=False):
 
 
 def kernel_blocks(trace: TracePath, points, axis, offsets=None):
-    """Coupling of a grounded trace to field component `axis` of probes
-    centred at `points`, one block at a time.
+    """Coupling of a trace over the ground plane to field component `axis`
+    of probes centred at `points`, one block at a time.
 
-    Each block is one grounded `segment_kernel` pass (see there for the
-    image rule), the kernel's only grounded caller: field component
-    `axis` per unit current in each trace segment.
+    Each block is one `segment_kernel` pass (see there for the image
+    rule): field component `axis` per unit current in each trace segment.
 
     `points` is a triple (x, y, z) that broadcasts to (rows, cols), probes
     in row-major order: a raster passes its grid lines, other points are
@@ -233,34 +231,16 @@ def kernel_blocks(trace: TracePath, points, axis, offsets=None):
             pts = [np.concatenate([c[..., None], c[..., None] + o], axis=-1)
                    for c, o in zip(pts, np.asarray(offsets, dtype=float).T)]
         try:
-            g = segment_kernel(verts, pts, axis, grounded=True)
+            g = segment_kernel(verts, pts, axis)
         except SingularityError as err:
             err.point = lo + err.point // m
             raise
         yield lo, lo + g.shape[1] // m, g
 
 
-def h_segment(start, end, current, point):
-    """Field of a single straight segment in free space carrying RMS phasor
-    `current` (A).
-
-    Returns the complex (hx, hy, hz) vector in A/m:
-
-        H = I/(4*pi*rho) * (sin(theta2) - sin(theta1)) * phi_hat
-
-    with rho the perpendicular distance to the supporting line, theta the
-    signed endpoint angles and phi_hat the right-hand circulation direction.
-    """
-    verts = np.array([start, end], dtype=float).reshape(2, 3)
-    if np.array_equal(verts[0], verts[1]):
-        raise ConfigError("segment start and end must be distinct")
-    p = np.asarray(point, dtype=float).reshape(1, 3)
-    g = np.array([segment_kernel(verts, p.T, axis)[0, 0] for axis in AXES])
-    return g * complex(current)
-
-
 def h_trace_grounded(trace: TracePath, currents, points):
-    """Field of a grounded trace (see `kernel_blocks`), one pass per axis.
+    """Field of a trace over the ground plane (see `kernel_blocks`), one pass
+    per axis.
 
     `currents` is one complex RMS phasor per trace segment.  `points` may
     be a single (3,) point or an (n, 3) array; the result matches.
@@ -276,21 +256,6 @@ def h_trace_grounded(trace: TracePath, currents, points):
         for lo, hi, g in kernel_blocks(trace, flat.T, axis):
             out[lo:hi, k] = g.T @ currents
     return out[0] if pts.ndim == 1 else out
-
-
-def closed_form_line_h(y, h, i_rms):
-    """|H| above an infinite horizontal line current over a ground plane.
-
-    At height y above a filament that sits h above the plane, the filament
-    and its antiparallel image give
-
-        |H| = I * (1/y - 1/(y + 2h)) / (2*pi)  =  I * h / (pi * y * (y + 2h))
-
-    Serves as the closed-form oracle for the numeric segment sum.
-    """
-    if y <= 0 or h <= 0 or i_rms < 0:
-        raise ConfigError("closed_form_line_h requires y > 0, h > 0, i_rms >= 0")
-    return i_rms * (1.0 / y - 1.0 / (y + 2.0 * h)) / (2.0 * math.pi)
 
 
 def eps_eff_hammerstad(eps_r, h, width):

@@ -3,11 +3,12 @@
 All text writers emit decimals that survive a parse/write cycle, so
 write(parse(write(x))) is byte-identical to write(x).  Map and profile
 CSV metadata lines start with '#' and use SI units; body rows run from
-y_min upward (row-major, matching grid_points).  PGM output puts y_max at
+y_min upward (row-major: y outer, x inner).  PGM output puts y_max at
 the top, as an image viewer would expect.
 
 Every text parser reads its lines from `_lines`: lines end at "\n" (a
-CRLF's "\r" is stripped as padding; a bare "\r" does not end a line),
+CRLF's "\r" is stripped as padding; a bare "\r" does not end a line,
+and a file whose lines bare "\r"s end is an error that says so),
 and a file holding one of the ASCII separators "\x1c"-"\x1f" is an
 error naming that line.  Every CSV is written by `_write_table`, and
 every CSV is read by `_read_table` (header keys and numbers) and
@@ -84,7 +85,8 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def _lines(text):
-    """(lineno, line) for each line of `text`; ParseError on a separator.
+    """(lineno, line) for each line of `text`; ParseError on a separator,
+    or if bare "\r"s end the lines of a text that holds no "\n".
 
     Lines end at "\n" only: str.splitlines would also break at characters
     float() and str.split() take as padding (\x0c, \x85, \u2028, ...).
@@ -95,6 +97,9 @@ def _lines(text):
     if found:
         pos = min(found)
         raise ParseError(f"control character {text[pos]!r}", line=text.count("\n", 0, pos) + 1)
+    if "\n" not in text and "\r" in text.rstrip():
+        raise ParseError("lines end in a bare carriage return ('\\r'), not '\\n' or '\\r\\n'",
+                         line=1)
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()

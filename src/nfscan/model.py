@@ -39,20 +39,9 @@ DEFAULT_F_MAX = 3e9               # Hz
 DEFAULT_DRIVE_POWER = 1e-4        # W
 
 
-def db20(x, ref=1.0):
-    """20*log10(x/ref) for positive magnitudes (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    ref = float(ref)
-    if ref <= 0.0 or np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("cannot express in dB: magnitude and reference must be finite and > 0")
-    out = 20.0 * np.log10(x / ref)
-    return float(out) if out.ndim == 0 else out
-
-
-def undb20(x_db, ref=1.0):
-    """Inverse of :func:`db20`: ref * 10**(x_db/20)."""
-    x_db = np.asarray(x_db, dtype=float)
-    out = float(ref) * 10.0 ** (x_db / 20.0)
+def undb20(x_db):
+    """10**(x_db/20): the magnitude of a 20*log10 level, scalar or array."""
+    out = 10.0 ** (np.asarray(x_db, dtype=float) / 20.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -222,22 +211,6 @@ class ScanGrid:
 
     def y_coords(self):
         return self.y_min + self.dy * np.arange(self.ny)
-
-
-def grid_points(grid: ScanGrid):
-    """All grid points in row-major order (y outer, x inner), shape (nx*ny, 3).
-
-    Coordinates are exact step multiples from (x_min, y_min); z is the
-    grid's z_height for every point.  The ordering is deterministic and
-    is the contract every raster file format in this package relies on.
-    """
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    pts = np.empty((grid.ny * grid.nx, 3), dtype=float)
-    pts[:, 0] = np.tile(xs, grid.ny)
-    pts[:, 1] = np.repeat(ys, grid.nx)
-    pts[:, 2] = grid.z_height
-    return pts
 
 
 @dataclass(frozen=True)

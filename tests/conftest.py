@@ -58,3 +58,14 @@ def single_point_sweep():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def grid_points(grid):
+    """All points of `grid` in row-major order (y outer, x inner), shape
+    (nx*ny, 3): exact step multiples from (x_min, y_min), z the grid's
+    z_height.  The order every raster file format relies on."""
+    pts = np.empty((grid.ny * grid.nx, 3), dtype=float)
+    pts[:, 0] = np.tile(grid.x_coords(), grid.ny)
+    pts[:, 1] = np.repeat(grid.y_coords(), grid.nx)
+    pts[:, 2] = grid.z_height
+    return pts

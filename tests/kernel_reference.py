@@ -7,11 +7,17 @@ a time over all points, accumulating complex fields in segment order.
 the full (npts, nseg, 3) field per unit current, built with np.cross and
 einsum.  Projected on a normal with einsum, it must equal today's kernel
 bit for bit.
+
+`decimal_h` is one segment's field in 50-digit decimal arithmetic, and
+`closed_form_line_h` the field above an infinite line over ground.
 """
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from nfscan.errors import SingularityError
+from nfscan.errors import ConfigError, SingularityError
 from nfscan.fields import EPS_GEOM
 
 _FOUR_PI = 4.0 * np.pi
@@ -104,3 +110,45 @@ def vector_kernel(starts, ends, points, n_real=None):
                         (t1 / n1 - t2 / n2) / (_FOUR_PI * rho2))
     return coef[:, :, None] * c
 
+
+def decimal_h(start, end, point):
+    """H per unit current of the segment start -> end at `point`, as three
+    floats rounded from 50-digit decimal arithmetic on the exact inputs:
+
+        H = (cos(theta1) - cos(theta2)) / (4*pi*rho**2) * (u x r1)
+
+    cos(theta) = r.u/|r|.  Beyond an end, where both cosines have one sign,
+    the difference is taken as rho**2 (t1**2 - t2**2) / (|r1| |r2| (t1 |r2|
+    + t2 |r1|)), t = r.u, so that rho**2 cancels and a point near the axis
+    loses no digits.  4*pi is the double the kernel uses, so only the
+    kernel's rounding differs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, p = ([Decimal(float(c)) for c in v] for v in (start, end, point))
+        seg = [y - x for x, y in zip(a, b)]
+        u = [c / sum(c * c for c in seg).sqrt() for c in seg]
+        r1 = [x - y for x, y in zip(p, a)]
+        r2 = [x - y for x, y in zip(p, b)]
+        c = [u[(j + 1) % 3] * r1[(j + 2) % 3] - u[(j + 2) % 3] * r1[(j + 1) % 3]
+             for j in range(3)]
+        t1, t2 = (sum(x * y for x, y in zip(r, u)) for r in (r1, r2))
+        n1, n2 = (sum(x * x for x in r).sqrt() for r in (r1, r2))
+        four_pi = Decimal(4.0 * math.pi)
+        if t1 * t2 > 0:
+            coef = (t1 * t1 - t2 * t2) / (four_pi * n1 * n2 * (t1 * n2 + t2 * n1))
+        else:
+            coef = (t1 / n1 - t2 / n2) / (four_pi * sum(x * x for x in c))
+        return [float(coef * x) for x in c]
+
+
+def closed_form_line_h(y, h, i_rms):
+    """|H| above an infinite horizontal line current over a ground plane.
+
+    At height y above a filament that sits h above the plane, the filament
+    and its antiparallel image give
+
+        |H| = I * (1/y - 1/(y + 2h)) / (2*pi)  =  I * h / (pi * y * (y + 2h))
+    """
+    if y <= 0 or h <= 0 or i_rms < 0:
+        raise ConfigError("closed_form_line_h requires y > 0, h > 0, i_rms >= 0")
+    return i_rms * (1.0 / y - 1.0 / (y + 2.0 * h)) / (2.0 * math.pi)

@@ -17,14 +17,15 @@ from numpy.testing import assert_allclose
 from nfscan import (DriveSpec, FieldMap, FrequencySweep, LoopProbe, NetworkData,
                     ScanGrid, Substrate, TracePath,
                     apply_calibration_to_scan, calibrate, center_over_trace,
-                    closed_form_line_h, extract_profile, field_from_voltage,
-                    geometry_term_db, h_trace_grounded, map_stats, parse_map_csv,
-                    parse_touchstone, probe_transfer, render_pgm, run_simulated_scan,
-                    write_map_csv, write_touchstone)
+                    extract_profile, field_from_voltage, geometry_term_db,
+                    h_trace_grounded, map_stats, parse_map_csv, parse_touchstone,
+                    probe_transfer, render_pgm, run_simulated_scan, write_map_csv,
+                    write_touchstone)
 from nfscan.cli import main
 from nfscan.config import load_config
 from nfscan.errors import ConfigError, ParseError
 
+from kernel_reference import closed_form_line_h
 from test_formats import _mutate, synth_map, synth_network
 
 H_SUB = 1.6e-3

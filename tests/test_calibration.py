@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nfscan import (CFTable, ConfigError, FrequencySweep, NetworkData, ParseError,
-                    calibrate, cf_from_s21, closed_form_line_h, field_from_voltage,
-                    geometry_term_db, probe_transfer)
+                    calibrate, cf_from_s21, field_from_voltage, geometry_term_db,
+                    probe_transfer)
 
 from conftest import H_SUB, SCAN_HEIGHT
+from kernel_reference import closed_form_line_h
 
 D_CAL = SCAN_HEIGHT  # probe-to-conductor distance of the reference setup
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nfscan
 from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, map_stats, parse_cf_csv,
                     parse_map_csv, parse_touchstone, write_cf_csv, write_map_csv,
                     write_touchstone)
@@ -520,6 +521,32 @@ def test_non_utf8_input_names_path(tmp_path, capsys, monkeypatch, argv):
     assert os.listdir(tmp_path) == ["in.txt"]
 
 
+@pytest.mark.parametrize("cmd, opt", [
+    ("simulate", "--config"), ("simulate", "--out"), ("probe-transfer", "--config"),
+    ("probe-transfer", "--out"), ("calibrate", "--probe"), ("calibrate", "--out"),
+    ("extract", "--scan"), ("extract", "--cf"), ("extract", "--out"), ("profile", "--map"),
+    ("profile", "--out"), ("stats", "--map"), ("render", "--map"), ("render", "--out")])
+def test_nul_byte_in_path_names_path(pipeline, tmp_path, capsys, cmd, opt):
+    # open() and os.makedirs() raise ValueError, not OSError, on a NUL byte
+    _, s2p, cf, sim = pipeline
+    hy, out = str(sim / "hy_dba_m_000_2GHz.csv"), str(tmp_path / "out")
+    argv = {"simulate": ["--config", TABLE2, "--out", out],
+            "probe-transfer": ["--config", TABLE2, "--out", out],
+            "calibrate": ["--probe", str(s2p), "--d", "1.0", "--h", "1.6", "--out", out],
+            "extract": ["--scan", str(sim / "v_dbv_000_2GHz.csv"), "--cf", str(cf),
+                        "--freq", "2e9", "--out", out],
+            "profile": ["--map", hy, "--axis", "y", "--at", "0.0", "--out", out],
+            "stats": ["--map", hy],
+            "render": ["--map", hy, "--lo", "-60", "--hi", "-10", "--out", out]}[cmd]
+    path = str(tmp_path / "a\0b")
+    argv[argv.index(opt) + 1] = path
+    assert main([cmd] + argv) == 2
+    action = ("cannot read" if opt != "--out" else "cannot create output directory"
+              if cmd == "simulate" else "cannot write")
+    assert capsys.readouterr().err == f"error: {action} {path!r}: embedded null byte\n"
+    assert os.listdir(tmp_path) == []
+
+
 class TestComplexMapFile:
     """A map file whose header says `value_kind: complex` is not a map CSV."""
 
@@ -645,6 +672,24 @@ class TestLineEnds:
             f"max {s.max_db!r} dB at x={s.argmax[0]!r} m y={s.argmax[1]!r} m "
             f"(ix={s.argmax_idx[0]}, iy={s.argmax_idx[1]})\n")
         assert (s.min_db, s.max_db) == (-4.0, 3.0)
+
+    @pytest.mark.parametrize("name", ["scan.csv", "cf.csv", "probe.s2p"])
+    def test_bare_cr_line_ends_exit_2_saying_so(self, tmp_path, name):
+        # with no "\n" the parser sees one line; the error names the line ends
+        files = _file_case()
+        files[name] = files[name].replace("\n", "\r")
+        path = {n: str(tmp_path / n) for n in files}
+        for n, text in files.items():
+            (tmp_path / n).write_bytes(text.encode())
+        out = str(tmp_path / "out")
+        argv = {"scan.csv": ["stats", "--map", path["scan.csv"]],
+                "cf.csv": ["extract", "--scan", path["scan.csv"], "--cf", path["cf.csv"],
+                           "--freq", "2e9", "--out", out],
+                "probe.s2p": ["calibrate", "--probe", path["probe.s2p"], "--d", "1",
+                              "--h", "1.6", "--out", out]}[name]
+        assert _run_quietly(argv) == (2, "error: line 1: lines end in a bare carriage return "
+                                         "('\\r'), not '\\n' or '\\r\\n'\n")
+        assert not os.path.exists(out)
 
 
 class TestGridBudget:
@@ -809,6 +854,20 @@ def test_readme_library_imports_run():
     block = _readme_block("Library entry points", "python")
     assert block.startswith("from nfscan import (")
     exec(block, {})
+
+
+def test_public_api_is_pinned():
+    """A name added to or removed from nfscan's public API shows up here."""
+    assert set(nfscan.__all__) == {
+        "CFTable", "ConfigError", "DriveSpec", "FieldMap", "FrequencySweep", "LoopProbe",
+        "MapStats", "NetworkData", "ParseError", "ScanGrid", "ScanResult", "SingularityError",
+        "Substrate", "TracePath", "apply_calibration_to_scan", "calibrate", "calibration",
+        "center_over_trace", "cf_from_s21", "config", "current_distribution",
+        "eps_eff_hammerstad", "errors", "extract_profile", "field_from_voltage", "fields",
+        "formats", "geometry_term_db", "h_trace_grounded", "map_stats", "model",
+        "parse_cf_csv", "parse_map_csv", "parse_touchstone", "probe_transfer", "render_pgm",
+        "run_simulated_scan", "scan", "undb20", "write_cf_csv", "write_map_csv",
+        "write_touchstone"}
 
 
 def _doc_paths(node, path=()):

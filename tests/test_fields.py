@@ -1,21 +1,20 @@
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from nfscan import (ConfigError, SingularityError, TracePath, closed_form_line_h,
-                    current_distribution, eps_eff_hammerstad, h_segment,
-                    h_trace_grounded)
+from nfscan import (ConfigError, SingularityError, TracePath, current_distribution,
+                    eps_eff_hammerstad, h_trace_grounded)
 from nfscan import fields
 from nfscan.config import MAX_SEGMENTS
 from nfscan.fields import PAIRS, kernel_blocks, segment_kernel
 
 from conftest import H_SUB, rng
-from kernel_reference import segment_arrays, segment_field_sum, vector_kernel
+from kernel_reference import (closed_form_line_h, decimal_h, segment_arrays,
+                              segment_field_sum, vector_kernel)
 
 lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
 
@@ -23,15 +22,16 @@ lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
 @st.composite
 def kernel_cases(draw):
     """Polylines of 1-5 segments on a 0.25 mm lattice, vertical ones among
-    them; when n_real is set the polyline lies above z=0 and the segments
-    of its ground-plane image (mirrored through z=0) are appended to
-    starts and ends.  Probes are a triple (x, y, z) that broadcasts to
-    (rows, cols).  Either a raster: 1-6 grid lines in x and in y on the
-    lattice at one height, sometimes with 1-3 flat quadrature offsets on
-    the lattice; or one row of points: on the lattice, on segment axes past
-    an end, and sometimes one on a filament, images included."""
-    grounded = draw(st.booleans())
-    height = lattice.filter(lambda z: z > 0) if grounded else lattice
+    them: above z=0 when `above` is drawn, else anywhere on the lattice.
+    starts and ends hold the polyline's segments, then those of its
+    ground-plane image (mirrored through z=0).  Probes are a triple
+    (x, y, z) that broadcasts to (rows, cols).  Either a raster: 1-6 grid
+    lines in x and in y on the lattice at one height, sometimes with 1-3
+    flat quadrature offsets on the lattice; or one row of points: on the
+    lattice, on segment axes past an end, and sometimes one on a filament,
+    images included."""
+    above = draw(st.booleans())
+    height = lattice.filter(lambda z: z > 0) if above else lattice
     verts = [draw(st.tuples(lattice, lattice, height))]
     for _ in range(draw(st.integers(1, 5))):
         a = verts[-1]
@@ -40,12 +40,9 @@ def kernel_cases(draw):
         else:
             verts.append(draw(st.tuples(lattice, lattice, height).filter(lambda p: p != a)))
     verts = np.array(verts)
-    starts, ends = verts[:-1], verts[1:]
-    n_real = None
-    if grounded:
-        n_real = len(starts)
-        mirror = np.array([1.0, 1.0, -1.0])
-        starts, ends = np.vstack([starts, starts * mirror]), np.vstack([ends, ends * mirror])
+    mirror = np.array([1.0, 1.0, -1.0])
+    starts = np.vstack([verts[:-1], verts[:-1] * mirror])
+    ends = np.vstack([verts[1:], verts[1:] * mirror])
     offsets = None
     if draw(st.booleans()):
         lines = st.lists(lattice, min_size=1, max_size=6, unique=True).map(np.array)
@@ -53,7 +50,7 @@ def kernel_cases(draw):
         if draw(st.booleans()):
             offsets = np.array([(draw(lattice), draw(lattice), 0.0)
                                 for _ in range(draw(st.integers(1, 3)))])
-        return verts, starts, ends, probes, offsets, n_real
+        return verts, starts, ends, probes, offsets, above
     pts = [draw(st.tuples(lattice, lattice, lattice)) for _ in range(draw(st.integers(1, 8)))]
     for k in draw(st.lists(st.integers(0, len(starts) - 1), max_size=3)):
         t = draw(st.sampled_from((-2.0, -0.5, 1.5, 3.0)))
@@ -61,7 +58,7 @@ def kernel_cases(draw):
     if draw(st.integers(0, 4)) == 0:
         k = draw(st.integers(0, len(starts) - 1))
         pts.insert(draw(st.integers(0, len(pts))), (starts[k] + ends[k]) / 2)
-    return verts, starts, ends, np.array(pts, dtype=float).T, offsets, n_real
+    return verts, starts, ends, np.array(pts, dtype=float).T, offsets, above
 
 
 def flat_points(probes, offsets):
@@ -130,66 +127,103 @@ def via_to(x, y, z):
     return TracePath(vertices=top + [(x, y, z)])
 
 
-class TestHSegment:
-    def test_infinite_line_limit(self):
-        # 2 m segment along +x, point 1 mm off axis: I/(2*pi*rho) in +z
-        h = h_segment((-1, 0, 0), (1, 0, 0), 1.0, (0, 1e-3, 0))
-        expect = 1.0 / (2 * math.pi * 1e-3)
-        assert_allclose(abs(h[2]), expect, rtol=1e-6)
-        assert h[2].real > 0
-        assert abs(h[0]) < 1e-12 and abs(h[1]) < 1e-12
+def segment_h(start, end, point):
+    """The kernel's (hx, hy, hz) per unit current at one point: one segment's
+    field minus its image's."""
+    verts, triple = np.array([start, end], dtype=float), np.reshape(point, (3, 1))
+    return np.array([segment_kernel(verts, triple, normal)[0, 0] for normal in NORMALS])
 
-    def test_zero_current(self):
-        h = h_segment((0, 0, 0), (1, 0, 0), 0.0, (0.5, 2e-3, 0))
-        assert np.all(h == 0)
+
+def image_of(*points):
+    """`points` mirrored through the ground plane z=0."""
+    return [(x, y, -z) for x, y, z in points]
+
+
+def filament_distance(start, end, point):
+    """Distance from `point` to the segment start -> end."""
+    a, b, p = (np.asarray(v, dtype=float) for v in (start, end, point))
+    t = np.clip(np.dot(p - a, b - a) / np.dot(b - a, b - a), 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * (b - a))))
+
+
+class TestHSegment:
+    """The field of one segment over the ground plane, its image's included."""
+
+    def test_infinite_line_limit(self):
+        # 2 m segment along +x at H_SUB, the point 1 mm above its middle: the
+        # line and its image give the closed form, along -y
+        h = segment_h((-1, 0, H_SUB), (1, 0, H_SUB), (0, 0, H_SUB + 1e-3))
+        assert_allclose(-h[1], closed_form_line_h(1e-3, H_SUB, 1.0), rtol=1e-5)
+        assert h[0] == 0 and h[2] == 0
 
     def test_superposition_midpoint_split(self):
         a, b, mid = (0, 0, 0), (0.1, 0.02, 0.01), (0.05, 0.01, 0.005)
-        p = (0.03, 0.05, -0.02)
-        whole = h_segment(a, b, 1.0 + 0.5j, p)
-        parts = h_segment(a, mid, 1.0 + 0.5j, p) + h_segment(mid, b, 1.0 + 0.5j, p)
-        assert_allclose(parts, whole, rtol=1e-12)
+        p = np.reshape((0.03, 0.05, -0.02), (3, 1))
+        for normal in NORMALS:
+            whole = segment_kernel((a, b), p, normal)
+            parts = segment_kernel((a, mid, b), p, normal)
+            assert_allclose(parts.sum(axis=0), whole[0], rtol=1e-12)
 
     def test_singularity_names_segment(self):
-        with pytest.raises(SingularityError) as err:
-            h_segment((0, 0, 0), (1, 0, 0), 1.0, (0.5, 0, 0))
-        assert err.value.segment == 0
+        for z, image in ((1.0, False), (-1.0, True)):
+            with pytest.raises(SingularityError) as err:
+                segment_h((0, 0, 1), (1, 0, 1), (0.5, 0, z))
+            assert (err.value.segment, err.value.image) == (0, image)
 
     def test_segment_length_overflow_is_singular(self):
         # |seg|^2 overflows, so u is 0 along every axis and rho = |u x r1|
         # is 0 at every point
         with np.errstate(over="ignore"), pytest.raises(SingularityError) as err:
-            h_segment((-1e200, 0, 0), (1e200, 0, 0), 1.0, (0, 1, 0))
-        assert err.value.segment == 0
+            segment_kernel(((-1e200, 0, 1), (1e200, 0, 1)), ([0.0], [1.0], [1.0]), "z")
+        assert (err.value.segment, err.value.image) == (0, False)
 
     def test_finite_segment_closed_form(self):
-        # segment [0, L] on the x axis, points at x off the axis by rho, against
-        # I/(4*pi*rho) * (cos(theta1) - cos(theta2)) in 50-digit decimal
-        length = 0.25
+        # segment [0, L] along x, 0.5 m above the ground plane, points off it
+        # by rho, inside its span and past each end: the segment's field minus
+        # its image's, each in 50-digit decimal
+        length, z = 0.25, 0.5
+        seg = ((0, 0, z), (length, 0, z))
         for x in (0.125, 0.0625, 0.5, -0.25):      # inside the span, and past each end
             for rho in 10.0 ** np.arange(-7, 0):
-                h = h_segment((0, 0, 0), (length, 0, 0), 1.0, (x, rho, 0))
-                with localcontext() as ctx:
-                    ctx.prec = 50
-                    X, R, L = Decimal(x), Decimal(rho), Decimal(length)
-                    cos1 = X / (X * X + R * R).sqrt()
-                    cos2 = (X - L) / ((X - L) ** 2 + R * R).sqrt()
-                    want = float((cos1 - cos2) / (4 * Decimal(math.pi) * R))
-                assert_allclose(h[2].real, want, rtol=1e-13)
-                assert h[0] == 0 and h[1] == 0
-            # collinear points past either end: the field is exactly 0
-            for gap in 10.0 ** np.arange(-7, 0):
-                for p in ((length + gap, 0, 0), (-gap, 0, 0)):
-                    assert np.all(h_segment((0, 0, 0), (length, 0, 0), 1.0, p) == 0)
-        assert np.all(h_segment((0, 0, 1), (1, 0, 1), 1.0, (2, 0, 1)) == 0)
+                p = (x, rho, z)
+                want = np.subtract(decimal_h(*seg, p), decimal_h(*image_of(*seg), p))
+                h = segment_h(*seg, p)
+                assert_allclose(h, want, rtol=1e-13)
+                assert h[0] == 0
+        # a vertical segment and its image, probed on their common axis past
+        # their ends: each side's field is exactly 0
+        seg = ((0.2, -0.1, z), (0.2, -0.1, z + length))
+        for gap in 10.0 ** np.arange(-7, 0):
+            for pz in (z + length + gap, z - gap, -z + gap, -z - length - gap):
+                assert np.all(segment_h(*seg, (0.2, -0.1, pz)) == 0)
 
-    def test_linearity_in_current(self):
-        p = (0.2, 3e-3, 1e-3)
-        h1 = h_segment((0, 0, 0), (0.4, 0, 0), 1.0, p)
-        h2 = h_segment((0, 0, 0), (0.4, 0, 0), 2.5, p)
-        assert_allclose(h2, 2.5 * h1, rtol=1e-12)
-        hp = h_segment((0, 0, 0), (0.4, 0, 0), 1j, p)
-        assert_allclose(hp, 1j * h1, rtol=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(centre=st.tuples(*3 * [st.floats(-5e-3, 5e-3)]),
+           direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]),
+           length=st.floats(1e-4, 1e-2), along=st.floats(-0.5, 1.5),
+           across=st.tuples(*3 * [st.floats(-1.0, 1.0)]), log_gap=st.floats(-5.0, -2.0))
+    def test_random_segments_match_decimal(self, centre, direction, length, along, across,
+                                           log_gap):
+        # segments 0.1-10 mm long in any direction, coordinates within 1 cm,
+        # and points 10 um to 1 cm from the filament.  r = p - v is rounded
+        # to an ulp of the largest coordinate M, so each side's error, on
+        # every axis, stays within a few ulps of M over its distance d to the
+        # point, relative to the field scale 1 / (4 pi d): 8 ulps, twice the
+        # worst of 40,000 random cases
+        u = np.array(direction)
+        assume(np.linalg.norm(u) > 0.1)
+        u /= np.linalg.norm(u)
+        n = np.array(across) - np.dot(across, u) * u
+        assume(np.linalg.norm(n) > 0.1)
+        a, b = np.array(centre) - length / 2 * u, np.array(centre) + length / 2 * u
+        p = a + along * (b - a) + 10.0 ** log_gap * n / np.linalg.norm(n)
+        seg, img = (a, b), image_of(a, b)
+        d = [filament_distance(*s, p) for s in (seg, img)]
+        assume(1e-5 <= d[0] <= 1e-2 and d[1] >= 1e-5)
+        want = np.subtract(decimal_h(*seg, p), decimal_h(*img, p))
+        ulp = math.ulp(np.abs([a, b, p]).max())
+        tol = sum(8 * ulp / dk / (4 * math.pi * dk) for dk in d)
+        assert np.all(np.abs(segment_h(*seg, p) - want) <= tol)
 
 
 class TestGroundedTrace:
@@ -363,7 +397,8 @@ class TestKernel:
         pts = np.array([[0.5, 5.0, 0], [0.5, 1.0, 0], [0.5, 0.0, 0]])
         # first singular pair in point-major order: point 1 x segment 1
         assert segment_field_sum(starts, ends, cur, pts, 1e-9, np.empty((3, 3), complex)) == 3
-        # the same two filaments as segments 0 and 2 of a polyline
+        # the same two filaments as segments 0 and 2 of a polyline in the
+        # ground plane, where each coincides with its image
         verts = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]])
         normal = "z"
         with pytest.raises(SingularityError) as err:
@@ -372,7 +407,7 @@ class TestKernel:
         # lifted 1 mm over the ground plane and probed 1 mm below it, the
         # same filaments are the image's segments 0 and 2
         with pytest.raises(SingularityError) as err:
-            segment_kernel(verts + [0, 0, 1], (pts - [0, 0, 1]).T, normal, grounded=True)
+            segment_kernel(verts + [0, 0, 1], (pts - [0, 0, 1]).T, normal)
         assert (err.value.segment, err.value.image) == (0, True)
         assert "image segment 0" in str(err.value)
         # past the first block the index still refers to the caller's points
@@ -481,58 +516,55 @@ class TestKernel:
         except SingularityError as ref:
             for normal in NORMALS:
                 with pytest.raises(SingularityError) as err:
-                    segment_kernel(verts, triple, normal, grounded=True)
+                    segment_kernel(verts, triple, normal)
                 assert (err.value.point, err.value.segment, err.value.image) == \
                     (ref.point, ref.segment, ref.image)
                 assert str(err.value) == str(ref)
             return
         for normal in NORMALS:
             want = np.einsum("psk,k->ps", g, np.eye(3)[NORMALS.index(normal)])
-            one_pass = segment_kernel(verts, triple, normal, grounded=True)
+            one_pass = segment_kernel(verts, triple, normal)
             assert one_pass.flags.c_contiguous
             assert one_pass.T.tobytes() == (want[:, :n] - want[:, n:]).tobytes()
-            assert segment_kernel(verts, triple, normal).T.tobytes() == want[:, :n].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_matches_vector_kernel(self, case):
-        # the polyline kernel and the grounded blocks against the 3-vector
-        # kernel over the same segments and the flattened points, images
-        # appended when n_real is set
-        verts, starts, ends, probes, offsets, n_real = case
+        # the kernel, and the blocks of a trace above z=0, against the
+        # 3-vector kernel over the polyline's segments and its image's and
+        # the flattened points
+        verts, starts, ends, probes, offsets, above = case
         pts = flat_points(probes, offsets)
         triple = kernel_triple(probes, offsets)
         m = 1 if offsets is None else 1 + len(offsets)
+        n = len(verts) - 1
+        ways = (False, True) if above else (False,)
 
-        def kernel(normal):
-            if n_real is None:
+        def kernel(normal, blocks):
+            if not blocks:
                 return segment_kernel(verts, triple, normal).T
             (lo, hi, g), = kernel_blocks(TracePath(vertices=verts), probes, normal, offsets)
             assert (lo, hi) == (0, len(pts) // m) and g.flags.c_contiguous
             return g.T
 
         try:
-            g = vector_kernel(starts, ends, pts, n_real)
+            g = vector_kernel(starts, ends, pts, n)
         except SingularityError as ref:
             for normal in NORMALS:
-                with pytest.raises(SingularityError) as err:
-                    kernel(normal)
-                # kernel_blocks names the probe, the kernel the point
-                point = ref.point if n_real is None else ref.point // m
-                assert (err.value.point, err.value.segment, err.value.image) == \
-                    (point, ref.segment, ref.image)
-                assert str(err.value) == str(ref)
+                for blocks in ways:
+                    with pytest.raises(SingularityError) as err:
+                        kernel(normal, blocks)
+                    # kernel_blocks names the probe, the kernel the point
+                    point = ref.point // m if blocks else ref.point
+                    assert (err.value.point, err.value.segment, err.value.image) == \
+                        (point, ref.segment, ref.image)
+                    assert str(err.value) == str(ref)
             return
         for normal in NORMALS:
             want = np.einsum("psk,k->ps", g, np.eye(3)[NORMALS.index(normal)])
-            if n_real is not None:
-                mirror = verts * [1.0, 1.0, -1.0]
-                assert segment_kernel(verts, triple, normal).T.tobytes() == \
-                    want[:, :n_real].tobytes()
-                assert segment_kernel(mirror, triple, normal).T.tobytes() == \
-                    want[:, n_real:].tobytes()
-                want = want[:, :n_real] - want[:, n_real:]
-            assert kernel(normal).tobytes() == want.tobytes()
+            want = want[:, :n] - want[:, n:]
+            for blocks in ways:
+                assert kernel(normal, blocks).tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nfscan.model as m
-from nfscan import ConfigError, ScanGrid, db20, grid_points, undb20
+from nfscan import ConfigError, ScanGrid, undb20
+
+from conftest import grid_points
 
 
 class TestGridPoints:
@@ -63,28 +65,26 @@ class TestGridPoints:
 
 
 class TestDb20:
+    """The 20*log10 scale: `undb20`, which Touchstone DB decoding uses."""
+
     def test_unit_ratio(self):
-        assert db20(1.0, 1.0) == 0.0
+        assert undb20(0.0) == 1.0
 
     def test_decade(self):
-        assert_allclose(db20(0.1, 1.0), -20.0, rtol=1e-12)
+        assert_allclose(undb20(-20.0), 0.1, rtol=1e-12)
 
     def test_field_level(self):
-        # level reused by the paper-range acceptance check
-        assert_allclose(db20(0.1715), -15.31, atol=5e-3)
+        # level reused by the paper-range acceptance check; 5e-3 dB is a
+        # ratio of 5.8e-4
+        assert_allclose(undb20(-15.31), 0.1715, rtol=5.8e-4)
 
     def test_round_trip_12_decades(self):
         xs = np.logspace(-6, 6, 121)
-        back = undb20(db20(xs))
+        back = undb20(20.0 * np.log10(xs))
         assert_allclose(back, xs, rtol=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError, match="cannot express in dB"):
-            db20(bad)
-
     def test_array_input(self):
-        assert_allclose(db20(np.array([1.0, 10.0])), [0.0, 20.0], atol=1e-12)
+        assert_allclose(undb20(np.array([0.0, 20.0])), [1.0, 10.0], rtol=1e-15)
 
 
 class TestDefaults:

@@ -23,7 +23,7 @@ def s21_at(probe, trace, substrate, drive, aperture="integrated", quad_n=8):
 def uniform_kernel(direction):
     """Stand-in kernel: every physical segment gives the field `direction`
     per ampere at every point, and every image nothing."""
-    def kernel(vertices, points, axis, grounded=False):
+    def kernel(vertices, points, axis):
         return np.full((len(vertices) - 1, np.broadcast(*points).size),
                        float(direction["xyz".index(axis)]))
     return kernel

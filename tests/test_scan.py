@@ -13,13 +13,13 @@ from numpy.testing import assert_allclose
 from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, LoopProbe,
                     ScanGrid, SingularityError, Substrate, TracePath,
                     apply_calibration_to_scan, current_distribution, extract_profile,
-                    grid_points, map_stats, probe_transfer, run_simulated_scan)
+                    map_stats, probe_transfer, run_simulated_scan)
 from nfscan import fields, scan
 from nfscan.config import build_config
 from nfscan.fields import EPS_GEOM, PAIRS
 from nfscan.scan import MapStats, ScanResult
 
-from conftest import H_SUB, SCAN_HEIGHT, port_oracle, rng
+from conftest import H_SUB, SCAN_HEIGHT, grid_points, port_oracle, rng
 from kernel_reference import segment_arrays, segment_field_sum
 
 
