@@ -21,7 +21,7 @@ from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv,
                       parse_touchstone, render_pgm, write_cf_csv, write_map_csv,
                       write_touchstone)
 from .model import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
-                    TracePath, undb20)
+                    TracePath)
 from .scan import (MapStats, ScanResult, apply_calibration_to_scan, extract_profile,
                    map_stats, probe_transfer, run_simulated_scan)
 

@@ -126,19 +126,16 @@ def field_from_voltage(v_db, cf_db, sign_mode="eq1-consistent"):
 
 
 def calibrate(network, d, h, kernel="paper"):
-    """Antenna-factor table from a probe transmission network.
+    """Antenna-factor table from a probe's S21 sweep.
 
-    `network` is a NetworkData with at least 2 ports and R = 50 ohm; S21
-    must be present (and non-zero, since CF is a dB quantity) at every row.
+    `network` is a NetworkData with R = 50 ohm; S21 must be non-zero at
+    every row, since CF is a dB quantity.
     """
-    if network.n_ports < 2:
-        raise ParseError(f"need a 2-port network with S21, got {network.n_ports} port(s)")
     if network.z_ref != 50.0:
         raise ConfigError(f"network reference impedance is R {network.z_ref!r} ohm; the CF "
                           f"formula's {STANDARD_CONSTANT_DB:g} dB constant assumes R 50")
     cf = np.empty(len(network.f), dtype=float)
-    for i, f in enumerate(network.f):
-        s21 = network.s[i, 1, 0]
+    for i, (f, s21) in enumerate(zip(network.f, network.s21)):
         mag = abs(s21)
         if mag <= 0 or not math.isfinite(mag):
             raise ParseError(f"row {i} (f={f} Hz): S21 magnitude {mag} has no dB value")

@@ -70,14 +70,14 @@ def _db_map(values, *, grid, f, component, meta):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
-                                cfg.sweep, cfg.drive)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from None
     except ValueError as exc:  # a NUL byte in the path
         raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from None
+    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
+                                cfg.sweep, cfg.drive)
     comp = result.component
     maps = (("s21_db", result.s21, "s21", {}),
             ("v_dbv", result.vport, "vport", {"normal": comp}),
@@ -104,11 +104,8 @@ def cmd_simulate(args):
 def cmd_probe_transfer(args):
     cfg = load_config(args.config)
     freqs, s21 = probe_transfer(cfg.trace, cfg.substrate, cfg.probe, cfg.sweep, cfg.drive)
-    s = np.zeros((len(freqs), 2, 2), dtype=complex)
-    s[:, 1, 0] = s21
-    s[:, 0, 1] = s21
-    net = NetworkData(f=freqs, s=s, n_ports=2, z_ref=cfg.probe.port_z)
-    _write_text(args.out, write_touchstone(net, fmt="RI"))
+    net = NetworkData(f=freqs, s21=s21, z_ref=cfg.probe.port_z)
+    _write_text(args.out, write_touchstone(net))
     return 0
 
 

@@ -55,7 +55,7 @@ import orjson
 
 from .calibration import CFTable
 from .errors import ConfigError, ParseError
-from .model import ScanGrid, readonly, undb20
+from .model import ScanGrid, readonly
 
 MAP_MAGIC = "nfscan-map 1"
 CF_MAGIC = "nfscan-cf 1"
@@ -111,59 +111,48 @@ def _lines(text):
 
 @dataclass(frozen=True)
 class NetworkData:
-    """Frequency-indexed complex S-parameters with reference impedance."""
+    """A probe's transmission sweep: S21 against frequency, with the
+    reference impedance of its ports."""
 
     f: np.ndarray        # Hz, strictly increasing
-    s: np.ndarray        # (n, p, p) complex
-    n_ports: int
+    s21: np.ndarray      # complex, one value per frequency
     z_ref: float = 50.0
 
     def __post_init__(self):
         f = readonly(self.f, float)
-        s = readonly(self.s, complex)
-        if s.size == 0:
-            s = s.reshape(0, self.n_ports, self.n_ports)
+        s21 = readonly(self.s21, complex)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "s", s)
-        if self.n_ports < 1:
-            raise ConfigError("network: n_ports must be >= 1")
+        object.__setattr__(self, "s21", s21)
         if not 0 < self.z_ref < math.inf:
             raise ConfigError("network: z_ref must be finite and > 0")
-        if f.ndim != 1 or s.shape != (len(f), self.n_ports, self.n_ports):
-            raise ConfigError(
-                f"network: S shape {s.shape} inconsistent with {len(f)} rows x {self.n_ports} ports")
+        if f.ndim != 1 or s21.shape != f.shape:
+            raise ConfigError(f"network: S21 shape {s21.shape} does not match {len(f)} "
+                              "frequencies")
         if len(f) > 1 and not np.all(np.diff(f) > 0):
             raise ConfigError("network: frequencies must be strictly increasing")
-        if not (np.isfinite(f).all() and np.isfinite(s).all()):
+        if not (np.isfinite(f).all() and np.isfinite(s21).all()):
             raise ConfigError("network: frequencies and S-parameters must be finite")
 
 
 def parse_touchstone(text):
-    """Parse a 1- or 2-port Touchstone v1 document.
+    """The S21 sweep of a 2-port Touchstone v1 document.
 
     Option line "# <unit> S <fmt> R <z>" with units Hz/kHz/MHz/GHz and
     formats RI, MA (magnitude, angle in degrees) or DB (20*log10
     magnitude, angle in degrees); any token may be omitted (defaults GHz,
     MA, 50); it must come before the first data row.  '!' starts a
-    comment.  Two-port rows are ordered S11 S21 S12 S22.  Errors carry
-    the offending line number.
+    comment.  Each row is a frequency and the pairs S11 S21 S12 S22;
+    every pair is decoded and must be finite, and S21 is kept.  Errors
+    carry the offending line number.
     """
     unit = 1e9
     fmt = "ma"
     z_ref = 50.0
     saw_option = False
-    ports_hint = None
-    rows = []
     freqs = []
-    ncols = None
+    s21 = []
     for lineno, raw in _lines(text):
-        line, _, comment = raw.partition("!")
-        comment = comment.strip().lower()
-        if comment.startswith("ports:"):
-            tail = comment[len("ports:"):].strip()
-            if tail.isdigit():
-                ports_hint = int(tail)
-        line = line.strip()
+        line = raw.partition("!")[0].strip()
         if not line:
             continue
         if line.startswith("#"):
@@ -179,38 +168,23 @@ def parse_touchstone(text):
             values = [float(t) for t in tokens]
         except ValueError:
             raise ParseError(f"non-numeric token in data row: {line!r}", line=lineno) from None
-        if ncols is None:
-            if len(values) not in (3, 9):
-                raise ParseError(
-                    f"expected 3 (1-port) or 9 (2-port) columns, got {len(values)}", line=lineno)
-            ncols = len(values)
-        elif len(values) != ncols:
-            raise ParseError(f"expected {ncols} columns, got {len(values)}", line=lineno)
+        if len(values) != 9:
+            raise ParseError(f"expected 9 columns, got {len(values)}", line=lineno)
         if fmt == "db" and any(a >= _TS_DB_MAX for a in values[1::2]):
             raise ParseError(f"DB magnitude of {_TS_DB_MAX:.6g} dB or more overflows a double",
                              line=lineno)
         f_hz = values[0] * unit
-        row = [_decode_pair(values[i], values[i + 1], fmt) for i in range(1, len(values), 2)]
+        row = [_decode_pair(values[i], values[i + 1], fmt) for i in range(1, 9, 2)]
         if not (math.isfinite(f_hz) and all(map(cmath.isfinite, row))):
             raise ParseError(f"non-finite frequency or S-parameter in data row: {line!r}",
                              line=lineno)
         if freqs and not f_hz > freqs[-1]:
             raise ParseError(f"frequency {f_hz} Hz not strictly increasing", line=lineno)
         freqs.append(f_hz)
-        rows.append(row)
-
-    if ncols is None:
-        n_ports = ports_hint
-        if n_ports is None:
-            raise ParseError("no data rows and no '! ports: N' hint to fix the port count")
-        if n_ports not in (1, 2):
-            raise ParseError(f"unsupported port count {n_ports}")
-        s = np.zeros((0, n_ports, n_ports), dtype=complex)
-        return NetworkData(f=np.zeros(0), s=s, n_ports=n_ports, z_ref=z_ref)
-
-    n_ports = 1 if ncols == 3 else 2
-    s = np.array(rows).reshape(-1, n_ports, n_ports).transpose(0, 2, 1)  # rows are column-major
-    return NetworkData(f=np.asarray(freqs), s=s, n_ports=n_ports, z_ref=z_ref)
+        s21.append(row[1])
+    if not freqs:
+        raise ParseError("no data rows")
+    return NetworkData(f=np.array(freqs), s21=np.array(s21), z_ref=z_ref)
 
 
 def _parse_option_line(line, lineno):
@@ -249,38 +223,17 @@ def _parse_option_line(line, lineno):
 def _decode_pair(a, b, fmt):
     if fmt == "ri":
         return complex(a, b)
-    mag = a if fmt == "ma" else undb20(a)
+    mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
     return mag * cmath.exp(1j * math.radians(b))
 
 
-def _encode_pair(v, fmt):
-    if fmt == "ri":
-        return v.real, v.imag
-    mag = abs(v)
-    ang = math.degrees(cmath.phase(v))
-    if fmt == "ma":
-        return mag, ang
-    return (20.0 * math.log10(mag) if mag > 0 else -math.inf), ang
-
-
-def write_touchstone(net: NetworkData, fmt="RI"):
-    """Render a network as Touchstone v1 text (always in GHz).
-
-    A zero magnitude in DB format is written as -inf, which this parser
-    (but not every third-party tool) reads back exactly.
-    """
-    fmt = fmt.lower()
-    if fmt not in _TS_FORMATS:
-        raise ConfigError(f"touchstone format must be one of {tuple(f.upper() for f in _TS_FORMATS)}")
-    lines = [f"! ports: {net.n_ports}",
-             f"# GHz S {fmt.upper()} R {_gfmt(net.z_ref)}"]
-    for f_hz, s in zip(net.f, net.s):
-        cells = [_gfmt(f_hz / 1e9)]
-        for v in s.T.ravel():  # S11 S21 S12 S22: column-major
-            a, b = _encode_pair(complex(v), fmt)
-            cells.append(_gfmt(a))
-            cells.append(_gfmt(b))
-        lines.append(" ".join(cells))
+def write_touchstone(net: NetworkData):
+    """A sweep as 2-port Touchstone v1 text in GHz and RI, with S11 =
+    S22 = 0 and S12 = S21."""
+    lines = ["! ports: 2", f"# GHz S RI R {_gfmt(net.z_ref)}"]
+    for f_hz, s21 in zip(net.f, net.s21):
+        pair = f"{_gfmt(s21.real)} {_gfmt(s21.imag)}"
+        lines.append(f"{_gfmt(f_hz / 1e9)} 0 0 {pair} {pair} 0 0")
     return "\n".join(lines) + "\n"
 
 

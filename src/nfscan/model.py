@@ -39,12 +39,6 @@ DEFAULT_F_MAX = 3e9               # Hz
 DEFAULT_DRIVE_POWER = 1e-4        # W
 
 
-def undb20(x_db):
-    """10**(x_db/20): the magnitude of a 20*log10 level, scalar or array."""
-    out = 10.0 ** (np.asarray(x_db, dtype=float) / 20.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def readonly(a, dtype):
     """`a` as a read-only `dtype` array that no other reference can change.
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from nfscan import (CFTable, ConfigError, FrequencySweep, NetworkData, ParseError,
                     calibrate, cf_from_s21, field_from_voltage, geometry_term_db,
-                    probe_transfer)
+                    parse_touchstone, probe_transfer)
 
 from conftest import H_SUB, SCAN_HEIGHT
 from kernel_reference import closed_form_line_h
@@ -95,10 +95,7 @@ class TestFieldFromVoltage:
 
 def _probe_network(cal_probe, straight_trace, substrate, drive, sweep):
     f, s21 = probe_transfer(straight_trace, substrate, cal_probe, sweep, drive)
-    s = np.zeros((len(f), 2, 2), dtype=complex)
-    s[:, 1, 0] = s21
-    s[:, 0, 1] = s21
-    return NetworkData(f=f, s=s, n_ports=2)
+    return NetworkData(f=f, s21=s21)
 
 
 class TestCalibrate:
@@ -127,7 +124,7 @@ class TestCalibrate:
         with pytest.raises(ConfigError, match=f"frequency {f[0]!r} Hz is not > 0"):
             CFTable(f=np.array(f), cf_db=np.array([10.0, 12.0]),
                     kernel="paper", d=1e-3, h=1.6e-3)
-        net = NetworkData(f=np.array(f), s=np.full((2, 2, 2), 0.5 + 0j), n_ports=2)
+        net = NetworkData(f=np.array(f), s21=np.full(2, 0.5 + 0j))
         with pytest.raises(ConfigError, match="is not > 0"):
             calibrate(net, d=D_CAL, h=H_SUB)
 
@@ -139,15 +136,14 @@ class TestCalibrate:
             CFTable(f=np.array([1e9]), cf_db=np.array([10.0]), kernel="paper", d=d, h=h)
 
     def test_one_port_network_has_no_s21(self):
-        net = NetworkData(f=np.array([1e9]), s=np.array([[[0.5 + 0j]]]), n_ports=1)
-        with pytest.raises(ParseError):
-            calibrate(net, d=D_CAL, h=H_SUB)
+        # a 1-port file is rejected as it is read, before calibrate
+        with pytest.raises(ParseError, match="^line 2: expected 9 columns, got 3$"):
+            calibrate(parse_touchstone("# GHz S RI R 50\n1 0.5 0\n"), d=D_CAL, h=H_SUB)
 
     @pytest.mark.parametrize("z_ref", [75.0, 49.9])
     def test_non_50_ohm_reference_rejected(self, z_ref):
         # the -34 dB constant of the CF formula holds for a 50 ohm port only
-        net = NetworkData(f=np.array([1e9]), s=np.full((1, 2, 2), 0.5 + 0j), n_ports=2,
-                          z_ref=z_ref)
+        net = NetworkData(f=np.array([1e9]), s21=np.full(1, 0.5 + 0j), z_ref=z_ref)
         with pytest.raises(ConfigError, match=f"reference impedance is R {z_ref!r} ohm"):
             calibrate(net, d=D_CAL, h=H_SUB)
 

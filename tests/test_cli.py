@@ -242,7 +242,12 @@ class TestSimulate:
         written = glob.glob(str(out / "*.csv")) if cmd == "simulate" else [str(out)]
         assert written and all(_numbers_finite(path) for path in written)
 
-    def test_out_names_existing_file_exits_2(self, tmp_path, capsys):
+    def test_out_names_existing_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before the scan, which is never run
+        def no_scan(*args):
+            raise AssertionError("the scan ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_simulated_scan", no_scan)
         out = tmp_path / "taken"
         out.write_text("")
         assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
@@ -273,9 +278,8 @@ class TestPipeline:
     def test_probe_transfer_output(self, pipeline):
         _, s2p, _, _ = pipeline
         net = parse_touchstone(s2p.read_text())
-        assert net.n_ports == 2
         assert len(net.f) == 1
-        assert abs(net.s[0, 1, 0]) > 0
+        assert abs(net.s21[0]) > 0
 
     def test_calibrate_output(self, pipeline):
         _, _, cf, _ = pipeline
@@ -422,6 +426,14 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: network reference impedance is R 75.0 ohm;")
         assert err.count("\n") == 1
+        assert not cf.exists()
+
+    def test_calibrate_comment_only_file_exits_2(self, tmp_path, capsys):
+        s2p, cf = tmp_path / "probe.s2p", tmp_path / "cf.csv"
+        s2p.write_text("! ports: 2\n# GHz S RI R 50\n! no rows\n")
+        assert main(["calibrate", "--probe", str(s2p), "--d", "1.0", "--h", "1.6",
+                     "--out", str(cf)]) == 2
+        assert capsys.readouterr().err == "error: no data rows\n"
         assert not cf.exists()
 
     def test_calibrate_missing_file_exits_2(self, tmp_path, capsys):
@@ -866,7 +878,7 @@ def test_public_api_is_pinned():
         "eps_eff_hammerstad", "errors", "extract_profile", "field_from_voltage", "fields",
         "formats", "geometry_term_db", "h_trace_grounded", "map_stats", "model",
         "parse_cf_csv", "parse_map_csv", "parse_touchstone", "probe_transfer", "render_pgm",
-        "run_simulated_scan", "scan", "undb20", "write_cf_csv", "write_map_csv",
+        "run_simulated_scan", "scan", "write_cf_csv", "write_map_csv",
         "write_touchstone"}
 
 
@@ -1004,9 +1016,7 @@ def _input_files():
                     values=np.linspace(-80.0, -40.0, 9).reshape(3, 3))
     cf = CFTable(f=[1e9, 2e9, 3e9], cf_db=[36.0, 30.0, 26.5], kernel="paper", d=1e-3,
                  h=1.6e-3)
-    s = np.zeros((3, 2, 2), dtype=complex)
-    s[:, 1, 0] = [0.01j, 0.02j, 0.03j]
-    net = NetworkData(f=np.array([1e9, 2e9, 3e9]), s=s, n_ports=2)
+    net = NetworkData(f=np.array([1e9, 2e9, 3e9]), s21=[0.01j, 0.02j, 0.03j])
     return write_map_csv(vmap), write_cf_csv(cf), write_touchstone(net)
 
 
@@ -1109,6 +1119,92 @@ class TestMutatedFiles:
             2, "error: line 2: non-finite frequency or S-parameter in data row: "
                "'1 nan 0 0 0 0 0 0 0'\n")
         assert not out.exists()
+
+
+#: Each command's path options: (option, "in" for an input file and the
+#: name of the valid one, or "out"); `simulate --out` is a directory.
+_PATH_OPTIONS = {
+    "simulate": [("--config", "cfg.json"), ("--out", "out")],
+    "probe-transfer": [("--config", "cfg.json"), ("--out", "out")],
+    "calibrate": [("--probe", "probe.s2p"), ("--out", "out")],
+    "extract": [("--scan", "scan.csv"), ("--cf", "cf.csv"), ("--out", "out")],
+    "profile": [("--map", "scan.csv"), ("--out", "out")],
+    "stats": [("--map", "scan.csv")],
+    "render": [("--map", "scan.csv"), ("--out", "out")]}
+_OTHER_ARGS = {"simulate": [], "probe-transfer": [], "calibrate": ["--d", "1.0", "--h", "1.6"],
+               "extract": ["--freq", "2e9"], "profile": ["--axis", "x", "--at", "0"],
+               "stats": [], "render": ["--lo", "-60", "--hi", "0"]}
+#: What a path may name: the valid input or a fresh output ("ok"), an
+#: existing file (the valid input, or a file the output replaces), a
+#: directory, a file in a missing directory, or a path under a file.
+_PATH_KINDS = ("ok", "file", "dir", "missing-parent", "under-file")
+
+
+def _path_fails(cmd, opt, kind):
+    """True if `cmd` must exit 2 naming a path of this kind given to `opt`."""
+    if kind == "ok" or (opt != "--out" and kind == "file"):
+        return False
+    if opt == "--out" and cmd == "simulate":  # os.makedirs makes missing parents
+        return kind in ("file", "under-file")
+    if opt == "--out":  # a file replaces a file, not a directory
+        return kind != "file"
+    return True
+
+
+@st.composite
+def mutated_paths(draw):
+    cmd = draw(st.sampled_from(sorted(_PATH_OPTIONS)))
+    kinds = {opt: draw(st.sampled_from(_PATH_KINDS)) for opt, _ in _PATH_OPTIONS[cmd]}
+    return cmd, kinds
+
+
+class TestMutatedPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_paths())
+    @example(("simulate", {"--config": "ok", "--out": "file"}))
+    @example(("simulate", {"--config": "dir", "--out": "missing-parent"}))
+    @example(("probe-transfer", {"--config": "ok", "--out": "dir"}))
+    @example(("calibrate", {"--probe": "under-file", "--out": "ok"}))
+    @example(("extract", {"--scan": "ok", "--cf": "missing-parent", "--out": "file"}))
+    @example(("stats", {"--map": "dir"}))
+    @example(("render", {"--map": "ok", "--out": "under-file"}))
+    def test_commands_exit_0_or_2_naming_the_path(self, case):
+        """Every command with its input and output paths set to an existing
+        file, a directory, a file in a missing directory or a path under a
+        file exits 0, or exits 2 with one `error: ` line naming a path it
+        cannot use, and leaves no temporary file."""
+        cmd, kinds = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in {**_file_case(), "cfg.json": json.dumps(_DOCS[TABLE2])}.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            taken = os.path.join(tmp, "taken")
+            with open(taken, "w", encoding="utf-8") as fh:
+                fh.write("previous\n")
+            os.mkdir(os.path.join(tmp, "dir"))
+            argv, bad = [cmd] + _OTHER_ARGS[cmd], []
+            for opt, name in _PATH_OPTIONS[cmd]:
+                path = {"dir": os.path.join(tmp, "dir"),
+                        "missing-parent": os.path.join(tmp, "missing", name),
+                        "under-file": os.path.join(taken, name)}.get(kinds[opt],
+                                                                      os.path.join(tmp, name))
+                if kinds[opt] == "file" and opt == "--out":
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write("previous\n")
+                argv += [opt, path]
+                if _path_fails(cmd, opt, kinds[opt]):
+                    bad.append(path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, err = _run_quietly(argv)
+            if bad:
+                assert code == 2, (argv, err)
+                assert err.startswith("error: cannot ") and err.count("\n") == 1, err
+                assert any(f" {path}: " in err for path in bad), (bad, err)
+            else:
+                assert (code, err) == (0, ""), argv
+            left = [name for _, _, names in os.walk(tmp) for name in names
+                    if name.endswith(".tmp")]
+            assert left == []
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import tracemalloc
@@ -20,12 +21,11 @@ from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, Sca
 from nfscan.calibration import KERNELS
 
 
-def synth_network(n=301, ports=2, seed=1):
+def synth_network(n=301, seed=1):
     r = np.random.default_rng(seed)
     f = np.linspace(0.05e9, 3e9, n)
-    s = (r.uniform(-1, 1, (n, ports, ports))
-         + 1j * r.uniform(-1, 1, (n, ports, ports)))
-    return NetworkData(f=f, s=s, n_ports=ports, z_ref=50.0)
+    s21 = r.uniform(-1, 1, n) + 1j * r.uniform(-1, 1, n)
+    return NetworkData(f=f, s21=s21, z_ref=50.0)
 
 
 def synth_map(nx=41, ny=51, seed=2, component="hy"):
@@ -40,20 +40,25 @@ def synth_map(nx=41, ny=51, seed=2, component="hy"):
 
 class TestTouchstoneParse:
     def test_ri_row(self):
-        net = parse_touchstone("# GHz S RI R 50\n1.0 0 0 0.5 0 0 0 0 0\n")
-        assert net.n_ports == 2
+        net = parse_touchstone("# GHz S RI R 50\n1.0 0.1 0.2 0.5 0 0.3 0.4 0 0\n")
         assert net.f[0] == 1e9
-        assert net.s[0, 1, 0] == 0.5 + 0j
-        assert net.s[0, 0, 0] == 0
+        assert net.s21[0] == 0.5 + 0j
 
     def test_db_row(self):
         net = parse_touchstone("# MHz S DB R 50\n100 -40 0 -40 0 0 0 0 0\n")
-        assert_allclose(abs(net.s[0, 1, 0]), 0.01, rtol=1e-12)
+        assert_allclose(abs(net.s21[0]), 0.01, rtol=1e-12)
         assert_allclose(net.f[0], 1e8)
 
     def test_ma_row_angle_degrees(self):
-        net = parse_touchstone("# Hz S MA R 50\n1e9 1 90 0 0 0 0 0 0\n")
-        assert_allclose(net.s[0, 0, 0], 1j, atol=1e-12)
+        net = parse_touchstone("# Hz S MA R 50\n1e9 0 0 1 90 0 0 0 0\n")
+        assert_allclose(net.s21[0], 1j, atol=1e-12)
+
+    @pytest.mark.parametrize("unit, scale", [("Hz", 1.0), ("kHz", 1e3), ("MHz", 1e6),
+                                             ("GHz", 1e9)])
+    def test_frequency_units(self, unit, scale):
+        net = parse_touchstone(f"# {unit} S MA R 50\n2.5 0 0 0.5 180 0 0 0 0\n")
+        assert net.f[0] == 2.5 * scale
+        assert_allclose(net.s21[0], -0.5, atol=1e-12)
 
     @pytest.mark.parametrize("row", ["1 0 0 nan 0 0 0 0 0", "1 0 0 0.5 0 0 0 0 -inf",
                                      "inf 0 0 0.5 0 0 0 0 0"])
@@ -72,8 +77,8 @@ class TestTouchstoneParse:
             parse_touchstone(f"# GHz S {option} R 50\n1e-3 0 0 0 0 0 0 0 0\n{row}\n")
 
     def test_db_minus_inf_reads_as_zero(self):
-        net = parse_touchstone("# GHz S DB R 50\n1 -inf 0 -20 0 -inf 0 -inf 0\n")
-        assert net.s[0, 0, 0] == 0 and abs(net.s[0, 1, 0]) == pytest.approx(0.1)
+        net = parse_touchstone("# GHz S DB R 50\n1 -20 0 -inf 0 -20 0 -20 0\n")
+        assert net.s21[0] == 0
 
     @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0"])
     def test_reference_impedance_must_be_finite_and_positive(self, z):
@@ -81,47 +86,57 @@ class TestTouchstoneParse:
                                              f"and > 0, got {float(z)}$"):
             parse_touchstone(f"# GHz S RI R {z}\n1 0 0 0.5 0 0 0 0 0\n")
         with pytest.raises(ConfigError, match="^network: z_ref must be finite and > 0$"):
-            NetworkData(f=np.array([1e9]), s=np.zeros((1, 1, 1)), n_ports=1, z_ref=float(z))
+            NetworkData(f=np.array([1e9]), s21=np.zeros(1), z_ref=float(z))
 
     def test_one_port(self):
-        net = parse_touchstone("# GHz S RI R 75\n1 0.2 -0.1\n2 0.3 0.0\n")
-        assert net.n_ports == 1
+        # a 1-port file has no S21
+        with pytest.raises(ParseError, match="^line 2: expected 9 columns, got 3$"):
+            parse_touchstone("# GHz S RI R 75\n1 0.2 -0.1\n2 0.3 0.0\n")
+
+    def test_reference_impedance_kept(self):
+        net = parse_touchstone("# GHz S RI R 75\n1 0 0 0.5 0 0 0 0 0\n")
         assert net.z_ref == 75.0
-        assert net.s[1, 0, 0] == 0.3
 
     def test_option_line_defaults(self):
-        net = parse_touchstone("#\n1 1 0 0 0 0 0 0 0\n")
+        net = parse_touchstone("#\n1 0 0 1 0 0 0 0 0\n")
         assert net.f[0] == 1e9   # GHz default
         assert net.z_ref == 50.0
 
     def test_comments_stripped(self):
         net = parse_touchstone("! header comment\n# GHz S RI R 50\n1 0 0 0.5 0 0 0 0 0 ! trailing\n")
-        assert net.s[0, 1, 0] == 0.5
+        assert net.s21[0] == 0.5
 
     def test_wrong_column_count_names_line(self):
         text = "# GHz S RI R 50\n1 0 0 0.5 0 0 0 0 0\n2 1 2 3 4 5 6 7\n"
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(ParseError, match="^line 3: expected 9 columns, got 8$"):
             parse_touchstone(text)
 
     def test_eight_columns_rejected_up_front(self):
-        with pytest.raises(ParseError, match="expected 3 .* or 9"):
+        with pytest.raises(ParseError, match="^line 2: expected 9 columns, got 8$"):
             parse_touchstone("# GHz S RI R 50\n1 2 3 4 5 6 7 8\n")
+
+    @pytest.mark.parametrize("ncols", [3, 5, 8, 10])
+    def test_column_count_other_than_9_names_line(self, ncols):
+        # a 1-port row (3 columns) is rejected as any other count
+        row = " ".join(["1"] + ["0"] * (ncols - 1))
+        with pytest.raises(ParseError, match=f"^line 3: expected 9 columns, got {ncols}$"):
+            parse_touchstone(f"# GHz S RI R 50\n! first row\n{row}\n")
 
     def test_unknown_unit_token(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_touchstone("# THz S RI R 50\n1 0 0\n")
+            parse_touchstone("# THz S RI R 50\n1 0 0 0 0 0 0 0 0\n")
 
     def test_unsupported_parameter(self):
         with pytest.raises(ParseError, match="unsupported parameter"):
-            parse_touchstone("# GHz Y RI R 50\n1 0 0\n")
+            parse_touchstone("# GHz Y RI R 50\n1 0 0 0 0 0 0 0 0\n")
 
     def test_non_monotone_frequency(self):
         with pytest.raises(ParseError, match="line 3"):
-            parse_touchstone("# GHz S RI R 50\n2 0 0\n1 0 0\n")
+            parse_touchstone("# GHz S RI R 50\n2 0 0 0 0 0 0 0 0\n1 0 0 0 0 0 0 0 0\n")
 
     def test_non_numeric_token(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_touchstone("# GHz S RI R 50\n1 0 zz\n")
+            parse_touchstone("# GHz S RI R 50\n1 0 zz 0 0 0 0 0 0\n")
 
     def test_db_magnitude_beyond_a_double_names_line(self):
         # 10**(7000/20) overflows: the row is rejected before it is exponentiated
@@ -131,7 +146,11 @@ class TestTouchstoneParse:
                                                  r"overflows a double$"):
                 parse_touchstone("# GHz S DB R 50\n1 0 0 7000 0 0 0 0 0\n")
             net = parse_touchstone("# GHz S DB R 50\n1 0 0 6165 0 0 0 0 0\n")
-        assert 1e308 < abs(net.s[0, 1, 0]) < math.inf
+        assert 1e308 < abs(net.s21[0]) < math.inf
+
+    def test_db_magnitude_checked_in_every_pair(self):
+        with pytest.raises(ParseError, match=r"^line 2: DB magnitude of 6165\.09 dB"):
+            parse_touchstone("# GHz S DB R 50\n1 0 0 -20 0 0 0 7000 0\n")
 
     def test_option_line_after_data_row_names_line(self):
         # the first row would be read as GHz/MA and the last one as RI
@@ -140,17 +159,21 @@ class TestTouchstoneParse:
                              "2 0 0 0.5 90 0.5 90 0 0\n")
 
     def test_empty_without_hint_fails(self):
-        with pytest.raises(ParseError, match="ports"):
+        with pytest.raises(ParseError, match="^no data rows$"):
             parse_touchstone("# GHz S RI R 50\n")
+
+    @pytest.mark.parametrize("text", ["! ports: 2\n# GHz S RI R 50\n", "! ports: 1\n", ""])
+    def test_no_data_rows_rejected_whatever_the_comments(self, text):
+        with pytest.raises(ParseError, match="^no data rows$"):
+            parse_touchstone(text)
 
     @pytest.mark.parametrize("space", ["\x0c", "\x85", "\u2028"])
     def test_lines_end_at_newline_only(self, space):
         # str.split() takes these as whitespace; str.splitlines() would also
         # end a line at them and shift every later line number.
-        rows = f"1 0.3{space}0.4 0.5 0 0 0 0 0\r\n2 0 0 0 0 0 0 0 0\r\n"
+        rows = f"1 0 0 0.5{space}0.25 0 0 0 0\r\n2 0 0 0 0 0 0 0 0\r\n"
         net = parse_touchstone("# GHz S RI R 50\r\n" + rows)
-        assert net.s[0, 0, 0] == 0.3 + 0.4j
-        assert net.s[0, 1, 0] == 0.5
+        assert net.s21[0] == 0.5 + 0.25j
         with pytest.raises(ParseError, match="^line 4: expected 9 columns, got 3$"):
             parse_touchstone("# GHz S RI R 50\n" + rows + "3 1 2\n")
 
@@ -166,38 +189,74 @@ class TestTouchstoneParse:
         assert str(exc.value) == f"line 3: control character {char!r}"
 
 
+_PARTS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def sweeps(draw):
+    """Strictly increasing finite sweeps whose frequencies stay distinct
+    at the writer's 9 significant digits."""
+    steps = draw(st.lists(st.floats(1e-7, 10.0), min_size=1, max_size=20))
+    f = 1e6 * np.cumprod(1.0 + np.array(steps))
+    parts = draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=len(f), max_size=len(f)))
+    return NetworkData(f=f, s21=[complex(a, b) for a, b in parts],
+                       z_ref=draw(st.sampled_from([50.0, 75.0, 1e-3])))
+
+
+def touchstone_text(net, fmt):
+    """`net` as 2-port Touchstone text in GHz and `fmt` (RI, MA or DB),
+    with S11 = S22 = 0 and S12 = S21, each number its `repr`."""
+    def pair(v):
+        if fmt == "RI":
+            return v.real, v.imag
+        mag, ang = abs(v), math.degrees(cmath.phase(v))
+        if fmt == "DB":
+            mag = 20.0 * math.log10(mag) if mag else -math.inf
+        return mag, ang
+
+    lines = [f"# GHz S {fmt} R {net.z_ref!r}"]
+    for f_hz, s21 in zip(net.f, net.s21):
+        cells = [f_hz / 1e9, *pair(0j), *pair(complex(s21)) * 2, *pair(0j)]
+        lines.append(" ".join(map(repr, map(float, cells))))
+    return "\n".join(lines) + "\n"
+
+
 class TestTouchstoneRoundTrip:
     @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
     def test_values_stable_to_1e8(self, fmt):
         net = synth_network()
-        back = parse_touchstone(write_touchstone(net, fmt=fmt))
+        back = parse_touchstone(write_touchstone(parse_touchstone(touchstone_text(net, fmt))))
         assert_allclose(back.f, net.f, rtol=1e-8)
-        assert_allclose(back.s, net.s, rtol=1e-8, atol=1e-8)
+        assert_allclose(back.s21, net.s21, rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
     def test_write_parse_write_idempotent(self, fmt):
-        net = synth_network(seed=3)
-        once = write_touchstone(net, fmt=fmt)
-        twice = write_touchstone(parse_touchstone(once), fmt=fmt)
+        once = write_touchstone(parse_touchstone(touchstone_text(synth_network(seed=3), fmt)))
+        twice = write_touchstone(parse_touchstone(once))
         assert once == twice
 
     def test_ri_vs_ma_agree(self):
         net = synth_network(seed=4, n=50)
-        a = parse_touchstone(write_touchstone(net, fmt="RI"))
-        b = parse_touchstone(write_touchstone(net, fmt="MA"))
-        assert_allclose(a.s, b.s, rtol=1e-8, atol=1e-8)
+        a = parse_touchstone(touchstone_text(net, "RI"))
+        b = parse_touchstone(touchstone_text(net, "MA"))
+        assert_allclose(a.s21, b.s21, rtol=1e-12, atol=1e-15)
 
-    def test_empty_network_round_trip(self):
-        net = NetworkData(f=np.zeros(0), s=np.zeros((0, 2, 2), dtype=complex), n_ports=2)
-        text = write_touchstone(net)
-        back = parse_touchstone(text)
-        assert back.n_ports == 2
-        assert len(back.f) == 0
+    def test_writes_s21_as_a_reciprocal_matched_2_port(self):
+        net = NetworkData(f=[1e9, 2.5e9], s21=[0.5 - 0.25j, complex(0, -1e-5)], z_ref=75.0)
+        assert write_touchstone(net) == ("! ports: 2\n# GHz S RI R 75\n"
+                                         "1 0 0 0.5 -0.25 0.5 -0.25 0 0\n"
+                                         "2.5 0 0 0 -1e-05 0 -1e-05 0 0\n")
 
-    def test_one_port_round_trip(self):
-        net = synth_network(ports=1, n=20, seed=5)
-        back = parse_touchstone(write_touchstone(net))
-        assert_allclose(back.s, net.s, rtol=1e-8, atol=1e-8)
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps())
+    def test_round_trip_property(self, net):
+        once = write_touchstone(net)
+        back = parse_touchstone(once)
+        assert write_touchstone(back) == once
+        assert back.z_ref == net.z_ref
+        assert_allclose(back.f, net.f, rtol=1e-8)
+        assert_allclose(back.s21.real, net.s21.real, rtol=1e-8)
+        assert_allclose(back.s21.imag, net.s21.imag, rtol=1e-8)
 
 
 def with_body(fmap, r, row_text):
@@ -542,7 +601,7 @@ def _stored_arrays():
               "parse_map_csv cell by cell": parse_map_csv(with_cell(fmap, 0, 0, "1_0")[0]),
               "NetworkData": net, "parse_touchstone": parse_touchstone(write_touchstone(net)),
               "CFTable": table, "parse_cf_csv": parse_cf_csv(write_cf_csv(table))}
-    attrs = {FieldMap: ("values",), NetworkData: ("f", "s"), CFTable: ("f", "cf_db")}
+    attrs = {FieldMap: ("values",), NetworkData: ("f", "s21"), CFTable: ("f", "cf_db")}
     return [pytest.param(getattr(obj, attr), id=f"{name}.{attr}")
             for name, obj in owners.items() for attr in attrs[type(obj)]]
 
