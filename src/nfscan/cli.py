@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
-from .config import load_config, read_text as _read_text
+from .config import center_over_trace, load_config, read_text as _read_text
 from .errors import ConfigError, SingularityError
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone,
                       render_pgm, write_cf_csv, write_map_csv, write_profile_csv,
@@ -103,7 +103,8 @@ def cmd_simulate(args):
 
 def cmd_probe_transfer(args):
     cfg = load_config(args.config)
-    freqs, s21 = probe_transfer(cfg.trace, cfg.substrate, cfg.probe, cfg.sweep, cfg.drive)
+    center = center_over_trace(cfg.trace, cfg.substrate, cfg.grid.z_height)
+    freqs, s21 = probe_transfer(cfg.trace, cfg.substrate, cfg.probe, center, cfg.sweep, cfg.drive)
     net = NetworkData(f=freqs, s21=s21, z_ref=cfg.probe.port_z)
     _write_text(args.out, write_touchstone(net))
     return 0

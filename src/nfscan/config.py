@@ -67,7 +67,7 @@ class CalSpec:
 class ScanConfig:
     substrate: Substrate
     trace: TracePath
-    probe: LoopProbe          # posed over the trace midpoint at the scan height
+    probe: LoopProbe
     grid: ScanGrid
     sweep: FrequencySweep
     drive: DriveSpec
@@ -174,7 +174,7 @@ def _subdivide(vertices, counts):
 
 
 def center_over_trace(trace: TracePath, substrate: Substrate, height):
-    """Probe center over the trace midpoint, `height` above the trace."""
+    """Probe center `height` above the midpoint of the trace's first and last vertex."""
     mid = 0.5 * (np.asarray(trace.vertices[0]) + np.asarray(trace.vertices[-1]))
     return (float(mid[0]), float(mid[1]), substrate.h + height)
 
@@ -242,8 +242,7 @@ def build_config(doc):
     height = p.length("height")
     if height <= 0:
         raise ConfigError("probe.height: must be > 0")
-    probe = LoopProbe(center=center_over_trace(trace, substrate, height),
-                      normal=p.take("normal", "y", kind=str),
+    probe = LoopProbe(normal=p.take("normal", "y", kind=str),
                       side_s=p.length("side", 4.0), port_z=p.take("port_z", 50.0),
                       loading=p.take("loading", "matched-halving", kind=str),
                       quad_n=p.take("quad_n", 8, kind=int),

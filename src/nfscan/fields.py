@@ -3,12 +3,12 @@
 The field of each straight filament segment is the exact finite-length
 Biot-Savart result.  The coupling between a point and a segment depends
 on geometry only, so `segment_kernel` returns it per unit current, as the
-field component along one axis, for the segments of one polyline: an
-(nseg, npts) array with no (nseg, npts, 3) temporary.  Its points are a
+field component along one axis, for the segments of one planar polyline:
+an (nseg, npts) array with no (nseg, npts, 3) temporary.  Its points are a
 triple (x, y, z) of arrays that broadcast together, so that a raster's
 per-axis work is done once per grid line.  It applies the image rule
-(stated there) in the same pass, the trace and its image sharing what
-does not depend on z.
+(stated there) in the same pass, the trace and its image sharing all but
+the z part of r.
 
 `kernel_blocks` is its one caller: one kernel pass per block of whole
 rows, or a chunk of one row, of at most `PAIRS` point x segment pairs,
@@ -55,8 +55,8 @@ def _sum(first, *rest):
 
 
 def _in_span(r, u, live, shape):
-    """t1 = r1.u and t2 = r2.u over the `live` axes of one side (r per
-    coordinate, (nv, ...); u per axis, (nseg, 1, ...)), the flat indices
+    """t1 = r1.u and t2 = r2.u over the `live` axes (r per coordinate,
+    (nv, ...); u per axis, (nseg, 1, ...)), the flat indices
     i of the in-span pairs (t1 * t2 <= 0) in `shape` = (nseg, *S), a
     function giving an array's entries at those pairs, and
     (t1 - t2)(t1 + t2), the beyond-end numerator."""
@@ -73,11 +73,11 @@ def _in_span(r, u, live, shape):
     return t1, t2, i, pick, num
 
 
-def _side_coupling(r, u, span, length, a):
+def _side_coupling(r, u, span, a):
     """One side's (nseg, *S) coupling to axis `a` (see `segment_kernel`),
-    from its r and u per axis and its `_in_span` result, and None; or
+    from its r and u per axis and the `_in_span` result, and None; or
     None and the first (point, segment) pair, in point-major order,
-    closer than EPS_GEOM to the segment or of zero length."""
+    closer than EPS_GEOM to the segment."""
     t1, t2, i, pick, num = span
     r1 = [rj[:-1] for rj in r]
     c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
@@ -94,10 +94,9 @@ def _side_coupling(r, u, span, length, a):
     # Beyond an end the nearest point of the segment is a vertex.
     eps2 = EPS_GEOM * EPS_GEOM
     nmin = n.min()
-    if nmin * nmin < eps2 or (rho2 < eps2).any() or not length.all():
+    if nmin * nmin < eps2 or (rho2 < eps2).any():
         near = np.minimum(n1, n2) ** 2 < eps2
         np.put(near, i, rho2 < eps2)
-        near[length == 0.0] = True
         return None, divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
     den = t2 * n1  # w's second term, then the denominator
     w = t1 * n2
@@ -115,6 +114,8 @@ def _side_coupling(r, u, span, length, a):
 def segment_kernel(vertices, points, axis):
     """Component `axis` ("x", "y" or "z") of H per unit current in each
     segment of the polyline `vertices` (nv, 3): (nv - 1, npts) in A/m per A.
+    Unchecked, as TracePath checks it: the vertices are at one height,
+    and each segment's squared length is a nonzero finite double.
     `points` is a triple (x, y, z) of arrays that broadcast to one shape S;
     the points are that broadcast in C order (an (n, 3) array's `.T` is
     such a triple).  Entry [k, i] is at point i of segment k, from vertex k
@@ -129,22 +130,23 @@ def segment_kernel(vertices, points, axis):
     rho**2 (t1 - t2)(t1 + t2) / (|r1| |r2| (t1 |r2| + t2 |r1|)), t = r.u,
     which does not cancel; points on the line beyond the segment get 0.
 
-    The polyline lies above a perfect ground plane z=0.  Its image,
-    mirrored through z=0, carries the negated current, which reverses
-    horizontal current and preserves vertical current, so that H normal
-    to the plane is zero on it.  The result is each segment's coupling
-    minus its image's, both sides in this one pass.
+    The polyline lies at height h above a perfect ground plane z=0.  Its
+    image, mirrored through z=0, is the same polyline at height -h
+    carrying the negated current, so that H normal to the plane is zero
+    on it.  The result is each segment's coupling minus its image's,
+    both sides in this one pass.
 
     r = p - v and |r| are formed once per vertex (r1/r2 are views one
     vertex apart), each coordinate difference, square and per-axis
     product at its own coordinate's shape: on a raster, once per grid
-    line.  The image shares r_x, r_y, u_x and u_y.  t = r.u leaves out
-    an axis along which no segment runs, which drops only a signed zero.
-    So t1, t2, the in-span mask (t1 * t2 <= 0), the pairs it selects and
-    (t1 - t2)(t1 + t2) keep the shape of the axes left, and for a planar
-    trace the polyline and its image share them.  Per side, only |r|,
-    the beyond-end denominator and the result are (nseg, *S).  The
-    in-span formula runs only on the in-span pairs, gathered by index.
+    line.  The image shares u, r_x and r_y, and its r_z is p_z + h.
+    u_z is 0, so t = r.u leaves out z, and also an in-plane axis along
+    which no segment runs, which drops only a signed zero.  So t1, t2,
+    the in-span mask (t1 * t2 <= 0), the pairs it selects and
+    (t1 - t2)(t1 + t2) keep the shape of the axes left, and the polyline
+    and its image share them.  Per side, only |r|, the beyond-end
+    denominator and the result are (nseg, *S).  The in-span formula runs
+    only on the in-span pairs, gathered by index.
     Sums are rounded as the former (npts, nseg, 3) kernel's einsum
     projection rounded them, so the values equal it bit for bit.  A
     signed zero in t reaches no output: the mask and the in-span formula
@@ -153,8 +155,8 @@ def segment_kernel(vertices, points, axis):
 
     Computes every point it is given; `kernel_blocks` bounds the count.
     Raises SingularityError for the first (point, segment) pair, in
-    point-major order, closer than EPS_GEOM to the segment or of zero
-    length, a polyline segment before an image one at the same point.
+    point-major order, closer than EPS_GEOM to the segment, a polyline
+    segment before an image one at the same point.
     """
     verts = np.asarray(vertices, dtype=float)
     seg = verts[1:] - verts[:-1]
@@ -163,35 +165,23 @@ def segment_kernel(vertices, points, axis):
     shape = np.broadcast_shapes(*(c.shape for c in p))
     npts, one = math.prod(shape), (1,) * len(shape)
     a = AXES.index(axis)
-    g, hits = None, []
     with np.errstate(divide="ignore", invalid="ignore"):
         length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
         u = list((seg / length[:, None]).T.reshape(3, nseg, *one))
         # Per coordinate, (nv, *its shape); segment k starts at vertex k.
         r = [c - v.reshape(-1, *one) for c, v in zip(p, verts.T)]
-        # u is 0 along every axis only if every length overflows; t then
-        # keeps all its terms, and rho = 0 makes every pair near
-        live = [j for j in (0, 2, 1) if u[j].any()] or [0, 2, 1]
-        for image in (0, 1):
-            if image:  # mirrored through z=0: only the z parts change
-                vz = -verts[:, 2]
-                r[2] = p[2] - vz.reshape(-1, *one)
-                u[2] = ((vz[1:] - vz[:-1]) / length).reshape(nseg, *one)
-            if not image or 2 in live:  # without a z term the image's t is the polyline's
-                span = _in_span(r, u, live, (nseg, *shape))
-            coef, hit = _side_coupling(r, u, span, length, a)
-            if hit:
-                hits.append((hit[0], image, hit[1]))
-            elif g is None:
-                g = coef
-            else:
-                g -= coef
+        span = _in_span(r, u, [j for j in (0, 1) if u[j].any()], (nseg, *shape))
+        g, hit = _side_coupling(r, u, span, a)
+        r[2] = p[2] + verts[:, 2].reshape(-1, *one)  # the image: only r_z changes
+        coef, image_hit = _side_coupling(r, u, span, a)
+    hits = [(h[0], image, h[1]) for image, h in enumerate((hit, image_hit)) if h]
     if hits:
         pt, image, k = min(hits)
         where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
         kind = "image segment" if image else "segment"
         raise SingularityError(f"field point {where} is within {EPS_GEOM} m of {kind} {k}",
                                segment=k, point=pt, image=bool(image))
+    g -= coef
     g += 0.0
     return g.reshape(nseg, npts)
 

@@ -229,11 +229,15 @@ def _decode_pair(a, b, fmt):
 
 def write_touchstone(net: NetworkData):
     """A sweep as 2-port Touchstone v1 text in GHz and RI, with S11 =
-    S22 = 0 and S12 = S21."""
+    S22 = 0 and S12 = S21; a ConfigError names two frequencies written alike."""
     lines = ["! ports: 2", f"# GHz S RI R {_gfmt(net.z_ref)}"]
-    for f_hz, s21 in zip(net.f, net.s21):
+    for k, (f_hz, s21) in enumerate(zip(net.f, net.s21)):
+        ghz = _gfmt(f_hz / 1e9)
+        if k and ghz == _gfmt(net.f[k - 1] / 1e9):
+            raise ConfigError(f"touchstone: frequencies {float(net.f[k - 1])!r} and "
+                              f"{float(f_hz)!r} Hz are both written as {ghz} GHz (9 digits)")
         pair = f"{_gfmt(s21.real)} {_gfmt(s21.imag)}"
-        lines.append(f"{_gfmt(f_hz / 1e9)} 0 0 {pair} {pair} 0 0")
+        lines.append(f"{ghz} 0 0 {pair} {pair} 0 0")
     return "\n".join(lines) + "\n"
 
 

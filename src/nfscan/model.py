@@ -82,12 +82,12 @@ AXES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class TracePath:
-    """Current-carrying conductor as a 3-D polyline above the ground plane.
+    """Current-carrying conductor as a planar polyline above the ground plane.
 
-    Vertices are (x, y, z) in meters with z = substrate.h for a planar
-    trace.  The current is treated as a filament on the centerline;
-    `width` sets the effective permittivity (Hammerstad) and with it the
-    phase of every segment current.
+    Vertices are (x, y, z) in meters, all at one height z > 0 (a config
+    puts them at substrate.h).  The current is treated as a filament on
+    the centerline; `width` sets the effective permittivity (Hammerstad)
+    and with it the phase of every segment current.
     """
 
     vertices: tuple
@@ -100,8 +100,10 @@ class TracePath:
         object.__setattr__(self, "vertices", verts)
         _require(len(verts) >= 2, "trace.vertices: need at least 2 vertices")
         _require(all(len(v) == 3 for v in verts), "trace.vertices: vertices must be 3-D points")
-        _require(all(v[2] > 0 for v in verts), "trace.vertices: all vertices must lie strictly above z=0")
+        _require(verts[0][2] > 0, "trace.vertices: all vertices must lie strictly above z=0")
         for i, (a, b) in enumerate(zip(verts, verts[1:])):
+            _require(b[2] == a[2], f"trace.vertices: vertex {i + 1} is at z = {b[2]!r} m, "
+                     f"not at vertex 0's height {a[2]!r} m")
             _require(a != b, "trace.vertices: consecutive vertices must be distinct")
             # The kernel divides by the length, computed from its square.
             d = math.dist(a, b)
@@ -126,7 +128,7 @@ class TracePath:
 
 @dataclass(frozen=True)
 class LoopProbe:
-    """Square magnetic loop sensor: pose, side length and port model.
+    """Square magnetic loop sensor: axis, side length and port model.
 
     `aperture` sets the flux: ``uniform`` (default, the electrically
     small loop that calibration inverts exactly) takes the component of
@@ -138,10 +140,9 @@ class LoopProbe:
     source of negligible loop impedance into a matched receiver, gives
     V = emf / 2, and ``open-circuit`` V = emf.  Loop self-inductance and
     resonance are not modeled: valid while the perimeter is below about
-    lambda/20.  The chain runs in `nfscan.scan`.
+    lambda/20.  The chain runs in `nfscan.scan`, which places the probe.
     """
 
-    center: tuple
     normal: str                # the axis the loop faces: "x", "y" or "z"
     side_s: float = DEFAULT_LOOP_SIDE
     port_z: float = DEFAULT_PORT_Z
@@ -150,9 +151,6 @@ class LoopProbe:
     aperture: str = "uniform"
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        object.__setattr__(self, "center", center)
-        _require(len(center) == 3, "probe.center: must be a 3-D point")
         _require(isinstance(self.normal, str) and self.normal in AXES,
                  "probe.normal: must be 'x', 'y' or 'z'")
         _require(self.side_s > 0, "probe.side: must be > 0")

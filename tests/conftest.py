@@ -38,10 +38,15 @@ def drive():
 
 
 @pytest.fixture
-def cal_probe(straight_trace, substrate):
-    """Probe over the trace midpoint at the 1 mm calibration height."""
-    return LoopProbe(center=center_over_trace(straight_trace, substrate, SCAN_HEIGHT),
-                     normal="y")
+def cal_probe():
+    """The y-normal calibration probe."""
+    return LoopProbe(normal="y")
+
+
+@pytest.fixture
+def cal_center(straight_trace, substrate):
+    """Over the trace midpoint at the 1 mm calibration height."""
+    return center_over_trace(straight_trace, substrate, SCAN_HEIGHT)
 
 
 @pytest.fixture

@@ -43,8 +43,14 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def standard_setup():
     substrate = Substrate()
     trace = TracePath(vertices=((-0.1, 0.0, H_SUB), (0.1, 0.0, H_SUB)))
-    probe = LoopProbe(center=center_over_trace(trace, substrate, D_SCAN), normal="y")
-    return substrate, trace, probe, DriveSpec()
+    return substrate, trace, LoopProbe(normal="y"), DriveSpec()
+
+
+def transfer(sweep):
+    """The standard probe's S21 sweep over the trace midpoint at D_SCAN."""
+    substrate, trace, probe, drive = standard_setup()
+    center = center_over_trace(trace, substrate, D_SCAN)
+    return probe_transfer(trace, substrate, probe, center, sweep, drive)
 
 
 def table2_scan(f_hz):
@@ -84,9 +90,7 @@ def test_c2_geometry_term_arithmetic():
 
 def test_c3_high_pass_probe_law():
     """|S21| slope +20 +/- 1 dB/decade over 0.1-0.5 GHz; CF slope -20 +/- 2."""
-    substrate, trace, probe, drive = standard_setup()
-    sweep = FrequencySweep(f_min=0.1e9, f_max=0.5e9, n_points=9, spacing="log")
-    f, s21 = probe_transfer(trace, substrate, probe, sweep, drive)
+    f, s21 = transfer(FrequencySweep(f_min=0.1e9, f_max=0.5e9, n_points=9, spacing="log"))
     db = 20 * np.log10(np.abs(s21))
     decades = math.log10(f[-1] / f[0])
     slope = (db[-1] - db[0]) / decades
@@ -101,9 +105,7 @@ def test_c4_calibration_closure_on_scan_line():
     """Simulated V -> CF(image kernel) -> H matches ground-truth Hy within
     0.5 dB at all 21 points of the scan line at 0.5 GHz."""
     f_hz = 0.5e9
-    substrate, trace, probe, drive = standard_setup()
-    sweep = FrequencySweep(f_min=f_hz, f_max=f_hz, n_points=1)
-    f, s21 = probe_transfer(trace, substrate, probe, sweep, drive)
+    f, s21 = transfer(FrequencySweep(f_min=f_hz, f_max=f_hz, n_points=1))
     table = calibrate(NetworkData(f=f, s21=s21), D_SCAN, H_SUB, "image-theory")
 
     result, grid = table2_scan(f_hz)

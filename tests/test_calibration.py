@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from nfscan import (CFTable, ConfigError, FrequencySweep, NetworkData, ParseError,
                     calibrate, cf_from_s21, field_from_voltage, geometry_term_db,
-                    parse_touchstone, probe_transfer)
+                    center_over_trace, parse_touchstone, probe_transfer)
 
 from conftest import H_SUB, SCAN_HEIGHT
 from kernel_reference import closed_form_line_h
@@ -94,7 +94,8 @@ class TestFieldFromVoltage:
 
 
 def _probe_network(cal_probe, straight_trace, substrate, drive, sweep):
-    f, s21 = probe_transfer(straight_trace, substrate, cal_probe, sweep, drive)
+    center = center_over_trace(straight_trace, substrate, D_CAL)
+    f, s21 = probe_transfer(straight_trace, substrate, cal_probe, center, sweep, drive)
     return NetworkData(f=f, s21=s21)
 
 
@@ -177,8 +178,8 @@ class TestClosure:
         0.5 dB at every frequency from 0.1 to 1 GHz.
         """
         sweep = FrequencySweep(f_min=0.1e9, f_max=1e9, n_points=10, spacing="log")
-        f, s21 = probe_transfer(straight_trace, substrate, cal_probe, sweep, drive)
         net = _probe_network(cal_probe, straight_trace, substrate, drive, sweep)
+        f, s21 = net.f, net.s21
         table = calibrate(net, d=D_CAL, h=H_SUB, kernel="image-theory")
         # port voltage from the same chain: V = S21 * sqrt(Z*P)
         v_db = 20 * np.log10(np.abs(s21) * math.sqrt(50 * drive.power))

@@ -459,6 +459,42 @@ class _DiskFullHalfway:
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+class TestProbeTransfer:
+    def test_sweep_collapsed_at_9_digits_exits_2(self, tmp_path, capsys):
+        # three points within 0.1 Hz all print as 1 GHz: no .s2p is written,
+        # where one would make calibrate fail on its order
+        cfg = write_config(tmp_path, sweep={"f_min": 1.0, "f_max": 1.0000000001, "n_points": 3})
+        out = tmp_path / "probe.s2p"
+        assert main(["probe-transfer", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: touchstone: frequencies 1000000000.0 and 1000000000.05 Hz are both "
+            "written as 1 GHz (9 digits)\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_sweep_apart_in_the_ninth_digit_calibrates(self, tmp_path):
+        cfg = write_config(tmp_path, sweep={"f_min": 1.0, "f_max": 1.00000001, "n_points": 2})
+        out = tmp_path / "probe.s2p"
+        assert main(["probe-transfer", "--config", cfg, "--out", str(out)]) == 0
+        assert [row.split()[0] for row in out.read_text().splitlines()[2:]] == ["1", "1.00000001"]
+        assert main(["calibrate", "--probe", str(out), "--d", "1.0", "--h", "1.6",
+                     "--out", str(tmp_path / "cf.csv")]) == 0
+
+    @pytest.mark.parametrize("aperture", ["uniform", "integrated"])
+    def test_library_call_gives_the_cli_bytes(self, tmp_path, aperture):
+        # the library's probe_transfer, centred with center_over_trace at the
+        # config's probe.height, writes the .s2p the command writes
+        path = write_config(tmp_path, probe={"aperture": aperture})
+        out = tmp_path / "probe.s2p"
+        assert main(["probe-transfer", "--config", path, "--out", str(out)]) == 0
+        cfg = config.load_config(path)
+        height = json.loads(config.read_text(path))["probe"]["height"] * 1e-3
+        center = nfscan.center_over_trace(cfg.trace, cfg.substrate, height)
+        f, s21 = nfscan.probe_transfer(cfg.trace, cfg.substrate, cfg.probe, center, cfg.sweep,
+                                       cfg.drive)
+        net = NetworkData(f=f, s21=s21, z_ref=cfg.probe.port_z)
+        assert write_touchstone(net).encode() == out.read_bytes()
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("cmd", ["probe-transfer", "render"])
     def test_failed_write_keeps_previous_file(self, cmd, pipeline, tmp_path, monkeypatch,

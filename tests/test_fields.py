@@ -21,8 +21,8 @@ lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
 
 @st.composite
 def kernel_cases(draw):
-    """Polylines of 1-5 segments on a 0.25 mm lattice, vertical ones among
-    them: above z=0 when `above` is drawn, else anywhere on the lattice.
+    """Planar polylines of 1-5 segments on a 0.25 mm lattice, at one
+    height: above z=0 when `above` is drawn, else anywhere on the lattice.
     starts and ends hold the polyline's segments, then those of its
     ground-plane image (mirrored through z=0).  Probes are a triple
     (x, y, z) that broadcasts to (rows, cols).  Either a raster: 1-6 grid
@@ -31,14 +31,11 @@ def kernel_cases(draw):
     lattice, on segment axes past an end, and sometimes one on a filament,
     images included."""
     above = draw(st.booleans())
-    height = lattice.filter(lambda z: z > 0) if above else lattice
-    verts = [draw(st.tuples(lattice, lattice, height))]
+    z = draw(lattice.filter(lambda z: z > 0) if above else lattice)
+    verts = [(draw(lattice), draw(lattice), z)]
     for _ in range(draw(st.integers(1, 5))):
-        a = verts[-1]
-        if draw(st.booleans()):
-            verts.append((a[0], a[1], draw(height.filter(lambda z: z != a[2]))))
-        else:
-            verts.append(draw(st.tuples(lattice, lattice, height).filter(lambda p: p != a)))
+        xy = draw(st.tuples(lattice, lattice).filter(lambda q: q != verts[-1][:2]))
+        verts.append((*xy, z))
     verts = np.array(verts)
     mirror = np.array([1.0, 1.0, -1.0])
     starts = np.vstack([verts[:-1], verts[:-1] * mirror])
@@ -83,28 +80,23 @@ NORMALS = ("x", "y", "z")
 
 @st.composite
 def grounded_cases(draw, kind):
-    """A polyline above the ground plane on the lattice: along x or y
-    (`kind` "x" or "y", each segment running either way along it), in one
-    plane ("xy") or in 3-D ("xyz", vias among its segments).  Its probes
+    """A planar polyline above the ground plane on the lattice: along x or
+    y (`kind` "x" or "y", each segment running either way along it) or in
+    any lattice direction ("xy").  Its probes
     take their coordinates from its vertices' as well as the lattice, so
     that r is +0 against a segment running either way, and lie on, below
     and under the trace plane and the ground plane.  Either a raster
     triple, sometimes with 1-3 flat quadrature offsets, or one row of
     points."""
-    height = lattice.filter(lambda z: z > 0)
-    verts = [(draw(lattice), draw(lattice), draw(height))]
+    verts = [(draw(lattice), draw(lattice), draw(lattice.filter(lambda z: z > 0)))]
     for _ in range(draw(st.integers(1, 5))):
         a = verts[-1]
         if kind in ("x", "y"):
             j = "xy".index(kind)
             b = list(a)
             b[j] = draw(lattice.filter(lambda c: c != a[j]))
-        elif kind == "xy":
-            b = (*draw(st.tuples(lattice, lattice).filter(lambda q: q != a[:2])), a[2])
-        elif draw(st.booleans()):
-            b = (a[0], a[1], draw(height.filter(lambda z: z != a[2])))
         else:
-            b = draw(st.tuples(lattice, lattice, height).filter(lambda q: q != a))
+            b = (*draw(st.tuples(lattice, lattice).filter(lambda q: q != a[:2])), a[2])
         verts.append(tuple(b))
     verts = np.array(verts)
     coord = [st.sampled_from(sorted(set(verts[:, j]))) | lattice for j in range(3)]
@@ -120,11 +112,13 @@ def grounded_cases(draw, kind):
     return verts, np.array(pts).T, None
 
 
-def via_to(x, y, z):
-    """A 30-segment trace: 29 segments 1 mm above (x, y, z), then segment 29
-    straight down to it."""
-    top = [(x - 0.5e-3 * (29 - k), y, z + 1e-3) for k in range(30)]
-    return TracePath(vertices=top + [(x, y, z)])
+def lead_to(x, y, z):
+    """A 30-segment trace at height z: 29 segments along x, 1 m beyond y,
+    then segment 29 along -y, ending at (x, y, z).  Of the points of a
+    raster at height z within 1 m past y, only those at x with y' >= y lie
+    on it."""
+    far = [(x - 0.5e-3 * (29 - k), y + 1.0, z) for k in range(30)]
+    return TracePath(vertices=far + [(x, y, z)])
 
 
 def segment_h(start, end, point):
@@ -157,7 +151,7 @@ class TestHSegment:
         assert h[0] == 0 and h[2] == 0
 
     def test_superposition_midpoint_split(self):
-        a, b, mid = (0, 0, 0), (0.1, 0.02, 0.01), (0.05, 0.01, 0.005)
+        a, b, mid = (0, 0, 0.01), (0.1, 0.02, 0.01), (0.05, 0.01, 0.01)
         p = np.reshape((0.03, 0.05, -0.02), (3, 1))
         for normal in NORMALS:
             whole = segment_kernel((a, b), p, normal)
@@ -169,13 +163,6 @@ class TestHSegment:
             with pytest.raises(SingularityError) as err:
                 segment_h((0, 0, 1), (1, 0, 1), (0.5, 0, z))
             assert (err.value.segment, err.value.image) == (0, image)
-
-    def test_segment_length_overflow_is_singular(self):
-        # |seg|^2 overflows, so u is 0 along every axis and rho = |u x r1|
-        # is 0 at every point
-        with np.errstate(over="ignore"), pytest.raises(SingularityError) as err:
-            segment_kernel(((-1e200, 0, 1), (1e200, 0, 1)), ([0.0], [1.0], [1.0]), "z")
-        assert (err.value.segment, err.value.image) == (0, False)
 
     def test_finite_segment_closed_form(self):
         # segment [0, L] along x, 0.5 m above the ground plane, points off it
@@ -190,27 +177,29 @@ class TestHSegment:
                 h = segment_h(*seg, p)
                 assert_allclose(h, want, rtol=1e-13)
                 assert h[0] == 0
-        # a vertical segment and its image, probed on their common axis past
-        # their ends: each side's field is exactly 0
-        seg = ((0.2, -0.1, z), (0.2, -0.1, z + length))
-        for gap in 10.0 ** np.arange(-7, 0):
-            for pz in (z + length + gap, z - gap, -z + gap, -z - length - gap):
-                assert np.all(segment_h(*seg, (0.2, -0.1, pz)) == 0)
+        # probed on its axis past its ends, the segment's own field is
+        # exactly 0, and its image's is all there is
+        for px in (-1e-7, -0.5, length + 1e-7, 2.0):
+            h = segment_h(*seg, (px, 0, z))
+            assert h[0] == 0 and h[2] == 0
+            assert_allclose(h, np.negative(decimal_h(*image_of(*seg), (px, 0, z))), rtol=1e-13)
 
     @settings(max_examples=300, deadline=None)
-    @given(centre=st.tuples(*3 * [st.floats(-5e-3, 5e-3)]),
-           direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]),
+    @given(centre=st.tuples(st.floats(-5e-3, 5e-3), st.floats(-5e-3, 5e-3),
+                            st.floats(1e-4, 5e-3)),
+           direction=st.tuples(*2 * [st.floats(-1.0, 1.0)]),
            length=st.floats(1e-4, 1e-2), along=st.floats(-0.5, 1.5),
            across=st.tuples(*3 * [st.floats(-1.0, 1.0)]), log_gap=st.floats(-5.0, -2.0))
     def test_random_segments_match_decimal(self, centre, direction, length, along, across,
                                            log_gap):
-        # segments 0.1-10 mm long in any direction, coordinates within 1 cm,
-        # and points 10 um to 1 cm from the filament.  r = p - v is rounded
+        # horizontal segments 0.1-10 mm long in any in-plane direction, at
+        # heights of 0.1-5 mm, coordinates within 1 cm, and points 10 um to
+        # 1 cm from the filament in any direction.  r = p - v is rounded
         # to an ulp of the largest coordinate M, so each side's error, on
         # every axis, stays within a few ulps of M over its distance d to the
         # point, relative to the field scale 1 / (4 pi d): 8 ulps, twice the
         # worst of 40,000 random cases
-        u = np.array(direction)
+        u = np.array([*direction, 0.0])
         assume(np.linalg.norm(u) > 0.1)
         u /= np.linalg.norm(u)
         n = np.array(across) - np.dot(across, u) * u
@@ -241,11 +230,11 @@ class TestGroundedTrace:
         assert_allclose(abs(h[1]), 1.0 / (2 * math.pi * 1e-3), rtol=2e-3)
 
     def test_pec_boundary_normal_field_vanishes(self):
-        # zigzag 3-D trace; z component of H must vanish on the plane z=0
+        # zigzag trace; z component of H must vanish on the plane z=0
         r = rng(7)
-        verts = tuple((x, y, z) for x, y, z in
-                      zip(r.uniform(-0.05, 0.05, 6), r.uniform(-0.05, 0.05, 6),
-                          r.uniform(5e-4, 5e-3, 6)))
+        z = r.uniform(5e-4, 5e-3)
+        verts = tuple((x, y, z) for x, y in zip(r.uniform(-0.05, 0.05, 6),
+                                                 r.uniform(-0.05, 0.05, 6)))
         tr = TracePath(vertices=verts)
         cur = r.uniform(0.5, 2.0, tr.n_segments) * np.exp(1j * r.uniform(0, 6.28, tr.n_segments))
         pts = np.column_stack([r.uniform(-0.1, 0.1, 100), r.uniform(-0.1, 0.1, 100),
@@ -273,14 +262,15 @@ class TestGroundedTrace:
             assert abs(h2 / h1 - 0.25) < 0.05 * 0.25
 
     @settings(max_examples=150, deadline=None)
-    @given(xz=st.lists(st.tuples(lattice, lattice.filter(lambda z: z > 0)), min_size=2,
-                       max_size=6, unique=True),
+    @given(xs=st.lists(lattice, min_size=2, max_size=6, unique=True),
+           z=lattice.filter(lambda z: z > 0),
            phases=st.lists(st.floats(0, 6.28), min_size=5, max_size=5),
            pts=st.lists(st.tuples(lattice, lattice.filter(lambda y: y != 0), lattice),
                         min_size=1, max_size=6))
-    def test_mirror_symmetry_about_trace_plane(self, xz, phases, pts):
-        # a trace in the plane y=0 (vias included): H(x, -y, z) = (-Hx, Hy, -Hz)(x, y, z)
-        tr = TracePath(vertices=tuple((x, 0.0, z) for x, z in xz))
+    def test_mirror_symmetry_about_trace_plane(self, xs, z, phases, pts):
+        # a trace on the line y=0, its segments running either way along it:
+        # H(x, -y, z) = (-Hx, Hy, -Hz)(x, y, z)
+        tr = TracePath(vertices=tuple((x, 0.0, z) for x in xs))
         cur = np.exp(1j * np.array(phases[:tr.n_segments]))
         p = np.array(pts)
         q = p * [1, -1, 1]
@@ -374,8 +364,9 @@ class TestKernel:
         r = rng(3)
         ns = 17
         npts = PAIRS // (2 * ns) + 40          # two kernel blocks
-        steps = r.uniform(0.01, 0.05, (ns, 3))
-        steps[0, :2] = 0.0                     # one vertical segment
+        steps = r.uniform(-0.05, 0.05, (ns, 3))
+        steps[:, 2] = 0.0
+        steps[0, 1] = 0.0                      # one segment along x
         tr = TracePath(vertices=np.cumsum(np.vstack([[-0.1, -0.1, 0.01], steps]), axis=0))
         starts, ends = segment_arrays(tr)
         currents = r.uniform(-1, 1, ns) + 1j * r.uniform(-1, 1, ns)
@@ -457,7 +448,7 @@ class TestKernel:
         monkeypatch.undo()
         ix, iy = 7, 2 * rows + 3
         with pytest.raises(SingularityError) as err:
-            list(kernel_blocks(via_to(xs[ix], ys[iy], z), probes, "y"))
+            list(kernel_blocks(lead_to(xs[ix], ys[iy], z), probes, "y"))
         assert (err.value.point, err.value.segment, err.value.image) == (iy * nx + ix, 29, False)
         where = [float(xs[ix]), float(ys[iy]), z]
         assert str(err.value) == f"field point {where} is within 1e-09 m of segment 29"
@@ -481,7 +472,7 @@ class TestKernel:
         monkeypatch.undo()
         ix = 2 * step + 10
         with pytest.raises(SingularityError) as err:
-            list(kernel_blocks(via_to(xs[ix], ys[1], z), probes, "z"))
+            list(kernel_blocks(lead_to(xs[ix], ys[1], z), probes, "z"))
         assert (err.value.point, err.value.segment, err.value.image) == (nx + ix, 29, False)
 
     def test_near_corner_past_both_segment_ends(self):
@@ -497,12 +488,12 @@ class TestKernel:
             assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
             assert str(err.value) == str(ref.value)
 
-    @pytest.mark.parametrize("kind", ["x", "y", "xy", "xyz"])
+    @pytest.mark.parametrize("kind", ["x", "y", "xy"])
     @settings(max_examples=75, deadline=None)
     @given(data=st.data())
     def test_one_pass_equals_trace_minus_image(self, kind, data):
         # the grounded kernel evaluates the polyline and its image in one
-        # pass, sharing t = r.u when no segment leaves the plane; against
+        # pass, sharing t = r.u; against
         # the 3-vector kernel over both sets of segments, byte for byte
         verts, probes, offsets = data.draw(grounded_cases(kind))
         pts = flat_points(probes, offsets)
@@ -605,7 +596,7 @@ class TestKernel:
         ns = MAX_SEGMENTS
         tr = TracePath(vertices=np.column_stack([np.arange(ns + 1) * 1e-4,
                                                  r.uniform(-0.01, 0.01, ns + 1),
-                                                 r.uniform(0.5, 1.0, ns + 1)]))
+                                                 np.full(ns + 1, r.uniform(0.5, 1.0))]))
         currents = np.ones(ns, dtype=complex)
         points = r.uniform(2, 3, (200, 3))
         tracemalloc.start()

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import orjson
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -246,6 +246,38 @@ class TestTouchstoneRoundTrip:
         assert write_touchstone(net) == ("! ports: 2\n# GHz S RI R 75\n"
                                          "1 0 0 0.5 -0.25 0.5 -0.25 0 0\n"
                                          "2.5 0 0 0 -1e-05 0 -1e-05 0 0\n")
+
+    def test_frequencies_one_at_9_digits_rejected(self):
+        # 1 GHz and 1 GHz + 0.05 Hz both print as "1"; no reader could order them
+        net = NetworkData(f=[0.5e9, 1e9, 1000000000.05, 1000000000.1], s21=[0.5j] * 4)
+        with pytest.raises(ConfigError) as exc:
+            write_touchstone(net)
+        assert str(exc.value) == ("touchstone: frequencies 1000000000.0 and 1000000000.05 Hz "
+                                  "are both written as 1 GHz (9 digits)")
+
+    def test_frequencies_apart_in_the_ninth_digit_written(self):
+        net = NetworkData(f=[1.23456789e9, 1.2345679e9], s21=[0.5j, 0.25j])
+        text = write_touchstone(net)
+        assert [row.split()[0] for row in text.splitlines()[2:]] == ["1.23456789", "1.2345679"]
+        assert_allclose(parse_touchstone(text).f, net.f, rtol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1e-6), min_size=1, max_size=6))
+    def test_written_sweep_reads_back_or_is_rejected(self, steps):
+        # a strictly increasing sweep: the writer's text reads back with its
+        # row count, or the writer names two frequencies it cannot tell apart
+        f = 1e9 * np.cumprod(1.0 + np.array([0.0, *steps]))
+        assume(np.all(np.diff(f) > 0))
+        net = NetworkData(f=f, s21=np.full(len(f), 0.5j))
+        rows = [f"{x / 1e9:.9g}" for x in f]
+        try:
+            text = write_touchstone(net)
+        except ConfigError as exc:
+            k = next(k for k in range(len(rows) - 1) if rows[k] == rows[k + 1])
+            assert f"{float(f[k])!r} and {float(f[k + 1])!r} Hz" in str(exc)
+            return
+        assert len(rows) == len(set(rows))
+        assert len(parse_touchstone(text).f) == len(f)
 
     @settings(max_examples=200, deadline=None)
     @given(sweeps())

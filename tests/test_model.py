@@ -105,7 +105,7 @@ class TestDefaults:
         assert tr.width == 3e-3
         assert tr.z0_line == 50.0
         assert tr.termination == "matched"
-        pr = m.LoopProbe(center=(0, 0, 1e-3), normal="z")
+        pr = m.LoopProbe(normal="z")
         assert pr.side_s == 4e-3
         assert pr.port_z == 50.0
         assert (pr.loading, pr.quad_n, pr.aperture) == ("matched-halving", 8, "uniform")
@@ -128,6 +128,16 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             m.TracePath(vertices=((0, 0, 0.0), (0.1, 0, 1.6e-3)))
 
+    @pytest.mark.parametrize("z, k", [(2e-3, 2), (-1e-3, 1), (1e-3 + 2e-19, 3)])
+    def test_trace_is_planar(self, z, k):
+        # every vertex at vertex 0's height; the error names the first that is not
+        verts = [(0, 0, 1e-3), (0.1, 0, 1e-3), (0.1, 0.1, 1e-3), (0.2, 0.1, 1e-3)]
+        verts[k] = (*verts[k][:2], z)
+        verts[3] = (*verts[3][:2], z)
+        with pytest.raises(ConfigError, match=f"^trace.vertices: vertex {k} is at z = {z!r} m, "
+                                              "not at vertex 0's height 0.001 m$"):
+            m.TracePath(vertices=verts)
+
     def test_segment_square_overflow_rejected(self):
         # the library reaches the kernel without the config's length bound
         with pytest.raises(ConfigError, match="segment 0 is 1e[+]305 m long, its square"):
@@ -135,11 +145,16 @@ class TestInvariants:
 
     def test_unknown_aperture_rejected(self):
         with pytest.raises(ConfigError, match="probe.aperture: must be one of"):
-            m.LoopProbe(center=(0, 0, 1e-3), normal="z", aperture="disc")
+            m.LoopProbe(normal="z", aperture="disc")
 
     def test_unit_normal_enforced(self):
         with pytest.raises(ConfigError, match="probe.normal: must be 'x', 'y' or 'z'"):
-            m.LoopProbe(center=(0, 0, 1e-3), normal=(0, 1, 0))
+            m.LoopProbe(normal=(0, 1, 0))
+
+    def test_probe_has_no_pose(self):
+        # the entry points place the probe; a LoopProbe takes no center
+        with pytest.raises(TypeError, match="center"):
+            m.LoopProbe(center=(0, 0, 1e-3), normal="z")
 
     def test_sweep_bounds(self):
         with pytest.raises(ConfigError):

@@ -19,7 +19,7 @@ from nfscan.config import build_config
 from nfscan.fields import EPS_GEOM, PAIRS
 from nfscan.scan import MapStats, ScanResult
 
-from conftest import H_SUB, SCAN_HEIGHT, grid_points, port_oracle, rng
+from conftest import H_SUB, MU0, SCAN_HEIGHT, grid_points, port_oracle, rng
 from kernel_reference import segment_arrays, segment_field_sum
 
 
@@ -145,9 +145,10 @@ class TestRunSimulatedScan:
         grid = ScanGrid(x_min=0, x_max=0, y_min=0, y_max=0, dx=1e-3, dy=1e-3,
                         z_height=SCAN_HEIGHT)
         sweep = FrequencySweep(f_min=0.1e9, f_max=3e9, n_points=5)
+        center = (0.0, 0.0, substrate.h + SCAN_HEIGHT)
         for probe in (cal_probe, replace(cal_probe, aperture="integrated")):
             res = run_simulated_scan(straight_trace, substrate, probe, grid, sweep, drive)
-            _, s21 = probe_transfer(straight_trace, substrate, probe, sweep, drive)
+            _, s21 = probe_transfer(straight_trace, substrate, probe, center, sweep, drive)
             assert s21.tobytes() == np.array([m[0, 0] for m in res.s21]).tobytes()
 
     def test_scan_points_are_grid_points(self, monkeypatch, cal_probe, straight_trace,
@@ -200,7 +201,7 @@ class TestRunSimulatedScan:
                 assert all(k % m == 0 and (k * nseg <= PAIRS or k == m) for k in calls)
             assert counts[0] == counts[1] > 0
             calls.clear()
-            probe_transfer(straight_trace, substrate, probe, sweep, drive)
+            probe_transfer(straight_trace, substrate, probe, (0, 0, 5e-3), sweep, drive)
             assert calls == [m]
 
 
@@ -210,25 +211,22 @@ level = st.integers(1, 12).map(lambda k: k * 0.25e-3)
 
 @st.composite
 def scan_cases(draw):
-    """A 3-D trace (vertical segments included), a small grid, a probe
-    and a sweep of 1-7 frequencies, on a 0.25 mm lattice."""
-    verts = [(draw(lattice), draw(lattice), draw(level))]
+    """A planar trace, a small grid, a probe and a sweep of 1-7
+    frequencies, on a 0.25 mm lattice."""
+    z = draw(level)
+    verts = [(draw(lattice), draw(lattice), z)]
     for _ in range(draw(st.integers(1, 4))):
-        x, y, z = verts[-1]
-        if draw(st.booleans()):
-            verts.append((x, y, draw(level.filter(lambda v: v != z))))
-        else:
-            xy = draw(st.tuples(lattice, lattice).filter(lambda p: p != (x, y)))
-            verts.append((*xy, z))
+        xy = draw(st.tuples(lattice, lattice).filter(lambda p: p != verts[-1][:2]))
+        verts.append((*xy, z))
     st_step = st.sampled_from((0.25e-3, 0.5e-3, 1e-3))
     dx, dy = draw(st_step), draw(st_step)
-    # the grid passes over a vertex, so points line up with vias and their images
+    # the grid passes over a vertex, so points line up with segment ends
     vx, vy, _ = draw(st.sampled_from(verts))
     x0, y0 = vx - dx * draw(st.integers(0, 3)), vy - dy * draw(st.integers(0, 3))
     grid = ScanGrid(x_min=x0, x_max=x0 + dx * draw(st.integers(0, 4)), y_min=y0,
                     y_max=y0 + dy * draw(st.integers(0, 4)), dx=dx, dy=dy, z_height=draw(level))
     normal = draw(st.sampled_from(("x", "y", "z")))
-    probe = LoopProbe(center=(0, 0, 1e-3), normal=normal, side_s=draw(st.sampled_from((2e-3, 4e-3))),
+    probe = LoopProbe(normal=normal, side_s=draw(st.sampled_from((2e-3, 4e-3))),
                       aperture=draw(st.sampled_from(("uniform", "integrated"))),
                       quad_n=draw(st.integers(2, 8)))
     f0 = draw(st.floats(0.1e9, 3e9))
@@ -347,7 +345,7 @@ class TestContractionOrder:
                                 axis=1)
             cur = np.concatenate([currents.real, currents.imag], axis=1)
             for aperture, m in (("uniform", 1), ("integrated", 10)):
-                probe = LoopProbe(center=(0, 0, 1e-2), normal="y", aperture=aperture, quad_n=3)
+                probe = LoopProbe(normal="y", aperture=aperture, quad_n=3)
                 blocks, npts = [], 0
                 for size in (17, 40, 3):
                     blocks.append((npts, npts + size, random_block(r, nseg, size * m)))
@@ -359,6 +357,36 @@ class TestContractionOrder:
                     rows = np.ascontiguousarray(g.T).reshape(hi - lo, m, nseg)
                     h = np.einsum("ps,sf->pf", rows[:, 0], cur)
                     assert hfield[:, lo:hi].tobytes() == (h[:, :nf] + 1j * h[:, nf:]).T.tobytes()
+
+    def test_port_stage_matches_per_frequency_loop(self, monkeypatch, substrate, drive):
+        # V and S21 from the chain's whole-sweep array operations, against
+        # the per-frequency loop they replaced, byte for byte
+        r = rng(37)
+        freqs = np.array([0.3e9, 1.1e9, 2.9e9])
+        nf = len(freqs)
+        trace = TracePath(vertices=[(x, 0.0, H_SUB) for x in np.linspace(-0.05, 0.05, 8)])
+        centers = (np.arange(20, dtype=float)[None, :], np.zeros((1, 1)), np.ones((1, 1)))
+        for aperture, m in (("uniform", 1), ("integrated", 10)):
+            for loading in ("matched-halving", "open-circuit"):
+                probe = LoopProbe(normal="y", aperture=aperture, quad_n=3, loading=loading)
+                blocks = [(0, 20, random_block(r, trace.n_segments, 20 * m))]
+                monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
+                got = scan._probe_chain(trace, substrate, probe, centers, freqs, drive)
+                if aperture == "integrated":
+                    currents = np.stack([current_distribution(trace, f, drive, substrate)
+                                         for f in freqs], axis=1)
+                    cur = np.concatenate([currents.real, currents.imag], axis=1)
+                    weights = scan.quad_offsets(probe)[1]
+                    flux = scan._node_flux(blocks[0][2].reshape(-1, 20, m), weights, cur)
+                for i, f in enumerate(freqs):
+                    fl = (flux[i] + 1j * flux[nf + i] if aperture == "integrated"
+                          else got[0, i] * probe.side_s ** 2)
+                    v = -1j * 2.0 * math.pi * f * MU0 * fl
+                    if loading == "matched-halving":
+                        v /= 2.0
+                    s21 = v / math.sqrt(probe.port_z * drive.power)
+                    assert got[1, i].tobytes() == v.tobytes()
+                    assert got[2, i].tobytes() == s21.tobytes()
 
     def test_node_sum_matches_points_major_form(self):
         r = rng(31)
