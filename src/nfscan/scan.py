@@ -110,8 +110,8 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
     # Real and imaginary parts as one real matrix: one complex einsum took
-    # 140-154 ms per table3 0.1 mm scan, this split 96-101 ms (a shared
-    # 2-core x86-64 host).
+    # 87-121 ms per table3 0.1 mm scan, this split 60-76 ms (medians of 7,
+    # a shared 2-core x86-64 host).
     cur = np.concatenate([currents.real, currents.imag], axis=1)
     integrated = probe.aperture == "integrated"
     # A probe's points: its center, then its quadrature nodes if integrated.
