@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
-from .config import center_over_trace, load_config, read_text as _read_text
-from .errors import ConfigError, SingularityError
+from .config import center_over_trace, load_config, path_error, read_text as _read_text
+from .errors import SingularityError
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone,
                       render_pgm, write_cf_csv, write_map_csv, write_profile_csv,
                       write_touchstone)
@@ -34,7 +34,7 @@ def _write_text(path, data):
     The bytes go to a temporary file in the target's directory, which then
     replaces the target (`os.replace`).  A failed write leaves the previous
     file, if any, as it was, and no temporary file.  The ConfigError names
-    `path`, by its repr if it holds a NUL byte.
+    `path` (see `config.path_error`).
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -44,12 +44,10 @@ def _write_text(path, data):
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
+    except (OSError, ValueError) as exc:
+        with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL byte in tmp
             os.remove(tmp)
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a NUL byte in the path: nothing was opened
-        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+        raise path_error("cannot write", path, exc) from None
 
 
 def _freq_tag(i, f_hz):
@@ -72,10 +70,8 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     try:
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror}") from None
-    except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise path_error("cannot create output directory", args.out, exc) from None
     result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
                                 cfg.sweep, cfg.drive)
     comp = result.component

@@ -302,9 +302,16 @@ def build_config(doc):
                       sweep=sweep, drive=drive, cal=cal, digest=digest)
 
 
+def path_error(action, path, exc):
+    """The ConfigError "<action> <path>: <reason>" for an OSError, or for the
+    ValueError of a NUL byte in `path`, which is then named by its repr."""
+    if isinstance(exc, OSError):
+        return ConfigError(f"{action} {path}: {exc.strerror}")
+    return ConfigError(f"{action} {path!r}: {exc}")
+
+
 def read_text(path):
-    """The UTF-8 text of the file at `path`, or a ConfigError naming it
-    (by its repr if it holds a NUL byte).
+    """The UTF-8 text of the file at `path`, or a ConfigError (`path_error`).
 
     The bytes are decoded as they are, with no newline translation, so the
     parsers see the text a library caller would pass them: a bare carriage
@@ -313,10 +320,8 @@ def read_text(path):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot read {path!r}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise path_error("cannot read", path, exc) from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

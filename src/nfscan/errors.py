@@ -18,8 +18,7 @@ class ParseError(ValueError):
 class SingularityError(ArithmeticError):
     """Field requested too close to a source filament (CLI exit code 3)."""
 
-    def __init__(self, message, segment=None, point=None, image=False):
+    def __init__(self, message, segment=None, point=None):
         super().__init__(message)
         self.segment = segment
         self.point = point
-        self.image = image

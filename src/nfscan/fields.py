@@ -73,11 +73,11 @@ def _in_span(r, u, live, shape):
     return t1, t2, i, pick, num
 
 
-def _side_coupling(r, u, span, a):
+def _side_coupling(r, u, span, a, check=False):
     """One side's (nseg, *S) coupling to axis `a` (see `segment_kernel`),
-    from its r and u per axis and the `_in_span` result, and None; or
-    None and the first (point, segment) pair, in point-major order,
-    closer than EPS_GEOM to the segment."""
+    from its r and u per axis and the `_in_span` result, and None; or, if
+    `check`, None and the first (point, segment) pair, in point-major
+    order, closer than EPS_GEOM to the segment."""
     t1, t2, i, pick, num = span
     r1 = [rj[:-1] for rj in r]
     c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
@@ -93,8 +93,7 @@ def _side_coupling(r, u, span, a):
                   for j in (0, 2, 1)))
     # Beyond an end the nearest point of the segment is a vertex.
     eps2 = EPS_GEOM * EPS_GEOM
-    nmin = n.min()
-    if nmin * nmin < eps2 or (rho2 < eps2).any():
+    if check and (n.min() ** 2 < eps2 or (rho2 < eps2).any()):
         near = np.minimum(n1, n2) ** 2 < eps2
         np.put(near, i, rho2 < eps2)
         return None, divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
@@ -114,8 +113,9 @@ def _side_coupling(r, u, span, a):
 def segment_kernel(vertices, points, axis):
     """Component `axis` ("x", "y" or "z") of H per unit current in each
     segment of the polyline `vertices` (nv, 3): (nv - 1, npts) in A/m per A.
-    Unchecked, as TracePath checks it: the vertices are at one height,
-    and each segment's squared length is a nonzero finite double.
+    Unchecked, as TracePath and `kernel_blocks` check it: the vertices are
+    at one height h > 0, each segment's squared length is a nonzero finite
+    double, and the points are finite with z >= 0.
     `points` is a triple (x, y, z) of arrays that broadcast to one shape S;
     the points are that broadcast in C order (an (n, 3) array's `.T` is
     such a triple).  Entry [k, i] is at point i of segment k, from vertex k
@@ -155,8 +155,9 @@ def segment_kernel(vertices, points, axis):
 
     Computes every point it is given; `kernel_blocks` bounds the count.
     Raises SingularityError for the first (point, segment) pair, in
-    point-major order, closer than EPS_GEOM to the segment, a polyline
-    segment before an image one at the same point.
+    point-major order, closer than EPS_GEOM to the segment.  As u_z = 0 and
+    |p_z - h| <= p_z + h, each image term of |r| and rho**2 is at least its
+    polyline term (in doubles too), so only the polyline is searched.
     """
     verts = np.asarray(vertices, dtype=float)
     seg = verts[1:] - verts[:-1]
@@ -171,16 +172,14 @@ def segment_kernel(vertices, points, axis):
         # Per coordinate, (nv, *its shape); segment k starts at vertex k.
         r = [c - v.reshape(-1, *one) for c, v in zip(p, verts.T)]
         span = _in_span(r, u, [j for j in (0, 1) if u[j].any()], (nseg, *shape))
-        g, hit = _side_coupling(r, u, span, a)
+        g, hit = _side_coupling(r, u, span, a, check=True)
+        if hit is not None:
+            pt, k = hit
+            where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
+            raise SingularityError(f"field point {where} is within {EPS_GEOM} m of segment {k}",
+                                   segment=k, point=pt)
         r[2] = p[2] + verts[:, 2].reshape(-1, *one)  # the image: only r_z changes
-        coef, image_hit = _side_coupling(r, u, span, a)
-    hits = [(h[0], image, h[1]) for image, h in enumerate((hit, image_hit)) if h]
-    if hits:
-        pt, image, k = min(hits)
-        where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
-        kind = "image segment" if image else "segment"
-        raise SingularityError(f"field point {where} is within {EPS_GEOM} m of {kind} {k}",
-                               segment=k, point=pt, image=bool(image))
+        coef, _ = _side_coupling(r, u, span, a)
     g -= coef
     g += 0.0
     return g.reshape(nseg, npts)
@@ -202,13 +201,20 @@ def kernel_blocks(trace: TracePath, points, axis, offsets=None):
     range lo..hi-1.  Yields (lo, hi, g), g the block's C-ordered
     (n_segments, npts) coupling, columns probe-major.
 
-    A SingularityError names the first near pair in point-major order, a
-    trace segment before an image at the same point.  Its `point` is the
-    probe's index.
+    A ConfigError names the first center, in row-major order, that is not
+    finite or not above the ground plane, before any kernel pass (`offsets`
+    are horizontal).  A SingularityError names the first near pair in
+    point-major order; its `point` is the probe's index.
     """
     verts = np.asarray(trace.vertices, dtype=float)
     p = [np.atleast_2d(np.asarray(c, dtype=float)) for c in points]
     nrows, ncols = np.broadcast_shapes(*(c.shape for c in p))
+    # per grid line; the first bad point is located only on the error path
+    ok = [np.isfinite(p[0]), np.isfinite(p[1]), (p[2] > 0) & (p[2] < math.inf)]
+    if not all(o.all() for o in ok):
+        at = np.unravel_index(np.argmin(ok[0] & ok[1] & ok[2]), (nrows, ncols))
+        where = [float(np.broadcast_to(c, (nrows, ncols))[at]) for c in p]
+        raise ConfigError(f"field point {where} must be finite and above the ground plane z=0")
     m = 1 if offsets is None else 1 + len(offsets)
     step = max(1, PAIRS // (2 * trace.n_segments) // m)
     # whole rows if a row fits, else chunks of one row

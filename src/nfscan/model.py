@@ -219,8 +219,6 @@ class FrequencySweep:
         _require(self.spacing in ("linear", "log"), "sweep.spacing: must be 'linear' or 'log'")
 
     def frequencies(self):
-        if self.n_points == 1:
-            return np.array([self.f_min])
         if self.spacing == "log":
             return np.geomspace(self.f_min, self.f_max, self.n_points)
         return np.linspace(self.f_min, self.f_max, self.n_points)

@@ -105,8 +105,6 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     sqrt(port_z x drive power).  A SingularityError carries the index of
     the center, numbered row-major.
     """
-    if np.any(np.asarray(centers[2]) <= 0):
-        raise ConfigError("probe centers must lie strictly above the ground plane z=0")
     currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
                         axis=1)
     # Real and imaginary parts as one real matrix: one complex einsum took
@@ -154,7 +152,7 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
 
     A SingularityError names the first grid point, in row-major order,
     whose probe center or any of whose quadrature nodes lies within
-    fields.EPS_GEOM (1 nm) of a trace segment or its image.
+    fields.EPS_GEOM (1 nm) of a trace segment.
     """
     centers = (grid.x_coords()[None, :], grid.y_coords()[:, None],
                [[grid.z_height + substrate.h]])
@@ -162,7 +160,11 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
     try:
         out = _probe_chain(trace, substrate, probe, centers, freqs, drive)
     except SingularityError as exc:
-        raise _at_grid_point(exc, grid, exc.point) from None
+        iy, ix = divmod(exc.point, grid.nx)
+        raise SingularityError(
+            f"singular field at grid point (ix={ix}, iy={iy}), "
+            f"x={grid.x_min + ix * grid.dx}, y={grid.y_min + iy * grid.dy}: {exc}",
+            segment=exc.segment, point=exc.point) from None
     out.flags.writeable = False  # kept by the ScanResult without a copy
     h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
     return ScanResult(freqs=freqs, grid=grid, component="h" + probe.normal,
@@ -176,7 +178,8 @@ def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe, cen
     A one-point scan with the probe centred at `center` (x, y, z) in m:
     returns the sweep frequencies together with the complex S21 values.
     |S21| rises at +20 dB/decade while the loop stays electrically small
-    (high-pass behavior of an induction probe).
+    (high-pass behavior of an induction probe).  A center that is not
+    finite, or not above z = 0, is a ConfigError (`fields.kernel_blocks`).
     """
     freqs = sweep.frequencies()
     x, y, z = (float(c) for c in center)
@@ -184,16 +187,8 @@ def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe, cen
         _, _, s21 = _probe_chain(trace, substrate, probe, ([[x]], [[y]], [[z]]), freqs, drive)
     except SingularityError as exc:
         raise SingularityError(f"probe at {[x, y, z]}: {exc}", segment=exc.segment,
-                               point=exc.point, image=exc.image) from None
+                               point=exc.point) from None
     return freqs, s21[:, 0]
-
-
-def _at_grid_point(exc, grid, flat):
-    iy, ix = divmod(int(flat), grid.nx)
-    return SingularityError(
-        f"singular field at grid point (ix={ix}, iy={iy}), "
-        f"x={grid.x_min + ix * grid.dx}, y={grid.y_min + iy * grid.dy}: {exc}",
-        segment=exc.segment, point=int(flat), image=exc.image)
 
 
 def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-consistent"):

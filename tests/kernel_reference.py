@@ -10,6 +10,10 @@ bit for bit.
 
 `decimal_h` is one segment's field in 50-digit decimal arithmetic, and
 `closed_form_line_h` the field above an infinite line over ground.
+
+`stokes_flux_z` is the flux of H through a horizontal square loop by
+Stokes' theorem, from the closed-form vector potential of each filament
+and its image: no node grid over the loop's area.
 """
 
 import math
@@ -103,7 +107,7 @@ def vector_kernel(starts, ends, points, n_real=None):
         kind = "image segment" if image else "segment"
         raise SingularityError(
             f"field point {points[pt].tolist()} is within {EPS_GEOM} m of {kind} {idx}",
-            segment=idx, point=pt, image=image)
+            segment=idx, point=pt)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(beyond,
                         (t1 - t2) * (t1 + t2) / (_FOUR_PI * n1 * n2 * (t1 * n2 + t2 * n1)),
@@ -152,3 +156,40 @@ def closed_form_line_h(y, h, i_rms):
     if y <= 0 or h <= 0 or i_rms < 0:
         raise ConfigError("closed_form_line_h requires y > 0, h > 0, i_rms >= 0")
     return i_rms * (1.0 / y - 1.0 / (y + 2.0 * h)) / (2.0 * math.pi)
+
+
+def stokes_flux_z(starts, ends, currents, center, side, n=64):
+    """Flux of H (A m) up through the horizontal square loop of side `side`
+    centred at `center`, from the segments (starts, ends) carrying
+    `currents` and their images through z=0 carrying the negated currents.
+
+    By Stokes' theorem the flux is (1/mu0) times the loop integral of A,
+    with A per unit current of a straight filament
+
+        A / mu0 = u (asinh(t1/rho) - asinh(t2/rho)) / (4*pi)
+
+    (u its unit vector, t = r.u from each end, rho the distance to its
+    line).  The integral runs counterclockwise seen from +z, with `n`
+    Gauss-Legendre nodes per edge.  A is parallel to its segment, so an
+    image, whose u is the trace's for a planar trace, differs only in rho
+    and t."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s, w = (x + 1.0) / 2.0, w / 2.0          # nodes and weights on [0, 1]
+    half = side / 2.0
+    corners = np.asarray(center, dtype=float) + half * np.array(
+        [[-1.0, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0], [-1, -1, 0]])
+    edges = np.diff(corners, axis=0)                                   # (4, 3)
+    nodes = (corners[:-1, None, :] + s[None, :, None] * edges[:, None, :]).reshape(-1, 3)
+    mirror = np.array([1.0, 1.0, -1.0])
+    total = 0.0
+    for a, b, sign in ((starts, ends, 1.0), (starts * mirror, ends * mirror, -1.0)):
+        seg = b - a
+        u = seg / np.linalg.norm(seg, axis=1)[:, None]
+        r1 = nodes[:, None, :] - a
+        t1 = np.einsum("psk,sk->ps", r1, u)
+        t2 = np.einsum("psk,sk->ps", nodes[:, None, :] - b, u)
+        rho = np.linalg.norm(np.cross(u, r1), axis=2)
+        pot = (np.arcsinh(t1 / rho) - np.arcsinh(t2 / rho)) / _FOUR_PI    # (nodes, segs)
+        along = (edges @ u.T)                                             # (4, segs) = u . dl
+        total = total + sign * np.einsum("eqs,q,es->s", pot.reshape(4, n, -1), w, along)
+    return complex(np.dot(total, currents))

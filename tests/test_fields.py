@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, SingularityError, TracePath, current_distribution,
@@ -17,21 +17,21 @@ from kernel_reference import (closed_form_line_h, decimal_h, segment_arrays,
                               segment_field_sum, vector_kernel)
 
 lattice = st.integers(-8, 8).map(lambda k: k * 0.25e-3)
+#: The lattice's heights on or above the ground plane z=0.
+height = st.integers(0, 8).map(lambda k: k * 0.25e-3)
 
 
 @st.composite
 def kernel_cases(draw):
     """Planar polylines of 1-5 segments on a 0.25 mm lattice, at one
-    height: above z=0 when `above` is drawn, else anywhere on the lattice.
-    starts and ends hold the polyline's segments, then those of its
-    ground-plane image (mirrored through z=0).  Probes are a triple
-    (x, y, z) that broadcasts to (rows, cols).  Either a raster: 1-6 grid
-    lines in x and in y on the lattice at one height, sometimes with 1-3
-    flat quadrature offsets on the lattice; or one row of points: on the
-    lattice, on segment axes past an end, and sometimes one on a filament,
-    images included."""
-    above = draw(st.booleans())
-    z = draw(lattice.filter(lambda z: z > 0) if above else lattice)
+    height above z=0.  starts and ends hold the polyline's segments, then
+    those of its ground-plane image (mirrored through z=0).  Probes are a
+    triple (x, y, z) that broadcasts to (rows, cols), on or above z=0.
+    Either a raster: 1-6 grid lines in x and in y on the lattice at one
+    height, sometimes with 1-3 flat quadrature offsets on the lattice; or
+    one row of points: on the lattice, on segment axes past an end, and
+    sometimes one on a filament."""
+    z = draw(height.filter(lambda z: z > 0))
     verts = [(draw(lattice), draw(lattice), z)]
     for _ in range(draw(st.integers(1, 5))):
         xy = draw(st.tuples(lattice, lattice).filter(lambda q: q != verts[-1][:2]))
@@ -43,19 +43,20 @@ def kernel_cases(draw):
     offsets = None
     if draw(st.booleans()):
         lines = st.lists(lattice, min_size=1, max_size=6, unique=True).map(np.array)
-        probes = (draw(lines)[None, :], draw(lines)[:, None], np.array([[draw(lattice)]]))
+        probes = (draw(lines)[None, :], draw(lines)[:, None], np.array([[draw(height)]]))
         if draw(st.booleans()):
             offsets = np.array([(draw(lattice), draw(lattice), 0.0)
                                 for _ in range(draw(st.integers(1, 3)))])
-        return verts, starts, ends, probes, offsets, above
-    pts = [draw(st.tuples(lattice, lattice, lattice)) for _ in range(draw(st.integers(1, 8)))]
-    for k in draw(st.lists(st.integers(0, len(starts) - 1), max_size=3)):
+        return verts, starts, ends, probes, offsets
+    pts = [draw(st.tuples(lattice, lattice, height)) for _ in range(draw(st.integers(1, 8)))]
+    n = len(verts) - 1
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         t = draw(st.sampled_from((-2.0, -0.5, 1.5, 3.0)))
         pts.append(starts[k] + t * (ends[k] - starts[k]))
     if draw(st.integers(0, 4)) == 0:
-        k = draw(st.integers(0, len(starts) - 1))
+        k = draw(st.integers(0, n - 1))
         pts.insert(draw(st.integers(0, len(pts))), (starts[k] + ends[k]) / 2)
-    return verts, starts, ends, np.array(pts, dtype=float).T, offsets, above
+    return verts, starts, ends, np.array(pts, dtype=float).T, offsets
 
 
 def flat_points(probes, offsets):
@@ -85,10 +86,10 @@ def grounded_cases(draw, kind):
     any lattice direction ("xy").  Its probes
     take their coordinates from its vertices' as well as the lattice, so
     that r is +0 against a segment running either way, and lie on, below
-    and under the trace plane and the ground plane.  Either a raster
-    triple, sometimes with 1-3 flat quadrature offsets, or one row of
-    points."""
-    verts = [(draw(lattice), draw(lattice), draw(lattice.filter(lambda z: z > 0)))]
+    and above the trace plane and on and above the ground plane.  Either a
+    raster triple, sometimes with 1-3 flat quadrature offsets, or one row
+    of points."""
+    verts = [(draw(lattice), draw(lattice), draw(height.filter(lambda z: z > 0)))]
     for _ in range(draw(st.integers(1, 5))):
         a = verts[-1]
         if kind in ("x", "y"):
@@ -99,7 +100,8 @@ def grounded_cases(draw, kind):
             b = (*draw(st.tuples(lattice, lattice).filter(lambda q: q != a[:2])), a[2])
         verts.append(tuple(b))
     verts = np.array(verts)
-    coord = [st.sampled_from(sorted(set(verts[:, j]))) | lattice for j in range(3)]
+    coord = [st.sampled_from(sorted(set(verts[:, j]))) | axis
+             for j, axis in enumerate((lattice, lattice, height))]
     if draw(st.booleans()):
         xs, ys = (np.array(draw(st.lists(c, min_size=1, max_size=6, unique=True)))
                   for c in coord[:2])
@@ -152,17 +154,16 @@ class TestHSegment:
 
     def test_superposition_midpoint_split(self):
         a, b, mid = (0, 0, 0.01), (0.1, 0.02, 0.01), (0.05, 0.01, 0.01)
-        p = np.reshape((0.03, 0.05, -0.02), (3, 1))
+        p = np.reshape((0.03, 0.05, 0.02), (3, 1))
         for normal in NORMALS:
             whole = segment_kernel((a, b), p, normal)
             parts = segment_kernel((a, mid, b), p, normal)
             assert_allclose(parts.sum(axis=0), whole[0], rtol=1e-12)
 
     def test_singularity_names_segment(self):
-        for z, image in ((1.0, False), (-1.0, True)):
-            with pytest.raises(SingularityError) as err:
-                segment_h((0, 0, 1), (1, 0, 1), (0.5, 0, z))
-            assert (err.value.segment, err.value.image) == (0, image)
+        with pytest.raises(SingularityError) as err:
+            segment_h((0, 0, 1), (1, 0, 1), (0.5, 0, 1.0))
+        assert err.value.segment == 0
 
     def test_finite_segment_closed_form(self):
         # segment [0, L] along x, 0.5 m above the ground plane, points off it
@@ -230,16 +231,15 @@ class TestGroundedTrace:
         assert_allclose(abs(h[1]), 1.0 / (2 * math.pi * 1e-3), rtol=2e-3)
 
     def test_pec_boundary_normal_field_vanishes(self):
-        # zigzag trace; z component of H must vanish on the plane z=0
+        # zigzag trace; z component of H must vanish on the plane z=0, which
+        # the kernel reaches (kernel_blocks takes only points above it)
         r = rng(7)
         z = r.uniform(5e-4, 5e-3)
-        verts = tuple((x, y, z) for x, y in zip(r.uniform(-0.05, 0.05, 6),
-                                                 r.uniform(-0.05, 0.05, 6)))
-        tr = TracePath(vertices=verts)
-        cur = r.uniform(0.5, 2.0, tr.n_segments) * np.exp(1j * r.uniform(0, 6.28, tr.n_segments))
-        pts = np.column_stack([r.uniform(-0.1, 0.1, 100), r.uniform(-0.1, 0.1, 100),
-                               np.zeros(100)])
-        h = h_trace_grounded(tr, cur, pts)
+        verts = np.column_stack([r.uniform(-0.05, 0.05, 6), r.uniform(-0.05, 0.05, 6),
+                                 np.full(6, z)])
+        cur = r.uniform(0.5, 2.0, 5) * np.exp(1j * r.uniform(0, 6.28, 5))
+        pts = (r.uniform(-0.1, 0.1, 100), r.uniform(-0.1, 0.1, 100), np.zeros(100))
+        h = np.column_stack([segment_kernel(verts, pts, normal).T @ cur for normal in NORMALS])
         mag = np.linalg.norm(np.abs(h), axis=1)
         assert np.all(np.abs(h[:, 2]) <= 1e-9 * mag)
 
@@ -265,8 +265,8 @@ class TestGroundedTrace:
     @given(xs=st.lists(lattice, min_size=2, max_size=6, unique=True),
            z=lattice.filter(lambda z: z > 0),
            phases=st.lists(st.floats(0, 6.28), min_size=5, max_size=5),
-           pts=st.lists(st.tuples(lattice, lattice.filter(lambda y: y != 0), lattice),
-                        min_size=1, max_size=6))
+           pts=st.lists(st.tuples(lattice, lattice.filter(lambda y: y != 0),
+                                  height.filter(lambda z: z > 0)), min_size=1, max_size=6))
     def test_mirror_symmetry_about_trace_plane(self, xs, z, phases, pts):
         # a trace on the line y=0, its segments running either way along it:
         # H(x, -y, z) = (-Hx, Hy, -Hz)(x, y, z)
@@ -282,13 +282,42 @@ class TestGroundedTrace:
         with pytest.raises(ConfigError):
             h_trace_grounded(tr, [1.0, 1.0], (0, 0, 2e-3))
 
-    def test_image_singularity_reported(self):
-        # probing exactly on the mirrored filament
-        tr = TracePath(vertices=((-0.1, 0, 2e-3), (0.1, 0, 2e-3)))
-        with pytest.raises(SingularityError) as err:
-            h_trace_grounded(tr, [1.0], (0, 0, -2e-3))
-        assert err.value.image
-        assert (err.value.point, err.value.segment) == (0, 0)
+
+
+class TestFieldDomain:
+    """The image rule gives the field only on or above the ground plane:
+    `kernel_blocks` refuses any other point before a kernel pass."""
+
+    OFF = [(math.nan, 0.0, 2e-3), (0.0, math.inf, 2e-3), (-math.inf, 0.0, 2e-3),
+           (0.0, 0.0, math.nan), (0.0, 0.0, math.inf), (0.0, 0.0, -math.inf),
+           (0.0, 0.0, 0.0), (0.0, 0.0, -1e-3)]
+
+    @staticmethod
+    def no_kernel(monkeypatch):
+        calls = []
+        monkeypatch.setattr(fields, "segment_kernel", lambda *args: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("bad", OFF)
+    def test_h_trace_grounded_names_point(self, monkeypatch, straight_trace, bad):
+        calls = self.no_kernel(monkeypatch)
+        for pts in (bad, [(0.0, 1e-3, 2e-3), bad, (0.0, 0.0, -1.0)]):
+            with pytest.raises(ConfigError) as err:
+                h_trace_grounded(straight_trace, [1.0], pts)
+            assert str(err.value) == (f"field point {list(bad)} must be finite "
+                                      "and above the ground plane z=0")
+        assert not calls
+
+    def test_raster_names_first_point_row_major(self, monkeypatch, straight_trace):
+        calls = self.no_kernel(monkeypatch)
+        probes = (np.array([[0.0, 1e-3, math.inf]]), np.array([[1e-3], [math.nan]]),
+                  np.array([[2e-3]]))
+        with pytest.raises(ConfigError, match=r"^field point \[inf, 0\.001, 0\.002\] "):
+            next(kernel_blocks(straight_trace, probes, "y"))
+        probes = (probes[0][:, :2], probes[1][:1], np.array([[0.0]]))
+        with pytest.raises(ConfigError, match=r"^field point \[0\.0, 0\.001, 0\.0\] "):
+            next(kernel_blocks(straight_trace, probes, "y", offsets=np.zeros((1, 3))))
+        assert not calls
 
 
 class TestClosedForm:
@@ -388,45 +417,22 @@ class TestKernel:
         pts = np.array([[0.5, 5.0, 0], [0.5, 1.0, 0], [0.5, 0.0, 0]])
         # first singular pair in point-major order: point 1 x segment 1
         assert segment_field_sum(starts, ends, cur, pts, 1e-9, np.empty((3, 3), complex)) == 3
-        # the same two filaments as segments 0 and 2 of a polyline in the
-        # ground plane, where each coincides with its image
-        verts = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]])
+        # the same two filaments as segments 0 and 2 of a polyline 1 m over
+        # the ground plane, probed at that height
+        verts = np.array([[1.0, 1, 1], [0, 1, 1], [0, 0, 1], [1, 0, 1]])
+        pts = pts + [0, 0, 1]
         normal = "z"
         with pytest.raises(SingularityError) as err:
             segment_kernel(verts, pts.T, normal)
-        assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
-        # lifted 1 mm over the ground plane and probed 1 mm below it, the
-        # same filaments are the image's segments 0 and 2
-        with pytest.raises(SingularityError) as err:
-            segment_kernel(verts + [0, 0, 1], (pts - [0, 0, 1]).T, normal)
-        assert (err.value.segment, err.value.image) == (0, True)
-        assert "image segment 0" in str(err.value)
+        assert (err.value.point, err.value.segment) == (1, 0)
+        assert str(err.value) == f"field point {pts[1].tolist()} is within 1e-09 m of segment 0"
         # past the first block the index still refers to the caller's points
-        tr = TracePath(vertices=verts + [0, 0, 1])
+        tr = TracePath(vertices=verts)
         nfar = PAIRS // (2 * tr.n_segments)
         far = np.column_stack([np.full(nfar, 0.5), np.full(nfar, 3.0), np.ones(nfar)])
         with pytest.raises(SingularityError) as err:
-            list(kernel_blocks(tr, np.vstack([far, pts + [0, 0, 1]]).T, normal))
-        assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, False)
-        with pytest.raises(SingularityError) as err:
-            list(kernel_blocks(tr, np.vstack([far, pts - [0, 0, 1]]).T, normal))
-        assert (err.value.point, err.value.segment, err.value.image) == (nfar + 1, 0, True)
-
-    def test_earlier_image_hit_reported_first(self):
-        # the real filament is hit at point 2 and its image at point 1: in
-        # point-major order the image comes first, though the real segments
-        # are computed first; swapped, the real one does
-        tr = TracePath(vertices=((-0.1, 0, 2e-3), (0.1, 0, 2e-3), (0.1, 0.1, 2e-3)))
-        pts = np.array([[0, 0.05, 1e-3], [0.1, 0.05, -2e-3], [0, 0, 2e-3]])
-        for normal in NORMALS:
-            with pytest.raises(SingularityError) as err:
-                list(kernel_blocks(tr, pts.T, normal))
-            assert (err.value.point, err.value.segment, err.value.image) == (1, 1, True)
-            assert str(err.value) == (f"field point {pts[1].tolist()} is within 1e-09 m "
-                                      "of image segment 1")
-            with pytest.raises(SingularityError) as err:
-                list(kernel_blocks(tr, pts[[0, 2, 1]].T, normal))
-            assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
+            list(kernel_blocks(tr, np.vstack([far, pts]).T, normal))
+        assert (err.value.point, err.value.segment) == (nfar + 1, 0)
 
     def test_rows_over_several_blocks(self, monkeypatch):
         # a raster whose rows fill three whole blocks and part of a fourth:
@@ -449,7 +455,7 @@ class TestKernel:
         ix, iy = 7, 2 * rows + 3
         with pytest.raises(SingularityError) as err:
             list(kernel_blocks(lead_to(xs[ix], ys[iy], z), probes, "y"))
-        assert (err.value.point, err.value.segment, err.value.image) == (iy * nx + ix, 29, False)
+        assert (err.value.point, err.value.segment) == (iy * nx + ix, 29)
         where = [float(xs[ix]), float(ys[iy]), z]
         assert str(err.value) == f"field point {where} is within 1e-09 m of segment 29"
 
@@ -473,7 +479,7 @@ class TestKernel:
         ix = 2 * step + 10
         with pytest.raises(SingularityError) as err:
             list(kernel_blocks(lead_to(xs[ix], ys[1], z), probes, "z"))
-        assert (err.value.point, err.value.segment, err.value.image) == (nx + ix, 29, False)
+        assert (err.value.point, err.value.segment) == (nx + ix, 29)
 
     def test_near_corner_past_both_segment_ends(self):
         # within 1 nm of the corner vertex but beyond the span of both
@@ -485,8 +491,41 @@ class TestKernel:
         for normal in NORMALS:
             with pytest.raises(SingularityError) as err:
                 segment_kernel(verts, pts.T, normal)
-            assert (err.value.point, err.value.segment, err.value.image) == (1, 0, False)
+            assert (err.value.point, err.value.segment) == (1, 0)
             assert str(err.value) == str(ref.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_h=st.floats(-12.0, -2.0), data=st.data())
+    def test_reference_never_names_image_first(self, log_h, data):
+        # why the kernel searches only the polyline: over planar polylines
+        # at h > 0 and points at z >= 0 within 1 nm of a segment or a
+        # vertex, the 3-vector reference over the polyline's segments and
+        # its image's names a polyline segment at every point it refuses
+        h = 10.0 ** log_h
+        coord = st.floats(-5e-3, 5e-3)
+        verts = [(data.draw(coord), data.draw(coord), h)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            verts.append((data.draw(coord), data.draw(coord), h))
+            assume(math.dist(verts[-1], verts[-2]) > 1e-5)
+        verts = np.array(verts)
+        n = len(verts) - 1
+        mirror = np.array([1.0, 1.0, -1.0])
+        starts = np.vstack([verts[:-1], verts[:-1] * mirror])
+        ends = np.vstack([verts[1:], verts[1:] * mirror])
+        unit = st.floats(-1.0, 1.0)
+        refused = 0
+        for _ in range(data.draw(st.integers(1, 6))):
+            k, t = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from((0.0, 1.0)) | unit)
+            step = np.array([data.draw(unit) for _ in range(3)])
+            p = verts[k] + t * (verts[k + 1] - verts[k])
+            p += data.draw(st.floats(0.0, 1e-9)) * step / max(np.linalg.norm(step), 1.0)
+            p[2] = 0.0 if data.draw(st.integers(0, 9)) < 3 else max(p[2], 0.0)
+            try:
+                vector_kernel(starts, ends, p[None, :], n)
+            except SingularityError as err:
+                assert "image" not in str(err) and err.segment < n
+                refused += 1
+        event(f"points refused: {refused > 0}")
 
     @pytest.mark.parametrize("kind", ["x", "y", "xy"])
     @settings(max_examples=75, deadline=None)
@@ -508,8 +547,7 @@ class TestKernel:
             for normal in NORMALS:
                 with pytest.raises(SingularityError) as err:
                     segment_kernel(verts, triple, normal)
-                assert (err.value.point, err.value.segment, err.value.image) == \
-                    (ref.point, ref.segment, ref.image)
+                assert (err.value.point, err.value.segment) == (ref.point, ref.segment)
                 assert str(err.value) == str(ref)
             return
         for normal in NORMALS:
@@ -521,15 +559,20 @@ class TestKernel:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_matches_vector_kernel(self, case):
-        # the kernel, and the blocks of a trace above z=0, against the
-        # 3-vector kernel over the polyline's segments and its image's and
-        # the flattened points
-        verts, starts, ends, probes, offsets, above = case
+        # the kernel, and the blocks if every probe is above z=0, against
+        # the 3-vector kernel over the polyline's segments and its image's
+        # and the flattened points; blocks with a probe on z=0 are refused
+        verts, starts, ends, probes, offsets = case
         pts = flat_points(probes, offsets)
         triple = kernel_triple(probes, offsets)
         m = 1 if offsets is None else 1 + len(offsets)
         n = len(verts) - 1
-        ways = (False, True) if above else (False,)
+        ways = (False, True)
+        if (np.asarray(probes[2]) == 0).any():
+            ways = (False,)
+            for normal in NORMALS:
+                with pytest.raises(ConfigError, match="above the ground plane z=0"):
+                    list(kernel_blocks(TracePath(vertices=verts), probes, normal, offsets))
 
         def kernel(normal, blocks):
             if not blocks:
@@ -547,8 +590,7 @@ class TestKernel:
                         kernel(normal, blocks)
                     # kernel_blocks names the probe, the kernel the point
                     point = ref.point // m if blocks else ref.point
-                    assert (err.value.point, err.value.segment, err.value.image) == \
-                        (point, ref.segment, ref.image)
+                    assert (err.value.point, err.value.segment) == (point, ref.segment)
                     assert str(err.value) == str(ref)
             return
         for normal in NORMALS:
@@ -560,7 +602,7 @@ class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     def test_polyline_columns_equal_segment_calls(self, case):
-        verts, _, _, probes, offsets, _ = case
+        verts, _, _, probes, offsets = case
         triple = kernel_triple(probes, offsets)
         for normal in NORMALS:
             try:
@@ -573,7 +615,7 @@ class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     def test_reversed_segment_negates_column(self, case):
-        verts, _, _, probes, offsets, _ = case
+        verts, _, _, probes, offsets = case
         triple = kernel_triple(probes, offsets)
         try:
             fwd = [segment_kernel(verts, triple, normal) for normal in NORMALS]

@@ -171,6 +171,14 @@ class TestInvariants:
         with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
             m.FrequencySweep(f_min=f_min, f_max=f_max)
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("f_min, f_max", [(1e8, 3e9), (0.7e9, 0.7e9 * (1 + 2e-16)),
+                                              (3.3e9, 1e15)])
+    def test_one_point_sweep_is_f_min(self, spacing, f_min, f_max):
+        # one point is f_min exactly, bit for bit, whatever f_max is
+        f = m.FrequencySweep(f_min=f_min, f_max=f_max, n_points=1, spacing=spacing).frequencies()
+        assert f.dtype == float and f.tobytes() == np.array([f_min]).tobytes()
+
     def test_drive_positive(self):
         with pytest.raises(ConfigError):
             m.DriveSpec(power=0.0)

@@ -6,10 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, DriveSpec, FrequencySweep, LoopProbe, SingularityError,
-                    current_distribution, h_trace_grounded, probe_transfer)
+                    TracePath, current_distribution, h_trace_grounded, probe_transfer)
 from nfscan import fields
 
 from conftest import H_SUB, MU0, SCAN_HEIGHT, port_oracle
+from kernel_reference import segment_arrays, stokes_flux_z
 
 F = 0.5e9
 ONE_F = FrequencySweep(f_min=F, f_max=F, n_points=1)
@@ -61,6 +62,26 @@ class TestLoopFlux:
         f4, f8, f16, f32 = (s21_at(probe, OVER, straight_trace, substrate, drive, quad_n=n)
                             for n in (4, 8, 16, 32))
         assert abs(f8 - f4) >= abs(f16 - f8) >= abs(f32 - f16)
+
+    @pytest.mark.parametrize("y", [0.5e-3, 1e-3, 3e-3])
+    def test_node_grid_matches_stokes_flux(self, substrate, drive, y):
+        # table3's trace (30 segments of 1 mm) at 2 GHz, a z-normal loop 1 mm
+        # above it and off its centreline: the node grid's flux against the
+        # loop integral of A (64 nodes per edge).  Measured: quad_n 32 within
+        # 2.1e-12 dB, quad_n 16 -1.4e-5 / -1.5e-6 / -6.8e-14 dB at y = 0.5 /
+        # 1 / 3 mm
+        trace = TracePath(vertices=[(x, 0.0, H_SUB) for x in np.linspace(-15e-3, 15e-3, 31)])
+        f = 2e9
+        center = (0.0, y, H_SUB + SCAN_HEIGHT)
+        probe = LoopProbe(normal="z", aperture="integrated")
+        currents = current_distribution(trace, f, drive, substrate)
+        flux = stokes_flux_z(*segment_arrays(trace), currents, center, probe.side_s)
+        want = abs(port_oracle(flux, f, probe, drive)[1])
+        sweep = FrequencySweep(f_min=f, f_max=f, n_points=1)
+        for quad_n, tol_db in ((32, 1e-9), (16, 1e-4)):
+            got = probe_transfer(trace, substrate, replace(probe, quad_n=quad_n), center, sweep,
+                                 drive)[1][0]
+            assert abs(20 * math.log10(abs(got) / want)) <= tol_db
 
     def test_quad_n_minimum(self):
         with pytest.raises(ConfigError):
@@ -210,3 +231,21 @@ class TestProbeTransfer:
         _, s_point = probe_transfer(straight_trace, substrate, cal_probe, OVER, sweep, drive)
         _, s_avg = probe_transfer(straight_trace, substrate, probe_avg, OVER, sweep, drive)
         assert abs(s_avg[0]) < 0.75 * abs(s_point[0])
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0, 2.6e-3), (0.0, math.inf, 2.6e-3),
+                                        (-math.inf, 0.0, 2.6e-3), (0.0, 0.0, math.nan),
+                                        (0.0, 0.0, math.inf), (0.0, 0.0, 0.0),
+                                        (0.0, 0.0, -1e-3)])
+    @pytest.mark.parametrize("aperture", ["uniform", "integrated"])
+    def test_center_off_the_field_domain_rejected(self, monkeypatch, cal_probe, straight_trace,
+                                                  substrate, drive, center, aperture):
+        # not finite, or not above the ground plane: refused, naming the
+        # center, before any kernel pass
+        calls = []
+        monkeypatch.setattr(fields, "segment_kernel", lambda *args: calls.append(args))
+        probe = replace(cal_probe, aperture=aperture)
+        with pytest.raises(ConfigError) as err:
+            probe_transfer(straight_trace, substrate, probe, center, ONE_F, drive)
+        assert str(err.value) == (f"field point {list(center)} must be finite "
+                                  "and above the ground plane z=0")
+        assert not calls
