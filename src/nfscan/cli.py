@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import itertools
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -20,9 +23,9 @@ import numpy as np
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
 from .config import center_over_trace, load_config, path_error, read_text as _read_text
-from .errors import SingularityError
-from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone,
-                      render_pgm, write_cf_csv, write_map_csv, write_profile_csv,
+from .errors import ConfigError, SingularityError
+from .formats import (NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
+                      write_cf_csv, write_map_csv, write_map_stack, write_profile_csv,
                       write_touchstone)
 from .scan import (apply_calibration_to_scan, extract_profile, map_stats, probe_transfer,
                    run_simulated_scan)
@@ -59,41 +62,115 @@ _DB_FLOOR = 1e-15
 _DB_FLOOR_DB = 20.0 * math.log10(_DB_FLOOR)
 
 
-def _db_map(values, *, grid, f, component, meta):
-    """Complex (ny, nx) values -> dB-magnitude map (|.| clipped to a representable floor)."""
-    vals = 20.0 * np.log10(np.maximum(np.abs(values), _DB_FLOOR))
-    vals.flags.writeable = False  # kept by the FieldMap without a copy
-    return FieldMap(grid=grid, f=f, component=component, values=vals, meta=meta)
+def _db_stack(values, out):
+    """dB magnitudes of the complex array `values` into the float array
+    `out` of its shape (|.| clipped to a representable floor), in one pass
+    over a whole stack of maps, each double as a map on its own would get
+    it.  Returns the count of clipped cells."""
+    np.abs(values, out=out)
+    np.maximum(out, _DB_FLOOR, out=out)
+    np.log10(out, out=out)
+    np.multiply(20.0, out, out=out)
+    if not np.isfinite(out).all():
+        raise ConfigError("dB map contains non-finite values")
+    return int(np.count_nonzero(out <= _DB_FLOOR_DB))
+
+
+def _stage_dir(out):
+    """Make the directory `simulate` writes into before it publishes to
+    `out`; return it and the path to rename it onto, or None to rename its
+    files into the existing directory `out`.
+
+    A new `out` is staged beside itself, with any missing parents made; an
+    existing one inside itself, so that its files move within one file
+    system (a mount point too) and its parent need not be writable.  A
+    ConfigError names `out` with the reason os.makedirs(out) would give.
+    """
+    try:
+        target = None
+        if not os.path.isdir(out):
+            head, tail = os.path.split(out.rstrip(os.sep))
+            if tail in ("", os.curdir, os.pardir):
+                os.makedirs(out, exist_ok=True)  # "" fails; "a/.." is made as before
+            elif os.path.lexists(out):
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
+            else:
+                target = os.path.join(head, tail)
+        base = os.path.join(out, ".nfscan") if target is None else os.path.join(head, "." + tail)
+        for n in itertools.count():
+            stage = f"{base}.{os.getpid()}.{n}.tmp"
+            try:
+                os.makedirs(stage)
+                return stage, target
+            except FileExistsError:
+                if not os.path.lexists(stage):
+                    raise
+                # left by a killed run whose process id this one has
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in out
+        raise path_error("cannot create output directory", out, exc) from None
+
+
+def _write_staged(stage, out, name, data):
+    """Write the bytes `data` to `name` in the staging directory `stage`;
+    a ConfigError names the file's place in `out`."""
+    try:
+        with open(os.path.join(stage, name), "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise path_error("cannot write", os.path.join(out, name), exc) from None
+
+
+def _move(src, dst):
+    """os.replace(src, dst); a ConfigError names `dst`."""
+    try:
+        os.replace(src, dst)
+    except OSError as exc:
+        raise path_error("cannot write", dst, exc) from None
 
 
 def cmd_simulate(args):
+    """Scan, then write every map and provenance.json into a staging
+    directory (`_stage_dir`) and publish them: a new --out by one rename of
+    that directory, an existing one by renaming each file into it.  A
+    failure before that leaves --out as it was, and the staging directory
+    is removed in any case.  Each observable's maps are made as one stack:
+    one dB pass into a buffer the three share, one header and one `repr`
+    row scan (`formats.write_map_stack`), and each map's bytes are written
+    as they are, with no temporary file of their own.
+    """
     cfg = load_config(args.config)
+    stage, target = _stage_dir(args.out)
     try:
-        os.makedirs(args.out, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise path_error("cannot create output directory", args.out, exc) from None
-    result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
-                                cfg.sweep, cfg.drive)
-    comp = result.component
-    maps = (("s21_db", result.s21, "s21", {}),
-            ("v_dbv", result.vport, "vport", {"normal": comp}),
-            (f"{comp}_dba_m", result.hfield, comp, {}))
-    clipped = cells = 0
-    for i, f_hz in enumerate(result.freqs):
-        tag = _freq_tag(i, f_hz)
-        for prefix, values, component, meta in maps:
-            fmap = _db_map(values[i], grid=result.grid, f=float(f_hz), component=component,
-                           meta=meta)
-            clipped += int(np.count_nonzero(fmap.values <= _DB_FLOOR_DB))
-            cells += fmap.values.size
-            _write_text(os.path.join(args.out, f"{prefix}_{tag}.csv"), write_map_csv(fmap))
-    if clipped:
-        print(f"warning: {clipped} of {cells} map cells clipped to the {_DB_FLOOR_DB:g} dB floor",
-              file=sys.stderr)
-    provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
-                  "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
-    _write_text(os.path.join(args.out, "provenance.json"),
-                json.dumps(provenance, sort_keys=True, indent=2) + "\n")
+        result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
+                                    cfg.sweep, cfg.drive)
+        comp = result.component
+        tags = [_freq_tag(i, f_hz) for i, f_hz in enumerate(result.freqs)]
+        db = np.empty(result.s21.shape)
+        files, clipped = [], 0
+        for prefix, values, component, meta in (
+                ("s21_db", result.s21, "s21", {}),
+                ("v_dbv", result.vport, "vport", {"normal": comp}),
+                (f"{comp}_dba_m", result.hfield, comp, {})):
+            clipped += _db_stack(values, db)
+            stack = write_map_stack(result.grid, result.freqs, component, db, meta)
+            for tag, data in zip(tags, stack):
+                files.append(f"{prefix}_{tag}.csv")
+                _write_staged(stage, args.out, files[-1], data)
+        if clipped:
+            print(f"warning: {clipped} of {3 * db.size} map cells clipped to the "
+                  f"{_DB_FLOOR_DB:g} dB floor", file=sys.stderr)
+        provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
+                      "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
+        files.append("provenance.json")
+        _write_staged(stage, args.out, files[-1],
+                      (json.dumps(provenance, sort_keys=True, indent=2) + "\n").encode())
+        if target is not None:
+            _move(stage, target)
+        else:
+            for name in files:
+                _move(os.path.join(stage, name), os.path.join(args.out, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return 0
 
 

@@ -269,19 +269,23 @@ def current_distribution(trace: TracePath, f, drive: DriveSpec, substrate: Subst
     short:    standing wave |I| ~ |cos(beta*l')| (current antinode at the
               short).
 
-    beta = 2*pi*f*sqrt(eps_eff)/c with the Hammerstad eps_eff.
+    beta = 2*pi*f*sqrt(eps_eff)/c with the Hammerstad eps_eff.  `f` is one
+    frequency, giving (segments,) currents, or a sweep's 1-D array of
+    them, giving (segments, nf): the trace's geometry is then worked out
+    once, and each column holds the same doubles as a call at its frequency.
     """
-    if f <= 0:
+    f = np.asarray(f, dtype=float)
+    if np.any(f <= 0):
         raise ConfigError("frequency must be > 0")
     i0 = math.sqrt(drive.power / trace.z0_line)
     eps_eff = eps_eff_hammerstad(substrate.eps_r, substrate.h, trace.width)
     beta = 2.0 * math.pi * f * math.sqrt(eps_eff) / C_LIGHT
     mid = trace.arclengths()
     if trace.termination == "matched":
-        return i0 * np.exp(-1j * beta * mid)
+        return i0 * np.exp(-1j * np.multiply.outer(mid, beta))
     verts = np.asarray(trace.vertices, dtype=float)
     total = float(np.linalg.norm(np.diff(verts, axis=0), axis=1).sum())
-    from_end = total - mid
+    phase = np.multiply.outer(total - mid, beta)
     if trace.termination == "open":
-        return i0 * np.sin(beta * from_end).astype(complex)
-    return i0 * np.cos(beta * from_end).astype(complex)  # short
+        return i0 * np.sin(phase).astype(complex)
+    return i0 * np.cos(phase).astype(complex)  # short

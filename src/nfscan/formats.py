@@ -10,7 +10,7 @@ Every text parser reads its lines from `_lines`: lines end at "\n" (a
 CRLF's "\r" is stripped as padding; a bare "\r" does not end a line,
 and a file whose lines bare "\r"s end is an error that says so),
 and a file holding one of the ASCII separators "\x1c"-"\x1f" is an
-error naming that line.  Every CSV is written by `_write_table`, and
+error naming that line.  Every CSV body is written by `_rows`, and
 every CSV is read by `_read_table` (header keys and numbers) and
 `_read_body` (cells), so map and CF tables share one set of rules and
 error texts.
@@ -24,6 +24,12 @@ core).  orjson spells a double as `repr` does except for 0 < |x| < 1e-4
 and |x| >= 1e16 ("0.00005", "1e16" for "5e-05", "1e+16"); the rows
 holding such a cell are written with `repr`, which is what keeps every
 file byte-identical to one `repr` per cell.
+
+Maps are written a stack at a time (`write_map_stack`): the maps of one
+observable over a sweep share their grid, component and meta, so the
+header lines but f_hz and the scan for rows needing `repr` are done once
+per stack, and each map is made as bytes.  `write_map_csv` is its
+one-map case, decoded to text.
 
 A cell parses if `float()` accepts it and the result is finite;
 surrounding whitespace and `1_0` are accepted.  A bad cell raises
@@ -279,30 +285,64 @@ _MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "
 
 
 def write_map_csv(fmap: FieldMap):
-    nums = {**vars(fmap.grid), "f_hz": fmap.f}
-    items = [(key, _rfmt(nums[key])) for key in _MAP_FLOAT_KEYS]
-    items += [("component", fmap.component), ("value_kind", "db")]
-    items += [(f"meta.{key}", fmap.meta[key]) for key in sorted(fmap.meta)]
-    return _write_table(MAP_MAGIC, items, fmap.values)
+    """The map CSV text of one FieldMap: `write_map_stack` with one map."""
+    (data,) = write_map_stack(fmap.grid, [fmap.f], fmap.component, fmap.values[None],
+                              fmap.meta)
+    return data.decode("utf-8", "surrogatepass")
+
+
+def write_map_stack(grid, freqs, component, values, meta):
+    """Yield the UTF-8 bytes of the map CSV of each frequency of a stack.
+
+    `values` is an (nf, ny, nx) array of finite dB values, map k at
+    `freqs[k]`, every map over `grid` with the same `component` and
+    `meta`, all as a FieldMap would hold them: the caller has checked
+    them (a FieldMap, or `cli.cmd_simulate` once per stack).  The header
+    lines but f_hz and the scan for rows spelled with `repr` (`_repr_rows`)
+    are done once per stack; each map is then its f_hz line and its rows.
+    """
+    nums = vars(grid)
+    head = "".join([f"# {MAP_MAGIC}\n", *(f"# {key}: {_rfmt(nums[key])}\n"
+                                         for key in _MAP_FLOAT_KEYS[:-1]), "# f_hz: "])
+    tail = "".join([f"\n# component: {component}\n# value_kind: db",
+                    *(f"\n# meta.{key}: {meta[key]}" for key in sorted(meta))])
+    # surrogatepass: write_map_csv gives back any meta text as it was given
+    head, tail = (t.encode("utf-8", "surrogatepass") for t in (head, tail))
+    values = np.ascontiguousarray(values)
+    ny = values.shape[1]
+    odd = {}
+    for r in _repr_rows(values.reshape(-1, values.shape[2])):
+        odd.setdefault(r // ny, []).append(r % ny)
+    for k, f_hz in enumerate(freqs):
+        rows = _rows(values[k], odd.get(k, ()))
+        rows.insert(0, b"".join([head, _rfmt(f_hz).encode(), tail]))
+        rows.append(b"")
+        data = b"\n".join(rows)
+        del rows
+        yield data
 
 
 def _write_table(magic, items, values):
     """CSV text: '# magic', a '# key: value' line per (key, text) item,
-    then the rows of the 2-D float array `values`, each cell its `repr`."""
+    then the rows of the 2-D float array `values` (`_rows`)."""
     header = "\n".join([f"# {magic}", *(f"# {key}: {val}" for key, val in items)])
-    # One orjson call per row, "[a,b]" sliced to "a,b", with `repr`'s
-    # digits; the rows it spells differently (_repr_rows) are redone with
-    # `repr`.  Each copy is dropped before the next is made, so the writer
-    # peaks below 3x the text it returns: 39 MB for the 19 MB of a
-    # 1001 x 1001 map (tracemalloc), 2.0x.
     values = np.ascontiguousarray(values)
-    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in values]
-    for r in _repr_rows(values):
-        rows[r] = ",".join(map(repr, values[r].tolist())).encode()
-    body = b"\n".join(rows)
-    del rows
+    body = b"\n".join(_rows(values, _repr_rows(values)))
     body = str(body, "ascii")
     return "".join([header, "\n", body, "\n"])
+
+
+def _rows(values, odd):
+    """The bytes of each row of the C-contiguous 2-D float array `values`,
+    each cell its `repr`: the rows listed in `odd` (see `_repr_rows`)
+    are written with `repr`, the others by one orjson call each, "[a,b]"
+    sliced to "a,b".  A map writer peaks near 2x the text it returns: 39 MB
+    for the 19 MB of a 1001 x 1001 map (tracemalloc), the rows and their join.
+    """
+    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in values]
+    for r in odd:
+        rows[r] = ",".join(map(repr, values[r].tolist())).encode()
+    return rows
 
 
 def _repr_rows(values):

@@ -105,8 +105,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     sqrt(port_z x drive power).  A SingularityError carries the index of
     the center, numbered row-major.
     """
-    currents = np.stack([current_distribution(trace, f, drive, substrate) for f in freqs],
-                        axis=1)
+    currents = current_distribution(trace, freqs, drive, substrate)
     # Real and imaginary parts as one real matrix: one complex einsum took
     # 87-121 ms per table3 0.1 mm scan, this split 60-76 ms (medians of 7,
     # a shared 2-core x86-64 host).

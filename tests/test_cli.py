@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import errno
 import glob
 import io
@@ -252,6 +253,95 @@ class TestSimulate:
         out.write_text("")
         assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
         assert f"cannot create output directory {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    @pytest.mark.parametrize("fail", ["map-0", "map-2", "scan"])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, fail,
+                                             existing):
+        """A run that fails after k maps (exit 2) or in the scan (exit 3)
+        publishes nothing and leaves no staging directory."""
+        out = tmp_path / "parent" / "o"
+        before = None
+        if existing:
+            before = simulate_files(TABLE2, out)
+            (out / "keep.txt").write_text("kept\n")
+            before["keep.txt"] = b"kept\n"
+        cfg = TABLE2
+        if fail == "scan":
+            cfg = write_config(tmp_path, probe={"height": 1e-10})
+        else:
+            real, k, written = cli.write_map_stack, int(fail[-1]), []
+
+            def failing(*args):
+                for data in real(*args):
+                    if len(written) == k:
+                        raise ConfigError("writer failed")
+                    written.append(data)
+                    yield data
+
+            monkeypatch.setattr(cli, "write_map_stack", failing)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == (
+            3 if fail == "scan" else 2)
+        if fail != "scan":
+            assert len(written) == int(fail[-1])
+            assert capsys.readouterr().err == "error: writer failed\n"
+        if existing:
+            assert {p: (out / p).read_bytes() for p in os.listdir(out)} == before
+        else:
+            assert not out.exists()
+        assert [name for _, dirs, files in os.walk(tmp_path) for name in dirs + files
+                if name.endswith(".tmp")] == []
+
+    @pytest.mark.parametrize("kind, reason", [("file", "File exists"),
+                                              ("under-file", "Not a directory"),
+                                              ("empty", "No such file or directory")])
+    def test_out_errors_keep_their_texts(self, tmp_path, capsys, monkeypatch, kind, reason):
+        (tmp_path / "taken").write_text("")
+        out = {"file": "taken", "under-file": "taken/o", "empty": ""}[kind]
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", TABLE2, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot create output directory {out}: {reason}\n"
+        assert os.listdir(tmp_path) == ["taken"]
+
+    def test_out_through_a_missing_directory_and_back(self, tmp_path):
+        # "missing/.." is made as os.makedirs makes it, then written into
+        assert main(["simulate", "--config", TABLE2,
+                     "--out", str(tmp_path / "missing" / "..")]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["hy_dba_m_000_2GHz.csv", "missing",
+                                                "provenance.json", "s21_db_000_2GHz.csv",
+                                                "v_dbv_000_2GHz.csv"]
+
+    def test_existing_out_gets_the_files_of_a_fresh_one(self, tmp_path):
+        fresh = simulate_files(TABLE3, tmp_path / "fresh")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_bytes(b"kept")
+        (out / "s21_db_000_2GHz.csv").write_bytes(b"stale")
+        assert simulate_files(TABLE3, out) == {**fresh, "keep.txt": b"kept"}
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "o"]
+
+    def test_staging_name_left_by_a_killed_run_is_passed_over(self, tmp_path):
+        left = tmp_path / f".o.{os.getpid()}.0.tmp"
+        left.mkdir()
+        (left / "stale.csv").write_text("stale")
+        files = simulate_files(TABLE2, tmp_path / "o")
+        assert "stale.csv" not in files
+        assert sorted(os.listdir(tmp_path)) == [left.name, "o"]
+
+    def test_non_finite_db_map_exits_2(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_simulated_scan
+
+        def overflowing(*args):
+            result = real(*args)
+            hfield = result.hfield.copy()
+            hfield[0, 3, 0] = complex(math.inf, 0.0)
+            return dataclasses.replace(result, hfield=hfield)
+
+        monkeypatch.setattr(cli, "run_simulated_scan", overflowing)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dB map contains non-finite values\n"
+        assert os.listdir(tmp_path) == []
 
     def test_singular_scan_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, probe={"height": 1e-10})

@@ -377,6 +377,18 @@ class TestCurrentDistribution:
         cur_s = current_distribution(tr_s, 1e9, drive, substrate)
         assert abs(cur_s[-1]) > 0.95 * np.max(np.abs(cur_s))
 
+    @pytest.mark.parametrize("termination", ["matched", "open", "short"])
+    def test_sweep_matches_per_frequency_calls(self, substrate, drive, termination):
+        # a bent trace of unequal segments, so the arclengths are unevenly spaced
+        xs = np.concatenate([np.linspace(0.0, 0.03, 23), 0.03 + np.geomspace(1e-3, 0.02, 17)])
+        tr = TracePath(vertices=tuple((x, 0.1 * x * x, H_SUB) for x in xs),
+                       termination=termination)
+        freqs = np.linspace(0.1e9, 3e9, 31)
+        cur = current_distribution(tr, freqs, drive, substrate)
+        assert cur.shape == (tr.n_segments, 31) and cur.dtype == complex
+        each = np.stack([current_distribution(tr, f, drive, substrate) for f in freqs], axis=1)
+        assert cur.tobytes() == each.tobytes()
+
     def test_unknown_termination_rejected(self):
         with pytest.raises(ConfigError):
             TracePath(vertices=((0, 0, 1e-3), (0.1, 0, 1e-3)), termination="load")

@@ -496,6 +496,24 @@ def field_maps(draw):
     return _db_map(cells.reshape(ny, nx))
 
 
+def _stack(values, component="vport", meta=(("normal", "hy"),)):
+    """A `write_map_stack` argument tuple: the maps of `values` (nf, ny, nx)
+    at 1, 2, ... GHz over synth_map's grid for their shape."""
+    nf, ny, nx = values.shape
+    return (synth_map(nx=nx, ny=ny).grid, [1e9 * (k + 1) for k in range(nf)], component,
+            values, dict(meta))
+
+
+@st.composite
+def map_stacks(draw):
+    nf, ny, nx = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = st.one_of(_DOUBLES, st.just(-300.0), st.floats(-1e-4, 1e-4))
+    values = np.array(draw(st.lists(cells, min_size=nf * ny * nx, max_size=nf * ny * nx)))
+    component, meta = draw(st.sampled_from([("vport", (("normal", "hy"),)), ("s21", ()),
+                                            ("hz", ())]))
+    return _stack(values.reshape(nf, ny, nx), component, meta)
+
+
 _TO_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 _TO_FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
 _PAD = st.text(" \t\u00a0\u2003", max_size=2)
@@ -567,6 +585,20 @@ class TestMapCsvBytes:
         back = parse_map_csv(text)
         assert back.values.dtype == fmap.values.dtype
         assert back.values.tobytes() == fmap.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(map_stacks())
+    @example(_stack(np.array([[[-300.0]]])))                       # nf = 1, 1 x 1, the floor
+    @example(_stack(np.array([[[-5e-05, -300.0]], [[-20.5, 1e-7]]])))  # `repr` rows
+    @example(_stack(np.array(_SPECIAL[:20]).reshape(2, 5, 2)))
+    def test_stack_writer_matches_one_map_writers(self, stack):
+        grid, freqs, component, values, meta = stack
+        written = list(formats.write_map_stack(grid, freqs, component, values, meta))
+        assert len(written) == len(freqs)
+        for f_hz, vals, data in zip(freqs, values, written):
+            fmap = FieldMap(grid=grid, f=f_hz, component=component, values=vals, meta=meta)
+            assert data == write_map_csv_per_cell(fmap).encode()
+            assert data == write_map_csv(fmap).encode()
 
     def test_peak_memory_below_three_texts(self):
         # the writer peaks at 2.01x the text here (tracemalloc, 39.1 MB for 19.5 MB)
