@@ -9,7 +9,8 @@ measured transmission coefficient as
 where G is a geometry factor of the reference setup (trace height h above
 its ground plane, probe-to-conductor distance d) and 34 is the standard's
 wave-normalization constant (close to 10*log10(50 ohm * 50 ohm)), which
-holds for a 50 ohm port only: `calibrate` rejects other references.
+holds for a 50 ohm port only: the Touchstone reader rejects other
+references.
 
 Two geometry kernels are provided because the published forms disagree:
 
@@ -128,17 +129,15 @@ def field_from_voltage(v_db, cf_db, sign_mode="eq1-consistent"):
 def calibrate(network, d, h, kernel="paper"):
     """Antenna-factor table from a probe's S21 sweep.
 
-    `network` is a NetworkData with R = 50 ohm; S21 must be non-zero at
-    every row, since CF is a dB quantity.
+    `network` is a NetworkData (50 ohm ports); S21 must be non-zero at
+    every row, since CF is a dB quantity.  Every row is checked before the
+    geometry term is taken, so a bad row is reported before a bad d or h.
     """
-    if network.z_ref != 50.0:
-        raise ConfigError(f"network reference impedance is R {network.z_ref!r} ohm; the CF "
-                          f"formula's {STANDARD_CONSTANT_DB:g} dB constant assumes R 50")
-    cf = np.empty(len(network.f), dtype=float)
+    s21_db = np.empty(len(network.f), dtype=float)
     for i, (f, s21) in enumerate(zip(network.f, network.s21)):
         mag = abs(s21)
         if mag <= 0 or not math.isfinite(mag):
             raise ParseError(f"row {i} (f={f} Hz): S21 magnitude {mag} has no dB value")
-        cf[i] = cf_from_s21(20.0 * math.log10(mag), d, h, kernel)
-    return CFTable(f=np.asarray(network.f, dtype=float), cf_db=cf,
+        s21_db[i] = 20.0 * math.log10(mag)
+    return CFTable(f=network.f, cf_db=cf_from_s21(s21_db, d, h, kernel),
                    kernel=kernel, d=d, h=h)

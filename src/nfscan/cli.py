@@ -178,7 +178,7 @@ def cmd_probe_transfer(args):
     cfg = load_config(args.config)
     center = center_over_trace(cfg.trace, cfg.substrate, cfg.grid.z_height)
     freqs, s21 = probe_transfer(cfg.trace, cfg.substrate, cfg.probe, center, cfg.sweep, cfg.drive)
-    net = NetworkData(f=freqs, s21=s21, z_ref=cfg.probe.port_z)
+    net = NetworkData(f=freqs, s21=s21)
     _write_text(args.out, write_touchstone(net))
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibration import KERNELS, SIGN_MODES
 from .errors import ConfigError
-from .model import DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath
+from .model import Z_REF, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath
 
 _REQUIRED = object()
 
@@ -243,7 +243,7 @@ def build_config(doc):
     if height <= 0:
         raise ConfigError("probe.height: must be > 0")
     probe = LoopProbe(normal=p.take("normal", "y", kind=str),
-                      side_s=p.length("side", 4.0), port_z=p.take("port_z", 50.0),
+                      side_s=p.length("side", 4.0),
                       loading=p.take("loading", "matched-halving", kind=str),
                       quad_n=p.take("quad_n", 8, kind=int),
                       aperture=p.take("aperture", "uniform", kind=str))
@@ -278,17 +278,14 @@ def build_config(doc):
         power = _dbm_to_w(dbm)
     except OverflowError:
         power = math.inf
-    if not 0 < power < math.inf:
+    # The chain takes sqrt(power / z0) as the line current and divides by
+    # sqrt(Z_REF x power) for S21.
+    if not 0 < Z_REF * power < math.inf:
         raise ConfigError(f"drive.power_dbm: {dbm!r} dBm is out of range")
     drive = DriveSpec(power=power)
-    # The chain takes sqrt(power / z0) as the line current and divides by
-    # sqrt(port_z x power) for S21.
     if not math.isfinite(power / trace.z0_line):
         raise ConfigError(f"trace.z0: {trace.z0_line!r} ohm is out of range: drive power "
                           f"{power!r} W / z0 overflows a double")
-    if not 0 < probe.port_z * power < math.inf:
-        raise ConfigError(f"probe.port_z: {probe.port_z!r} ohm is out of range: port_z x drive "
-                          f"power {power!r} W is {probe.port_z * power!r}")
     d.drop("source_z", positive=True)
     d.done()
 

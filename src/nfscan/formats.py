@@ -59,9 +59,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .calibration import CFTable
+from .calibration import STANDARD_CONSTANT_DB, CFTable
 from .errors import ConfigError, ParseError
-from .model import ScanGrid, readonly
+from .model import Z_REF, ScanGrid, readonly
 
 MAP_MAGIC = "nfscan-map 1"
 CF_MAGIC = "nfscan-cf 1"
@@ -117,20 +117,17 @@ def _lines(text):
 
 @dataclass(frozen=True)
 class NetworkData:
-    """A probe's transmission sweep: S21 against frequency, with the
-    reference impedance of its ports."""
+    """A probe's transmission sweep: S21 against frequency, referred to
+    Z_REF (50 ohm) at both ports."""
 
     f: np.ndarray        # Hz, strictly increasing
     s21: np.ndarray      # complex, one value per frequency
-    z_ref: float = 50.0
 
     def __post_init__(self):
         f = readonly(self.f, float)
         s21 = readonly(self.s21, complex)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "s21", s21)
-        if not 0 < self.z_ref < math.inf:
-            raise ConfigError("network: z_ref must be finite and > 0")
         if f.ndim != 1 or s21.shape != f.shape:
             raise ConfigError(f"network: S21 shape {s21.shape} does not match {len(f)} "
                               "frequencies")
@@ -146,14 +143,14 @@ def parse_touchstone(text):
     Option line "# <unit> S <fmt> R <z>" with units Hz/kHz/MHz/GHz and
     formats RI, MA (magnitude, angle in degrees) or DB (20*log10
     magnitude, angle in degrees); any token may be omitted (defaults GHz,
-    MA, 50); it must come before the first data row.  '!' starts a
+    MA, 50); it must come before the first data row.  R must be Z_REF
+    (50 ohm), the reference the CF formula assumes.  '!' starts a
     comment.  Each row is a frequency and the pairs S11 S21 S12 S22;
     every pair is decoded and must be finite, and S21 is kept.  Errors
     carry the offending line number.
     """
     unit = 1e9
     fmt = "ma"
-    z_ref = 50.0
     saw_option = False
     freqs = []
     s21 = []
@@ -167,7 +164,7 @@ def parse_touchstone(text):
             if freqs:
                 raise ParseError("option line after a data row", line=lineno)
             saw_option = True
-            unit, fmt, z_ref = _parse_option_line(line, lineno)
+            unit, fmt = _parse_option_line(line, lineno)
             continue
         tokens = line.split()
         try:
@@ -190,13 +187,12 @@ def parse_touchstone(text):
         s21.append(row[1])
     if not freqs:
         raise ParseError("no data rows")
-    return NetworkData(f=np.array(freqs), s21=np.array(s21), z_ref=z_ref)
+    return NetworkData(f=np.array(freqs), s21=np.array(s21))
 
 
 def _parse_option_line(line, lineno):
     unit = 1e9
     fmt = "ma"
-    z_ref = 50.0
     tokens = line[1:].split()
     i = 0
     while i < len(tokens):
@@ -213,17 +209,18 @@ def _parse_option_line(line, lineno):
             if i + 1 >= len(tokens):
                 raise ParseError("'R' with no resistance value", line=lineno)
             try:
-                z_ref = float(tokens[i + 1])
+                r = float(tokens[i + 1])
             except ValueError:
                 raise ParseError(f"bad resistance value {tokens[i + 1]!r}", line=lineno) from None
-            if not 0 < z_ref < math.inf:
-                raise ParseError(f"reference impedance must be finite and > 0, got {z_ref}",
+            if r != Z_REF:
+                raise ParseError(f"reference impedance is R {r!r} ohm; the CF formula's "
+                                 f"{STANDARD_CONSTANT_DB:g} dB constant assumes R {Z_REF:g}",
                                  line=lineno)
             i += 1
         else:
             raise ParseError(f"unknown option token {tokens[i]!r}", line=lineno)
         i += 1
-    return unit, fmt, z_ref
+    return unit, fmt
 
 
 def _decode_pair(a, b, fmt):
@@ -236,7 +233,7 @@ def _decode_pair(a, b, fmt):
 def write_touchstone(net: NetworkData):
     """A sweep as 2-port Touchstone v1 text in GHz and RI, with S11 =
     S22 = 0 and S12 = S21; a ConfigError names two frequencies written alike."""
-    lines = ["! ports: 2", f"# GHz S RI R {_gfmt(net.z_ref)}"]
+    lines = ["! ports: 2", f"# GHz S RI R {_gfmt(Z_REF)}"]
     for k, (f_hz, s21) in enumerate(zip(net.f, net.s21)):
         ghz = _gfmt(f_hz / 1e9)
         if k and ghz == _gfmt(net.f[k - 1] / 1e9):
@@ -368,11 +365,9 @@ def parse_map_csv(text):
     try:
         grid = ScanGrid(*nums[:-1])
     except ConfigError as exc:
-        # ScanGrid names a config key, "grid.<field>: ..." ("grid.x" for the
-        # x extent); a map names the header key, the step for an extent.
-        field, _, why = str(exc)[len("grid."):].partition(": ")
-        key = "d" + field if field in ("x", "y") else field
-        raise ParseError(f"header {key}: {why}") from None
+        # ScanGrid names a config key, "grid.<field>", which a map header
+        # spells "<field>".
+        raise ParseError(f"header {str(exc)[len('grid.'):]}") from None
     if header["value_kind"] != "db":
         raise ParseError(f"header value_kind: must be db, got {header['value_kind']!r}")
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}
@@ -546,7 +541,10 @@ def render_pgm(fmap: FieldMap, lo, hi):
         raise ConfigError(f"render range: lo ({lo}) must be < hi ({hi})")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"render range: hi ({hi}) - lo ({lo}) overflows a double")
-    t = (fmap.values - lo) / (hi - lo)
+    # v - lo overflows for v and lo far apart, the quotient for a range
+    # far narrower than v - lo; the clip sends +-inf to 0 and 255.
+    with np.errstate(over="ignore"):
+        t = (fmap.values - lo) / (hi - lo)
     pix = np.floor(255.0 * np.clip(t, 0.0, 1.0) + 0.5).astype(np.uint8)
     pix = pix[::-1]  # image top = largest y
     header = f"P5\n{fmap.grid.nx} {fmap.grid.ny}\n255\n".encode("ascii")

@@ -31,7 +31,10 @@ DEFAULT_EPS_R = 4.6
 DEFAULT_TRACE_WIDTH = 3e-3        # m
 DEFAULT_LINE_Z0 = 50.0            # ohm
 DEFAULT_LOOP_SIDE = 4e-3          # m
-DEFAULT_PORT_Z = 50.0             # ohm
+
+#: Reference impedance of the probe port and of every Touchstone file:
+#: the CF formula's 34 dB constant holds for a 50 ohm port only.
+Z_REF = 50.0                      # ohm
 
 #: Default sweep span and drive level (-10 dBm into 50 ohm).
 DEFAULT_F_MIN = 0.1e9             # Hz
@@ -136,16 +139,15 @@ class LoopProbe:
     integrates that component over the loop footprint, flat at the
     center height, by Gauss-Legendre quadrature (`quad_n` nodes per
     side), to show how a finite aperture averages a non-uniform field.
-    `loading` sets the port voltage: ``matched-halving`` (default), a
-    source of negligible loop impedance into a matched receiver, gives
-    V = emf / 2, and ``open-circuit`` V = emf.  Loop self-inductance and
-    resonance are not modeled: valid while the perimeter is below about
-    lambda/20.  The chain runs in `nfscan.scan`, which places the probe.
+    `loading` sets the voltage at its Z_REF port: ``matched-halving``
+    (default), a source of negligible loop impedance into a matched
+    receiver, gives V = emf / 2, and ``open-circuit`` V = emf.  Loop
+    self-inductance and resonance are not modeled: valid while the
+    perimeter is below about lambda/20.  The chain runs in `nfscan.scan`, which places the probe.
     """
 
     normal: str                # the axis the loop faces: "x", "y" or "z"
     side_s: float = DEFAULT_LOOP_SIDE
-    port_z: float = DEFAULT_PORT_Z
     loading: str = "matched-halving"
     quad_n: int = 8
     aperture: str = "uniform"
@@ -154,7 +156,6 @@ class LoopProbe:
         _require(isinstance(self.normal, str) and self.normal in AXES,
                  "probe.normal: must be 'x', 'y' or 'z'")
         _require(self.side_s > 0, "probe.side: must be > 0")
-        _require(self.port_z > 0, "probe.port_z: must be > 0")
         _require(self.loading in LOADINGS, f"probe.loading: must be one of {LOADINGS}")
         _require(2 <= self.quad_n <= 32, "probe.quad_n: must be between 2 and 32")
         _require(self.aperture in APERTURES, f"probe.aperture: must be one of {APERTURES}")
@@ -188,7 +189,7 @@ class ScanGrid:
             _require(math.isfinite((hi - lo) / step), f"grid.d{name}: too small for the extent")
             n = round((hi - lo) / step) + 1
             _require(abs((hi - lo) - (n - 1) * step) < 1e-9,
-                     f"grid.{name}: extent is not an integer multiple of the step")
+                     f"grid.d{name}: extent is not an integer multiple of the step")
 
     @property
     def nx(self):

@@ -31,7 +31,7 @@ from .errors import ConfigError, SingularityError
 from . import fields
 from .fields import current_distribution
 from .formats import FieldMap
-from .model import (MU_0, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
+from .model import (MU_0, Z_REF, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
                     TracePath, readonly)
 
 
@@ -102,7 +102,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     Returns a (3, nf, npts) complex array holding, per frequency, the
     field along the probe normal at the center, the port voltage (the EMF
     -j 2 pi f mu0 flux, halved if `matched-halving`) and S21 = V /
-    sqrt(port_z x drive power).  A SingularityError carries the index of
+    sqrt(Z_REF x drive power).  A SingularityError carries the index of
     the center, numbered row-major.
     """
     currents = current_distribution(trace, freqs, drive, substrate)
@@ -134,7 +134,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     np.multiply((-1j * 2.0 * math.pi * freqs * MU_0)[:, None], v, out=v)
     if probe.loading == "matched-halving":
         v /= 2.0
-    np.divide(v, math.sqrt(probe.port_z * drive.power), out=s21)
+    np.divide(v, math.sqrt(Z_REF * drive.power), out=s21)
     return out
 
 

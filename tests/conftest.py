@@ -5,6 +5,7 @@ import pytest
 
 from nfscan import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath,
                     center_over_trace)
+from nfscan.model import Z_REF
 
 H_SUB = 1.6e-3
 SCAN_HEIGHT = 1e-3
@@ -15,10 +16,10 @@ def port_oracle(flux, f, probe, drive):
     """(V, S21) of a loop with `flux` (the field along its normal
     integrated over its area, A*m) at f, from the physics: Faraday EMF
     -j*2*pi*f*mu0*flux, halved into a matched receiver, and S21 = b2/a1
-    with b2 = V/sqrt(port_z) and |a1|^2 the drive power."""
+    with b2 = V/sqrt(Z_REF) and |a1|^2 the drive power."""
     emf = -1j * 2 * math.pi * f * MU0 * flux
     v = emf / 2 if probe.loading == "matched-halving" else emf
-    return v, v / math.sqrt(probe.port_z * drive.power)
+    return v, v / math.sqrt(Z_REF * drive.power)
 
 
 @pytest.fixture

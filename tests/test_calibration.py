@@ -141,12 +141,21 @@ class TestCalibrate:
         with pytest.raises(ParseError, match="^line 2: expected 9 columns, got 3$"):
             calibrate(parse_touchstone("# GHz S RI R 50\n1 0.5 0\n"), d=D_CAL, h=H_SUB)
 
+    def test_bad_s21_row_reported_before_bad_geometry(self):
+        # every row is checked before the one geometry term of the table
+        net = NetworkData(f=np.array([1e9, 2e9]), s21=np.array([0.5, 0.0]))
+        with pytest.raises(ParseError, match=r"^row 1 \(f=2000000000.0 Hz\): S21 magnitude "
+                                             r"0.0 has no dB value$"):
+            calibrate(net, d=0.0, h=H_SUB)
+
     @pytest.mark.parametrize("z_ref", [75.0, 49.9])
     def test_non_50_ohm_reference_rejected(self, z_ref):
-        # the -34 dB constant of the CF formula holds for a 50 ohm port only
-        net = NetworkData(f=np.array([1e9]), s21=np.full(1, 0.5 + 0j), z_ref=z_ref)
-        with pytest.raises(ConfigError, match=f"reference impedance is R {z_ref!r} ohm"):
-            calibrate(net, d=D_CAL, h=H_SUB)
+        # the -34 dB constant of the CF formula holds for a 50 ohm port only,
+        # so a probe file referred to another R is rejected as it is read
+        with pytest.raises(ParseError, match=f"^line 1: reference impedance is R {z_ref!r} ohm; "
+                                             "the CF formula's 34 dB constant assumes R 50$"):
+            calibrate(parse_touchstone(f"# GHz S RI R {z_ref}\n1 0 0 0.5 0 0.5 0 0 0\n"),
+                      d=D_CAL, h=H_SUB)
 
     def test_kernel_choice_is_constant_offset_over_frequency(self, cal_probe,
                                                              straight_trace, substrate,

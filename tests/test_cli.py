@@ -181,6 +181,9 @@ class TestSimulate:
     @pytest.mark.parametrize("section, patch, err", [
         ("drive", {"power_dbm": 1e308}, "drive.power_dbm: 1e+308 dBm is out of range"),
         ("drive", {"power_dbm": -1e308}, "drive.power_dbm: -1e+308 dBm is out of range"),
+        # 3096 dBm is 4e306 W, finite, but 50 ohm x that power, the square of
+        # the S21 divisor, is not
+        ("drive", {"power_dbm": 3096}, "drive.power_dbm: 3096.0 dBm is out of range"),
         ("probe", {"side": 1e300},
          f"probe.side: 1e+300 mm is beyond the length bound of {MAX_LENGTH_MM} mm"),
         ("trace", {"vertices": [[0, 0], [1e308, 0]], "max_segment": None},
@@ -190,12 +193,22 @@ class TestSimulate:
         ("trace", {"vertices": [[0, 0], [1e-200, 0]], "max_segment": None},
          "trace.vertices: segment 0 is 1e-203 m long, "
          "its square is outside the range of a double")],
-        ids=["power-high", "power-low", "side", "segment-long", "segment-long-subdivided",
-             "segment-short"])
+        ids=["power-high", "power-low", "power-port", "side", "segment-long",
+             "segment-long-subdivided", "segment-short"])
     def test_overflowing_number_names_key(self, tmp_path, capsys, section, patch, err):
         cfg = write_config(tmp_path, **{section: patch})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["dx", "dy"])
+    def test_grid_extent_error_names_the_step_key(self, tmp_path, capsys, key):
+        # table3's 20 mm x 25 mm grid is no whole number of 0.7 mm steps
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_patched(TABLE3, "grid", **{key: 0.7})))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"error: grid.{key}: extent is not an integer "
+                                           "multiple of the step\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer"])
@@ -508,14 +521,12 @@ class TestPipeline:
                      "--out", str(base / "cf.csv")]) == 2
 
     def test_calibrate_rejects_non_50_ohm_reference(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, probe={"port_z": 75.0})
         s2p, cf = tmp_path / "probe.s2p", tmp_path / "cf.csv"
-        assert main(["probe-transfer", "--config", cfg, "--out", str(s2p)]) == 0
+        s2p.write_text("! ports: 2\n# GHz S RI R 75\n1 0 0 0.5 0 0.5 0 0 0\n")
         assert main(["calibrate", "--probe", str(s2p), "--d", "1.0", "--h", "1.6",
                      "--out", str(cf)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: network reference impedance is R 75.0 ohm;")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == ("error: line 2: reference impedance is R 75.0 ohm; "
+                                           "the CF formula's 34 dB constant assumes R 50\n")
         assert not cf.exists()
 
     def test_calibrate_comment_only_file_exits_2(self, tmp_path, capsys):
@@ -581,7 +592,7 @@ class TestProbeTransfer:
         center = nfscan.center_over_trace(cfg.trace, cfg.substrate, height)
         f, s21 = nfscan.probe_transfer(cfg.trace, cfg.substrate, cfg.probe, center, cfg.sweep,
                                        cfg.drive)
-        net = NetworkData(f=f, s21=s21, z_ref=cfg.probe.port_z)
+        net = NetworkData(f=f, s21=s21)
         assert write_touchstone(net).encode() == out.read_bytes()
 
 
@@ -757,6 +768,15 @@ class TestUnmodelledKeys:
         cfg = write_config(tmp_path, probe={"trace_w": value})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: probe.trace_w: unknown key\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [50.0, 75.0])
+    def test_port_z_is_an_unknown_key(self, tmp_path, capsys, value):
+        # The probe port is 50 ohm, as the CF formula assumes; no bundled
+        # config carried the key.
+        cfg = write_config(tmp_path, probe={"port_z": value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: probe.port_z: unknown key\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, key, _good, bad", UNMODELLED)
@@ -1059,7 +1079,7 @@ def _patched(name, section, **patch):
 #: overflow, and the key each one's error names.
 _CHAIN_OVERFLOWS = [
     pytest.param(_patched(TABLE2, "trace", z0=1e-320), "trace.z0", id="z0"),
-    pytest.param(_patched(TABLE2, "probe", port_z=1e-320), "probe.port_z", id="port_z"),
+    pytest.param(_patched(TABLE2, "drive", power_dbm=3096), "drive.power_dbm", id="power_dbm"),
     pytest.param(_patched(TABLE2, "sweep", f_min=1e300, f_max=1e300), "sweep.f_min",
                  id="f_min"),
     pytest.param(_patched(TABLE3, "sweep", f_max=1e300), "sweep.f_max", id="f_max")]

@@ -25,7 +25,7 @@ def synth_network(n=301, seed=1):
     r = np.random.default_rng(seed)
     f = np.linspace(0.05e9, 3e9, n)
     s21 = r.uniform(-1, 1, n) + 1j * r.uniform(-1, 1, n)
-    return NetworkData(f=f, s21=s21, z_ref=50.0)
+    return NetworkData(f=f, s21=s21)
 
 
 def synth_map(nx=41, ny=51, seed=2, component="hy"):
@@ -80,27 +80,39 @@ class TestTouchstoneParse:
         net = parse_touchstone("# GHz S DB R 50\n1 -20 0 -inf 0 -20 0 -20 0\n")
         assert net.s21[0] == 0
 
+    @pytest.mark.parametrize("option", ["# GHz S RI R 50", "# GHz S RI R 50.0",
+                                        "# ghz s ri r 5e1", "# GHz S RI", "#", "# R 050"])
+    def test_any_spelling_of_50_ohm_accepted(self, option):
+        net = parse_touchstone(f"{option}\n1 0 0 0.5 0 0.5 0 0 0\n")
+        assert write_touchstone(net).splitlines()[1] == "# GHz S RI R 50"
+
+    @staticmethod
+    def assert_r_rejected(z):
+        # the CF formula's -34 dB constant holds for a 50 ohm port only; the
+        # error names the option line, wherever it is
+        for before in ("", "! a comment\n\n"):
+            lineno = before.count("\n") + 1
+            with pytest.raises(ParseError) as exc:
+                parse_touchstone(f"{before}# GHz S RI R {z}\n1 0 0 0.5 0 0.5 0 0 0\n")
+            assert str(exc.value) == (f"line {lineno}: reference impedance is R {float(z)!r} "
+                                      "ohm; the CF formula's 34 dB constant assumes R 50")
+
+    @pytest.mark.parametrize("z", ["75", "49.9", "-50"])
+    def test_reference_impedance_other_than_50_rejected(self, z):
+        self.assert_r_rejected(z)
+
     @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0"])
     def test_reference_impedance_must_be_finite_and_positive(self, z):
-        with pytest.raises(ParseError, match=f"^line 1: reference impedance must be finite "
-                                             f"and > 0, got {float(z)}$"):
-            parse_touchstone(f"# GHz S RI R {z}\n1 0 0 0.5 0 0 0 0 0\n")
-        with pytest.raises(ConfigError, match="^network: z_ref must be finite and > 0$"):
-            NetworkData(f=np.array([1e9]), s21=np.zeros(1), z_ref=float(z))
+        self.assert_r_rejected(z)
 
     def test_one_port(self):
         # a 1-port file has no S21
         with pytest.raises(ParseError, match="^line 2: expected 9 columns, got 3$"):
-            parse_touchstone("# GHz S RI R 75\n1 0.2 -0.1\n2 0.3 0.0\n")
-
-    def test_reference_impedance_kept(self):
-        net = parse_touchstone("# GHz S RI R 75\n1 0 0 0.5 0 0 0 0 0\n")
-        assert net.z_ref == 75.0
+            parse_touchstone("# GHz S RI R 50\n1 0.2 -0.1\n2 0.3 0.0\n")
 
     def test_option_line_defaults(self):
         net = parse_touchstone("#\n1 0 0 1 0 0 0 0 0\n")
         assert net.f[0] == 1e9   # GHz default
-        assert net.z_ref == 50.0
 
     def test_comments_stripped(self):
         net = parse_touchstone("! header comment\n# GHz S RI R 50\n1 0 0 0.5 0 0 0 0 0 ! trailing\n")
@@ -199,8 +211,7 @@ def sweeps(draw):
     steps = draw(st.lists(st.floats(1e-7, 10.0), min_size=1, max_size=20))
     f = 1e6 * np.cumprod(1.0 + np.array(steps))
     parts = draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=len(f), max_size=len(f)))
-    return NetworkData(f=f, s21=[complex(a, b) for a, b in parts],
-                       z_ref=draw(st.sampled_from([50.0, 75.0, 1e-3])))
+    return NetworkData(f=f, s21=[complex(a, b) for a, b in parts])
 
 
 def touchstone_text(net, fmt):
@@ -214,7 +225,7 @@ def touchstone_text(net, fmt):
             mag = 20.0 * math.log10(mag) if mag else -math.inf
         return mag, ang
 
-    lines = [f"# GHz S {fmt} R {net.z_ref!r}"]
+    lines = [f"# GHz S {fmt} R 50"]
     for f_hz, s21 in zip(net.f, net.s21):
         cells = [f_hz / 1e9, *pair(0j), *pair(complex(s21)) * 2, *pair(0j)]
         lines.append(" ".join(map(repr, map(float, cells))))
@@ -242,8 +253,8 @@ class TestTouchstoneRoundTrip:
         assert_allclose(a.s21, b.s21, rtol=1e-12, atol=1e-15)
 
     def test_writes_s21_as_a_reciprocal_matched_2_port(self):
-        net = NetworkData(f=[1e9, 2.5e9], s21=[0.5 - 0.25j, complex(0, -1e-5)], z_ref=75.0)
-        assert write_touchstone(net) == ("! ports: 2\n# GHz S RI R 75\n"
+        net = NetworkData(f=[1e9, 2.5e9], s21=[0.5 - 0.25j, complex(0, -1e-5)])
+        assert write_touchstone(net) == ("! ports: 2\n# GHz S RI R 50\n"
                                          "1 0 0 0.5 -0.25 0.5 -0.25 0 0\n"
                                          "2.5 0 0 0 -1e-05 0 -1e-05 0 0\n")
 
@@ -285,7 +296,6 @@ class TestTouchstoneRoundTrip:
         once = write_touchstone(net)
         back = parse_touchstone(once)
         assert write_touchstone(back) == once
-        assert back.z_ref == net.z_ref
         assert_allclose(back.f, net.f, rtol=1e-8)
         assert_allclose(back.s21.real, net.s21.real, rtol=1e-8)
         assert_allclose(back.s21.imag, net.s21.imag, rtol=1e-8)
@@ -821,6 +831,14 @@ class TestPgm:
     def test_bad_range(self):
         with pytest.raises(ConfigError, match="lo"):
             render_pgm(self._map([[0.0]]), lo=0, hi=0)
+
+    def test_overflowing_scale_clamps(self):
+        # (v - lo) / (hi - lo) overflows for a range far narrower than v - lo,
+        # and v - lo for v and lo far apart: +-inf, clamped with no warning
+        img = render_pgm(self._map([[-30.0, 0.0, 5e-324, 1.0]]), lo=0, hi=5e-324)
+        assert img.endswith(bytes([0, 0, 255, 255]))
+        img = render_pgm(self._map([[1e308, -1e308, 0.0]]), lo=-1e308, hi=-0.5e308)
+        assert img.endswith(bytes([255, 0, 255]))
 
 
 def _mutate(text, r):

@@ -107,7 +107,7 @@ class TestDefaults:
         assert tr.termination == "matched"
         pr = m.LoopProbe(normal="z")
         assert pr.side_s == 4e-3
-        assert pr.port_z == 50.0
+        assert m.Z_REF == 50.0
         assert (pr.loading, pr.quad_n, pr.aperture) == ("matched-halving", 8, "uniform")
 
     def test_sweep_and_drive_defaults(self):

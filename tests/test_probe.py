@@ -157,13 +157,12 @@ class TestEmfAndPort:
 
 class TestS21:
     def test_unity_reference(self, monkeypatch, straight_trace, substrate):
-        # the field whose port voltage is sqrt(port_z * P) gives |S21| = 1
-        for port_z, power in ((50.0, 1e-4), (75.0, 1e-2), (1.0, 1.0)):
+        # the field whose port voltage is sqrt(50 ohm * P) gives |S21| = 1
+        for power in (1e-4, 1e-2, 1.0):
             drive = DriveSpec(power=power)
             i0 = math.sqrt(power / straight_trace.z0_line)
-            h = 2 * math.sqrt(port_z * power) / (2 * math.pi * 1e9 * MU0 * 4e-3 ** 2)
-            s21, _ = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], h / i0,
-                             port_z=port_z)
+            h = 2 * math.sqrt(50.0 * power) / (2 * math.pi * 1e9 * MU0 * 4e-3 ** 2)
+            s21, _ = fed_s21(monkeypatch, straight_trace, substrate, drive, [1e9], h / i0)
             assert_allclose(abs(s21[0]), 1.0, rtol=1e-12)
 
     def test_zero(self, straight_trace, substrate, drive):

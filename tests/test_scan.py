@@ -17,6 +17,7 @@ from nfscan import (CFTable, ConfigError, DriveSpec, FieldMap, FrequencySweep, L
 from nfscan import fields, scan
 from nfscan.config import build_config
 from nfscan.fields import EPS_GEOM, PAIRS
+from nfscan.model import Z_REF
 from nfscan.scan import MapStats, ScanResult
 
 from conftest import H_SUB, MU0, SCAN_HEIGHT, grid_points, port_oracle, rng
@@ -384,7 +385,7 @@ class TestContractionOrder:
                     v = -1j * 2.0 * math.pi * f * MU0 * fl
                     if loading == "matched-halving":
                         v /= 2.0
-                    s21 = v / math.sqrt(probe.port_z * drive.power)
+                    s21 = v / math.sqrt(Z_REF * drive.power)
                     assert got[1, i].tobytes() == v.tobytes()
                     assert got[2, i].tobytes() == s21.tobytes()
 
