@@ -2,7 +2,8 @@
 
 Configs use bench units (lengths in mm, frequencies in GHz, drive power
 in dBm); everything is converted to SI on load.  Unknown keys anywhere
-are rejected, and every error names the offending field path.
+and keys given twice are rejected, and every error names the offending
+field path.
 
 Some keys describe the bench but do not enter the quasi-static model:
 substrate.tan_d, t, sigma, drive.source_z and calibration.d, h.  They
@@ -231,6 +232,9 @@ def build_config(doc):
         raise ConfigError(f"trace.vertices: {len(verts) - 1} segments, more than {MAX_SEGMENTS}")
     for i, v in enumerate(raw_verts):
         _length(f"trace.vertices[{i}]", max(v, key=abs))
+    for i in range(1, len(verts)):  # named before `_subdivide` renumbers them
+        if verts[i] == verts[i - 1]:
+            raise ConfigError(f"trace.vertices[{i}]: same point as trace.vertices[{i - 1}]")
     if max_seg is not None:
         verts = _subdivide(verts, counts)
     trace = TracePath(vertices=tuple(verts), width=_mm(t.take("width", 3.0)),
@@ -326,9 +330,28 @@ def read_text(path):
                           f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
+class _Repeated(str):
+    """The dotted path to a key that a config's JSON gives twice."""
+
+
+def _object(pairs):
+    """The dict of a JSON object's (key, value) pairs, or the `_Repeated`
+    path to the first key given twice in it or in an object it holds."""
+    obj = {}
+    for key, val in pairs:
+        if isinstance(val, _Repeated):
+            return _Repeated(f"{key}.{val}")
+        if key in obj:
+            return _Repeated(key)
+        obj[key] = val
+    return obj
+
+
 def load_config(path):
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(path), object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if isinstance(doc, _Repeated):  # json.loads would keep the last value
+        raise ConfigError(f"{doc}: key given twice")
     return build_config(doc)

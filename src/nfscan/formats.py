@@ -10,10 +10,11 @@ Every text parser reads its lines from `_lines`: lines end at "\n" (a
 CRLF's "\r" is stripped as padding; a bare "\r" does not end a line,
 and a file whose lines bare "\r"s end is an error that says so),
 and a file holding one of the ASCII separators "\x1c"-"\x1f" is an
-error naming that line.  Every CSV body is written by `_rows`, and
-every CSV is read by `_read_table` (header keys and numbers) and
-`_read_body` (cells), so map and CF tables share one set of rules and
-error texts.
+error naming that line.  Every CSV (map, CF and profile) is written by
+`_table`: a '# magic' line, a '# key: value' line per header item, then
+the rows.  Every CSV is read by `_read_table` (header keys and numbers;
+a key given twice is an error naming its line) and `_read_body`
+(cells), so map and CF tables share one set of rules and error texts.
 
 A map CSV holds one dB map (FieldMap), and every cell is a finite dB
 value written as Python `repr` of a double: the shortest decimal that
@@ -27,9 +28,9 @@ file byte-identical to one `repr` per cell.
 
 Maps are written a stack at a time (`write_map_stack`): the maps of one
 observable over a sweep share their grid, component and meta, so the
-header lines but f_hz and the scan for rows needing `repr` are done once
-per stack, and each map is made as bytes.  `write_map_csv` is its
-one-map case, decoded to text.
+header items but f_hz and the scan for rows needing `repr` are made once
+per stack, and each map is one `_table` call, as bytes.  `write_map_csv`
+is its one-map case, decoded to text.
 
 A cell parses if `float()` accepts it and the result is finite;
 surrounding whitespace and `1_0` are accepted.  A bad cell raises
@@ -295,51 +296,39 @@ def write_map_stack(grid, freqs, component, values, meta):
     `freqs[k]`, every map over `grid` with the same `component` and
     `meta`, all as a FieldMap would hold them: the caller has checked
     them (a FieldMap, or `cli.cmd_simulate` once per stack).  The header
-    lines but f_hz and the scan for rows spelled with `repr` (`_repr_rows`)
-    are done once per stack; each map is then its f_hz line and its rows.
+    items but f_hz and the scan for rows spelled with `repr` (`_repr_rows`)
+    are made once per stack; each map is then one `_table` call.
     """
     nums = vars(grid)
-    head = "".join([f"# {MAP_MAGIC}\n", *(f"# {key}: {_rfmt(nums[key])}\n"
-                                         for key in _MAP_FLOAT_KEYS[:-1]), "# f_hz: "])
-    tail = "".join([f"\n# component: {component}\n# value_kind: db",
-                    *(f"\n# meta.{key}: {meta[key]}" for key in sorted(meta))])
-    # surrogatepass: write_map_csv gives back any meta text as it was given
-    head, tail = (t.encode("utf-8", "surrogatepass") for t in (head, tail))
+    head = [(key, _rfmt(nums[key])) for key in _MAP_FLOAT_KEYS[:-1]]
+    tail = [("component", component), ("value_kind", "db"),
+            *((f"meta.{key}", meta[key]) for key in sorted(meta))]
     values = np.ascontiguousarray(values)
     ny = values.shape[1]
     odd = {}
     for r in _repr_rows(values.reshape(-1, values.shape[2])):
         odd.setdefault(r // ny, []).append(r % ny)
     for k, f_hz in enumerate(freqs):
-        rows = _rows(values[k], odd.get(k, ()))
-        rows.insert(0, b"".join([head, _rfmt(f_hz).encode(), tail]))
-        rows.append(b"")
-        data = b"\n".join(rows)
-        del rows
-        yield data
+        yield _table(MAP_MAGIC, [*head, ("f_hz", _rfmt(f_hz)), *tail], values[k],
+                     odd.get(k, ()))
 
 
-def _write_table(magic, items, values):
-    """CSV text: '# magic', a '# key: value' line per (key, text) item,
-    then the rows of the 2-D float array `values` (`_rows`)."""
-    header = "\n".join([f"# {magic}", *(f"# {key}: {val}" for key, val in items)])
-    values = np.ascontiguousarray(values)
-    body = b"\n".join(_rows(values, _repr_rows(values)))
-    body = str(body, "ascii")
-    return "".join([header, "\n", body, "\n"])
-
-
-def _rows(values, odd):
-    """The bytes of each row of the C-contiguous 2-D float array `values`,
-    each cell its `repr`: the rows listed in `odd` (see `_repr_rows`)
-    are written with `repr`, the others by one orjson call each, "[a,b]"
-    sliced to "a,b".  A map writer peaks near 2x the text it returns: 39 MB
-    for the 19 MB of a 1001 x 1001 map (tracemalloc), the rows and their join.
+def _table(magic, items, values, odd=None):
+    """The UTF-8 bytes of a CSV: '# magic', a '# key: value' line per
+    (key, text) item (encoded with "surrogatepass", so any text comes back
+    as given), then the rows of the C-contiguous 2-D float array `values`,
+    each cell its `repr`: the rows listed in `odd` (default `_repr_rows`)
+    with `repr`, the others by one orjson call each, "[a,b]" sliced to
+    "a,b".  A map peaks near 2x the bytes returned: 39 MB for the 19 MB of
+    a 1001 x 1001 map (tracemalloc), the rows and their join.
     """
+    head = "\n".join([f"# {magic}", *(f"# {key}: {val}" for key, val in items)])
     rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in values]
-    for r in odd:
+    for r in _repr_rows(values) if odd is None else odd:
         rows[r] = ",".join(map(repr, values[r].tolist())).encode()
-    return rows
+    rows.insert(0, head.encode("utf-8", "surrogatepass"))
+    rows.append(b"")
+    return b"\n".join(rows)
 
 
 def _repr_rows(values):
@@ -465,7 +454,8 @@ def _parse_cell(cell, lineno):
 
 
 def _split_header(text, magic, what):
-    """('#' metadata dict, [(lineno, body line), ...])."""
+    """('#' metadata dict, [(lineno, body line), ...]); a key given twice
+    is a ParseError naming its second line."""
     header = {}
     body = []
     saw_magic = False
@@ -487,7 +477,10 @@ def _split_header(text, magic, what):
             key, sep, val = content.partition(":")
             if not sep:
                 raise ParseError(f"malformed header line {line!r}", line=lineno)
-            header[key.strip()] = val.strip()
+            key = key.strip()
+            if key in header:
+                raise ParseError(f"header key {key!r} given twice", line=lineno)
+            header[key] = val.strip()
         else:
             if not saw_magic:
                 raise ParseError(f"not a {what} file (expected '# {magic}')", line=lineno)
@@ -503,7 +496,8 @@ def _split_header(text, magic, what):
 def write_cf_csv(table):
     items = [("kernel", table.kernel), ("d", _rfmt(table.d)), ("h", _rfmt(table.h)),
              ("columns", "f_hz,cf_db")]
-    return _write_table(CF_MAGIC, items, np.column_stack([table.f, table.cf_db]))
+    data = _table(CF_MAGIC, items, np.column_stack([table.f, table.cf_db]))
+    return data.decode("utf-8", "surrogatepass")
 
 
 def parse_cf_csv(text):
@@ -523,7 +517,8 @@ def write_profile_csv(coords, values, axis, at, f_hz, component):
     """Profile CSV of a cut through a dB map."""
     items = [("axis", axis), ("at", _rfmt(at)), ("f_hz", _rfmt(f_hz)),
              ("component", component), ("value_kind", "db"), ("columns", "coord_m,value")]
-    return _write_table(PROFILE_MAGIC, items, np.column_stack([coords, values]))
+    data = _table(PROFILE_MAGIC, items, np.column_stack([coords, values]))
+    return data.decode("utf-8", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ class TracePath:
         for i, (a, b) in enumerate(zip(verts, verts[1:])):
             _require(b[2] == a[2], f"trace.vertices: vertex {i + 1} is at z = {b[2]!r} m, "
                      f"not at vertex 0's height {a[2]!r} m")
-            _require(a != b, "trace.vertices: consecutive vertices must be distinct")
+            _require(a != b, f"trace.vertices: vertex {i + 1} is the same point as vertex {i}")
             # The kernel divides by the length, computed from its square.
             d = math.dist(a, b)
             _require(0.0 < d * d < math.inf, f"trace.vertices: segment {i} is {d!r} m long, "

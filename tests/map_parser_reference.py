@@ -2,7 +2,9 @@
 
 This is the parser `nfscan.formats.parse_map_csv` replaced, first with
 numpy's C text reader and now with orjson.  Tests require the two to
-return the same bits, or to raise the same ParseError text.
+return the same bits, or to raise the same ParseError text.  The header
+is split by `nfscan.formats._split_header`, as the parser splits it, so
+both raise its errors, a header key given twice among them.
 """
 
 import numpy as np

@@ -1,10 +1,10 @@
 """Reference CSV writers: one `repr` call per cell, one cell at a time.
 
 `write_map_csv_per_cell` is the writer `nfscan.formats.write_map_csv`
-replaced, first with a row-at-a-time `repr` and then with one orjson
-call per map; the CF and profile writers are the per-row loops that
-`nfscan.formats._write_table` replaced.  Tests require each pair to
-produce the same bytes.
+replaced, first with a row-at-a-time `repr` and then with orjson; the CF
+and profile writers are the per-row loops that `nfscan.formats._table`,
+the one CSV writer, replaced.  Tests require each pair to produce the
+same bytes.
 """
 
 from nfscan.formats import CF_MAGIC, MAP_MAGIC, PROFILE_MAGIC

@@ -955,6 +955,41 @@ class TestSegmentBudget:
         assert not out.exists()
 
 
+class TestRepeated:
+    """A key, or a trace vertex, given twice exits 2 naming it; JSON alone
+    would keep the last value of a key."""
+
+    @pytest.mark.parametrize("old, new, err", [
+        ('"eps_r": 4.6', '"eps_r": 4.6, "eps_r": 1.0', "substrate.eps_r"),
+        ('"drive": {', '"drive": {"power_dbm": 0.0}, "drive": {', "drive")],
+        ids=["key", "section"])
+    def test_config_key_given_twice_names_it(self, tmp_path, capsys, old, new, err):
+        with open(TABLE2, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count(old) == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {err}: key given twice\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", [TABLE2, TABLE3], ids=["table2", "table3"])
+    def test_bundled_configs_load_as_json_reads_them(self, name):
+        with open(name, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text, object_pairs_hook=config._object)
+        assert json.dumps(doc) == json.dumps(json.loads(text))  # keys in order too
+
+    @pytest.mark.parametrize("max_seg", [None, 0.5])
+    def test_vertex_given_twice_names_it_as_the_config_does(self, tmp_path, capsys, max_seg):
+        cfg = write_config(tmp_path, trace={"vertices": [[-10, 0], [0, 0], [0, 0], [10, 0]],
+                                            "max_segment": max_seg})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: trace.vertices[2]: same point as trace.vertices[1]\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestProbePairBudget:
     """One integrated probe is one kernel call: its (1 + quad_n^2) points
     x 2 x segments pairs must not exceed MAX_PROBE_PAIRS."""

@@ -395,6 +395,31 @@ class TestMapCsv:
         with pytest.raises(ParseError, match="dx"):
             parse_map_csv(text)
 
+    @pytest.mark.parametrize("line, key", [
+        ("# f_hz: 2e9", "f_hz"), ("# meta.kernel: paper", "meta.kernel"),
+        ("#  dx :0.0005", "dx")])
+    def test_header_key_given_twice_names_line_and_key(self, line, key):
+        lines = write_map_csv(synth_map(nx=3, ny=2)).splitlines()
+        lines.insert(13, line)  # after the last meta line
+        text = "\n".join(lines) + "\n"
+        for parse in (parse_map_csv, parse_map_csv_per_row):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == f"line 14: header key {key!r} given twice"
+
+    def test_meta_text_written_back_as_given(self):
+        """Meta text, a lone surrogate included, is written and parsed back
+        as it was given; the stack writer's bytes are its surrogatepass
+        encoding."""
+        fmap = FieldMap(grid=synth_map(nx=3, ny=2).grid, f=1e9, component="hy",
+                        values=np.zeros((2, 3)), meta={"odd": "x\udc80y", "accent": "\u00e9"})
+        text = write_map_csv(fmap)
+        assert "\n# meta.accent: \u00e9\n# meta.odd: x\udc80y\n" in text
+        assert parse_map_csv(text).meta == fmap.meta
+        (data,) = formats.write_map_stack(fmap.grid, [fmap.f], fmap.component,
+                                          fmap.values[None], fmap.meta)
+        assert data == text.encode("utf-8", "surrogatepass")
+
     def test_wrong_magic(self):
         with pytest.raises(ParseError, match="not a field map"):
             parse_map_csv("# something-else 1\n0\n")
@@ -748,8 +773,9 @@ class TestCfCsv:
          "header d: not a finite number: 'nan'"),
         (_CF_HEAD.replace("h: 0.0016", "h: -inf") + "1e9,30\n",
          "header h: not a finite number: '-inf'"),
+        (_CF_HEAD + "# kernel: image-theory\n1e9,30\n", "line 6: header key 'kernel' given twice"),
     ], ids=["columns", "non-finite", "bad-cell", "missing-d-h", "missing-all", "bad-number",
-            "non-finite-d", "non-finite-h"])
+            "non-finite-d", "non-finite-h", "repeated-key"])
     def test_errors_are_the_map_readers(self, text, message):
         """CF tables are read by the map reader and raise its error texts."""
         with pytest.raises(ParseError) as info:

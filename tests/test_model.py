@@ -123,6 +123,10 @@ class TestInvariants:
             m.TracePath(vertices=((0, 0, 1e-3),))
         with pytest.raises(ConfigError):
             m.TracePath(vertices=((0, 0, 1e-3), (0, 0, 1e-3)))
+        verts = ((0, 0, 1e-3), (1e-3, 0, 1e-3), (1e-3, 0, 1e-3), (2e-3, 0, 1e-3))
+        with pytest.raises(ConfigError, match="^trace.vertices: vertex 2 is the same point as "
+                                              "vertex 1$"):
+            m.TracePath(vertices=verts)
 
     def test_trace_above_ground(self):
         with pytest.raises(ConfigError):
