@@ -22,11 +22,10 @@ import numpy as np
 
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
-from .config import center_over_trace, load_config, path_error, read_text as _read_text
+from .config import center_over_trace, load_config, path_error, read_text as _read_text, reading
 from .errors import ConfigError, SingularityError
 from .formats import (NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
-                      write_cf_csv, write_map_csv, write_map_stack, write_profile_csv,
-                      write_touchstone)
+                      write_cf_csv, write_map_stack, write_profile_csv, write_touchstone)
 from .scan import (apply_calibration_to_scan, extract_profile, map_stats, probe_transfer,
                    run_simulated_scan)
 
@@ -190,16 +189,25 @@ def cmd_calibrate(args):
     return 0
 
 
+def _read_map(path):
+    """The FieldMap of the map CSV at `path`, parsed from the file's bytes
+    (`formats.parse_map_csv`); a file that cannot seek is read whole, as
+    text.  Errors in reading it are `config.reading`'s."""
+    with reading(path) as fh:
+        return parse_map_csv(fh if fh.seekable() else fh.read().decode("utf-8"))
+
+
 def cmd_extract(args):
-    vmap = parse_map_csv(_read_text(args.scan))
+    vmap = _read_map(args.scan)
     table = parse_cf_csv(_read_text(args.cf))
     out = apply_calibration_to_scan(vmap, table, args.freq, sign_mode=args.sign_mode)
-    _write_text(args.out, write_map_csv(out))
+    (data,) = write_map_stack(out.grid, [out.f], out.component, out.values[None], out.meta)
+    _write_text(args.out, data)
     return 0
 
 
 def cmd_profile(args):
-    fmap = parse_map_csv(_read_text(args.map))
+    fmap = _read_map(args.map)
     coords, values = extract_profile(fmap, args.axis, args.at * 1e-3)
     _write_text(args.out, write_profile_csv(coords, values, args.axis, args.at * 1e-3,
                                             fmap.f, fmap.component))
@@ -207,7 +215,7 @@ def cmd_profile(args):
 
 
 def cmd_stats(args):
-    fmap = parse_map_csv(_read_text(args.map))
+    fmap = _read_map(args.map)
     s = map_stats(fmap)
     print(f"min {s.min_db!r} dB at x={s.argmin[0]!r} m y={s.argmin[1]!r} m "
           f"(ix={s.argmin_idx[0]}, iy={s.argmin_idx[1]})")
@@ -217,7 +225,7 @@ def cmd_stats(args):
 
 
 def cmd_render(args):
-    fmap = parse_map_csv(_read_text(args.map))
+    fmap = _read_map(args.map)
     _write_text(args.out, render_pgm(fmap, args.lo, args.hi))
     return 0
 

@@ -13,6 +13,7 @@ reads them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -311,23 +312,38 @@ def path_error(action, path, exc):
     return ConfigError(f"{action} {path!r}: {exc}")
 
 
+@contextlib.contextmanager
+def reading(path):
+    """The file at `path`, open to read its bytes, for a `with` block.
+
+    An OSError in opening or reading it, or the ValueError of a NUL byte
+    in `path`, leaves as the ConfigError "cannot read PATH: ..."
+    (`path_error`), and a UnicodeDecodeError of its bytes in the block as
+    "cannot read PATH: not UTF-8 text (byte 0x..: reason)".
+    """
+    try:
+        fh = open(path, "rb")
+    except (OSError, ValueError) as exc:
+        raise path_error("cannot read", path, exc) from None
+    with fh:
+        try:
+            yield fh
+        except OSError as exc:
+            raise path_error("cannot read", path, exc) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {path}: not UTF-8 text "
+                              f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def read_text(path):
-    """The UTF-8 text of the file at `path`, or a ConfigError (`path_error`).
+    """The UTF-8 text of the file at `path`, or a ConfigError (`reading`).
 
     The bytes are decoded as they are, with no newline translation, so the
     parsers see the text a library caller would pass them: a bare carriage
     return in a map row is a cell's padding, not a line end.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (OSError, ValueError) as exc:
-        raise path_error("cannot read", path, exc) from None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read {path}: not UTF-8 text "
-                          f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    with reading(path) as fh:
+        return fh.read().decode("utf-8")
 
 
 class _Repeated(str):

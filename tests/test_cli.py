@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import dataclasses
@@ -446,6 +447,21 @@ class TestPipeline:
                      "--freq", "2e9", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"error: scan map component is '{comp}': the CF "
                                            "table applies to a port-voltage map ('vport')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("normal", ["vport", "s21", "x"])
+    def test_extract_rejects_a_normal_that_is_no_field_component(self, pipeline, tmp_path,
+                                                                 capsys, normal):
+        # its output would be a second port-voltage map that extract accepts
+        _, _, cf, sim = pipeline
+        scan = tmp_path / "v.csv"
+        scan.write_text((sim / "v_dbv_000_2GHz.csv").read_text()
+                        .replace("# meta.normal: hy\n", f"# meta.normal: {normal}\n"))
+        out = tmp_path / "hy.csv"
+        assert main(["extract", "--scan", str(scan), "--cf", str(cf), "--freq", "2e9",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: scan map meta.normal is {normal!r}: must "
+                                           "be one of 'hx', 'hy', 'hz', 'mag'\n")
         assert not out.exists()
 
     def test_extract_freq_outside_span_exits_2(self, pipeline, tmp_path, capsys):
@@ -1397,3 +1413,45 @@ class TestDeterminism:
                          "--threads", threads]) == 0
             outs.append({p: (out / p).read_bytes() for p in os.listdir(out)})
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestMapFileRead:
+    """The CLI parses a map from the file's bytes, with the library's
+    results and errors, and the read errors of `config.reading`."""
+
+    @pytest.mark.parametrize("data, err", [
+        (_MAP.encode().replace(b"normal: hy", b"normal: h\xffy"),
+         "not UTF-8 text (byte 0xff: invalid start byte)"),
+        (_MAP.encode() + b"\xc3", "not UTF-8 text (byte 0xc3: unexpected end of data)")],
+        ids=["header", "body"])
+    def test_non_utf8_byte_names_path(self, tmp_path, capsys, data, err):
+        path = tmp_path / "map.csv"
+        path.write_bytes(data)
+        assert main(["stats", "--map", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: {err}\n"
+
+    @pytest.mark.parametrize("text", [_MAP, _MAP.replace("\n", "\r\n"),
+                                      _MAP.replace("0\n", "-0\n"), "\ufeff" + _MAP,
+                                      _MAP.replace("db\n", "db\n\n")])
+    def test_stats_and_error_as_the_library(self, tmp_path, capsys, text):
+        path = tmp_path / "map.csv"
+        path.write_bytes(text.encode())
+        try:
+            s = map_stats(parse_map_csv(text))
+            want = (0, f"min {s.min_db!r} dB at x={s.argmin[0]!r} m y={s.argmin[1]!r} m "
+                       f"(ix={s.argmin_idx[0]}, iy={s.argmin_idx[1]})\n"
+                       f"max {s.max_db!r} dB at x={s.argmax[0]!r} m y={s.argmax[1]!r} m "
+                       f"(ix={s.argmax_idx[0]}, iy={s.argmax_idx[1]})\n", "")
+        except ParseError as exc:
+            want = (2, "", f"error: {exc}\n")
+        code = main(["stats", "--map", str(path)])
+        assert (code, *capsys.readouterr()) == want
+
+    def test_file_that_cannot_seek_is_read_whole(self, tmp_path, capsys):
+        fifo = tmp_path / "map.fifo"
+        os.mkfifo(fifo)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            pool.submit(fifo.write_text, _MAP)
+            assert main(["stats", "--map", str(fifo)]) == 0
+        s = map_stats(parse_map_csv(_MAP))
+        assert capsys.readouterr().out.startswith(f"min {s.min_db!r} dB ")

@@ -1,8 +1,11 @@
 import cmath
+import contextlib
+import io
 import math
 import random
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -15,8 +18,8 @@ from map_parser_reference import parse_map_csv_per_row
 from map_writer_reference import (write_cf_csv_per_row, write_map_csv_per_cell,
                                   write_profile_csv_per_row)
 
-from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, formats,
-                    model, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
+from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, cli,
+                    formats, model, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
 from nfscan.calibration import KERNELS
 
@@ -420,6 +423,21 @@ class TestMapCsv:
                                           fmap.values[None], fmap.meta)
         assert data == text.encode("utf-8", "surrogatepass")
 
+    @pytest.mark.parametrize("meta, why", [
+        ({"a:b": "v"}, "a key holding ':' is read back only up to it"),
+        ({"k": " v "}, "the value starts or ends with white space, which is read back stripped"),
+        ({"k ": "v"}, "the key starts or ends with white space, which is read back stripped"),
+        ({"k": "x\n1,2"}, "the value holds a line end or an ASCII separator ('\\x1c'-'\\x1f')"),
+        ({"k\x1e": "v"}, "the key holds a line end or an ASCII separator ('\\x1c'-'\\x1f')"),
+        ({"k": 1.0}, "key and value must be text")])
+    def test_meta_its_header_cannot_carry_back_rejected(self, meta, why):
+        # written, these read back as another key or value, or not at all
+        (key,) = meta
+        with pytest.raises(ConfigError) as info:
+            FieldMap(grid=synth_map(nx=3, ny=2).grid, f=1e9, component="hy",
+                     values=np.zeros((2, 3)), meta=meta)
+        assert str(info.value) == f"map meta key {key!r}: {why}"
+
     def test_wrong_magic(self):
         with pytest.raises(ParseError, match="not a field map"):
             parse_map_csv("# something-else 1\n0\n")
@@ -688,6 +706,131 @@ class TestMapCsvBytes:
     @example(_map_with_cell("{}"))
     def test_parser_matches_per_row_parser(self, text):
         assert _parse_outcome(parse_map_csv, text) == _parse_outcome(parse_map_csv_per_row, text)
+
+
+def _read(source, size=None):
+    """`parse_map_csv` of a str, or of bytes as a binary file: (grid, f,
+    component, meta, value bytes), or the error text.  With a `size` the
+    block reader reads that many bytes at a time; without one it is off,
+    and the text path alone reads the text (bytes decoded as UTF-8)."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    with contextlib.ExitStack() as stack:
+        if size is None:
+            stack.enter_context(mock.patch.object(formats, "_map_from_blocks", lambda fh: None))
+        else:
+            stack.enter_context(mock.patch.object(formats, "_BLOCK_BYTES", size))
+        try:
+            fmap = parse_map_csv(source)
+        except (ParseError, ConfigError, UnicodeDecodeError) as exc:
+            return str(exc)
+    return fmap.grid, fmap.f, fmap.component, fmap.meta, fmap.values.tobytes()
+
+
+#: A 1 x 1 map header whose x axis asks for 10**13 + 1 cells.
+_HEAD_1E13 = ("# nfscan-map 1\n# x_min: 0\n# x_max: 1\n# y_min: 0\n# y_max: 0\n"
+              "# dx: 1e-13\n# dy: 0.001\n# z_height: 0.001\n# f_hz: 1e9\n"
+              "# component: hy\n# value_kind: db\n")
+#: What a mutation puts into a map file: line ends and padding, the
+#: spellings JSON reads differently from float() or not at all, a header
+#: line, separators, a BOM and bytes that are not UTF-8.
+_INSERTS = [b"\n", b"\r", b"\r\n", b"\n\n", b" ", b"\t", b"\x0c", b"-0", b"-", b"0", b",",
+            b".", b"e", b"#", b"# k: v\n", b'"', b"[", b"]", b"{", b"t", b"null", b"1_0", b"+",
+            b"\x1c", b"\xef\xbb\xbf", b"\xc2\x85", b"\xff", b"\xc3"]
+
+
+#: Cell spellings of a mutated map: `repr`, and spellings JSON reads
+#: differently from float() (a `-0`) or not at all.
+_CELLS = ["0.0", "-0.0", "-0", "0", "-0e0", " -0 ", "-1.5", "3.0", "-20.25", "5e-05", "1E5",
+          "1_0", "+1", ".5", "true", "false", "null"]
+
+
+def _map_bytes(nx, ny, rows, crlf=False):
+    """The bytes of a written nx x ny map's header, then `rows`, and the
+    length of the header."""
+    head = "".join(write_map_csv(synth_map(nx=nx, ny=ny)).splitlines(keepends=True)[:-ny])
+    data = (head + "".join(row + "\n" for row in rows)).encode()
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    return data, len(head) + crlf * head.count("\n")
+
+
+def _written(nx, ny, cells):
+    """The bytes of a written nx x ny map of `cells`, repeated as needed."""
+    cells = np.resize(np.array(cells, dtype=float), ny * nx).tolist()
+    return _map_bytes(nx, ny, [",".join(map(repr, cells[r * nx:(r + 1) * nx]))
+                               for r in range(ny)])[0]
+
+
+@st.composite
+def mutated_maps(draw):
+    """A map header and rows of `_CELLS`, its lines CRLF or not, with a few
+    bytes inserted, replaced or deleted and lines repeated or dropped,
+    about half of them in the body."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = [",".join(draw(st.lists(st.sampled_from(_CELLS), min_size=nx, max_size=nx)))
+            for _ in range(ny)]
+    data, body = _map_bytes(nx, ny, rows, crlf=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["insert", "replace", "delete", "repeat line", "drop line"]))
+        pos = draw(st.integers(draw(st.sampled_from([0, min(body, len(data))])), len(data)))
+        if op.endswith("line"):
+            lo = data.rfind(b"\n", 0, pos) + 1
+            hi = data.find(b"\n", pos) + 1 or len(data)
+            data = data[:lo] + data[lo:hi] * (2 if op == "repeat line" else 0) + data[hi:]
+        else:
+            ins = b"" if op == "delete" else draw(st.sampled_from(_INSERTS))
+            data = data[:pos] + ins + data[pos + (op != "insert"):]
+    return data
+
+
+class TestBlockReader:
+    """The block reader returns what the text path returns, or leaves the
+    text path to raise its error, wherever the block edges fall."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_maps(), st.integers(1, 200))
+    @example(_written(3, 2, [-1.5, 0.0]).replace(b"\n", b"\r\n"), 1)       # CRLF
+    @example(_written(3, 2, [-1.5, -0.0]).replace(b"\n", b"\r\n"), 7)
+    @example(("# nfscan-map 1\n# x_min: 0\n# x_max: 0.001\n# y_min: 0\n# y_max: 0.001\n"
+              "# dx: 0.001\n# dy: 0.001\n# z_height: 0.001\n# f_hz: 1e9\n"
+              "# component: hy\n# value_kind: db\n-1.5,2.0\n3.0\r,-4.0\n").encode(), 3)
+    @example(_written(2, 2, [-1.5]).replace(b"db\n", b"db\n\n \n\r\n"), 5)  # blank lines
+    @example(b"\xef\xbb\xbf" + _written(2, 2, [-1.5]), 200)                 # a BOM
+    @example(_written(2, 2, [-1.5]).replace(b": hy\n", b": h\xffy\n"), 11)   # header
+    @example(_written(2, 2, [-1.5]).replace(b"-1.5\n", b"-1.5\xff\n"), 64)  # body
+    @example(_map_bytes(2, 2, ["1.5,-0", "-0,2.0"])[0], 1)                 # `-0` cells
+    @example(_map_bytes(2, 2, ["1.5,-0", "-0,2.0"])[0], 2)
+    @example(_map_bytes(1, 2, ["-2", "0.25", "-1.5"])[0], 4)                # a row too many
+    @example(_map_bytes(2, 3, ["1.5,-0.0"] * 2)[0], 6)                      # a row too few
+    @example((_HEAD_1E13 + "-10\n").encode(), 9)                           # 10**13 cells
+    def test_block_reader_matches_text_path(self, data, size):
+        assert _read(data, size) == _read(data)
+        text = data.decode("utf-8", "surrogateescape")
+        assert _read(text, size) == _read(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field_maps(), st.integers(1, 200))
+    def test_written_maps_need_no_text_path(self, fmap, size):
+        data = write_map_csv(fmap).encode()
+        with mock.patch.object(formats, "_BLOCK_BYTES", size):
+            found = formats._map_from_blocks(io.BytesIO(data))
+        assert found is not None
+        assert found[3].tobytes() == fmap.values.tobytes()
+
+    def test_cli_reader_peaks_below_the_file_size(self, tmp_path):
+        # 0.88x here (tracemalloc): the blocks' arrays and their concatenation
+        path = tmp_path / "map.csv"
+        vals = np.random.default_rng(8).uniform(-350.0, 0.0, (1001, 1001))
+        path.write_text(write_map_csv(_db_map(vals)))
+        tracemalloc.start()
+        try:
+            fmap = cli._read_map(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fmap.values.tobytes() == vals.tobytes()
+        assert peak < 1.0 * path.stat().st_size
 
 
 def _stored_arrays():

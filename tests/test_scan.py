@@ -445,6 +445,23 @@ class TestApplyCalibration:
         with pytest.raises(ConfigError, match=f"scan map component is '{component}'"):
             apply_calibration_to_scan(vmap, self._cf((1e9, 40.0)), 1e9)
 
+    @pytest.mark.parametrize("normal", ["vport", "s21", "x", ""])
+    def test_normal_must_name_a_field_component(self, normal):
+        vmap = replace(self._vmap(-60.0), meta={"normal": normal})
+        with pytest.raises(ConfigError) as info:
+            apply_calibration_to_scan(vmap, self._cf((1e9, 40.0)), 1e9)
+        assert str(info.value) == (f"scan map meta.normal is {normal!r}: must be one of "
+                                   "'hx', 'hy', 'hz', 'mag'")
+
+    @pytest.mark.parametrize("meta, component", [({"normal": "hx"}, "hx"),
+                                                 ({"normal": "hz"}, "hz"),
+                                                 ({"normal": "mag"}, "mag"), ({}, "mag")])
+    def test_normal_is_the_output_component(self, meta, component):
+        vmap = replace(self._vmap(-60.0), meta=meta)
+        out = apply_calibration_to_scan(vmap, self._cf((1e9, 40.0)), 1e9)
+        assert out.component == component
+        assert "normal" not in out.meta
+
     def test_frequency_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="does not match"):
             apply_calibration_to_scan(self._vmap(-60.0), self._cf((2e9, 40.0)), 2e9)
