@@ -191,15 +191,15 @@ def cmd_calibrate(args):
 
 def _read_map(path):
     """The FieldMap of the map CSV at `path`, parsed from the file's bytes
-    (`formats.parse_map_csv`); a file that cannot seek is read whole, as
-    text.  Errors in reading it are `config.reading`'s."""
+    (`formats.parse_map_csv`); errors in reading it are `config.reading`'s."""
     with reading(path) as fh:
-        return parse_map_csv(fh if fh.seekable() else fh.read().decode("utf-8"))
+        return parse_map_csv(fh)
 
 
 def cmd_extract(args):
     vmap = _read_map(args.scan)
-    table = parse_cf_csv(_read_text(args.cf))
+    with reading(args.cf) as fh:
+        table = parse_cf_csv(fh)
     out = apply_calibration_to_scan(vmap, table, args.freq, sign_mode=args.sign_mode)
     (data,) = write_map_stack(out.grid, [out.f], out.component, out.values[None], out.meta)
     _write_text(args.out, data)

@@ -6,64 +6,40 @@ CSV metadata lines start with '#' and use SI units; body rows run from
 y_min upward (row-major: y outer, x inner).  PGM output puts y_max at
 the top, as an image viewer would expect.
 
-Every text parser reads its lines from `_lines`: lines end at "\n" (a
-CRLF's "\r" is stripped as padding; a bare "\r" does not end a line,
-and a file whose lines bare "\r"s end is an error that says so),
-and a file holding one of the ASCII separators "\x1c"-"\x1f" is an
-error naming that line.  Every CSV (map, CF and profile) is written by
-`_table`: a '# magic' line, a '# key: value' line per header item, then
-the rows.  Every CSV is read by `_read_table` (header keys and numbers;
-a key given twice is an error naming its line) and `_read_body`
-(cells), so map and CF tables share one set of rules and error texts.
+Lines end at "\n" only (`_lines`: a CRLF's "\r" is padding, and a file
+whose lines bare "\r"s end is an error that says so), and a line holding
+one of the ASCII separators "\x1c"-"\x1f" is an error naming it.  Every
+CSV is written by `_table`: a '# magic' line, a '# key: value' line per
+header item, then the rows.  Map and CF CSVs are read by `_read_csv`,
+so they share one cell grammar and one set of error texts.
 
-A map CSV holds one dB map (FieldMap), and every cell is a finite dB
-value written as Python `repr` of a double: the shortest decimal that
-parses back to the same double.  A CSV body is formatted by orjson
-(Ryu-style shortest round-trip digits), one call per row, and the rows
-are joined with "\n": a 201 x 201 map takes 2.8 ms (Intel Xeon, one
-core).  orjson spells a double as `repr` does except for 0 < |x| < 1e-4
-and |x| >= 1e16 ("0.00005", "1e16" for "5e-05", "1e+16"); the rows
-holding such a cell are written with `repr`, which is what keeps every
-file byte-identical to one `repr` per cell.
+A map CSV holds one dB map (FieldMap), every cell a finite dB value
+written as Python `repr` of a double, the shortest decimal that parses
+back to it.  A body is formatted by orjson (shortest round-trip digits),
+one call per row: a 201 x 201 map takes 2.8 ms (Intel Xeon, one core).
+orjson spells a double as `repr` does except for 0 < |x| < 1e-4 and
+|x| >= 1e16 ("0.00005", "1e16" for "5e-05", "1e+16"); the rows holding
+such a cell are written with `repr`.  Maps are written a stack at a time
+(`write_map_stack`): the header items but f_hz and that row scan are
+made once per stack of maps sharing grid, component and meta.
 
-Maps are written a stack at a time (`write_map_stack`): the maps of one
-observable over a sweep share their grid, component and meta, so the
-header items but f_hz and the scan for rows needing `repr` are made once
-per stack, and each map is one `_table` call, as bytes.  `write_map_csv`
-is its one-map case, decoded to text.
-
-A cell parses if `float()` accepts it and the result is finite;
-surrounding whitespace and `1_0` are accepted.  A bad cell raises
-ParseError naming its line and its text.
-
-A map CSV is read from its bytes, 64 KiB at a time (`_map_from_blocks`):
-each read is cut at its last "\n", the rest carried into the next, and
-each block of body lines is read as "[[row],[row],...]" by one
-`orjson.loads` call and converted with `np.array(..., dtype=float)`.
-The file is never decoded whole nor split into lines.  Every JSON number
-is a `float()` spelling that orjson rounds to the same double.  The
-block reader raises on no content: where it has any doubt it returns
-None, and the text path (`_split_header`, then `_read_body`, `float()`
-cell by cell, then the finiteness check) decides, which returns the same
-FieldMap or raises the error naming the fault.  Doubt is a header that
-is not UTF-8 or that `_map_header` rejects; a body holding `"`, `{`,
-`[`, `t`, `f` or `n` (a string, object, `true`, `false` or `null`, which
-numpy would cast to a float, or a line that could read as two rows); a
-block orjson rejects or not shaped (lines, nx); an exact zero spelled
-`-0` (JSON's int 0, losing the sign); a row count other than the
-header's; or a non-finite value.  So the cells JSON does not read (`1_0`,
-`+1`, `.5`, non-ASCII digits, "\x0c" padding) are read by `float()`, and
-every error is the text path's.  Reading and parsing a 201 x 201 map
-file takes 18% less time than decoding it whole and parsing the text in
-64-row blocks did (7.0 against 8.6 ms, shared 2-core Intel Xeon), and it
-peaks at 0.9x the file's size, the blocks' arrays and their join.  CF
-tables, 2 x nf cells, are read cell by cell.
+A body cell is an RFC 8259 JSON number, which may be padded by spaces,
+tabs and "\r"s; `-0` keeps its sign.  Any other spelling (`1_0`, `+1`,
+`.5`, `1.`, `01`, `nan`, non-ASCII digits or padding) is a bad cell,
+and a number beyond a double a non-finite one: a ParseError naming the
+line and the cell.  A body is read 64 KiB of the file's bytes at a time,
+each block of whole lines by one `orjson.loads` call, which reads
+exactly that grammar and rounds as `float()` does (`_read_csv`); a block
+it refuses is walked line by line for the first fault in file order
+(`_locate`).  Reading and parsing a 201 x 201 map file takes 7.0 ms
+(shared 2-core Intel Xeon) and peaks at 0.9x the file's size.
 """
 
 from __future__ import annotations
 
 import cmath
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -380,37 +356,17 @@ def _repr_rows(values):
 
 def parse_map_csv(source):
     """The FieldMap of a map CSV, given as its text or as a binary file
-    open at its start.
-
-    The file's bytes are read a block at a time (`_map_from_blocks`).
-    Where that reader has any doubt, the whole text decides: a file's
-    bytes are read again from its start and decoded as UTF-8 (a
-    UnicodeDecodeError if they are not), split into lines
-    (`_split_header`) and read cell by cell (`_read_body`), which return
-    the same FieldMap or raise the ParseError naming the fault.
-    """
-    if isinstance(source, str):
-        text, fh = source, io.BytesIO(source.encode("utf-8", "surrogatepass"))
-    else:
-        text, fh = None, source
-    found = _map_from_blocks(fh)
-    if found is None:
-        if text is None:
-            fh.seek(0)
-            text = fh.read().decode("utf-8")
-        grid, header, f_hz, body = _map_header(text)
-        if len(body) != grid.ny:
-            raise ParseError(f"expected {grid.ny} data rows, got {len(body)}")
-        found = grid, header, f_hz, _read_body(body, grid.nx)
-    grid, header, f_hz, values = found
+    open at its start, read a block at a time (`_read_csv`)."""
+    (grid, header, f_hz), values = _read_csv(source, _map_header)
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}
     return FieldMap(grid=grid, f=f_hz, component=header["component"], values=values, meta=meta)
 
 
 def _map_header(text):
-    """(ScanGrid, header dict, f_hz, body) of a map CSV's text."""
-    header, nums, body = _read_table(text, MAP_MAGIC, "field map", ("component", "value_kind"),
-                                     _MAP_FLOAT_KEYS)
+    """((ScanGrid, header dict, f_hz), rows, columns) of a map CSV's
+    header `text` (`_read_table`)."""
+    header, nums = _read_table(text, MAP_MAGIC, "field map", ("component", "value_kind"),
+                               _MAP_FLOAT_KEYS)
     try:
         grid = ScanGrid(*nums[:-1])
     except ConfigError as exc:
@@ -419,14 +375,14 @@ def _map_header(text):
         raise ParseError(f"header {str(exc)[len('grid.'):]}") from None
     if header["value_kind"] != "db":
         raise ParseError(f"header value_kind: must be db, got {header['value_kind']!r}")
-    return grid, header, nums[-1], body
+    return (grid, header, nums[-1]), grid.ny, grid.nx
 
 
 def _read_table(text, magic, what, keys, floats):
-    """(header dict, [float of each `floats` key], body) of a CSV, whose
-    header must hold every key of `floats` and `keys`, each `floats` key
-    a finite number."""
-    header, body = _split_header(text, magic, what)
+    """(header dict, [float of each `floats` key]) of a CSV's header
+    `text` (`_split_header`), which must hold every key of `floats` and
+    `keys`, each `floats` key a finite number."""
+    header = _split_header(text, magic, what)
     missing = [k for k in floats + keys if k not in header]
     if missing:
         raise ParseError(f"missing header keys: {', '.join(missing)}")
@@ -438,47 +394,65 @@ def _read_table(text, magic, what, keys, floats):
             raise ParseError(f"header {key}: not a number: {header[key]!r}") from None
         if not math.isfinite(nums[-1]):
             raise ParseError(f"header {key}: not a finite number: {header[key]!r}")
-    return header, nums, body
+    return header, nums
 
 
-def _read_body(body, ncols):
-    """The (rows, ncols) read-only array of a non-empty body of finite
-    cells, each parsed by `float()`; a ParseError names the first bad cell."""
-    # Count every row's cells before allocating, so the map a header asks
-    # for is never larger than what the file holds.
-    for r, (lineno, line) in enumerate(body):
-        n = line.count(",") + 1
-        if n != ncols:
-            raise ParseError(f"row {r}: expected {ncols} columns, got {n}", line=lineno)
-    values = np.empty((len(body), ncols))
-    for r, (lineno, line) in enumerate(body):
-        values[r] = [_parse_cell(cell, lineno) for cell in line.split(",")]
-    values.flags.writeable = False  # kept by the FieldMap or CFTable without a copy
-    if not np.isfinite(values).all():
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        lineno, line = body[r]
-        raise ParseError(f"non-finite db cell {line.split(',')[c].strip()!r}", line=lineno)
-    return values
+def _split_header(text, magic, what):
+    """The '#' metadata dict of the lines of `text` up to its first body
+    line, the first that is neither blank nor starts with '#' once its
+    ASCII white space (`_SPACE`) is stripped.  A key given twice is a
+    ParseError naming its second line."""
+    header = {}
+    saw_magic = False
+    for lineno, raw in _lines(text):
+        line = raw.strip(_SPACE)
+        if not line:
+            continue
+        if not saw_magic:
+            if not line.startswith("#") or line[1:].strip() != magic:
+                raise ParseError(f"not a {what} file (expected '# {magic}')", line=lineno)
+            saw_magic = True
+            continue
+        if not line.startswith("#"):
+            break
+        key, sep, val = line[1:].strip().partition(":")
+        if not sep:
+            raise ParseError(f"malformed header line {raw.strip()!r}", line=lineno)
+        key = key.strip()
+        if key in header:
+            raise ParseError(f"header key {key!r} given twice", line=lineno)
+        header[key] = val.strip()
+    if not saw_magic:
+        raise ParseError(f"not a {what} file (empty input)")
+    return header
 
 
-def _parse_cell(cell, lineno):
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"bad db cell {cell.strip()!r}", line=lineno) from None
-
-
-#: Bytes per read of a map file: a block's Python floats stay small, and
+#: Bytes per read of a CSV file: a block's Python floats stay small, and
 #: so do its bytes, which then come from the heap and not fresh pages.
 _BLOCK_BYTES = 1 << 16
 
-#: A `-0` cell, which JSON reads as the int 0, losing the sign.
-_NEG_ZERO = re.compile(rb"-0(?![0-9.eE])")
+#: A `-0` cell, which JSON reads as the int 0, losing the sign; the
+#: "-0" of an exponent ("1e-0") is not one.
+_NEG_ZERO = re.compile(rb"(?<![eE])-0(?![0-9.eE])")
 
-#: Bytes a map body of numbers never holds: JSON reads a string, object,
-#: `true`, `false` or `null` where float() reads none, and "[" could make
-#: one line more than one row.
+#: Bytes a body of numbers never holds: JSON reads a string, object,
+#: `true`, `false` or `null` where the cell grammar reads none, and "["
+#: could make one line more than one row.
 _NOT_NUMBERS = (b'"', b"{", b"[", b"t", b"f", b"n")
+
+#: The padding a body cell may have around its number.
+_PAD = " \t\r"
+
+#: ASCII white space, what bytes.strip() strips: a line holding only
+#: these is blank.
+_SPACE = " \t\n\r\x0b\x0c"
+
+#: A body line: the first line of a CSV that, its ASCII white space
+#: stripped, is neither empty nor starts with "#" begins the body.
+_BODY_LINE = re.compile(rb"^[ \t\r\x0b\x0c]*[^# \t\n\r\x0b\x0c]", re.MULTILINE)
+
+#: A body cell: an RFC 8259 number, padded by `_PAD`.
+_CELL = re.compile(r"[ \t\r]*-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[ \t\r]*")
 
 
 def _line_blocks(fh):
@@ -499,96 +473,107 @@ def _line_blocks(fh):
         yield tail
 
 
-def _map_from_blocks(fh):
-    """(ScanGrid, header dict, f_hz, values) of the map CSV in the binary
-    file `fh`, read a block at a time, or None where the text path must
-    decide; it raises on no content (see the module docstring).
+def _load(block):
+    """The float array of the body lines `block`, read as
+    "[[row],[row],...]" by one `orjson.loads` call, or None if orjson or
+    numpy (ragged rows) rejects it."""
+    try:
+        return np.array(orjson.loads(b"[[" + block.replace(b"\n", b"],[") + b"]]"), dtype=float)
+    except ValueError:  # orjson.JSONDecodeError is one
+        return None
 
-    The header runs to the first line whose ASCII-stripped bytes are not
-    empty and do not start with "#"; it must decode as UTF-8 and pass
-    `_map_header`.  Each body block is read as "[[row],[row],...]" by one
-    `orjson.loads` call.  Nothing is allocated from the header's grid
-    size: each block is as large as its bytes.
+
+def _read_csv(source, layout):
+    """(layout's result, values) of the map or CF CSV `source`, its text
+    or a binary file open at its start.
+
+    The header runs to the first body line (`_BODY_LINE`); it and that
+    line are decoded as UTF-8 (a text's lone surrogates come back as
+    given) and read by `layout(text)`, which returns its result, the row
+    count (None: as many as the body holds) and the column count.  Each
+    block of body lines (`_line_blocks`) is read by `_load`; one with an
+    exact zero is searched for `-0` cells, which JSON reads as the int 0,
+    and read again with them spelled `-0.0`.  A block is refused if
+    orjson rejects it, if it holds `_NOT_NUMBERS`, if it is not shaped
+    (lines, columns) or if it brings a row past the count; `_locate`
+    then raises the fault.  Nothing is allocated from the header's
+    counts, and the read-only values are the blocks' join.
     """
-    head = b""
-    grid = None
-    blocks = []
-    rows = 0
-    for block in _line_blocks(fh):
-        if grid is None:
-            start = 0
-            for line in block.split(b"\n"):
-                stripped = line.strip()
-                if stripped and not stripped.startswith(b"#"):
-                    break
-                start += len(line) + 1
-            else:
-                head += block + b"\n"
-                continue
-            try:
-                grid, header, f_hz, _ = _map_header((head + block[:start]).decode("utf-8"))
-            except ValueError:  # a ParseError, or a header that is not UTF-8
-                return None
-            block = block[start:]
-        if any(c in block for c in _NOT_NUMBERS):
-            return None
-        try:
-            values = np.array(orjson.loads(b"[[" + block.replace(b"\n", b"],[") + b"]]"),
-                              dtype=float)
-        except ValueError:  # orjson.JSONDecodeError, or ragged rows
-            return None
+    errors = "strict"
+    if isinstance(source, str):
+        source, errors = io.BytesIO(source.encode("utf-8", "surrogatepass")), "surrogatepass"
+    blocks = _line_blocks(source)
+    head, body = [], []
+    for block in blocks:
+        found = _BODY_LINE.search(block)
+        if not found:
+            head.append(block)
+            continue
+        start = found.start()
+        stop = block.find(b"\n", start)
+        head.append(block if stop < 0 else block[:stop])
+        body.append(block[start:])
+        break
+    lineno = sum(part.count(b"\n") for part in head) + len(head)
+    result, nrows, ncols = layout(b"\n".join(head).decode("utf-8", errors))
+    parts, rows = [], 0
+    for block in itertools.chain(body, blocks):
         n = block.count(b"\n") + 1
-        rows += n
+        if nrows is not None and rows + n > nrows or any(c in block for c in _NOT_NUMBERS):
+            values = None
+        else:
+            values = _load(block)
+        if values is None or values.shape != (n, ncols):
+            extra = _locate(block, lineno, rows, nrows, ncols, errors)
+            extra += sum(rest.count(b"\n") + 1 for rest in blocks)
+            raise ParseError(f"expected {nrows} data rows, got {nrows + extra}")
         # `b"-0" in block` would match every negative cell; only a block
         # with an exact zero can hold a `-0`.
-        if (values.shape != (n, grid.nx) or rows > grid.ny
-                or not values.all() and _NEG_ZERO.search(block)):
-            return None
-        blocks.append(values)
-    if grid is None or rows != grid.ny:
-        return None
-    values = np.concatenate(blocks)
-    if not np.isfinite(values).all():
-        return None
-    values.flags.writeable = False  # kept by the FieldMap without a copy
-    return grid, header, f_hz, values
+        if not values.all() and _NEG_ZERO.search(block):
+            values = _load(_NEG_ZERO.sub(b"-0.0", block))
+        parts.append(values)
+        rows += n
+        lineno += n
+    if nrows is not None and rows != nrows:
+        raise ParseError(f"expected {nrows} data rows, got {rows}")
+    values = np.concatenate(parts) if parts else np.empty((0, ncols))
+    values.flags.writeable = False  # kept by the FieldMap or CFTable without a copy
+    return result, values
 
 
-def _split_header(text, magic, what):
-    """('#' metadata dict, [(lineno, body line), ...]); a key given twice
-    is a ParseError naming its second line."""
-    header = {}
-    body = []
-    saw_magic = False
-    for lineno, raw in _lines(text):
-        line = raw.strip()
-        if not line:
-            if body:
-                raise ParseError("blank line inside data body", line=lineno)
-            continue
-        if line.startswith("#"):
-            if body:
-                raise ParseError("'#' header line after data body", line=lineno)
-            content = line[1:].strip()
-            if not saw_magic:
-                if content != magic:
-                    raise ParseError(f"not a {what} file (expected '# {magic}')", line=lineno)
-                saw_magic = True
-                continue
-            key, sep, val = content.partition(":")
-            if not sep:
-                raise ParseError(f"malformed header line {line!r}", line=lineno)
-            key = key.strip()
-            if key in header:
-                raise ParseError(f"header key {key!r} given twice", line=lineno)
-            header[key] = val.strip()
-        else:
-            if not saw_magic:
-                raise ParseError(f"not a {what} file (expected '# {magic}')", line=lineno)
-            body.append((lineno, line))
-    if not saw_magic:
-        raise ParseError(f"not a {what} file (empty input)")
-    return header, body
+def _locate(block, lineno, row, nrows, ncols, errors):
+    """Raise the first fault of the body lines `block`, which `_read_csv`
+    refused, the first of them line `lineno` and row `row`.  Each line is
+    decoded, then checked for a separator, for being blank, for '#', for
+    being a row past `nrows` (then the count of lines from it to the
+    block's end is returned, unread), for its column count and cell by
+    cell (`_CELL`, then `float()`).  A block with no fault is a bug, a
+    ParseError naming its first line."""
+    lines = block.split(b"\n")
+    for i, raw in enumerate(lines):
+        line = raw.decode("utf-8", errors)
+        where = lineno + i
+        found = [j for j in map(line.find, _SEPARATORS) if j >= 0]
+        if found:
+            raise ParseError(f"control character {line[min(found)]!r}", line=where)
+        stripped = raw.strip()
+        if not stripped:
+            raise ParseError("blank line inside data body", line=where)
+        if stripped.startswith(b"#"):
+            raise ParseError("'#' header line after data body", line=where)
+        if row + i == nrows:
+            return len(lines) - i
+        cells = line.split(",")
+        if len(cells) != ncols:
+            raise ParseError(f"row {row + i}: expected {ncols} columns, got {len(cells)}",
+                             line=where)
+        for cell in cells:
+            if not _CELL.fullmatch(cell):
+                raise ParseError(f"bad db cell {cell.strip(_PAD)!r}", line=where)
+            if not math.isfinite(float(cell)):
+                raise ParseError(f"non-finite db cell {cell.strip(_PAD)!r}", line=where)
+    raise ParseError("body block refused with no fault found in it (a reader bug)",
+                     line=lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +586,20 @@ def write_cf_csv(table):
     return data.decode("utf-8", "surrogatepass")
 
 
-def parse_cf_csv(text):
-    """CFTable from a CF CSV; header keys other than kernel/d/h are ignored."""
-    header, (d, h), body = _read_table(text, CF_MAGIC, "calibration table", ("kernel",),
-                                       ("d", "h"))
-    if not body:  # _read_body needs a row
+def parse_cf_csv(source):
+    """CFTable from a CF CSV, given as its text or as a binary file open at
+    its start, read as a map CSV is (`_read_csv`); header keys other than
+    kernel/d/h are ignored."""
+    (header, (d, h)), values = _read_csv(source, _cf_header)
+    if not len(values):
         raise ParseError("calibration table has no rows")
-    values = _read_body(body, 2)
     return CFTable(f=values[:, 0], cf_db=values[:, 1], kernel=header["kernel"], d=d, h=h)
+
+
+def _cf_header(text):
+    """((header dict, [d, h]), rows, columns) of a CF CSV's header `text`:
+    as many rows as the body holds, of 2 columns."""
+    return _read_table(text, CF_MAGIC, "calibration table", ("kernel",), ("d", "h")), None, 2
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +629,15 @@ def render_pgm(fmap: FieldMap, lo, hi):
     if not math.isfinite(hi - lo):
         raise ConfigError(f"render range: hi ({hi}) - lo ({lo}) overflows a double")
     # v - lo overflows for v and lo far apart, the quotient for a range
-    # far narrower than v - lo; the clip sends +-inf to 0 and 255.
+    # far narrower than v - lo; the clip sends +-inf to 0 and 255.  Every
+    # step writes into the one float buffer `t`.
     with np.errstate(over="ignore"):
-        t = (fmap.values - lo) / (hi - lo)
-    pix = np.floor(255.0 * np.clip(t, 0.0, 1.0) + 0.5).astype(np.uint8)
-    pix = pix[::-1]  # image top = largest y
+        t = np.subtract(fmap.values, lo)
+        np.divide(t, hi - lo, out=t)
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(255.0, t, out=t)
+        np.add(t, 0.5, out=t)
+        np.floor(t, out=t)
+    pix = t.astype(np.uint8)[::-1]  # image top = largest y
     header = f"P5\n{fmap.grid.nx} {fmap.grid.ny}\n255\n".encode("ascii")
     return header + pix.tobytes()

@@ -1447,11 +1447,15 @@ class TestMapFileRead:
         code = main(["stats", "--map", str(path)])
         assert (code, *capsys.readouterr()) == want
 
-    def test_file_that_cannot_seek_is_read_whole(self, tmp_path, capsys):
+    def test_fifo_is_read_in_blocks(self, tmp_path, capsys, monkeypatch):
+        # a pipe cannot seek, and the reader never needs to: small blocks
+        # put the block edges inside the header and the body
+        monkeypatch.setattr(nfscan.formats, "_BLOCK_BYTES", 64)
         fifo = tmp_path / "map.fifo"
         os.mkfifo(fifo)
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            pool.submit(fifo.write_text, _MAP)
+            written = pool.submit(fifo.write_text, _MAP)
             assert main(["stats", "--map", str(fifo)]) == 0
+            written.result(timeout=10)
         s = map_stats(parse_map_csv(_MAP))
         assert capsys.readouterr().out.startswith(f"min {s.min_db!r} dB ")
