@@ -33,11 +33,12 @@ EPS_GEOM = 1e-9
 
 #: Most point x segment pairs per block, images counted, unless one probe
 #: alone has more; the block's one kernel pass holds the trace's half
-#: and the image's.  A table3 raster block (5 rows of 201 points at
-#: 0.1 mm) peaks at 1.4 MB, 23 B per pair (tracemalloc).  In-process scans
-#: of table3 at 0.1 mm, 5 frequencies, took 118, 80 and 68 ms at 2**15,
-#: 2**16 and 2**17 pairs (medians of 7, a shared 2-core x86-64 host).
-PAIRS = 2 ** 16
+#: and the image's.  A table3 raster block (10 rows of 201 points at
+#: 0.1 mm) peaks at 2.5 MB, 21 B per pair (tracemalloc).  In-process scans
+#: of table3 at 0.1 mm, 5 frequencies, took 67, 51, 45 and 48 ms at 2**15,
+#: 2**16, 2**17 and 2**18 pairs (CPU time, medians of 15 interleaved
+#: rounds, a shared 2-core x86-64 host).
+PAIRS = 2 ** 17
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -55,30 +56,45 @@ def _sum(first, *rest):
 
 
 def _in_span(r, u, live, shape):
-    """t1 = r1.u and t2 = r2.u over the `live` axes (r per coordinate,
-    (nv, ...); u per axis, (nseg, 1, ...)), the flat indices
-    i of the in-span pairs (t1 * t2 <= 0) in `shape` = (nseg, *S), a
-    function giving an array's entries at those pairs, and
-    (t1 - t2)(t1 + t2), the beyond-end numerator."""
+    """What the polyline and its image share of the in-span pairs
+    (t1 * t2 <= 0), for r per coordinate, (nv, ...), and u per axis,
+    (nseg, 1, ...): t1 = r1.u and t2 = r2.u over the `live` axes, the
+    pairs' flat indices i in `shape` = (nseg, *S), a function giving an
+    array's entries at those pairs, (t1 - t2)(t1 + t2), the beyond-end
+    numerator, and, gathered at the pairs, t1, t2, u_x, u_y and
+    (u_x r1_y - u_y r1_x)**2, rho**2's in-plane term.  The gathers take
+    one flat index per distinct array shape, built for this call only."""
     t1 = _sum(*(r[j][:-1] * u[j] for j in live))
     t2 = _sum(*(r[j][1:] * u[j] for j in live))
     i = np.flatnonzero(np.broadcast_to(t1 * t2 <= 0.0, shape))
     at = np.unravel_index(i, shape)
+    flat = {shape: i}
 
     def pick(x):
-        return x[(at[0],) + tuple(ix if m > 1 else 0 for ix, m in zip(at[1:], x.shape[1:]))]
+        k = flat.get(x.shape)
+        if k is None:
+            k = flat[x.shape] = np.ravel_multi_index(
+                tuple(ix if m > 1 else 0 for ix, m in zip(at, x.shape)), x.shape)
+        return x.take(k)
 
     num = t1 - t2
     num *= t1 + t2
-    return t1, t2, i, pick, num
+    ux, uy = pick(u[0]), pick(u[1])
+    plane = (ux * pick(r[1][:-1]) - uy * pick(r[0][:-1])) ** 2
+    return t1, t2, i, pick, num, (pick(t1), pick(t2), ux, uy, plane)
 
 
 def _side_coupling(r, u, span, a, check=False):
     """One side's (nseg, *S) coupling to axis `a` (see `segment_kernel`),
     from its r and u per axis and the `_in_span` result, and None; or, if
     `check`, None and the first (point, segment) pair, in point-major
-    order, closer than EPS_GEOM to the segment."""
-    t1, t2, i, pick, num = span
+    order, closer than EPS_GEOM to the segment.  At the in-span pairs it
+    gathers only r1_z, the coordinate in which the image differs, and |r|.
+    As u_z = 0, the x, z and y components of u x r1 are u_y r1_z, the
+    in-plane term's root and -u_x r1_z, up to the sign of a zero; rho**2
+    adds their squares in that order (see `_sum`), so it has the bits of
+    the full 3-vector sum."""
+    t1, t2, i, pick, num, (ti1, ti2, ux, uy, plane) = span
     r1 = [rj[:-1] for rj in r]
     c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
     # The squares are formed per side: per grid line on a raster, but full
@@ -88,9 +104,8 @@ def _side_coupling(r, u, span, a, check=False):
     np.sqrt(n, out=n)
     n1, n2 = n[:-1], n[1:]
     nseg, npts = n1.shape[0], n1[0].size
-    ri, ui = [pick(rj) for rj in r1], [pick(uj) for uj in u]
-    rho2 = _sum(*((ui[(j + 1) % 3] * ri[(j + 2) % 3] - ui[(j + 2) % 3] * ri[(j + 1) % 3]) ** 2
-                  for j in (0, 2, 1)))
+    rz = pick(r1[2])
+    rho2 = _sum((uy * rz) ** 2, plane, (ux * rz) ** 2)
     # Beyond an end the nearest point of the segment is a vertex.
     eps2 = EPS_GEOM * EPS_GEOM
     if check and (n.min() ** 2 < eps2 or (rho2 < eps2).any()):
@@ -104,8 +119,7 @@ def _side_coupling(r, u, span, a, check=False):
     den *= n2
     den *= w
     coef = np.divide(num, den, out=den)
-    np.put(coef, i, (pick(t1) / np.take(n, i) - pick(t2) / np.take(n, i + npts))
-           / (_FOUR_PI * rho2))
+    np.put(coef, i, (ti1 / n.take(i) - ti2 / n.take(i + npts)) / (_FOUR_PI * rho2))
     coef *= c
     return coef, None
 
@@ -146,7 +160,8 @@ def segment_kernel(vertices, points, axis):
     (t1 - t2)(t1 + t2) keep the shape of the axes left, and the polyline
     and its image share them.  Per side, only |r|, the beyond-end
     denominator and the result are (nseg, *S).  The in-span formula runs
-    only on the in-span pairs, gathered by index.
+    only on the in-span pairs, gathered by one flat index per array
+    shape; the polyline and its image share all of it but r_z and |r|.
     Sums are rounded as the former (npts, nseg, 3) kernel's einsum
     projection rounded them, so the values equal it bit for bit.  A
     signed zero in t reaches no output: the mask and the in-span formula

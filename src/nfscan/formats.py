@@ -478,7 +478,8 @@ def _load(block):
     "[[row],[row],...]" by one `orjson.loads` call, or None if orjson or
     numpy (ragged rows) rejects it."""
     try:
-        return np.array(orjson.loads(b"[[" + block.replace(b"\n", b"],[") + b"]]"), dtype=float)
+        return np.array(orjson.loads(b"".join((b"[[", block.replace(b"\n", b"],["), b"]]"))),
+                        dtype=float)
     except ValueError:  # orjson.JSONDecodeError is one
         return None
 
@@ -494,10 +495,11 @@ def _read_csv(source, layout):
     block of body lines (`_line_blocks`) is read by `_load`; one with an
     exact zero is searched for `-0` cells, which JSON reads as the int 0,
     and read again with them spelled `-0.0`.  A block is refused if
-    orjson rejects it, if it holds `_NOT_NUMBERS`, if it is not shaped
-    (lines, columns) or if it brings a row past the count; `_locate`
-    then raises the fault.  Nothing is allocated from the header's
-    counts, and the read-only values are the blocks' join.
+    orjson rejects it, if it holds `_NOT_NUMBERS`, if its rows are not
+    all the column count long (with no "[", it has one row per line) or
+    if it brings a row past the count; `_locate` then raises the fault.
+    Nothing is allocated from the header's counts, and the read-only
+    values are the blocks' join.
     """
     errors = "strict"
     if isinstance(source, str):
@@ -518,12 +520,9 @@ def _read_csv(source, layout):
     result, nrows, ncols = layout(b"\n".join(head).decode("utf-8", errors))
     parts, rows = [], 0
     for block in itertools.chain(body, blocks):
-        n = block.count(b"\n") + 1
-        if nrows is not None and rows + n > nrows or any(c in block for c in _NOT_NUMBERS):
-            values = None
-        else:
-            values = _load(block)
-        if values is None or values.shape != (n, ncols):
+        values = None if any(c in block for c in _NOT_NUMBERS) else _load(block)
+        if (values is None or values.shape[1:] != (ncols,)
+                or nrows is not None and rows + len(values) > nrows):
             extra = _locate(block, lineno, rows, nrows, ncols, errors)
             extra += sum(rest.count(b"\n") + 1 for rest in blocks)
             raise ParseError(f"expected {nrows} data rows, got {nrows + extra}")
@@ -532,8 +531,8 @@ def _read_csv(source, layout):
         if not values.all() and _NEG_ZERO.search(block):
             values = _load(_NEG_ZERO.sub(b"-0.0", block))
         parts.append(values)
-        rows += n
-        lineno += n
+        rows += len(values)
+        lineno += len(values)
     if nrows is not None and rows != nrows:
         raise ParseError(f"expected {nrows} data rows, got {rows}")
     values = np.concatenate(parts) if parts else np.empty((0, ncols))

@@ -501,15 +501,6 @@ class TestMapCsv:
             parse_map_csv(text)
         assert str(exc.value) == f"line {lineno}: control character {char!r}"
 
-    def test_written_map_parses_without_the_per_cell_path(self, monkeypatch):
-        def per_cell(block, lineno, *args):
-            raise AssertionError(f"block at line {lineno} read cell by cell")
-
-        fmap = synth_map()
-        text = write_map_csv(fmap)
-        monkeypatch.setattr(formats, "_locate", per_cell)
-        assert parse_map_csv(text).values.tobytes() == fmap.values.tobytes()
-
     @pytest.mark.parametrize("cell", _REFUSED)
     @pytest.mark.parametrize("table", ["map", "cf"])
     def test_spellings_json_does_not_read_are_bad_cells(self, cell, table):
@@ -863,15 +854,18 @@ class TestBlockReader:
 
     @settings(max_examples=50, deadline=None)
     @given(field_maps())
-    def test_written_maps_need_no_text_path(self, fmap):
+    def test_written_maps_never_reach_the_locator(self, fmap):
         """Written maps are read by orjson alone, never cell by cell
-        (`_locate`), at every block size."""
-        data = write_map_csv(fmap).encode()
+        (`_locate`), at every block size from 1 to 200 and the default,
+        from a file and, at the default, from their text."""
+        text = write_map_csv(fmap)
+        data = text.encode()
         with mock.patch.object(formats, "_locate", side_effect=AssertionError("_locate")):
-            for size in range(1, 201):
+            for size in (*range(1, 201), formats._BLOCK_BYTES):
                 with mock.patch.object(formats, "_BLOCK_BYTES", size):
                     back = parse_map_csv(io.BytesIO(data))
                 assert back.values.tobytes() == fmap.values.tobytes(), size
+            assert parse_map_csv(text).values.tobytes() == fmap.values.tobytes()
 
     def test_cli_reader_peaks_below_the_file_size(self, tmp_path):
         # 0.83x here (tracemalloc): the blocks' arrays and their concatenation

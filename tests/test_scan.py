@@ -94,10 +94,12 @@ class TestRunSimulatedScan:
             run_table2(cal_probe, straight_trace, substrate, drive, grid)
 
     def test_node_singularity_names_grid_point(self, cal_probe, substrate, drive,
-                                               table2_grid):
+                                               table2_grid, monkeypatch):
         # a trace through one quadrature node of the probes in grid row 15; at
-        # 1,025 points per probe and 2 segments a block holds 15 rows of 2
-        # probes, so row 15 opens the second block and the index must be rebased
+        # 2**16 pairs, 1,025 points per probe and 2 segments a block holds 15
+        # rows of 2 probes, so row 15 opens the second block and the index
+        # must be rebased
+        monkeypatch.setattr(fields, "PAIRS", 2 ** 16)
         probe = replace(cal_probe, aperture="integrated", quad_n=32)
         grid = replace(table2_grid, x_max=table2_grid.dx)
         assert fields.PAIRS // 2 // (1 + 32 * 32) // grid.nx == 15
