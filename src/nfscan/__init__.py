@@ -16,7 +16,7 @@ from .calibration import (CFTable, calibrate, cf_from_s21, field_from_voltage,
                           geometry_term_db)
 from .config import center_over_trace
 from .errors import ConfigError, ParseError, SingularityError
-from .fields import current_distribution, eps_eff_hammerstad, h_trace_grounded
+from .fields import current_distribution, eps_eff_hammerstad
 from .formats import (FieldMap, NetworkData, parse_cf_csv, parse_map_csv,
                       parse_touchstone, render_pgm, write_cf_csv, write_map_csv,
                       write_touchstone)

@@ -32,14 +32,15 @@ _REQUIRED = object()
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
-#: is 2,000.  A kernel block peaks near 52 bytes per point x segment,
-#: images counted (23 on a raster).
+#: is 2,000.  A kernel block of scattered points peaks near 50 bytes per
+#: point x segment pair, images counted (21 on a raster of whole rows).
 MAX_SEGMENTS = 2000
 
 #: Most point x segment pairs in the kernel block of one integrated probe,
 #: (1 + quad_n^2) x 2 x segments (images included): `kernel_blocks` never
 #: splits a probe.  quad_n 16 over 2,000 segments is 1,028,000 pairs, a
-#: 46 MB peak (tracemalloc).
+#: 45 MB peak on a straight line and 76 MB on a zigzag whose segments run
+#: along neither axis (tracemalloc).
 MAX_PROBE_PAIRS = 2**20
 
 #: Bound on the magnitude of every length and coordinate in a config (mm,

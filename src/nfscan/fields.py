@@ -12,9 +12,9 @@ the z part of r.
 
 `kernel_blocks` is its one caller: one kernel pass per block of whole
 rows, or a chunk of one row, of at most `PAIRS` point x segment pairs,
-images counted (or one probe).  Callers contract each block, in its
-(segments, points) layout, with the currents of the frequencies they
-need: the scan's probe chain, and `h_trace_grounded` once per axis.
+images counted (or one probe).  The scan's probe chain contracts each
+block, in its (segments, points) layout, with the currents of every
+sweep frequency.
 """
 
 from __future__ import annotations
@@ -247,26 +247,6 @@ def kernel_blocks(trace: TracePath, points, axis, offsets=None):
             err.point = lo + err.point // m
             raise
         yield lo, lo + g.shape[1] // m, g
-
-
-def h_trace_grounded(trace: TracePath, currents, points):
-    """Field of a trace over the ground plane (see `kernel_blocks`), one pass
-    per axis.
-
-    `currents` is one complex RMS phasor per trace segment.  `points` may
-    be a single (3,) point or an (n, 3) array; the result matches.
-    """
-    currents = np.asarray(currents, dtype=complex)
-    if currents.shape != (trace.n_segments,):
-        raise ConfigError(
-            f"currents: expected {trace.n_segments} per-segment values, got {currents.shape}")
-    pts = np.asarray(points, dtype=float)
-    flat = np.atleast_2d(pts)
-    out = np.empty((len(flat), 3), dtype=complex)
-    for k, axis in enumerate(AXES):
-        for lo, hi, g in kernel_blocks(trace, flat.T, axis):
-            out[lo:hi, k] = g.T @ currents
-    return out[0] if pts.ndim == 1 else out
 
 
 def eps_eff_hammerstad(eps_r, h, width):

@@ -23,23 +23,9 @@ from .errors import ConfigError
 MU_0 = 4e-7 * math.pi          # H/m, exact by convention here
 C_LIGHT = 299792458.0          # m/s
 
-#: FR4 substrate used for both the probe and the reference line.
-DEFAULT_SUBSTRATE_H = 1.6e-3      # m
-DEFAULT_EPS_R = 4.6
-
-#: Reference 50-ohm line and square-loop probe dimensions.
-DEFAULT_TRACE_WIDTH = 3e-3        # m
-DEFAULT_LINE_Z0 = 50.0            # ohm
-DEFAULT_LOOP_SIDE = 4e-3          # m
-
 #: Reference impedance of the probe port and of every Touchstone file:
 #: the CF formula's 34 dB constant holds for a 50 ohm port only.
 Z_REF = 50.0                      # ohm
-
-#: Default sweep span and drive level (-10 dBm into 50 ohm).
-DEFAULT_F_MIN = 0.1e9             # Hz
-DEFAULT_F_MAX = 3e9               # Hz
-DEFAULT_DRIVE_POWER = 1e-4        # W
 
 
 def readonly(a, dtype):
@@ -69,8 +55,9 @@ def _require(cond, msg):
 class Substrate:
     """Dielectric substrate: thickness h (m) and relative permittivity."""
 
-    h: float = DEFAULT_SUBSTRATE_H
-    eps_r: float = DEFAULT_EPS_R
+    # FR4, used for both the probe and the reference line
+    h: float = 1.6e-3                 # m
+    eps_r: float = 4.6
 
     def __post_init__(self):
         _require(self.h > 0, "substrate.h: thickness must be > 0")
@@ -94,8 +81,8 @@ class TracePath:
     """
 
     vertices: tuple
-    width: float = DEFAULT_TRACE_WIDTH
-    z0_line: float = DEFAULT_LINE_Z0
+    width: float = 3e-3               # m, the reference 50 ohm line
+    z0_line: float = 50.0             # ohm
     termination: str = "matched"
 
     def __post_init__(self):
@@ -147,7 +134,7 @@ class LoopProbe:
     """
 
     normal: str                # the axis the loop faces: "x", "y" or "z"
-    side_s: float = DEFAULT_LOOP_SIDE
+    side_s: float = 4e-3              # m
     loading: str = "matched-halving"
     quad_n: int = 8
     aperture: str = "uniform"
@@ -208,8 +195,8 @@ class ScanGrid:
 
 @dataclass(frozen=True)
 class FrequencySweep:
-    f_min: float = DEFAULT_F_MIN
-    f_max: float = DEFAULT_F_MAX
+    f_min: float = 0.1e9              # Hz
+    f_max: float = 3e9                # Hz
     n_points: int = 31
     spacing: str = "linear"
 
@@ -229,7 +216,7 @@ class FrequencySweep:
 class DriveSpec:
     """Source available power (W, RMS convention)."""
 
-    power: float = DEFAULT_DRIVE_POWER
+    power: float = 1e-4               # W, -10 dBm into 50 ohm
 
     def __post_init__(self):
         _require(self.power > 0, "drive.power: must be > 0")

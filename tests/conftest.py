@@ -5,11 +5,26 @@ import pytest
 
 from nfscan import (DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate, TracePath,
                     center_over_trace)
+from nfscan.fields import kernel_blocks
 from nfscan.model import Z_REF
 
 H_SUB = 1.6e-3
 SCAN_HEIGHT = 1e-3
 MU0 = 4e-7 * math.pi  # vacuum permeability, H/m
+
+
+def grounded_h(trace, currents, points):
+    """Complex H (A/m) of `trace` over the ground plane, carrying one
+    `currents` phasor per segment, at `points`: one (3,) point or an
+    (n, 3) array, and the result matches.  Per axis, each
+    `kernel_blocks` block's coupling g contracted as g.T @ currents."""
+    pts = np.asarray(points, dtype=float)
+    flat = np.atleast_2d(pts)
+    out = np.empty((len(flat), 3), dtype=complex)
+    for k, axis in enumerate("xyz"):
+        for lo, hi, g in kernel_blocks(trace, flat.T, axis):
+            out[lo:hi, k] = g.T @ currents
+    return out[0] if pts.ndim == 1 else out
 
 
 def port_oracle(flux, f, probe, drive):

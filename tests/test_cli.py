@@ -1073,7 +1073,7 @@ def test_public_api_is_pinned():
         "Substrate", "TracePath", "apply_calibration_to_scan", "calibrate", "calibration",
         "center_over_trace", "cf_from_s21", "config", "current_distribution",
         "eps_eff_hammerstad", "errors", "extract_profile", "field_from_voltage", "fields",
-        "formats", "geometry_term_db", "h_trace_grounded", "map_stats", "model",
+        "formats", "geometry_term_db", "map_stats", "model",
         "parse_cf_csv", "parse_map_csv", "parse_touchstone", "probe_transfer", "render_pgm",
         "run_simulated_scan", "scan", "write_cf_csv", "write_map_csv",
         "write_touchstone"}

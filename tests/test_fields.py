@@ -7,12 +7,12 @@ from hypothesis import assume, event, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, SingularityError, TracePath, current_distribution,
-                    eps_eff_hammerstad, h_trace_grounded)
+                    eps_eff_hammerstad)
 from nfscan import fields
 from nfscan.config import MAX_SEGMENTS
 from nfscan.fields import PAIRS, kernel_blocks, segment_kernel
 
-from conftest import H_SUB, rng
+from conftest import H_SUB, grounded_h, rng
 from kernel_reference import (closed_form_line_h, decimal_h, segment_arrays,
                               segment_field_sum, vector_kernel)
 
@@ -220,14 +220,14 @@ class TestGroundedTrace:
     def test_matches_image_pair_closed_form(self):
         # 2 m straight trace: finite-length error far below the tolerance
         tr = TracePath(vertices=((-1, 0, H_SUB), (1, 0, H_SUB)))
-        h = h_trace_grounded(tr, [1.0], (0, 0, H_SUB + 1e-3))
+        h = grounded_h(tr, [1.0], (0, 0, H_SUB + 1e-3))
         assert_allclose(abs(h[1]), 121.26, atol=5e-3)
         assert_allclose(abs(h[1]), closed_form_line_h(1e-3, H_SUB, 1.0), rtol=1e-4)
 
     def test_far_image_leaves_bare_line(self):
         # conductor 1 m above ground: image contributes < 0.2 %
         tr = TracePath(vertices=((-50, 0, 1.0), (50, 0, 1.0)))
-        h = h_trace_grounded(tr, [1.0], (0, 0, 1.0 + 1e-3))
+        h = grounded_h(tr, [1.0], (0, 0, 1.0 + 1e-3))
         assert_allclose(abs(h[1]), 1.0 / (2 * math.pi * 1e-3), rtol=2e-3)
 
     def test_pec_boundary_normal_field_vanishes(self):
@@ -247,8 +247,8 @@ class TestGroundedTrace:
         tr = TracePath(vertices=((-0.1, 0, H_SUB), (0.1, 0, H_SUB)))
         z = H_SUB + 1e-3
         for y in (0.5e-3, 2e-3, 4e-3):
-            hp = h_trace_grounded(tr, [1.0], (0, +y, z))
-            hm = h_trace_grounded(tr, [1.0], (0, -y, z))
+            hp = grounded_h(tr, [1.0], (0, +y, z))
+            hm = grounded_h(tr, [1.0], (0, -y, z))
             assert_allclose(hp[1], hm[1], rtol=1e-9)
             assert_allclose(hp[2], -hm[2], rtol=1e-9)
 
@@ -257,8 +257,8 @@ class TestGroundedTrace:
         tr = TracePath(vertices=((-2, 0, H_SUB), (2, 0, H_SUB)))
         for r_fac in (50, 100):
             r = r_fac * H_SUB
-            h1 = np.linalg.norm(np.abs(h_trace_grounded(tr, [1.0], (0, 0, H_SUB + r))))
-            h2 = np.linalg.norm(np.abs(h_trace_grounded(tr, [1.0], (0, 0, H_SUB + 2 * r))))
+            h1 = np.linalg.norm(np.abs(grounded_h(tr, [1.0], (0, 0, H_SUB + r))))
+            h2 = np.linalg.norm(np.abs(grounded_h(tr, [1.0], (0, 0, H_SUB + 2 * r))))
             assert abs(h2 / h1 - 0.25) < 0.05 * 0.25
 
     @settings(max_examples=150, deadline=None)
@@ -274,14 +274,8 @@ class TestGroundedTrace:
         cur = np.exp(1j * np.array(phases[:tr.n_segments]))
         p = np.array(pts)
         q = p * [1, -1, 1]
-        assert_allclose(h_trace_grounded(tr, cur, q), h_trace_grounded(tr, cur, p) * [-1, 1, -1],
+        assert_allclose(grounded_h(tr, cur, q), grounded_h(tr, cur, p) * [-1, 1, -1],
                         rtol=1e-12, atol=0)
-
-    def test_wrong_current_count(self):
-        tr = TracePath(vertices=((-0.1, 0, H_SUB), (0.1, 0, H_SUB)))
-        with pytest.raises(ConfigError):
-            h_trace_grounded(tr, [1.0, 1.0], (0, 0, 2e-3))
-
 
 
 class TestFieldDomain:
@@ -300,10 +294,12 @@ class TestFieldDomain:
 
     @pytest.mark.parametrize("bad", OFF)
     def test_h_trace_grounded_names_point(self, monkeypatch, straight_trace, bad):
+        # one row of points, as 1-D triples: the bad point alone, and
+        # between a good point and another bad one
         calls = self.no_kernel(monkeypatch)
-        for pts in (bad, [(0.0, 1e-3, 2e-3), bad, (0.0, 0.0, -1.0)]):
+        for pts in ([bad], [(0.0, 1e-3, 2e-3), bad, (0.0, 0.0, -1.0)]):
             with pytest.raises(ConfigError) as err:
-                h_trace_grounded(straight_trace, [1.0], pts)
+                next(kernel_blocks(straight_trace, np.array(pts).T, "y"))
             assert str(err.value) == (f"field point {list(bad)} must be finite "
                                       "and above the ground plane z=0")
         assert not calls
@@ -337,7 +333,7 @@ class TestClosedForm:
 
     def test_matches_numeric_within_1pct(self):
         tr = TracePath(vertices=((-0.1, 0, H_SUB), (0.1, 0, H_SUB)))
-        hy = abs(h_trace_grounded(tr, [1.0], (0, 0, H_SUB + 1e-3))[1])
+        hy = abs(grounded_h(tr, [1.0], (0, 0, H_SUB + 1e-3))[1])
         assert abs(hy / closed_form_line_h(1e-3, H_SUB, 1.0) - 1) < 0.01
 
     def test_domain(self):
@@ -400,8 +396,8 @@ class TestCurrentDistribution:
 
 class TestKernel:
     def test_matches_reference_loop(self):
-        # the folded blocks of h_trace_grounded against the per-segment sum
-        # over the trace and its images
+        # the folded blocks, contracted per axis, against the per-segment
+        # sum over the trace and its images
         r = rng(3)
         ns = 17
         npts = PAIRS // (2 * ns) + 40          # two kernel blocks
@@ -413,7 +409,7 @@ class TestKernel:
         currents = r.uniform(-1, 1, ns) + 1j * r.uniform(-1, 1, ns)
         points = r.uniform(0.2, 0.4, (npts, 3))
         points[-1] = starts[0] + 3 * (ends[0] - starts[0])    # on its axis, past the end
-        out_a = h_trace_grounded(tr, currents, points)
+        out_a = grounded_h(tr, currents, points)
         out_b = np.empty_like(out_a)
         mirror = np.array([1.0, 1.0, -1.0])
         assert segment_field_sum(np.vstack([starts, starts * mirror]),
@@ -643,9 +639,10 @@ class TestKernel:
     def test_peak_memory_within_pair_budget(self):
         # the longest trace a config may ask for, 2,000 segments, x 200
         # points: one kernel pass over them and their images would hold
-        # 8e5 pairs.  h_trace_grounded peaks near 52.6 B per pair here and
-        # 51.1 B on a 60-segment trace x 2,000 points (measured, numpy
-        # 2.4); 60 B leaves 14% for numpy's temporaries to differ.
+        # 8e5 pairs.  Its blocks, each contracted per axis (`grounded_h`),
+        # peak near 49.5 B per pair here and 48.5 B on a 60-segment trace
+        # x 2,000 points (measured, numpy 2.4); 60 B leaves 21% for
+        # numpy's temporaries to differ.
         r = rng(5)
         ns = MAX_SEGMENTS
         tr = TracePath(vertices=np.column_stack([np.arange(ns + 1) * 1e-4,
@@ -655,7 +652,7 @@ class TestKernel:
         points = r.uniform(2, 3, (200, 3))
         tracemalloc.start()
         try:
-            h_trace_grounded(tr, currents, points)
+            grounded_h(tr, currents, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

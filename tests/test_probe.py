@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, DriveSpec, FrequencySweep, LoopProbe, SingularityError,
-                    TracePath, current_distribution, h_trace_grounded, probe_transfer)
+                    TracePath, current_distribution, probe_transfer)
 from nfscan import fields
 
-from conftest import H_SUB, MU0, SCAN_HEIGHT, port_oracle
+from conftest import H_SUB, MU0, SCAN_HEIGHT, grounded_h, port_oracle
 from kernel_reference import segment_arrays, stokes_flux_z
 
 F = 0.5e9
@@ -102,7 +102,7 @@ class TestLoopFlux:
                                            substrate, drive):
         probe = cal_probe
         currents = current_distribution(straight_trace, F, drive, substrate)
-        hy = h_trace_grounded(straight_trace, currents, cal_center)[1]
+        hy = grounded_h(straight_trace, currents, cal_center)[1]
         want = port_oracle(hy * probe.side_s ** 2, F, probe, drive)[1]
         assert_allclose(s21_at(probe, cal_center, straight_trace, substrate, drive,
                                aperture="uniform"), want, rtol=1e-12)
@@ -217,7 +217,7 @@ class TestProbeTransfer:
         # quadrupled power doubles the drive current and every chain voltage
         volts = []
         for power in (1e-4, 4e-4):
-            h = h_trace_grounded(straight_trace, [math.sqrt(power / 50)], OVER)
+            h = grounded_h(straight_trace, [math.sqrt(power / 50)], OVER)
             flux = h["xyz".index(cal_probe.normal)] * cal_probe.side_s ** 2
             volts.append(port_oracle(flux, 0.5e9, cal_probe, DriveSpec(power=power))[0])
         assert_allclose(volts[1], 2 * volts[0], rtol=1e-12)
