@@ -1,20 +1,15 @@
 """Quasi-static magnetic field of trace currents above a perfect ground plane.
 
 The field of each straight filament segment is the exact finite-length
-Biot-Savart result.  The coupling between a point and a segment depends
-on geometry only, so `segment_kernel` returns it per unit current, as the
-field component along one axis, for the segments of one planar polyline:
-an (nseg, npts) array with no (nseg, npts, 3) temporary.  Its points are a
-triple (x, y, z) of arrays that broadcast together, so that a raster's
-per-axis work is done once per grid line.  It applies the image rule
-(stated there) in the same pass, the trace and its image sharing all but
-the z part of r.
-
-`kernel_blocks` is its one caller: one kernel pass per block of whole
-rows, or a chunk of one row, of at most `PAIRS` point x segment pairs,
-images counted (or one probe).  The scan's probe chain contracts each
-block, in its (segments, points) layout, with the currents of every
-sweep frequency.
+Biot-Savart result.  `segment_kernel` returns, per unit current, the
+coupling of each segment of one planar polyline, less its ground-plane
+image's, to one field component at points given as a triple (x, y, z)
+that broadcasts, so that a raster's per-axis work is done once per grid
+line; its docstring states the whole algorithm.  `kernel_blocks` is its
+one caller: one kernel pass per block of whole rows, or a chunk of one
+row, of at most `PAIRS` point x segment pairs, images counted (or one
+probe).  The scan's probe chain contracts each block, in its (segments,
+points) layout, with the currents of every sweep frequency.
 """
 
 from __future__ import annotations
@@ -55,75 +50,6 @@ def _sum(first, *rest):
     return s
 
 
-def _in_span(r, u, live, shape):
-    """What the polyline and its image share of the in-span pairs
-    (t1 * t2 <= 0), for r per coordinate, (nv, ...), and u per axis,
-    (nseg, 1, ...): t1 = r1.u and t2 = r2.u over the `live` axes, the
-    pairs' flat indices i in `shape` = (nseg, *S), a function giving an
-    array's entries at those pairs, (t1 - t2)(t1 + t2), the beyond-end
-    numerator, and, gathered at the pairs, t1, t2, u_x, u_y and
-    (u_x r1_y - u_y r1_x)**2, rho**2's in-plane term.  The gathers take
-    one flat index per distinct array shape, built for this call only."""
-    t1 = _sum(*(r[j][:-1] * u[j] for j in live))
-    t2 = _sum(*(r[j][1:] * u[j] for j in live))
-    i = np.flatnonzero(np.broadcast_to(t1 * t2 <= 0.0, shape))
-    at = np.unravel_index(i, shape)
-    flat = {shape: i}
-
-    def pick(x):
-        k = flat.get(x.shape)
-        if k is None:
-            k = flat[x.shape] = np.ravel_multi_index(
-                tuple(ix if m > 1 else 0 for ix, m in zip(at, x.shape)), x.shape)
-        return x.take(k)
-
-    num = t1 - t2
-    num *= t1 + t2
-    ux, uy = pick(u[0]), pick(u[1])
-    plane = (ux * pick(r[1][:-1]) - uy * pick(r[0][:-1])) ** 2
-    return t1, t2, i, pick, num, (pick(t1), pick(t2), ux, uy, plane)
-
-
-def _side_coupling(r, u, span, a, check=False):
-    """One side's (nseg, *S) coupling to axis `a` (see `segment_kernel`),
-    from its r and u per axis and the `_in_span` result, and None; or, if
-    `check`, None and the first (point, segment) pair, in point-major
-    order, closer than EPS_GEOM to the segment.  At the in-span pairs it
-    gathers only r1_z, the coordinate in which the image differs, and |r|.
-    As u_z = 0, the x, z and y components of u x r1 are u_y r1_z, the
-    in-plane term's root and -u_x r1_z, up to the sign of a zero; rho**2
-    adds their squares in that order (see `_sum`), so it has the bits of
-    the full 3-vector sum."""
-    t1, t2, i, pick, num, (ti1, ti2, ux, uy, plane) = span
-    r1 = [rj[:-1] for rj in r]
-    c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
-    # The squares are formed per side: per grid line on a raster, but full
-    # size on scattered points, where keeping them for the image would hold
-    # two more full-size arrays.
-    n = _sum(r[0] * r[0] + r[2] * r[2], r[1] * r[1])
-    np.sqrt(n, out=n)
-    n1, n2 = n[:-1], n[1:]
-    nseg, npts = n1.shape[0], n1[0].size
-    rz = pick(r1[2])
-    rho2 = _sum((uy * rz) ** 2, plane, (ux * rz) ** 2)
-    # Beyond an end the nearest point of the segment is a vertex.
-    eps2 = EPS_GEOM * EPS_GEOM
-    if check and (n.min() ** 2 < eps2 or (rho2 < eps2).any()):
-        near = np.minimum(n1, n2) ** 2 < eps2
-        np.put(near, i, rho2 < eps2)
-        return None, divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
-    den = t2 * n1  # w's second term, then the denominator
-    w = t1 * n2
-    w += den
-    np.multiply(_FOUR_PI, n1, out=den)
-    den *= n2
-    den *= w
-    coef = np.divide(num, den, out=den)
-    np.put(coef, i, (ti1 / n.take(i) - ti2 / n.take(i + npts)) / (_FOUR_PI * rho2))
-    coef *= c
-    return coef, None
-
-
 def segment_kernel(vertices, points, axis):
     """Component `axis` ("x", "y" or "z") of H per unit current in each
     segment of the polyline `vertices` (nv, 3): (nv - 1, npts) in A/m per A.
@@ -161,18 +87,24 @@ def segment_kernel(vertices, points, axis):
     and its image share them.  Per side, only |r|, the beyond-end
     denominator and the result are (nseg, *S).  The in-span formula runs
     only on the in-span pairs, gathered by one flat index per array
-    shape; the polyline and its image share all of it but r_z and |r|.
-    Sums are rounded as the former (npts, nseg, 3) kernel's einsum
-    projection rounded them, so the values equal it bit for bit.  A
-    signed zero in t reaches no output: the mask and the in-span formula
-    do not see its sign, the beyond-end formula runs only where t1 * t2
-    > 0, and the result gets + 0.0.
+    shape; the polyline and its image share all of it but the gathered
+    r1_z and |r|.  As u_z = 0, the x, z and y components of u x r1 are
+    u_y r1_z, (u_x r1_y - u_y r1_x) and -u_x r1_z, up to the sign of a
+    zero, and rho**2 adds their squares in that order.  Sums are rounded
+    as the former (npts, nseg, 3) kernel's einsum projection rounded them
+    (see `_sum`), so the values equal it bit for bit.  Squares are
+    products, never `**`, which on a numpy scalar (a gather from an array
+    of size-1 axes, as u is for one segment) calls libm pow.  A signed
+    zero in t reaches no output: the mask and the in-span formula do not
+    see its sign, the beyond-end formula runs only where t1 * t2 > 0, and
+    the result gets + 0.0.
 
     Computes every point it is given; `kernel_blocks` bounds the count.
     Raises SingularityError for the first (point, segment) pair, in
-    point-major order, closer than EPS_GEOM to the segment.  As u_z = 0 and
-    |p_z - h| <= p_z + h, each image term of |r| and rho**2 is at least its
-    polyline term (in doubles too), so only the polyline is searched.
+    point-major order, closer than EPS_GEOM to the segment, before any
+    division.  As u_z = 0 and |p_z - h| <= p_z + h, each image term of
+    |r| and rho**2 is at least its polyline term (in doubles too), so only
+    the polyline is searched.
     """
     verts = np.asarray(vertices, dtype=float)
     seg = verts[1:] - verts[:-1]
@@ -180,21 +112,73 @@ def segment_kernel(vertices, points, axis):
     p = [np.asarray(c, dtype=float) for c in points]
     shape = np.broadcast_shapes(*(c.shape for c in p))
     npts, one = math.prod(shape), (1,) * len(shape)
+    full = (nseg, *shape)
     a = AXES.index(axis)
     with np.errstate(divide="ignore", invalid="ignore"):
         length = np.sqrt(np.einsum("sk,sk->s", seg, seg))
         u = list((seg / length[:, None]).T.reshape(3, nseg, *one))
         # Per coordinate, (nv, *its shape); segment k starts at vertex k.
         r = [c - v.reshape(-1, *one) for c, v in zip(p, verts.T)]
-        span = _in_span(r, u, [j for j in (0, 1) if u[j].any()], (nseg, *shape))
-        g, hit = _side_coupling(r, u, span, a, check=True)
-        if hit is not None:
-            pt, k = hit
+        live = [j for j in (0, 1) if u[j].any()]
+        t1 = _sum(*(r[j][:-1] * u[j] for j in live))
+        t2 = _sum(*(r[j][1:] * u[j] for j in live))
+        i = np.flatnonzero(np.broadcast_to(t1 * t2 <= 0.0, full))
+        at = np.unravel_index(i, full)
+        flat = {full: i}
+
+        def pick(x):
+            """x's entries at the in-span pairs; one flat index per shape."""
+            k = flat.get(x.shape)
+            if k is None:
+                k = flat[x.shape] = np.ravel_multi_index(
+                    tuple(ix if m > 1 else 0 for ix, m in zip(at, x.shape)), x.shape)
+            return x.take(k)
+
+        num = t1 - t2
+        num *= t1 + t2
+        ti1, ti2, ux, uy = pick(t1), pick(t2), pick(u[0]), pick(u[1])
+        plane = np.square(ux * pick(r[1][:-1]) - uy * pick(r[0][:-1]))
+
+        def geometry(rz):
+            """One side's |r|, (nv, *S), and rho**2 at the in-span pairs."""
+            # The squares are formed per side: per grid line on a raster, but
+            # full size on scattered points, where keeping them for the image
+            # would hold two more full-size arrays.
+            n = _sum(r[0] * r[0] + rz * rz, r[1] * r[1])
+            np.sqrt(n, out=n)
+            z1 = pick(rz[:-1])
+            return n, _sum(np.square(uy * z1), plane, np.square(ux * z1))
+
+        def coupling(rz, n, rho2):
+            """One side's (nseg, *S) coupling to axis `a`."""
+            r1 = [r[0][:-1], r[1][:-1], rz[:-1]]
+            c = u[(a + 1) % 3] * r1[(a + 2) % 3] - u[(a + 2) % 3] * r1[(a + 1) % 3]
+            n1, n2 = n[:-1], n[1:]
+            den = t2 * n1  # w's second term, then the denominator
+            w = t1 * n2
+            w += den
+            np.multiply(_FOUR_PI, n1, out=den)
+            den *= n2
+            den *= w
+            coef = np.divide(num, den, out=den)
+            np.put(coef, i, (ti1 / n.take(i) - ti2 / n.take(i + npts)) / (_FOUR_PI * rho2))
+            coef *= c
+            return coef
+
+        n, rho2 = geometry(r[2])
+        # Beyond an end the nearest point of the segment is a vertex.
+        eps2 = EPS_GEOM * EPS_GEOM
+        if np.square(n.min()) < eps2 or (rho2 < eps2).any():
+            near = np.square(np.minimum(n[:-1], n[1:])) < eps2
+            np.put(near, i, rho2 < eps2)
+            pt, k = divmod(int(np.argmax(near.reshape(nseg, npts).T)), nseg)
             where = [float(np.broadcast_to(c, shape)[np.unravel_index(pt, shape)]) for c in p]
             raise SingularityError(f"field point {where} is within {EPS_GEOM} m of segment {k}",
                                    segment=k, point=pt)
+        g = coupling(r[2], n, rho2)
+        del n, rho2  # the trace's, before the image's are formed
         r[2] = p[2] + verts[:, 2].reshape(-1, *one)  # the image: only r_z changes
-        coef, _ = _side_coupling(r, u, span, a)
+        coef = coupling(r[2], *geometry(r[2]))
     g -= coef
     g += 0.0
     return g.reshape(nseg, npts)

@@ -130,7 +130,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     if integrated:
         np.add(flux[:nf], np.multiply(1j, flux[nf:], out=v), out=v)
     else:
-        np.multiply(hf, probe.side_s ** 2, out=v)
+        np.multiply(hf, probe.side_s * probe.side_s, out=v)
     np.multiply((-1j * 2.0 * math.pi * freqs * MU_0)[:, None], v, out=v)
     if probe.loading == "matched-halving":
         v /= 2.0

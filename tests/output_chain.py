@@ -117,6 +117,10 @@ def make_inputs(cfg):
         for aperture in ("uniform", "integrated"):
             doc["probe"].update(normal=normal, aperture=aperture, quad_n=4)
             (cfg / f"bent-{normal}-{aperture}.json").write_text(json.dumps(doc))
+    # one diagonal segment, not split: the kernel's one-segment path
+    doc["probe"].update(normal="z", aperture="uniform")
+    one = {**doc, "trace": {**doc["trace"], "vertices": [[-7, -9], [8, 11]], "max_segment": None}}
+    (cfg / "bent-one-segment.json").write_text(json.dumps(one))
     doc["trace"].update(termination="open")
     doc["probe"].update(normal="y", aperture="uniform", loading="open-circuit")
     (cfg / "bent-open.json").write_text(json.dumps(doc))

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nfscan import (ConfigError, SingularityError, TracePath, current_distribution,
@@ -37,9 +38,6 @@ def kernel_cases(draw):
         xy = draw(st.tuples(lattice, lattice).filter(lambda q: q != verts[-1][:2]))
         verts.append((*xy, z))
     verts = np.array(verts)
-    mirror = np.array([1.0, 1.0, -1.0])
-    starts = np.vstack([verts[:-1], verts[:-1] * mirror])
-    ends = np.vstack([verts[1:], verts[1:] * mirror])
     offsets = None
     if draw(st.booleans()):
         lines = st.lists(lattice, min_size=1, max_size=6, unique=True).map(np.array)
@@ -47,16 +45,35 @@ def kernel_cases(draw):
         if draw(st.booleans()):
             offsets = np.array([(draw(lattice), draw(lattice), 0.0)
                                 for _ in range(draw(st.integers(1, 3)))])
-        return verts, starts, ends, probes, offsets
+        return kernel_case(verts, probes, offsets)
     pts = [draw(st.tuples(lattice, lattice, height)) for _ in range(draw(st.integers(1, 8)))]
     n = len(verts) - 1
     for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         t = draw(st.sampled_from((-2.0, -0.5, 1.5, 3.0)))
-        pts.append(starts[k] + t * (ends[k] - starts[k]))
+        pts.append(verts[k] + t * (verts[k + 1] - verts[k]))
     if draw(st.integers(0, 4)) == 0:
         k = draw(st.integers(0, n - 1))
-        pts.insert(draw(st.integers(0, len(pts))), (starts[k] + ends[k]) / 2)
-    return verts, starts, ends, np.array(pts, dtype=float).T, offsets
+        pts.insert(draw(st.integers(0, len(pts))), (verts[k] + verts[k + 1]) / 2)
+    return kernel_case(verts, np.array(pts, dtype=float).T, offsets)
+
+
+def kernel_case(verts, probes, offsets=None):
+    """A `kernel_cases` case: the polyline `verts`, its segments' starts
+    and ends, then those of its ground-plane image, `probes` and
+    `offsets`."""
+    verts = np.asarray(verts, dtype=float)
+    mirror = np.array([1.0, 1.0, -1.0])
+    starts = np.vstack([verts[:-1], verts[:-1] * mirror])
+    ends = np.vstack([verts[1:], verts[1:] * mirror])
+    return verts, starts, ends, probes, offsets
+
+
+#: A bent polyline over two probes at one height.  A one-segment kernel
+#: call gathers u, and r1_z at one height, as numpy scalars, on which
+#: `** 2` would be libm pow; its second segment alone must still round
+#: as the polyline's column and as the 3-vector reference do.
+BENT = [[0, 0, 1.5e-3], [0.75e-3, 2e-3, 1.5e-3], [-2e-3, 0.25e-3, 1.5e-3]]
+BENT_PROBES = (np.array([[0.0]]), np.array([[0.0], [0.25e-3]]), np.array([[1.25e-3]]))
 
 
 def flat_points(probes, offsets):
@@ -502,6 +519,17 @@ class TestKernel:
             assert (err.value.point, err.value.segment) == (1, 0)
             assert str(err.value) == str(ref.value)
 
+    def test_searched_before_any_division(self):
+        # rho**2 = 1e-320 is subnormal: dividing by it overflows, so only a
+        # search that runs before the in-span formula refuses the point
+        # with no warning
+        trace = TracePath(vertices=[(0.0, 0.0, 1.6e-3), (1e-3, 0.0, 1.6e-3)])
+        for normal in NORMALS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularityError):
+                    list(kernel_blocks(trace, ([0.5e-3], [1e-160], [1.6e-3]), normal))
+
     @settings(max_examples=200, deadline=None)
     @given(log_h=st.floats(-12.0, -2.0), data=st.data())
     def test_reference_never_names_image_first(self, log_h, data):
@@ -566,6 +594,7 @@ class TestKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
+    @example(kernel_case(BENT[1:], BENT_PROBES))
     def test_matches_vector_kernel(self, case):
         # the kernel, and the blocks if every probe is above z=0, against
         # the 3-vector kernel over the polyline's segments and its image's
@@ -609,6 +638,7 @@ class TestKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
+    @example(kernel_case(BENT, BENT_PROBES))
     def test_polyline_columns_equal_segment_calls(self, case):
         verts, _, _, probes, offsets = case
         triple = kernel_triple(probes, offsets)

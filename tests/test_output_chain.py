@@ -20,7 +20,7 @@ FILES = [
     "profile-x.csv", "hy.pgm", "hy-fine.csv", "profile-fine-x.csv",
     "profile-fine-y.csv", "hy-fine.pgm", "profile-hand.csv", "hand.pgm",
     "hy-hand.csv", "stats-fifo.txt", "v-crlf.csv", "stats.txt",
-    *(f"{name}{suffix}" for name in [*BENT, "bent-open", "bent-one-point"]
+    *(f"{name}{suffix}" for name in [*BENT, "bent-open", "bent-one-point", "bent-one-segment"]
       for suffix in (".s2p", "-cf.csv")),
 ]
 
@@ -40,7 +40,8 @@ def test_chain_writes_every_output(tmp_path):
     table2, table3 = _n_points("table2.json"), _n_points("table3.json")
     scans = {"table2": table2, "new/parent/table2": table2, "table3": table3,
              "table3-fine": table3, "table3-row": table3,
-             **dict.fromkeys(BENT, 4), "bent-open": 4, "bent-one-point": 1}
+             **dict.fromkeys(BENT, 4), "bent-open": 4, "bent-one-point": 1,
+             "bent-one-segment": 4}
     files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     expected = set(FILES)
     for scan, n_points in scans.items():

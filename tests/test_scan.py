@@ -369,9 +369,12 @@ class TestContractionOrder:
         nf = len(freqs)
         trace = TracePath(vertices=[(x, 0.0, H_SUB) for x in np.linspace(-0.05, 0.05, 8)])
         centers = (np.arange(20, dtype=float)[None, :], np.zeros((1, 1)), np.ones((1, 1)))
-        for aperture, m in (("uniform", 1), ("integrated", 10)):
+        # 5.763 mm: a side whose side ** 2 (libm pow) and side * side can differ
+        for aperture, m, side in (("uniform", 1, 4e-3), ("integrated", 10, 4e-3),
+                                  ("uniform", 1, 5.763e-3)):
             for loading in ("matched-halving", "open-circuit"):
-                probe = LoopProbe(normal="y", aperture=aperture, quad_n=3, loading=loading)
+                probe = LoopProbe(normal="y", side_s=side, aperture=aperture, quad_n=3,
+                                  loading=loading)
                 blocks = [(0, 20, random_block(r, trace.n_segments, 20 * m))]
                 monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
                 got = scan._probe_chain(trace, substrate, probe, centers, freqs, drive)
@@ -383,7 +386,7 @@ class TestContractionOrder:
                     flux = scan._node_flux(blocks[0][2].reshape(-1, 20, m), weights, cur)
                 for i, f in enumerate(freqs):
                     fl = (flux[i] + 1j * flux[nf + i] if aperture == "integrated"
-                          else got[0, i] * probe.side_s ** 2)
+                          else got[0, i] * (probe.side_s * probe.side_s))
                     v = -1j * 2.0 * math.pi * f * MU0 * fl
                     if loading == "matched-halving":
                         v /= 2.0
