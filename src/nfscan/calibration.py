@@ -89,8 +89,6 @@ class CFTable:
         if f < lo - tol or f > hi + tol:
             raise ConfigError(
                 f"frequency {f} Hz outside calibration table span [{lo}, {hi}] Hz")
-        if len(self.f) == 1:
-            return float(self.cf_db[0])
         return float(np.interp(math.log(f), np.log(self.f), self.cf_db))
 
 

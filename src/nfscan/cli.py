@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
-from .config import center_over_trace, load_config, path_error, read_text as _read_text, reading
+from .config import center_over_trace, load_config, path_error, reading
 from .errors import ConfigError, SingularityError
 from .formats import (NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                       write_cf_csv, write_map_stack, write_profile_csv, write_touchstone)
@@ -158,8 +158,8 @@ def cmd_simulate(args):
         if clipped:
             print(f"warning: {clipped} of {3 * db.size} map cells clipped to the "
                   f"{_DB_FLOOR_DB:g} dB floor", file=sys.stderr)
-        provenance = {"config_sha256": cfg.digest, "kernel": cfg.cal.kernel,
-                      "sign_mode": cfg.cal.sign_mode, "tool": f"nfscan {__version__}"}
+        provenance = {"config_sha256": cfg.digest, "kernel": cfg.kernel,
+                      "sign_mode": cfg.sign_mode, "tool": f"nfscan {__version__}"}
         files.append("provenance.json")
         _write_staged(stage, args.out, files[-1],
                       (json.dumps(provenance, sort_keys=True, indent=2) + "\n").encode())
@@ -182,24 +182,24 @@ def cmd_probe_transfer(args):
     return 0
 
 
+def _read(path, parse):
+    """`parse` of the file at `path`, given as a binary file open at its
+    start (a map, CF or Touchstone parser of `formats`); errors in reading
+    it are `config.reading`'s."""
+    with reading(path) as fh:
+        return parse(fh)
+
+
 def cmd_calibrate(args):
-    net = parse_touchstone(_read_text(args.probe))
+    net = _read(args.probe, parse_touchstone)
     table = calibrate(net, d=args.d * 1e-3, h=args.h * 1e-3, kernel=args.kernel)
     _write_text(args.out, write_cf_csv(table))
     return 0
 
 
-def _read_map(path):
-    """The FieldMap of the map CSV at `path`, parsed from the file's bytes
-    (`formats.parse_map_csv`); errors in reading it are `config.reading`'s."""
-    with reading(path) as fh:
-        return parse_map_csv(fh)
-
-
 def cmd_extract(args):
-    vmap = _read_map(args.scan)
-    with reading(args.cf) as fh:
-        table = parse_cf_csv(fh)
+    vmap = _read(args.scan, parse_map_csv)
+    table = _read(args.cf, parse_cf_csv)
     out = apply_calibration_to_scan(vmap, table, args.freq, sign_mode=args.sign_mode)
     (data,) = write_map_stack(out.grid, [out.f], out.component, out.values[None], out.meta)
     _write_text(args.out, data)
@@ -207,7 +207,7 @@ def cmd_extract(args):
 
 
 def cmd_profile(args):
-    fmap = _read_map(args.map)
+    fmap = _read(args.map, parse_map_csv)
     coords, values = extract_profile(fmap, args.axis, args.at * 1e-3)
     _write_text(args.out, write_profile_csv(coords, values, args.axis, args.at * 1e-3,
                                             fmap.f, fmap.component))
@@ -215,7 +215,7 @@ def cmd_profile(args):
 
 
 def cmd_stats(args):
-    fmap = _read_map(args.map)
+    fmap = _read(args.map, parse_map_csv)
     s = map_stats(fmap)
     print(f"min {s.min_db!r} dB at x={s.argmin[0]!r} m y={s.argmin[1]!r} m "
           f"(ix={s.argmin_idx[0]}, iy={s.argmin_idx[1]})")
@@ -225,7 +225,7 @@ def cmd_stats(args):
 
 
 def cmd_render(args):
-    fmap = _read_map(args.map)
+    fmap = _read(args.map, parse_map_csv)
     _write_text(args.out, render_pgm(fmap, args.lo, args.hi))
     return 0
 

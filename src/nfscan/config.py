@@ -8,7 +8,8 @@ field path.
 Some keys describe the bench but do not enter the quasi-static model:
 substrate.tan_d, t, sigma, drive.source_z and calibration.d, h.  They
 are range-checked and count in the config digest, and nothing else
-reads them.
+reads them.  calibration.kernel and sign_mode are checked too, and
+reach only simulate's provenance.json.
 """
 
 from __future__ import annotations
@@ -27,8 +28,12 @@ from .model import Z_REF, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substr
 
 _REQUIRED = object()
 
-#: Most grid points x sweep frequencies a config may ask for; table3 at
-#: 0.1 mm with 5 frequencies is 252,255.
+#: Most grid points x sweep frequencies, and most trace segments x sweep
+#: frequencies, a config may ask for; table3 at 0.1 mm with 5 frequencies
+#: is 252,255 cells.  At the bound, `simulate` on a 3,162 x 3,162 table3
+#: grid at one frequency peaks at 1.1 GB RSS, and `simulate` or
+#: `probe-transfer` with 2,000 segments x 5,000 frequencies on one point
+#: at 341 MB (x86-64, Python 3.11, numpy 2.4).
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
@@ -55,18 +60,6 @@ MAX_FREQ_GHZ = 10**6
 
 
 @dataclass(frozen=True)
-class CalSpec:
-    kernel: str
-    sign_mode: str
-
-    def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ConfigError(f"calibration.kernel: must be one of {KERNELS}")
-        if self.sign_mode not in SIGN_MODES:
-            raise ConfigError(f"calibration.sign_mode: must be one of {SIGN_MODES}")
-
-
-@dataclass(frozen=True)
 class ScanConfig:
     substrate: Substrate
     trace: TracePath
@@ -74,7 +67,8 @@ class ScanConfig:
     grid: ScanGrid
     sweep: FrequencySweep
     drive: DriveSpec
-    cal: CalSpec
+    kernel: str      # calibration.kernel and sign_mode, for provenance.json
+    sign_mode: str
     digest: str
 
 
@@ -277,6 +271,11 @@ def build_config(doc):
     if cells > MAX_CELLS:
         raise ConfigError(f"grid: {grid.nx} x {grid.ny} points x {sweep.n_points} frequencies "
                           f"= {cells} cells, more than {MAX_CELLS}")
+    currents = trace.n_segments * sweep.n_points
+    if currents > MAX_CELLS:
+        raise ConfigError(f"sweep.n_points: {trace.n_segments} trace segments x "
+                          f"{sweep.n_points} frequencies = {currents} segment currents, "
+                          f"more than {MAX_CELLS}")
 
     d = sections["drive"]
     dbm = d.take("power_dbm", -10.0)
@@ -296,13 +295,18 @@ def build_config(doc):
     d.done()
 
     c = sections["calibration"]
-    cal = CalSpec(kernel=c.take("kernel", "paper", kind=str),
-                  sign_mode=c.take("sign_mode", "eq1-consistent", kind=str))
+    kernel = c.take("kernel", "paper", kind=str)
+    sign_mode = c.take("sign_mode", "eq1-consistent", kind=str)
+    if kernel not in KERNELS:
+        raise ConfigError(f"calibration.kernel: must be one of {KERNELS}")
+    if sign_mode not in SIGN_MODES:
+        raise ConfigError(f"calibration.sign_mode: must be one of {SIGN_MODES}")
     c.drop("d", "h", positive=True)
     c.done()
 
     return ScanConfig(substrate=substrate, trace=trace, probe=probe, grid=grid,
-                      sweep=sweep, drive=drive, cal=cal, digest=digest)
+                      sweep=sweep, drive=drive, kernel=kernel, sign_mode=sign_mode,
+                      digest=digest)
 
 
 def path_error(action, path, exc):
@@ -336,17 +340,6 @@ def reading(path):
                               f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
-def read_text(path):
-    """The UTF-8 text of the file at `path`, or a ConfigError (`reading`).
-
-    The bytes are decoded as they are, with no newline translation, so the
-    parsers see the text a library caller would pass them: a bare carriage
-    return in a map row is a cell's padding, not a line end.
-    """
-    with reading(path) as fh:
-        return fh.read().decode("utf-8")
-
-
 class _Repeated(str):
     """The dotted path to a key that a config's JSON gives twice."""
 
@@ -366,7 +359,8 @@ def _object(pairs):
 
 def load_config(path):
     try:
-        doc = json.loads(read_text(path), object_pairs_hook=_object)
+        with reading(path) as fh:
+            doc = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(doc, _Repeated):  # json.loads would keep the last value

@@ -168,6 +168,17 @@ class TestCalibrate:
         assert_allclose(offsets, offsets[0], atol=1e-12)
         assert_allclose(offsets[0], -6.82, atol=0.01)
 
+    @pytest.mark.parametrize("cf", [0.1 + 0.2, -0.0, -1e-300])
+    def test_one_row_table_serves_its_frequency(self, cf):
+        # its value bit for bit within the 1e-9 tolerance, an error outside it
+        table = CFTable(f=np.array([2e9]), cf_db=np.array([cf]), kernel="paper",
+                        d=1e-3, h=1.6e-3)
+        for f in (2e9, 2e9 * (1 - 5e-10), 2e9 * (1 + 5e-10)):
+            assert np.float64(table.cf_at(f)).tobytes() == np.float64(cf).tobytes()
+        for f in (2e9 * (1 - 2e-9), 2e9 * (1 + 2e-9), 1e9, 0.0):
+            with pytest.raises(ConfigError, match="outside calibration table span"):
+                table.cf_at(f)
+
     def test_interpolation_log_f(self):
         table = CFTable(f=np.array([1e8, 1e10]), cf_db=np.array([40.0, 0.0]),
                         kernel="paper", d=1e-3, h=1.6e-3)

@@ -10,6 +10,8 @@ import math
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -24,6 +26,7 @@ from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, map_stats, parse_c
 from nfscan import ConfigError, ParseError, __version__, cli
 from nfscan.cli import main
 from nfscan import config
+from nfscan.calibration import KERNELS, SIGN_MODES
 from nfscan.config import MAX_CELLS, MAX_FREQ_GHZ, MAX_LENGTH_MM, MAX_PROBE_PAIRS, MAX_SEGMENTS
 
 from map_parser_reference import parse_map_csv_per_row
@@ -32,6 +35,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 TABLE2 = os.path.join(CONFIG_DIR, "table2.json")
 TABLE3 = os.path.join(CONFIG_DIR, "table3.json")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -604,7 +608,8 @@ class TestProbeTransfer:
         out = tmp_path / "probe.s2p"
         assert main(["probe-transfer", "--config", path, "--out", str(out)]) == 0
         cfg = config.load_config(path)
-        height = json.loads(config.read_text(path))["probe"]["height"] * 1e-3
+        with open(path, encoding="utf-8") as fh:
+            height = json.load(fh)["probe"]["height"] * 1e-3
         center = nfscan.center_over_trace(cfg.trace, cfg.substrate, height)
         f, s21 = nfscan.probe_transfer(cfg.trace, cfg.substrate, cfg.probe, center, cfg.sweep,
                                        cfg.drive)
@@ -969,6 +974,87 @@ class TestSegmentBudget:
         assert capsys.readouterr().err == (f"error: trace.vertices: {MAX_SEGMENTS + 1} "
                                            f"segments, more than {MAX_SEGMENTS}\n")
         assert not out.exists()
+
+
+class TestSegmentCurrentBudget:
+    """A config whose trace segments x sweep frequencies exceed MAX_CELLS
+    exits 2 naming sweep.n_points, before the (segments, frequencies)
+    currents are allocated; one at the bound runs within 1 GiB of address
+    space.  Each command runs in a child process under RLIMIT_AS, which
+    limits that child only."""
+
+    LIMIT = 1 << 30
+
+    @staticmethod
+    def run_limited(argv):
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (TestSegmentCurrentBudget.LIMIT,) * 2)
+
+        return subprocess.run([sys.executable, "-m", "nfscan.cli", *argv], preexec_fn=limit,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC_DIR})
+
+    @staticmethod
+    def one_point(tmp_path, n_points, max_segment):
+        # table2's line on one grid point, from 1 to 3 GHz
+        return write_config(tmp_path, trace={"max_segment": max_segment},
+                            grid={"y_min": 0.0, "y_max": 0.0},
+                            sweep={"f_min": 1.0, "f_max": 3.0, "n_points": n_points})
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_at_the_bound_runs(self, tmp_path):
+        cfg = self.one_point(tmp_path, MAX_CELLS // MAX_SEGMENTS, 0.1)
+        out = tmp_path / "probe.s2p"
+        done = self.run_limited(["probe-transfer", "--config", cfg, "--out", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(out.read_text().splitlines()) == 2 + MAX_CELLS // MAX_SEGMENTS
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    @pytest.mark.parametrize("cmd", ["simulate", "probe-transfer"])
+    @pytest.mark.parametrize("n_points, max_segment, n_segments", [
+        (MAX_CELLS // MAX_SEGMENTS + 1, 0.1, MAX_SEGMENTS), (10**6, 1.0, 200)],
+        ids=["past-the-bound", "table2"])
+    def test_past_the_bound_exits_2(self, tmp_path, cmd, n_points, max_segment, n_segments):
+        cfg = self.one_point(tmp_path, n_points, max_segment)
+        out = tmp_path / "o"
+        done = self.run_limited([cmd, "--config", cfg, "--out", str(out)])
+        assert done.returncode == 2
+        assert done.stderr == (f"error: sweep.n_points: {n_segments} trace segments x "
+                               f"{n_points} frequencies = {n_segments * n_points} segment "
+                               f"currents, more than {MAX_CELLS}\n")
+        assert not out.exists()
+
+
+class TestCalibrationKeys:
+    """calibration.kernel and sign_mode reach only provenance.json, and are
+    checked in order: both types, then both values, then d and h."""
+
+    @pytest.mark.parametrize("patch, err", [
+        ({"kernel": "exact"}, f"calibration.kernel: must be one of {KERNELS}"),
+        ({"sign_mode": "eq2"}, f"calibration.sign_mode: must be one of {SIGN_MODES}"),
+        ({"kernel": 1}, "calibration.kernel: expected a string"),
+        ({"sign_mode": None}, "calibration.sign_mode: expected a string"),
+        ({"kernel": "exact", "sign_mode": 1}, "calibration.sign_mode: expected a string"),
+        ({"kernel": "exact", "sign_mode": "eq2"}, f"calibration.kernel: must be one of {KERNELS}"),
+        ({"kernel": "exact", "d": 0.0}, f"calibration.kernel: must be one of {KERNELS}"),
+        ({"sign_mode": "eq2", "h": -1.0},
+         f"calibration.sign_mode: must be one of {SIGN_MODES}")],
+        ids=["kernel", "sign_mode", "kernel-type", "sign_mode-type", "types-first",
+             "kernel-first", "kernel-before-d", "sign_mode-before-h"])
+    def test_error_names_key(self, tmp_path, capsys, patch, err):
+        cfg = write_config(tmp_path, calibration=patch)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    def test_values_reach_provenance(self, tmp_path):
+        cfg = write_config(tmp_path, calibration={"kernel": KERNELS[1],
+                                                  "sign_mode": SIGN_MODES[1]})
+        prov = json.loads(simulate_files(cfg, tmp_path / "o")["provenance.json"])
+        assert (prov["kernel"], prov["sign_mode"]) == (KERNELS[1], SIGN_MODES[1])
 
 
 class TestRepeated:

@@ -234,6 +234,37 @@ def touchstone_text(net, fmt):
     return "\n".join(lines) + "\n"
 
 
+class TestTouchstoneFromFile:
+    """A Touchstone document read from a binary file open at its start, as
+    the CLI reads one, parses as its text does."""
+
+    @staticmethod
+    def parse_all(text, tmp_path):
+        """parse_touchstone of `text`, of an io.BytesIO and of a file
+        holding its UTF-8 bytes."""
+        path = tmp_path / "probe.s2p"
+        path.write_bytes(text.encode())
+        with open(path, "rb") as fh:
+            from_file = parse_touchstone(fh)
+        return parse_touchstone(text), parse_touchstone(io.BytesIO(text.encode())), from_file
+
+    @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+    def test_same_bits_as_text(self, tmp_path, fmt):
+        nets = self.parse_all(touchstone_text(synth_network(seed=5), fmt), tmp_path)
+        for net in nets[1:]:
+            assert net.f.tobytes() == nets[0].f.tobytes()
+            assert net.s21.tobytes() == nets[0].s21.tobytes()
+
+    def test_bad_row_same_error(self, tmp_path):
+        text = touchstone_text(synth_network(n=3), "MA") + "4 0 0 0.5 zz 0 0 0 0\n"
+        errors = []
+        for source in (text, io.BytesIO(text.encode())):
+            with pytest.raises(ParseError) as exc:
+                parse_touchstone(source)
+            errors.append(str(exc.value))
+        assert errors == ["line 5: non-numeric token in data row: '4 0 0 0.5 zz 0 0 0 0'"] * 2
+
+
 class TestTouchstoneRoundTrip:
     @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
     def test_values_stable_to_1e8(self, fmt):
@@ -874,7 +905,7 @@ class TestBlockReader:
         path.write_text(write_map_csv(_db_map(vals)))
         tracemalloc.start()
         try:
-            fmap = cli._read_map(str(path))
+            fmap = cli._read(str(path), formats.parse_map_csv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
