@@ -80,13 +80,13 @@ class CFTable:
     def cf_at(self, f):
         """CF at frequency f, linear interpolation in (log f, dB).
 
-        No extrapolation: f outside the table span is an error.  A
-        single-row table only serves its exact frequency.
+        No extrapolation: f outside the table span, give or take 1e-9 of
+        the nearer end, is an error.  A single-row table only serves its
+        own frequency.
         """
         f = float(f)
         lo, hi = self.f[0], self.f[-1]
-        tol = 1e-9 * hi
-        if f < lo - tol or f > hi + tol:
+        if f < lo - 1e-9 * lo or f > hi + 1e-9 * hi:
             raise ConfigError(
                 f"frequency {f} Hz outside calibration table span [{lo}, {hi}] Hz")
         return float(np.interp(math.log(f), np.log(self.f), self.cf_db))

@@ -27,24 +27,29 @@ from .errors import ConfigError, SingularityError
 from .formats import (NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                       write_cf_csv, write_map_stack, write_profile_csv, write_touchstone)
 from .scan import (apply_calibration_to_scan, extract_profile, map_stats, probe_transfer,
-                   run_simulated_scan)
+                   scan_blocks)
 
 
 def _write_text(path, data):
-    """Write `data` (str, as UTF-8, or bytes) to `path` atomically.
+    """Write `data` (str, as UTF-8, or bytes) to `path` atomically
+    (`_write_chunks`)."""
+    _write_chunks(path, [data.encode("utf-8") if isinstance(data, str) else data])
+
+
+def _write_chunks(path, chunks):
+    """Write the bytes `chunks` to `path` atomically, one `write` each.
 
     The bytes go to a temporary file in the target's directory, which then
     replaces the target (`os.replace`).  A failed write leaves the previous
     file, if any, as it was, and no temporary file.  The ConfigError names
     `path` (see `config.path_error`).
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except (OSError, ValueError) as exc:
         with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL byte in tmp
@@ -63,16 +68,12 @@ _DB_FLOOR_DB = 20.0 * math.log10(_DB_FLOOR)
 
 def _db_stack(values, out):
     """dB magnitudes of the complex array `values` into the float array
-    `out` of its shape (|.| clipped to a representable floor), in one pass
-    over a whole stack of maps, each double as a map on its own would get
-    it.  Returns the count of clipped cells."""
+    `out` of its shape (|.| clipped to a representable floor): a block of
+    a stack of maps, each double as a map on its own would get it."""
     np.abs(values, out=out)
     np.maximum(out, _DB_FLOOR, out=out)
     np.log10(out, out=out)
     np.multiply(20.0, out, out=out)
-    if not np.isfinite(out).all():
-        raise ConfigError("dB map contains non-finite values")
-    return int(np.count_nonzero(out <= _DB_FLOOR_DB))
 
 
 def _stage_dir(out):
@@ -109,12 +110,13 @@ def _stage_dir(out):
         raise path_error("cannot create output directory", out, exc) from None
 
 
-def _write_staged(stage, out, name, data):
-    """Write the bytes `data` to `name` in the staging directory `stage`;
-    a ConfigError names the file's place in `out`."""
+def _write_staged(stage, out, name, chunks):
+    """Write the bytes `chunks`, one `write` each, to `name` in the staging
+    directory `stage`; a ConfigError names the file's place in `out`."""
     try:
         with open(os.path.join(stage, name), "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise path_error("cannot write", os.path.join(out, name), exc) from None
 
@@ -132,37 +134,44 @@ def cmd_simulate(args):
     directory (`_stage_dir`) and publish them: a new --out by one rename of
     that directory, an existing one by renaming each file into it.  A
     failure before that leaves --out as it was, and the staging directory
-    is removed in any case.  Each observable's maps are made as one stack:
-    one dB pass into a buffer the three share, one header and one `repr`
-    row scan (`formats.write_map_stack`), and each map's bytes are written
-    as they are, with no temporary file of their own.
+    is removed in any case.  The scan comes one kernel block at a time
+    (`scan.scan_blocks`), and each block's H, V and S21 go straight to dB
+    in one of three (nf, points) float stacks, the only arrays the size of
+    the scan.  Each stack is then checked once and written as one
+    (`formats.write_map_stack`): one header and one `repr` row scan, each
+    map's bytes written a chunk of rows at a time, with no temporary file
+    of their own.
     """
     cfg = load_config(args.config)
     stage, target = _stage_dir(args.out)
     try:
-        result = run_simulated_scan(cfg.trace, cfg.substrate, cfg.probe, cfg.grid,
-                                    cfg.sweep, cfg.drive)
-        comp = result.component
-        tags = [_freq_tag(i, f_hz) for i, f_hz in enumerate(result.freqs)]
-        db = np.empty(result.s21.shape)
+        grid, freqs, comp = cfg.grid, cfg.sweep.frequencies(), "h" + cfg.probe.normal
+        h_db, v_db, s21_db = db = np.empty((3, len(freqs), grid.ny * grid.nx))
+        for lo, hi, k, obs in scan_blocks(cfg.trace, cfg.substrate, cfg.probe, grid,
+                                          cfg.sweep, cfg.drive):
+            _db_stack(obs, db[k, :, lo:hi])
+        tags = [_freq_tag(i, f_hz) for i, f_hz in enumerate(freqs)]
         files, clipped = [], 0
-        for prefix, values, component, meta in (
-                ("s21_db", result.s21, "s21", {}),
-                ("v_dbv", result.vport, "vport", {"normal": comp}),
-                (f"{comp}_dba_m", result.hfield, comp, {})):
-            clipped += _db_stack(values, db)
-            stack = write_map_stack(result.grid, result.freqs, component, db, meta)
-            for tag, data in zip(tags, stack):
+        for prefix, stack, component, meta in (
+                ("s21_db", s21_db, "s21", {}),
+                ("v_dbv", v_db, "vport", {"normal": comp}),
+                (f"{comp}_dba_m", h_db, comp, {})):
+            if not np.isfinite(stack).all():
+                raise ConfigError("dB map contains non-finite values")
+            clipped += int(np.count_nonzero(stack <= _DB_FLOOR_DB))
+            maps = write_map_stack(grid, freqs, component,
+                                   stack.reshape(len(freqs), grid.ny, grid.nx), meta)
+            for tag, chunks in zip(tags, maps):
                 files.append(f"{prefix}_{tag}.csv")
-                _write_staged(stage, args.out, files[-1], data)
+                _write_staged(stage, args.out, files[-1], chunks)
         if clipped:
-            print(f"warning: {clipped} of {3 * db.size} map cells clipped to the "
+            print(f"warning: {clipped} of {db.size} map cells clipped to the "
                   f"{_DB_FLOOR_DB:g} dB floor", file=sys.stderr)
         provenance = {"config_sha256": cfg.digest, "kernel": cfg.kernel,
                       "sign_mode": cfg.sign_mode, "tool": f"nfscan {__version__}"}
         files.append("provenance.json")
         _write_staged(stage, args.out, files[-1],
-                      (json.dumps(provenance, sort_keys=True, indent=2) + "\n").encode())
+                      [(json.dumps(provenance, sort_keys=True, indent=2) + "\n").encode()])
         if target is not None:
             _move(stage, target)
         else:
@@ -201,8 +210,8 @@ def cmd_extract(args):
     vmap = _read(args.scan, parse_map_csv)
     table = _read(args.cf, parse_cf_csv)
     out = apply_calibration_to_scan(vmap, table, args.freq, sign_mode=args.sign_mode)
-    (data,) = write_map_stack(out.grid, [out.f], out.component, out.values[None], out.meta)
-    _write_text(args.out, data)
+    (chunks,) = write_map_stack(out.grid, [out.f], out.component, out.values[None], out.meta)
+    _write_chunks(args.out, chunks)
     return 0
 
 

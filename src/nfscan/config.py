@@ -31,9 +31,9 @@ _REQUIRED = object()
 #: Most grid points x sweep frequencies, and most trace segments x sweep
 #: frequencies, a config may ask for; table3 at 0.1 mm with 5 frequencies
 #: is 252,255 cells.  At the bound, `simulate` on a 3,162 x 3,162 table3
-#: grid at one frequency peaks at 1.1 GB RSS, and `simulate` or
-#: `probe-transfer` with 2,000 segments x 5,000 frequencies on one point
-#: at 341 MB (x86-64, Python 3.11, numpy 2.4).
+#: grid at one frequency peaks at 283 MB RSS, 240 MB of it its three dB
+#: stacks, and `simulate` or `probe-transfer` with 2,000 segments x 5,000
+#: frequencies on one point at 341 MB (x86-64, Python 3.11, numpy 2.4).
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`

@@ -21,7 +21,9 @@ orjson spells a double as `repr` does except for 0 < |x| < 1e-4 and
 |x| >= 1e16 ("0.00005", "1e16" for "5e-05", "1e+16"); the rows holding
 such a cell are written with `repr`.  Maps are written a stack at a time
 (`write_map_stack`): the header items but f_hz and that row scan are
-made once per stack of maps sharing grid, component and meta.
+made once per stack of maps sharing grid, component and meta.  A CSV
+comes as chunks of `_CHUNK_ROWS` rows (`_table`), so writing a map file
+holds 0.2x its size (1001 x 1001, tracemalloc), not its whole text.
 
 A body cell is an RFC 8259 JSON number, which may be padded by spaces,
 tabs and "\r"s; `-0` keeps its sign.  Any other spelling (`1_0`, `+1`,
@@ -38,6 +40,7 @@ peaks at 0.9x the file's size.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import io
 import itertools
@@ -293,13 +296,14 @@ _MAP_FLOAT_KEYS = ("x_min", "x_max", "y_min", "y_max", "dx", "dy", "z_height", "
 
 def write_map_csv(fmap: FieldMap):
     """The map CSV text of one FieldMap: `write_map_stack` with one map."""
-    (data,) = write_map_stack(fmap.grid, [fmap.f], fmap.component, fmap.values[None],
-                              fmap.meta)
-    return data.decode("utf-8", "surrogatepass")
+    (chunks,) = write_map_stack(fmap.grid, [fmap.f], fmap.component, fmap.values[None],
+                                fmap.meta)
+    return b"".join(chunks).decode("utf-8", "surrogatepass")
 
 
 def write_map_stack(grid, freqs, component, values, meta):
-    """Yield the UTF-8 bytes of the map CSV of each frequency of a stack.
+    """Yield, for each frequency of a stack, the UTF-8 bytes of its map CSV
+    as an iterator of chunks (`_table`).
 
     `values` is an (nf, ny, nx) array of finite dB values, map k at
     `freqs[k]`, every map over `grid` with the same `component` and
@@ -322,22 +326,33 @@ def write_map_stack(grid, freqs, component, values, meta):
                      odd.get(k, ()))
 
 
+#: Rows per chunk of a CSV body (`_table`).
+_CHUNK_ROWS = 64
+
+
 def _table(magic, items, values, odd=None):
-    """The UTF-8 bytes of a CSV: '# magic', a '# key: value' line per
-    (key, text) item (encoded with "surrogatepass", so any text comes back
-    as given), then the rows of the C-contiguous 2-D float array `values`,
-    each cell its `repr`: the rows listed in `odd` (default `_repr_rows`)
-    with `repr`, the others by one orjson call each, "[a,b]" sliced to
-    "a,b".  A map peaks near 2x the bytes returned: 39 MB for the 19 MB of
-    a 1001 x 1001 map (tracemalloc), the rows and their join.
+    """Yield the UTF-8 bytes of a CSV in chunks: first '# magic' and a
+    '# key: value' line per (key, text) item (encoded with
+    "surrogatepass", so any text comes back as given), then the rows of
+    the C-contiguous 2-D float array `values`, `_CHUNK_ROWS` at a time,
+    each cell its `repr`: the rows listed in `odd` (default `_repr_rows`,
+    ascending) with `repr`, the others by one orjson call each, "[a,b]"
+    sliced to "a,b".  Every line ends in "\n".  A chunk of 1001 cells a
+    row is 1.25 MB; written to a file one at a time (`cli._write_chunks`),
+    the 19.5 MB of a 1001 x 1001 map peak at 3.8 MB (tracemalloc): a
+    chunk's rows, their join and the chunk before.
     """
-    head = "\n".join([f"# {magic}", *(f"# {key}: {val}" for key, val in items)])
-    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in values]
-    for r in _repr_rows(values) if odd is None else odd:
-        rows[r] = ",".join(map(repr, values[r].tolist())).encode()
-    rows.insert(0, head.encode("utf-8", "surrogatepass"))
-    rows.append(b"")
-    return b"\n".join(rows)
+    head = "".join([f"# {magic}\n", *(f"# {key}: {val}\n" for key, val in items)])
+    yield head.encode("utf-8", "surrogatepass")
+    odd = _repr_rows(values) if odd is None else odd
+    for r0 in range(0, len(values), _CHUNK_ROWS):
+        r1 = r0 + _CHUNK_ROWS
+        rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+                for row in values[r0:r1]]
+        for r in odd[bisect.bisect_left(odd, r0):bisect.bisect_left(odd, r1)]:
+            rows[r - r0] = ",".join(map(repr, values[r].tolist())).encode()
+        rows.append(b"")
+        yield b"\n".join(rows)
 
 
 def _repr_rows(values):
@@ -584,7 +599,7 @@ def _locate(block, lineno, row, nrows, ncols, errors):
 def write_cf_csv(table):
     items = [("kernel", table.kernel), ("d", _rfmt(table.d)), ("h", _rfmt(table.h)),
              ("columns", "f_hz,cf_db")]
-    data = _table(CF_MAGIC, items, np.column_stack([table.f, table.cf_db]))
+    data = b"".join(_table(CF_MAGIC, items, np.column_stack([table.f, table.cf_db])))
     return data.decode("utf-8", "surrogatepass")
 
 
@@ -611,7 +626,7 @@ def write_profile_csv(coords, values, axis, at, f_hz, component):
     """Profile CSV of a cut through a dB map."""
     items = [("axis", axis), ("at", _rfmt(at)), ("f_hz", _rfmt(f_hz)),
              ("component", component), ("value_kind", "db"), ("columns", "coord_m,value")]
-    data = _table(PROFILE_MAGIC, items, np.column_stack([coords, values]))
+    data = b"".join(_table(PROFILE_MAGIC, items, np.column_stack([coords, values])))
     return data.decode("utf-8", "surrogatepass")
 
 

@@ -10,12 +10,15 @@ segment (its ground-plane image folded in) to the field along the probe
 normal at each probe's center and, for the integrated aperture, its
 quadrature nodes: one C-ordered (segments x points) array.  The chain
 contracts it in that layout with the segments x frequencies current
-matrix into (frequencies x probes) rows.  Each point's sums run in a
-fixed order, so results are byte-identical from run to run.
+matrix into (frequencies x probes) rows, then yields the block's H, V
+and S21 in turn from one buffer; nothing the size of the scan is held.
+Each point's sums run in a fixed order, so results are byte-identical
+from run to run, whatever the block size.
 
-A scan returns its complex observables as (nf, ny, nx) arrays
-(ScanResult); the calibration, profile and statistics steps work on dB
-maps (FieldMap), the content of one map CSV.
+`run_simulated_scan` gathers the blocks into its complex observables as
+(nf, ny, nx) arrays (ScanResult); `simulate` takes them block by block
+(`scan_blocks`) into dB.  The calibration, profile and statistics steps
+work on dB maps (FieldMap), the content of one map CSV.
 """
 
 from __future__ import annotations
@@ -97,13 +100,16 @@ def _node_flux(g, weights, cur):
 
 def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     """Observables of the probe centred at each of `centers`, a triple
-    (x, y, z) that broadcasts to (rows, cols) (see `fields.kernel_blocks`).
+    (x, y, z) that broadcasts to (rows, cols) (see `fields.kernel_blocks`),
+    one kernel block at a time.
 
-    Returns a (3, nf, npts) complex array holding, per frequency, the
-    field along the probe normal at the center, the port voltage (the EMF
-    -j 2 pi f mu0 flux, halved if `matched-halving`) and S21 = V /
-    sqrt(Z_REF x drive power).  A SingularityError carries the index of
-    the center, numbered row-major.
+    For each block of probes lo..hi-1 it yields (lo, hi, k, obs) three
+    times, obs an (nf, hi - lo) complex array: for k = 0 the field along
+    the probe normal at each center, for k = 1 the port voltage (the EMF
+    -j 2 pi f mu0 flux, halved if `matched-halving`), for k = 2 S21 =
+    V / sqrt(Z_REF x drive power).  obs is one buffer that the chain
+    reuses: it holds an observable until the next is asked for.  A
+    SingularityError carries the index of the center, numbered row-major.
     """
     currents = current_distribution(trace, freqs, drive, substrate)
     # Real and imaginary parts as one real matrix: one complex einsum took
@@ -114,28 +120,62 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
     # A probe's points: its center, then its quadrature nodes if integrated.
     offsets, weights = quad_offsets(probe) if integrated else (None, [])
     m = 1 + len(weights)
-    npts = np.broadcast(*centers).size
-    h = np.empty((cur.shape[1], npts))
-    flux = np.empty_like(h) if integrated else None
-    for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
-        g = g.reshape(len(g), hi - lo, m)
-        np.einsum("sp,sf->fp", g[..., 0], cur, out=h[:, lo:hi])
-        if integrated:
-            flux[:, lo:hi] = _node_flux(g, weights, cur)
     nf = len(freqs)
+    emf = (-1j * 2.0 * math.pi * freqs * MU_0)[:, None]
+    hbuf = cbuf = np.empty(0)
+    for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
+        n = hi - lo
+        if cbuf.size < nf * n:  # once: later blocks are no larger
+            hbuf, cbuf = np.empty(2 * nf * n), np.empty(nf * n, dtype=complex)
+        h = hbuf[:2 * nf * n].reshape(2 * nf, n)
+        obs = cbuf[:nf * n].reshape(nf, n)
+        g = g.reshape(len(g), n, m)
+        np.einsum("sp,sf->fp", g[..., 0], cur, out=h)
+        # In place in obs, with no (nf, n) temporary: H, then the flux, then V.
+        np.add(h[:nf], np.multiply(1j, h[nf:], out=obs), out=obs)
+        yield lo, hi, 0, obs
+        if integrated:
+            flux = _node_flux(g, weights, cur)
+            np.add(flux[:nf], np.multiply(1j, flux[nf:], out=obs), out=obs)
+        else:
+            np.multiply(obs, probe.side_s * probe.side_s, out=obs)
+        np.multiply(emf, obs, out=obs)
+        if probe.loading == "matched-halving":
+            obs /= 2.0
+        yield lo, hi, 1, obs
+        np.divide(obs, math.sqrt(Z_REF * drive.power), out=obs)
+        yield lo, hi, 2, obs
+
+
+def _gather(blocks, nf, npts):
+    """The (3, nf, npts) complex array of H, V and S21 that the blocks of
+    `_probe_chain` over npts probes make up."""
     out = np.empty((3, nf, npts), dtype=complex)
-    hf, v, s21 = out
-    # In place, with no (nf, npts) temporary: H, then the flux in v, then V.
-    np.add(h[:nf], np.multiply(1j, h[nf:], out=hf), out=hf)
-    if integrated:
-        np.add(flux[:nf], np.multiply(1j, flux[nf:], out=v), out=v)
-    else:
-        np.multiply(hf, probe.side_s * probe.side_s, out=v)
-    np.multiply((-1j * 2.0 * math.pi * freqs * MU_0)[:, None], v, out=v)
-    if probe.loading == "matched-halving":
-        v /= 2.0
-    np.divide(v, math.sqrt(Z_REF * drive.power), out=s21)
+    for lo, hi, k, obs in blocks:
+        out[k, :, lo:hi] = obs
     return out
+
+
+def scan_blocks(trace: TracePath, substrate: Substrate, probe: LoopProbe, grid: ScanGrid,
+                sweep: FrequencySweep, drive: DriveSpec):
+    """The observables of a raster scan (see `run_simulated_scan`), one
+    kernel block at a time: `_probe_chain`'s (lo, hi, k, obs), lo..hi-1
+    the grid points of the block, numbered row-major.
+
+    A SingularityError names the first grid point, in row-major order,
+    whose probe center or any of whose quadrature nodes lies within
+    fields.EPS_GEOM (1 nm) of a trace segment.
+    """
+    centers = (grid.x_coords()[None, :], grid.y_coords()[:, None],
+               [[grid.z_height + substrate.h]])
+    try:
+        yield from _probe_chain(trace, substrate, probe, centers, sweep.frequencies(), drive)
+    except SingularityError as exc:
+        iy, ix = divmod(exc.point, grid.nx)
+        raise SingularityError(
+            f"singular field at grid point (ix={ix}, iy={iy}), "
+            f"x={grid.x_min + ix * grid.dx}, y={grid.y_min + iy * grid.dy}: {exc}",
+            segment=exc.segment, point=exc.point) from None
 
 
 def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
@@ -148,22 +188,11 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
     evaluated; per frequency the complex S21, port voltage and
     ground-truth field component (along the probe normal, at the probe
     center) are stored as (ny, nx) maps of the returned ScanResult.
-
-    A SingularityError names the first grid point, in row-major order,
-    whose probe center or any of whose quadrature nodes lies within
-    fields.EPS_GEOM (1 nm) of a trace segment.
+    A point too close to the trace is a SingularityError (`scan_blocks`).
     """
-    centers = (grid.x_coords()[None, :], grid.y_coords()[:, None],
-               [[grid.z_height + substrate.h]])
     freqs = sweep.frequencies()
-    try:
-        out = _probe_chain(trace, substrate, probe, centers, freqs, drive)
-    except SingularityError as exc:
-        iy, ix = divmod(exc.point, grid.nx)
-        raise SingularityError(
-            f"singular field at grid point (ix={ix}, iy={iy}), "
-            f"x={grid.x_min + ix * grid.dx}, y={grid.y_min + iy * grid.dy}: {exc}",
-            segment=exc.segment, point=exc.point) from None
+    out = _gather(scan_blocks(trace, substrate, probe, grid, sweep, drive), len(freqs),
+                  grid.ny * grid.nx)
     out.flags.writeable = False  # kept by the ScanResult without a copy
     h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
     return ScanResult(freqs=freqs, grid=grid, component="h" + probe.normal,
@@ -183,7 +212,8 @@ def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe, cen
     freqs = sweep.frequencies()
     x, y, z = (float(c) for c in center)
     try:
-        _, _, s21 = _probe_chain(trace, substrate, probe, ([[x]], [[y]], [[z]]), freqs, drive)
+        _, _, s21 = _gather(_probe_chain(trace, substrate, probe, ([[x]], [[y]], [[z]]), freqs,
+                                         drive), len(freqs), 1)
     except SingularityError as exc:
         raise SingularityError(f"probe at {[x, y, z]}: {exc}", segment=exc.segment,
                                point=exc.point) from None

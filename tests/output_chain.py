@@ -85,6 +85,14 @@ HAND_V = """\
 -2e16,-2e16,-2e16
 -1.00002,-1.00002,-1.00002
 """
+#: A 70-row vport map whose row 66, past the writer's first chunk of rows
+#: (`formats._CHUNK_ROWS`), is HAND_V's first: `extract` through HAND_CF
+#: writes it with `repr` and the rows around it with orjson.
+HAND_V70 = "".join(line + "\n" for line in [
+    "# nfscan-map 1", "# x_min: 0", "# x_max: 0.002", "# y_min: 0", "# y_max: 0.069",
+    "# dx: 0.001", "# dy: 0.001", "# z_height: 0.001", "# f_hz: 2e9", "# component: vport",
+    "# value_kind: db", "# meta.normal: hy",
+    *("-0.99995,-0.99995,-0.99995" if r == 66 else f"-{r}.5,-20,-3.25" for r in range(70))])
 
 
 def make_inputs(cfg):
@@ -132,6 +140,7 @@ def make_inputs(cfg):
     (cfg / "hand-db.s2p").write_text(HAND_DB)
     (cfg / "hand-cf.csv").write_text(HAND_CF)
     (cfg / "hand-v.csv").write_text(HAND_V)
+    (cfg / "hand-v70.csv").write_text(HAND_V70)
 
 
 def run_chain(src, out, cfg):
@@ -193,6 +202,8 @@ def run_chain(src, out, cfg):
     nf("render", "--map", cfg / "hand.csv", "--lo", "-30", "--hi", "10", "--out", out / "hand.pgm")
     nf("extract", "--scan", cfg / "hand-v.csv", "--cf", cfg / "hand-cf.csv", "--freq", "2e9",
        "--out", out / "hy-hand.csv")
+    nf("extract", "--scan", cfg / "hand-v70.csv", "--cf", cfg / "hand-cf.csv", "--freq", "2e9",
+       "--out", out / "hy-hand-v70.csv")
 
     # a map read from a pipe, which cannot seek
     fifo = cfg / "hy.fifo"

@@ -179,6 +179,23 @@ class TestCalibrate:
             with pytest.raises(ConfigError, match="outside calibration table span"):
                 table.cf_at(f)
 
+    @pytest.mark.parametrize("f", [0.0, -5.0, 0.5])
+    def test_below_a_wide_table_is_outside_its_span(self, f):
+        # the tolerance below the first row is that row's, not the last
+        # row's: 1e-9 of 10 GHz is 10 Hz, more than the 1 Hz first row
+        table = CFTable(f=np.array([1.0, 1e10]), cf_db=np.array([40.0, 0.0]),
+                        kernel="paper", d=1e-3, h=1.6e-3)
+        with pytest.raises(ConfigError) as info:
+            table.cf_at(f)
+        assert str(info.value) == (f"frequency {f} Hz outside calibration table span "
+                                   "[1.0, 10000000000.0] Hz")
+
+    def test_within_tolerance_of_each_end_is_served(self):
+        table = CFTable(f=np.array([1.0, 1e10]), cf_db=np.array([40.0, 0.0]),
+                        kernel="paper", d=1e-3, h=1.6e-3)
+        assert table.cf_at(1.0 * (1 - 1e-10)) == 40.0
+        assert table.cf_at(1e10 * (1 + 1e-10)) == 0.0
+
     def test_interpolation_log_f(self):
         table = CFTable(f=np.array([1e8, 1e10]), cf_db=np.array([40.0, 0.0]),
                         kernel="paper", d=1e-3, h=1.6e-3)

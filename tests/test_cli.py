@@ -1,7 +1,6 @@
 import concurrent.futures
 import contextlib
 import copy
-import dataclasses
 import errno
 import glob
 import io
@@ -13,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +23,7 @@ import nfscan
 from nfscan import (CFTable, FieldMap, NetworkData, ScanGrid, map_stats, parse_cf_csv,
                     parse_map_csv, parse_touchstone, write_cf_csv, write_map_csv,
                     write_touchstone)
-from nfscan import ConfigError, ParseError, __version__, cli
+from nfscan import ConfigError, ParseError, __version__, cli, fields, formats
 from nfscan.cli import main
 from nfscan import config
 from nfscan.calibration import KERNELS, SIGN_MODES
@@ -266,7 +266,7 @@ class TestSimulate:
         def no_scan(*args):
             raise AssertionError("the scan ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_simulated_scan", no_scan)
+        monkeypatch.setattr(cli, "scan_blocks", no_scan)
         out = tmp_path / "taken"
         out.write_text("")
         assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
@@ -347,15 +347,17 @@ class TestSimulate:
         assert sorted(os.listdir(tmp_path)) == [left.name, "o"]
 
     def test_non_finite_db_map_exits_2(self, tmp_path, capsys, monkeypatch):
-        real = cli.run_simulated_scan
+        real = cli.scan_blocks
 
-        def overflowing(*args):
-            result = real(*args)
-            hfield = result.hfield.copy()
-            hfield[0, 3, 0] = complex(math.inf, 0.0)
-            return dataclasses.replace(result, hfield=hfield)
+        def overflowing(trace, substrate, probe, grid, *args):
+            at = 3 * grid.nx  # the field map's cell [0, 3, 0]
+            for lo, hi, k, obs in real(trace, substrate, probe, grid, *args):
+                if k == 0 and lo <= at < hi:
+                    obs = obs.copy()
+                    obs[0, at - lo] = complex(math.inf, 0.0)
+                yield lo, hi, k, obs
 
-        monkeypatch.setattr(cli, "run_simulated_scan", overflowing)
+        monkeypatch.setattr(cli, "scan_blocks", overflowing)
         out = tmp_path / "o"
         assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: dB map contains non-finite values\n"
@@ -758,6 +760,22 @@ class TestNonPositiveCfFrequency:
         assert capsys.readouterr().err == f"error: CF table: frequency {f0} Hz is not > 0\n"
         assert not out.exists()
 
+    def test_extract_below_a_wide_table_exits_2(self, tmp_path, capsys):
+        # --freq 0 within 1e-6 Hz of the map's f_hz, below a 1 Hz - 10 GHz table
+        cf = tmp_path / "cf.csv"
+        cf.write_text("# nfscan-cf 1\n# kernel: paper\n# d: 0.001\n# h: 0.0016\n"
+                      "1.0,10.0\n1e10,12.0\n")
+        scan = tmp_path / "v.csv"
+        header = TestMapRowsCheckedBeforeAllocation.HEADER.format(x_max=0, y_max=0, dx=0.001)
+        header = header.replace("# f_hz: 1e9\n", "# f_hz: 1e-7\n").replace("hy", "vport")
+        scan.write_text(header + "-40\n")
+        out = tmp_path / "h.csv"
+        assert main(["extract", "--scan", str(scan), "--cf", str(cf), "--freq", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: frequency 0.0 Hz outside calibration table "
+                                           "span [1.0, 10000000000.0] Hz\n")
+        assert not out.exists()
+
 
 class TestUnmodelledKeys:
     """Accepted, range-checked and hashed keys that no computation reads."""
@@ -1101,7 +1119,7 @@ class TestProbePairBudget:
     def test_quad_n_32_exits_2(self, tmp_path, capsys, monkeypatch):
         def no_scan(*args):
             raise AssertionError("scan run")
-        monkeypatch.setattr(cli, "run_simulated_scan", no_scan)
+        monkeypatch.setattr(cli, "scan_blocks", no_scan)
         cfg = write_config(tmp_path, probe={"aperture": "integrated", "quad_n": 32},
                            **self.PATCH)
         out = tmp_path / "o"
@@ -1488,6 +1506,98 @@ class TestMutatedPaths:
             left = [name for _, _, names in os.walk(tmp) for name in names
                     if name.endswith(".tmp")]
             assert left == []
+
+
+class TestBlockAndChunkSizes:
+    """`simulate`'s bytes do not depend on how many probes a kernel block
+    holds (`fields.PAIRS`) or how many rows a CSV chunk holds
+    (`formats._CHUNK_ROWS`): its dB stage and writer see every edge."""
+
+    @staticmethod
+    def bent_integrated(tmp_path):
+        """A bent, shorted trace over a log sweep, under an integrated probe."""
+        with open(TABLE3, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["trace"].update(vertices=[[-10, 0], [0, 0], [0, 5], [5, 10], [12, 10]],
+                            termination="short")
+        doc["grid"].update(x_min=-12.0, x_max=14.0, y_min=-4.0, y_max=14.0)
+        doc["sweep"].update(f_min=0.5, f_max=3.0, n_points=4, spacing="log")
+        doc["probe"].update(normal="x", aperture="integrated", quad_n=4)
+        path = tmp_path / "bent.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("which", ["table3", "bent-integrated"])
+    def test_bytes_match_the_default_run(self, tmp_path, monkeypatch, which):
+        cfg = TABLE3 if which == "table3" else self.bent_integrated(tmp_path)
+        c = config.load_config(cfg)
+        m = 1 + c.probe.quad_n ** 2 if c.probe.aperture == "integrated" else 1
+        probe_pairs = 2 * c.trace.n_segments * m
+        want = simulate_files(cfg, tmp_path / "default")
+        # one probe, 7 probes (chunks of a row) and 3 rows per block; 1 and 3
+        # rows per chunk
+        for i, (module, name, n) in enumerate([
+                (fields, "PAIRS", 1), (fields, "PAIRS", 7 * probe_pairs),
+                (fields, "PAIRS", 3 * c.grid.nx * probe_pairs),
+                (formats, "_CHUNK_ROWS", 1), (formats, "_CHUNK_ROWS", 3)]):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, n)
+                assert simulate_files(cfg, tmp_path / str(i)) == want, (name, n)
+
+    def test_singular_point_mid_scan_publishes_nothing(self, tmp_path, monkeypatch, capsys):
+        # one probe per block: rows below the trace are made into dB before
+        # the singular row is met
+        cfg = write_config(tmp_path, probe={"height": 1e-10})
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: singular field at grid point (ix=0, iy=10), ")
+        monkeypatch.setattr(fields, "PAIRS", 1)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+class TestStreamingMemory:
+    """`simulate` holds its dB stacks and one kernel block, not the complex
+    scan; a map file is written a chunk of rows at a time."""
+
+    def test_simulate_peak_below_its_db_stacks_and_a_block(self, tmp_path):
+        # three dB stacks of 8 B a cell, a kernel block of about 21 B a pair
+        # and 1 MiB besides; table3 at 0.1 mm x 5 frequencies (252,255 cells)
+        # peaks at 9.1 MiB here (tracemalloc), 16.5 MiB with the complex scan held
+        with open(TABLE3, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["grid"].update(dx=0.1, dy=0.1)
+        doc["sweep"].update(n_points=5)
+        cfg = tmp_path / "fine.json"
+        cfg.write_text(json.dumps(doc))
+        cells = 201 * 251 * 5
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * cells + 25 * fields.PAIRS + 2 ** 20
+
+    def test_map_write_peak_below_a_quarter_of_the_file(self, tmp_path):
+        # 0.20x here (tracemalloc); 2.0x with the whole text made first
+        vals = np.random.default_rng(7).uniform(-350.0, 0.0, (1, 1001, 1001))
+        vals[0, 500, 500] = -5e-05  # one row written with `repr`
+        grid = ScanGrid(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, dx=1e-3, dy=1e-3,
+                        z_height=1e-3)
+        out = tmp_path / "map.csv"
+        tracemalloc.start()
+        try:
+            (chunks,) = formats.write_map_stack(grid, [1e9], "hy", vals, {})
+            cli._write_chunks(str(out), chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == write_map_csv(FieldMap(grid=grid, f=1e9, component="hy",
+                                                          values=vals[0])).encode()
+        assert peak < 0.25 * out.stat().st_size
 
 
 class TestDeterminism:

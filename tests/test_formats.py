@@ -456,9 +456,9 @@ class TestMapCsv:
         text = write_map_csv(fmap)
         assert "\n# meta.accent: \u00e9\n# meta.odd: x\udc80y\n" in text
         assert parse_map_csv(text).meta == fmap.meta
-        (data,) = formats.write_map_stack(fmap.grid, [fmap.f], fmap.component,
-                                          fmap.values[None], fmap.meta)
-        assert data == text.encode("utf-8", "surrogatepass")
+        (chunks,) = formats.write_map_stack(fmap.grid, [fmap.f], fmap.component,
+                                            fmap.values[None], fmap.meta)
+        assert b"".join(chunks) == text.encode("utf-8", "surrogatepass")
 
     @pytest.mark.parametrize("meta, why", [
         ({"a:b": "v"}, "a key holding ':' is read back only up to it"),
@@ -720,15 +720,29 @@ class TestMapCsvBytes:
     @example(_stack(np.array(_SPECIAL[:20]).reshape(2, 5, 2)))
     def test_stack_writer_matches_one_map_writers(self, stack):
         grid, freqs, component, values, meta = stack
-        written = list(formats.write_map_stack(grid, freqs, component, values, meta))
+        written = [b"".join(chunks)
+                   for chunks in formats.write_map_stack(grid, freqs, component, values, meta)]
         assert len(written) == len(freqs)
         for f_hz, vals, data in zip(freqs, values, written):
             fmap = FieldMap(grid=grid, f=f_hz, component=component, values=vals, meta=meta)
             assert data == write_map_csv_per_cell(fmap).encode()
             assert data == write_map_csv(fmap).encode()
 
+    @settings(max_examples=100, deadline=None)
+    @given(map_stacks(), st.integers(1, 3))
+    @example(_stack(np.array([[[-20.5], [-1.5e-06], [-3.0], [1e16]]])), 1)  # `repr` rows
+    def test_rows_in_small_chunks_match_one_map_writers(self, stack, rows):
+        # chunks of 1 to 3 rows put `repr` rows past the first chunk
+        grid, freqs, component, values, meta = stack
+        with mock.patch.object(formats, "_CHUNK_ROWS", rows):
+            written = [b"".join(chunks) for chunks in formats.write_map_stack(*stack)]
+        for f_hz, vals, data in zip(freqs, values, written):
+            fmap = FieldMap(grid=grid, f=f_hz, component=component, values=vals, meta=meta)
+            assert data == write_map_csv_per_cell(fmap).encode()
+
     def test_peak_memory_below_three_texts(self):
-        # the writer peaks at 2.01x the text here (tracemalloc, 39.1 MB for 19.5 MB)
+        # the writer peaks at 2.00x the text here (tracemalloc, 39.0 MB for 19.5 MB):
+        # the chunks, joined, then decoded
         vals = np.random.default_rng(7).uniform(-350.0, 0.0, (1001, 1001))
         vals[500, 500] = -5e-05  # one row written with `repr`
         fmap = _db_map(vals)

@@ -19,7 +19,7 @@ FILES = [
     "cf-hand-ma.csv", "cf-hand-db.csv", "hy.csv", "hy-eq3.csv", "profile.csv",
     "profile-x.csv", "hy.pgm", "hy-fine.csv", "profile-fine-x.csv",
     "profile-fine-y.csv", "hy-fine.pgm", "profile-hand.csv", "hand.pgm",
-    "hy-hand.csv", "stats-fifo.txt", "v-crlf.csv", "stats.txt",
+    "hy-hand.csv", "hy-hand-v70.csv", "stats-fifo.txt", "v-crlf.csv", "stats.txt",
     *(f"{name}{suffix}" for name in [*BENT, "bent-open", "bent-one-point", "bent-one-segment"]
       for suffix in (".s2p", "-cf.csv")),
 ]

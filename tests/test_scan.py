@@ -355,7 +355,8 @@ class TestContractionOrder:
                     npts += size
                 monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
                 centers = (np.arange(npts, dtype=float)[None, :], np.zeros((1, 1)), np.ones((1, 1)))
-                hfield = scan._probe_chain(trace, substrate, probe, centers, freqs, drive)[0]
+                hfield = scan._gather(scan._probe_chain(trace, substrate, probe, centers, freqs,
+                                                        drive), nf, npts)[0]
                 for lo, hi, g in blocks:
                     rows = np.ascontiguousarray(g.T).reshape(hi - lo, m, nseg)
                     h = np.einsum("ps,sf->pf", rows[:, 0], cur)
@@ -377,7 +378,8 @@ class TestContractionOrder:
                                   loading=loading)
                 blocks = [(0, 20, random_block(r, trace.n_segments, 20 * m))]
                 monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
-                got = scan._probe_chain(trace, substrate, probe, centers, freqs, drive)
+                got = scan._gather(scan._probe_chain(trace, substrate, probe, centers, freqs,
+                                                     drive), nf, 20)
                 if aperture == "integrated":
                     currents = np.stack([current_distribution(trace, f, drive, substrate)
                                          for f in freqs], axis=1)
