@@ -26,8 +26,7 @@ from .config import center_over_trace, load_config, path_error, reading
 from .errors import ConfigError, SingularityError
 from .formats import (NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                       write_cf_csv, write_map_stack, write_profile_csv, write_touchstone)
-from .scan import (apply_calibration_to_scan, extract_profile, map_stats, probe_transfer,
-                   scan_blocks)
+from .scan import apply_calibration_to_scan, extract_profile, map_stats, probe_transfer, scan_grid
 
 
 def _write_text(path, data):
@@ -66,10 +65,11 @@ _DB_FLOOR = 1e-15
 _DB_FLOOR_DB = 20.0 * math.log10(_DB_FLOOR)
 
 
-def _db_stack(values, out):
+def _db_stack(out, values):
     """dB magnitudes of the complex array `values` into the float array
-    `out` of its shape (|.| clipped to a representable floor): a block of
-    a stack of maps, each double as a map on its own would get it."""
+    `out` of its shape (|.| clipped to a representable floor), as
+    np.copyto(out, values) stores them as they are: a block of a stack of
+    maps, each double as a map on its own would get it."""
     np.abs(values, out=out)
     np.maximum(out, _DB_FLOOR, out=out)
     np.log10(out, out=out)
@@ -134,22 +134,19 @@ def cmd_simulate(args):
     directory (`_stage_dir`) and publish them: a new --out by one rename of
     that directory, an existing one by renaming each file into it.  A
     failure before that leaves --out as it was, and the staging directory
-    is removed in any case.  The scan comes one kernel block at a time
-    (`scan.scan_blocks`), and each block's H, V and S21 go straight to dB
-    in one of three (nf, points) float stacks, the only arrays the size of
-    the scan.  Each stack is then checked once and written as one
-    (`formats.write_map_stack`): one header and one `repr` row scan, each
-    map's bytes written a chunk of rows at a time, with no temporary file
-    of their own.
+    is removed in any case.  The scan stores each kernel block's H, V and
+    S21 straight as dB (`scan.scan_grid` with `_db_stack`) in three (nf,
+    points) float stacks, the only arrays the size of the scan.  Each stack
+    is then checked once and written as one (`formats.write_map_stack`):
+    one header and one `repr` row scan, each map's bytes written a chunk of
+    rows at a time, with no temporary file of their own.
     """
     cfg = load_config(args.config)
     stage, target = _stage_dir(args.out)
     try:
         grid, freqs, comp = cfg.grid, cfg.sweep.frequencies(), "h" + cfg.probe.normal
         h_db, v_db, s21_db = db = np.empty((3, len(freqs), grid.ny * grid.nx))
-        for lo, hi, k, obs in scan_blocks(cfg.trace, cfg.substrate, cfg.probe, grid,
-                                          cfg.sweep, cfg.drive):
-            _db_stack(obs, db[k, :, lo:hi])
+        scan_grid(cfg.trace, cfg.substrate, cfg.probe, grid, cfg.sweep, cfg.drive, db, _db_stack)
         tags = [_freq_tag(i, f_hz) for i, f_hz in enumerate(freqs)]
         files, clipped = [], 0
         for prefix, stack, component, meta in (

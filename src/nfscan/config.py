@@ -34,6 +34,10 @@ _REQUIRED = object()
 #: grid at one frequency peaks at 283 MB RSS, 240 MB of it its three dB
 #: stacks, and `simulate` or `probe-transfer` with 2,000 segments x 5,000
 #: frequencies on one point at 341 MB (x86-64, Python 3.11, numpy 2.4).
+#: A 1-segment trace is the worst case: the chain's buffers take 32 B x
+#: frequencies x block points, a block holds `fields.PAIRS` // 2 points,
+#: and table3's line unsplit on a 256 x 256 grid x 152 frequencies peaks
+#: at 568 MB RSS, 287 MB with `max_segment: 1.0` (30 segments).
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`

@@ -59,6 +59,7 @@ MAP_MAGIC = "nfscan-map 1"
 CF_MAGIC = "nfscan-cf 1"
 PROFILE_MAGIC = "nfscan-profile 1"
 
+#: A map's component: the field components (`scan._FIELD_TAGS`), then two port quantities.
 COMPONENTS = ("hx", "hy", "hz", "mag", "s21", "vport")
 
 _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -287,6 +288,8 @@ def _meta_fault(key, val):
             return f"the {what} holds a line end or an ASCII separator ('\\x1c'-'\\x1f')"
         if text != text.strip():
             return f"the {what} starts or ends with white space, which is read back stripped"
+        if any("\ud800" <= c <= "\udfff" for c in text):
+            return f"the {what} holds a lone surrogate, which UTF-8 cannot encode"
     return ""
 
 
@@ -298,7 +301,7 @@ def write_map_csv(fmap: FieldMap):
     """The map CSV text of one FieldMap: `write_map_stack` with one map."""
     (chunks,) = write_map_stack(fmap.grid, [fmap.f], fmap.component, fmap.values[None],
                                 fmap.meta)
-    return b"".join(chunks).decode("utf-8", "surrogatepass")
+    return b"".join(chunks).decode("utf-8")
 
 
 def write_map_stack(grid, freqs, component, values, meta):
@@ -332,10 +335,9 @@ _CHUNK_ROWS = 64
 
 def _table(magic, items, values, odd=None):
     """Yield the UTF-8 bytes of a CSV in chunks: first '# magic' and a
-    '# key: value' line per (key, text) item (encoded with
-    "surrogatepass", so any text comes back as given), then the rows of
-    the C-contiguous 2-D float array `values`, `_CHUNK_ROWS` at a time,
-    each cell its `repr`: the rows listed in `odd` (default `_repr_rows`,
+    '# key: value' line per (key, text) item, then the rows of the
+    C-contiguous 2-D float array `values`, `_CHUNK_ROWS` at a time, each
+    cell its `repr`: the rows listed in `odd` (default `_repr_rows`,
     ascending) with `repr`, the others by one orjson call each, "[a,b]"
     sliced to "a,b".  Every line ends in "\n".  A chunk of 1001 cells a
     row is 1.25 MB; written to a file one at a time (`cli._write_chunks`),
@@ -343,7 +345,7 @@ def _table(magic, items, values, odd=None):
     chunk's rows, their join and the chunk before.
     """
     head = "".join([f"# {magic}\n", *(f"# {key}: {val}\n" for key, val in items)])
-    yield head.encode("utf-8", "surrogatepass")
+    yield head.encode("utf-8")
     odd = _repr_rows(values) if odd is None else odd
     for r0 in range(0, len(values), _CHUNK_ROWS):
         r1 = r0 + _CHUNK_ROWS
@@ -600,7 +602,7 @@ def write_cf_csv(table):
     items = [("kernel", table.kernel), ("d", _rfmt(table.d)), ("h", _rfmt(table.h)),
              ("columns", "f_hz,cf_db")]
     data = b"".join(_table(CF_MAGIC, items, np.column_stack([table.f, table.cf_db])))
-    return data.decode("utf-8", "surrogatepass")
+    return data.decode("utf-8")
 
 
 def parse_cf_csv(source):
@@ -627,7 +629,7 @@ def write_profile_csv(coords, values, axis, at, f_hz, component):
     items = [("axis", axis), ("at", _rfmt(at)), ("f_hz", _rfmt(f_hz)),
              ("component", component), ("value_kind", "db"), ("columns", "coord_m,value")]
     data = b"".join(_table(PROFILE_MAGIC, items, np.column_stack([coords, values])))
-    return data.decode("utf-8", "surrogatepass")
+    return data.decode("utf-8")
 
 
 # ---------------------------------------------------------------------------

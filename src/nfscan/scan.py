@@ -10,15 +10,17 @@ segment (its ground-plane image folded in) to the field along the probe
 normal at each probe's center and, for the integrated aperture, its
 quadrature nodes: one C-ordered (segments x points) array.  The chain
 contracts it in that layout with the segments x frequencies current
-matrix into (frequencies x probes) rows, then yields the block's H, V
-and S21 in turn from one buffer; nothing the size of the scan is held.
-Each point's sums run in a fixed order, so results are byte-identical
-from run to run, whatever the block size.
+matrix into (frequencies x probes) rows, then computes the block's H, V
+and S21 in turn in one buffer, each stored into the caller's array by
+the caller's `store`; nothing else the size of the scan is held.  Each
+point's sums run in a fixed order, so results are byte-identical from
+run to run, whatever the block size.
 
-`run_simulated_scan` gathers the blocks into its complex observables as
-(nf, ny, nx) arrays (ScanResult); `simulate` takes them block by block
-(`scan_blocks`) into dB.  The calibration, profile and statistics steps
-work on dB maps (FieldMap), the content of one map CSV.
+`run_simulated_scan` stores the blocks as they are (np.copyto) into its
+complex observables, (nf, ny, nx) arrays (ScanResult); `simulate` stores
+them as dB (`scan_grid` with `cli._db_stack`).  The calibration, profile
+and statistics steps work on dB maps (FieldMap), the content of one map
+CSV.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .calibration import CFTable, field_from_voltage
 from .errors import ConfigError, SingularityError
 from . import fields
 from .fields import current_distribution
-from .formats import FieldMap
+from .formats import COMPONENTS, FieldMap
 from .model import (MU_0, Z_REF, DriveSpec, FrequencySweep, LoopProbe, ScanGrid, Substrate,
                     TracePath, readonly)
 
@@ -98,18 +100,18 @@ def _node_flux(g, weights, cur):
     return np.einsum("ps,sf->pf", np.einsum("pqs,q->ps", rows[:, 1:], weights), cur).T
 
 
-def _probe_chain(trace, substrate, probe, centers, freqs, drive):
+def _probe_chain(trace, substrate, probe, centers, freqs, drive, out, store):
     """Observables of the probe centred at each of `centers`, a triple
     (x, y, z) that broadcasts to (rows, cols) (see `fields.kernel_blocks`),
-    one kernel block at a time.
+    into `out`, a (3, nf, probes) array, probes numbered row-major: out[0]
+    the field along the probe normal at each center, out[1] the port
+    voltage (the EMF -j 2 pi f mu0 flux, halved if `matched-halving`),
+    out[2] S21 = V / sqrt(Z_REF x drive power).
 
-    For each block of probes lo..hi-1 it yields (lo, hi, k, obs) three
-    times, obs an (nf, hi - lo) complex array: for k = 0 the field along
-    the probe normal at each center, for k = 1 the port voltage (the EMF
-    -j 2 pi f mu0 flux, halved if `matched-halving`), for k = 2 S21 =
-    V / sqrt(Z_REF x drive power).  obs is one buffer that the chain
-    reuses: it holds an observable until the next is asked for.  A
-    SingularityError carries the index of the center, numbered row-major.
+    Per kernel block of probes lo..hi-1, each observable in turn is an
+    (nf, hi - lo) complex array `obs`, stored by store(out[k, :, lo:hi],
+    obs) for k = 0, 1, 2 (np.copyto, or `cli._db_stack`).  A
+    SingularityError carries the index of the center.
     """
     currents = current_distribution(trace, freqs, drive, substrate)
     # Real and imaginary parts as one real matrix: one complex einsum took
@@ -133,7 +135,7 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
         np.einsum("sp,sf->fp", g[..., 0], cur, out=h)
         # In place in obs, with no (nf, n) temporary: H, then the flux, then V.
         np.add(h[:nf], np.multiply(1j, h[nf:], out=obs), out=obs)
-        yield lo, hi, 0, obs
+        store(out[0, :, lo:hi], obs)
         if integrated:
             flux = _node_flux(g, weights, cur)
             np.add(flux[:nf], np.multiply(1j, flux[nf:], out=obs), out=obs)
@@ -142,25 +144,16 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive):
         np.multiply(emf, obs, out=obs)
         if probe.loading == "matched-halving":
             obs /= 2.0
-        yield lo, hi, 1, obs
+        store(out[1, :, lo:hi], obs)
         np.divide(obs, math.sqrt(Z_REF * drive.power), out=obs)
-        yield lo, hi, 2, obs
+        store(out[2, :, lo:hi], obs)
 
 
-def _gather(blocks, nf, npts):
-    """The (3, nf, npts) complex array of H, V and S21 that the blocks of
-    `_probe_chain` over npts probes make up."""
-    out = np.empty((3, nf, npts), dtype=complex)
-    for lo, hi, k, obs in blocks:
-        out[k, :, lo:hi] = obs
-    return out
-
-
-def scan_blocks(trace: TracePath, substrate: Substrate, probe: LoopProbe, grid: ScanGrid,
-                sweep: FrequencySweep, drive: DriveSpec):
-    """The observables of a raster scan (see `run_simulated_scan`), one
-    kernel block at a time: `_probe_chain`'s (lo, hi, k, obs), lo..hi-1
-    the grid points of the block, numbered row-major.
+def scan_grid(trace: TracePath, substrate: Substrate, probe: LoopProbe, grid: ScanGrid,
+              sweep: FrequencySweep, drive: DriveSpec, out, store):
+    """The observables of a raster scan (see `run_simulated_scan`) into
+    `out`, a (3, nf, ny * nx) array of H, V and S21, grid points numbered
+    row-major, one kernel block at a time by `store` (see `_probe_chain`).
 
     A SingularityError names the first grid point, in row-major order,
     whose probe center or any of whose quadrature nodes lies within
@@ -169,7 +162,7 @@ def scan_blocks(trace: TracePath, substrate: Substrate, probe: LoopProbe, grid: 
     centers = (grid.x_coords()[None, :], grid.y_coords()[:, None],
                [[grid.z_height + substrate.h]])
     try:
-        yield from _probe_chain(trace, substrate, probe, centers, sweep.frequencies(), drive)
+        _probe_chain(trace, substrate, probe, centers, sweep.frequencies(), drive, out, store)
     except SingularityError as exc:
         iy, ix = divmod(exc.point, grid.nx)
         raise SingularityError(
@@ -188,11 +181,11 @@ def run_simulated_scan(trace: TracePath, substrate: Substrate, probe: LoopProbe,
     evaluated; per frequency the complex S21, port voltage and
     ground-truth field component (along the probe normal, at the probe
     center) are stored as (ny, nx) maps of the returned ScanResult.
-    A point too close to the trace is a SingularityError (`scan_blocks`).
+    A point too close to the trace is a SingularityError (`scan_grid`).
     """
     freqs = sweep.frequencies()
-    out = _gather(scan_blocks(trace, substrate, probe, grid, sweep, drive), len(freqs),
-                  grid.ny * grid.nx)
+    out = np.empty((3, len(freqs), grid.ny * grid.nx), dtype=complex)
+    scan_grid(trace, substrate, probe, grid, sweep, drive, out, np.copyto)
     out.flags.writeable = False  # kept by the ScanResult without a copy
     h, v, s21 = out.reshape(3, len(freqs), grid.ny, grid.nx)
     return ScanResult(freqs=freqs, grid=grid, component="h" + probe.normal,
@@ -211,17 +204,17 @@ def probe_transfer(trace: TracePath, substrate: Substrate, probe: LoopProbe, cen
     """
     freqs = sweep.frequencies()
     x, y, z = (float(c) for c in center)
+    out = np.empty((3, len(freqs), 1), dtype=complex)
     try:
-        _, _, s21 = _gather(_probe_chain(trace, substrate, probe, ([[x]], [[y]], [[z]]), freqs,
-                                         drive), len(freqs), 1)
+        _probe_chain(trace, substrate, probe, ([[x]], [[y]], [[z]]), freqs, drive, out, np.copyto)
     except SingularityError as exc:
         raise SingularityError(f"probe at {[x, y, z]}: {exc}", segment=exc.segment,
                                point=exc.point) from None
-    return freqs, s21[:, 0]
+    return freqs, out[2, :, 0]
 
 
-#: The components a scan map's meta.normal may name; no meta.normal is "mag".
-_FIELD_TAGS = ("hx", "hy", "hz", "mag")
+#: The field components, which a scan map's meta.normal may name; none is "mag".
+_FIELD_TAGS = COMPONENTS[:-2]
 
 
 def apply_calibration_to_scan(vmap: FieldMap, cf: CFTable, f, sign_mode="eq1-consistent"):

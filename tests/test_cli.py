@@ -266,7 +266,7 @@ class TestSimulate:
         def no_scan(*args):
             raise AssertionError("the scan ran before --out was checked")
 
-        monkeypatch.setattr(cli, "scan_blocks", no_scan)
+        monkeypatch.setattr(cli, "scan_grid", no_scan)
         out = tmp_path / "taken"
         out.write_text("")
         assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
@@ -347,17 +347,21 @@ class TestSimulate:
         assert sorted(os.listdir(tmp_path)) == [left.name, "o"]
 
     def test_non_finite_db_map_exits_2(self, tmp_path, capsys, monkeypatch):
-        real = cli.scan_blocks
+        real = cli.scan_grid
 
-        def overflowing(trace, substrate, probe, grid, *args):
-            at = 3 * grid.nx  # the field map's cell [0, 3, 0]
-            for lo, hi, k, obs in real(trace, substrate, probe, grid, *args):
-                if k == 0 and lo <= at < hi:
+        def overflowing(trace, substrate, probe, grid, sweep, drive, out, store):
+            cell = out[0, 0, 3 * grid.nx:][:1]  # the field map's cell [0, 3, 0]
+
+            def injecting(dst, obs):
+                if np.shares_memory(dst, cell):
                     obs = obs.copy()
-                    obs[0, at - lo] = complex(math.inf, 0.0)
-                yield lo, hi, k, obs
+                    obs[0, (cell.ctypes.data - dst.ctypes.data) // dst.itemsize] = complex(
+                        math.inf, 0.0)
+                store(dst, obs)
 
-        monkeypatch.setattr(cli, "scan_blocks", overflowing)
+            real(trace, substrate, probe, grid, sweep, drive, out, injecting)
+
+        monkeypatch.setattr(cli, "scan_grid", overflowing)
         out = tmp_path / "o"
         assert main(["simulate", "--config", TABLE2, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: dB map contains non-finite values\n"
@@ -1119,7 +1123,7 @@ class TestProbePairBudget:
     def test_quad_n_32_exits_2(self, tmp_path, capsys, monkeypatch):
         def no_scan(*args):
             raise AssertionError("scan run")
-        monkeypatch.setattr(cli, "scan_blocks", no_scan)
+        monkeypatch.setattr(cli, "scan_grid", no_scan)
         cfg = write_config(tmp_path, probe={"aperture": "integrated", "quad_n": 32},
                            **self.PATCH)
         out = tmp_path / "o"

@@ -448,17 +448,16 @@ class TestMapCsv:
             assert str(info.value) == f"line 14: header key {key!r} given twice"
 
     def test_meta_text_written_back_as_given(self):
-        """Meta text, a lone surrogate included, is written and parsed back
-        as it was given; the stack writer's bytes are its surrogatepass
-        encoding."""
+        """Meta text is written and parsed back as it was given; the stack
+        writer's bytes are its UTF-8 encoding."""
         fmap = FieldMap(grid=synth_map(nx=3, ny=2).grid, f=1e9, component="hy",
-                        values=np.zeros((2, 3)), meta={"odd": "x\udc80y", "accent": "\u00e9"})
+                        values=np.zeros((2, 3)), meta={"odd": "x\u2028y", "accent": "\u00e9"})
         text = write_map_csv(fmap)
-        assert "\n# meta.accent: \u00e9\n# meta.odd: x\udc80y\n" in text
+        assert "\n# meta.accent: \u00e9\n# meta.odd: x\u2028y\n" in text
         assert parse_map_csv(text).meta == fmap.meta
         (chunks,) = formats.write_map_stack(fmap.grid, [fmap.f], fmap.component,
                                             fmap.values[None], fmap.meta)
-        assert b"".join(chunks) == text.encode("utf-8", "surrogatepass")
+        assert b"".join(chunks) == text.encode("utf-8")
 
     @pytest.mark.parametrize("meta, why", [
         ({"a:b": "v"}, "a key holding ':' is read back only up to it"),
@@ -466,7 +465,9 @@ class TestMapCsv:
         ({"k ": "v"}, "the key starts or ends with white space, which is read back stripped"),
         ({"k": "x\n1,2"}, "the value holds a line end or an ASCII separator ('\\x1c'-'\\x1f')"),
         ({"k\x1e": "v"}, "the key holds a line end or an ASCII separator ('\\x1c'-'\\x1f')"),
-        ({"k": 1.0}, "key and value must be text")])
+        ({"k": 1.0}, "key and value must be text"),
+        ({"odd": "x\udc80y"}, "the value holds a lone surrogate, which UTF-8 cannot encode"),
+        ({"a\ud800b": "v"}, "the key holds a lone surrogate, which UTF-8 cannot encode")])
     def test_meta_its_header_cannot_carry_back_rejected(self, meta, why):
         # written, these read back as another key or value, or not at all
         (key,) = meta

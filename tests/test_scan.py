@@ -174,6 +174,36 @@ class TestRunSimulatedScan:
         got = np.stack(np.broadcast_arrays(*map(np.asarray, seen[0])), axis=-1).reshape(-1, 3)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_grid_blocks_stored_three_times_each_in_k_order(self, monkeypatch, cal_probe,
+                                                            straight_trace, substrate, drive):
+        # 4 probes a block: a 9-point row in chunks of 4, 4 and 1
+        grid = ScanGrid(x_min=-2.1e-3, x_max=3.5e-3, y_min=-1.3e-3, y_max=2.3e-3, dx=0.7e-3,
+                        dy=0.4e-3, z_height=SCAN_HEIGHT)
+        sweep = FrequencySweep(f_min=1e9, f_max=3e9, n_points=2)
+        want = run_simulated_scan(straight_trace, substrate, cal_probe, grid, sweep, drive)
+        monkeypatch.setattr(fields, "PAIRS", 4 * 2 * straight_trace.n_segments)
+        npts = grid.ny * grid.nx
+        out = np.empty((3, 2, npts), dtype=complex)
+        calls = []
+
+        def store(dst, obs):
+            k, lo = divmod((dst.ctypes.data - out.ctypes.data) // out.itemsize, 2 * npts)
+            hi = lo + dst.shape[1]
+            assert dst.shape == obs.shape == (2, hi - lo)
+            assert dst.strides == out.strides[1:]
+            calls.append((k, lo, hi))
+            np.copyto(dst, obs)
+
+        scan.scan_grid(straight_trace, substrate, cal_probe, grid, sweep, drive, out, store)
+        blocks = [(lo, hi) for _, lo, hi in calls[::3]]
+        assert calls == [(k, lo, hi) for lo, hi in blocks for k in range(3)]
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == npts
+        assert [hi - lo for lo, hi in blocks] == [4, 4, 1] * grid.ny
+        got = out.reshape(3, 2, grid.ny, grid.nx)
+        for k, name in enumerate(("hfield", "vport", "s21")):
+            assert got[k].tobytes() == getattr(want, name).tobytes()
+
     def test_kernel_calls_independent_of_sweep_length(self, monkeypatch, cal_probe,
                                                       straight_trace, substrate, drive,
                                                       table2_grid):
@@ -355,8 +385,9 @@ class TestContractionOrder:
                     npts += size
                 monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
                 centers = (np.arange(npts, dtype=float)[None, :], np.zeros((1, 1)), np.ones((1, 1)))
-                hfield = scan._gather(scan._probe_chain(trace, substrate, probe, centers, freqs,
-                                                        drive), nf, npts)[0]
+                out = np.empty((3, nf, npts), dtype=complex)
+                scan._probe_chain(trace, substrate, probe, centers, freqs, drive, out, np.copyto)
+                hfield = out[0]
                 for lo, hi, g in blocks:
                     rows = np.ascontiguousarray(g.T).reshape(hi - lo, m, nseg)
                     h = np.einsum("ps,sf->pf", rows[:, 0], cur)
@@ -378,8 +409,8 @@ class TestContractionOrder:
                                   loading=loading)
                 blocks = [(0, 20, random_block(r, trace.n_segments, 20 * m))]
                 monkeypatch.setattr(fields, "kernel_blocks", lambda *args: iter(blocks))
-                got = scan._gather(scan._probe_chain(trace, substrate, probe, centers, freqs,
-                                                     drive), nf, 20)
+                got = np.empty((3, nf, 20), dtype=complex)
+                scan._probe_chain(trace, substrate, probe, centers, freqs, drive, got, np.copyto)
                 if aperture == "integrated":
                     currents = np.stack([current_distribution(trace, f, drive, substrate)
                                          for f in freqs], axis=1)
