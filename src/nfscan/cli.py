@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, probe-transfer, calibrate, extract, profile,
-stats, render.  Exit codes: 0 success, 2 usage/config/format error,
+stats, render.  Each reads its files by `config.read` and writes each
+output by `_dump`.  Exit codes: 0 success, 2 usage/config/format error,
 3 runtime numerical error (field singularity).
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import KERNELS, SIGN_MODES, calibrate
-from .config import center_over_trace, load_config, path_error, reading
+from .config import center_over_trace, load_config, path_error, read
 from .errors import ConfigError, SingularityError
 from .formats import (NetworkData, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                       write_cf_csv, write_map_stack, write_profile_csv, write_touchstone)
@@ -36,24 +37,34 @@ def _write_text(path, data):
 
 
 def _write_chunks(path, chunks):
-    """Write the bytes `chunks` to `path` atomically, one `write` each.
-
-    The bytes go to a temporary file in the target's directory, which then
-    replaces the target (`os.replace`).  A failed write leaves the previous
-    file, if any, as it was, and no temporary file.  The ConfigError names
-    `path` (see `config.path_error`).
-    """
+    """Write the bytes `chunks` to `path` atomically: to a temporary file in
+    its directory (`_dump`), which then replaces it (`_move`).  A failed
+    write leaves the previous file, if any, as it was, and no temporary
+    file; its ConfigError names `path`."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except (OSError, ValueError) as exc:
+        _dump(tmp, chunks, path)
+        _move(tmp, path)
+    except ValueError:  # ConfigError included
         with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL byte in tmp
             os.remove(tmp)
-        raise path_error("cannot write", path, exc) from None
+        raise
+
+
+def _dump(path, chunks, shown):
+    """Write the bytes `chunks` to `path`, one `write` each; a ConfigError
+    names `shown` (see `config.path_error`)."""
+    try:
+        fh = open(path, "wb")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
+        raise path_error("cannot write", shown, exc) from None
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise path_error("cannot write", shown, exc) from None
 
 
 def _freq_tag(i, f_hz):
@@ -110,17 +121,6 @@ def _stage_dir(out):
         raise path_error("cannot create output directory", out, exc) from None
 
 
-def _write_staged(stage, out, name, chunks):
-    """Write the bytes `chunks`, one `write` each, to `name` in the staging
-    directory `stage`; a ConfigError names the file's place in `out`."""
-    try:
-        with open(os.path.join(stage, name), "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise path_error("cannot write", os.path.join(out, name), exc) from None
-
-
 def _move(src, dst):
     """os.replace(src, dst); a ConfigError names `dst`."""
     try:
@@ -160,15 +160,15 @@ def cmd_simulate(args):
                                    stack.reshape(len(freqs), grid.ny, grid.nx), meta)
             for tag, chunks in zip(tags, maps):
                 files.append(f"{prefix}_{tag}.csv")
-                _write_staged(stage, args.out, files[-1], chunks)
+                _dump(os.path.join(stage, files[-1]), chunks, os.path.join(args.out, files[-1]))
         if clipped:
             print(f"warning: {clipped} of {db.size} map cells clipped to the "
                   f"{_DB_FLOOR_DB:g} dB floor", file=sys.stderr)
         provenance = {"config_sha256": cfg.digest, "kernel": cfg.kernel,
                       "sign_mode": cfg.sign_mode, "tool": f"nfscan {__version__}"}
         files.append("provenance.json")
-        _write_staged(stage, args.out, files[-1],
-                      [(json.dumps(provenance, sort_keys=True, indent=2) + "\n").encode()])
+        text = json.dumps(provenance, sort_keys=True, indent=2) + "\n"
+        _dump(os.path.join(stage, files[-1]), [text.encode()], os.path.join(args.out, files[-1]))
         if target is not None:
             _move(stage, target)
         else:
@@ -188,24 +188,16 @@ def cmd_probe_transfer(args):
     return 0
 
 
-def _read(path, parse):
-    """`parse` of the file at `path`, given as a binary file open at its
-    start (a map, CF or Touchstone parser of `formats`); errors in reading
-    it are `config.reading`'s."""
-    with reading(path) as fh:
-        return parse(fh)
-
-
 def cmd_calibrate(args):
-    net = _read(args.probe, parse_touchstone)
+    net = read(args.probe, parse_touchstone)
     table = calibrate(net, d=args.d * 1e-3, h=args.h * 1e-3, kernel=args.kernel)
     _write_text(args.out, write_cf_csv(table))
     return 0
 
 
 def cmd_extract(args):
-    vmap = _read(args.scan, parse_map_csv)
-    table = _read(args.cf, parse_cf_csv)
+    vmap = read(args.scan, parse_map_csv)
+    table = read(args.cf, parse_cf_csv)
     out = apply_calibration_to_scan(vmap, table, args.freq, sign_mode=args.sign_mode)
     (chunks,) = write_map_stack(out.grid, [out.f], out.component, out.values[None], out.meta)
     _write_chunks(args.out, chunks)
@@ -213,7 +205,7 @@ def cmd_extract(args):
 
 
 def cmd_profile(args):
-    fmap = _read(args.map, parse_map_csv)
+    fmap = read(args.map, parse_map_csv)
     coords, values = extract_profile(fmap, args.axis, args.at * 1e-3)
     _write_text(args.out, write_profile_csv(coords, values, args.axis, args.at * 1e-3,
                                             fmap.f, fmap.component))
@@ -221,7 +213,7 @@ def cmd_profile(args):
 
 
 def cmd_stats(args):
-    fmap = _read(args.map, parse_map_csv)
+    fmap = read(args.map, parse_map_csv)
     s = map_stats(fmap)
     print(f"min {s.min_db!r} dB at x={s.argmin[0]!r} m y={s.argmin[1]!r} m "
           f"(ix={s.argmin_idx[0]}, iy={s.argmin_idx[1]})")
@@ -231,7 +223,7 @@ def cmd_stats(args):
 
 
 def cmd_render(args):
-    fmap = _read(args.map, parse_map_csv)
+    fmap = read(args.map, parse_map_csv)
     _write_text(args.out, render_pgm(fmap, args.lo, args.hi))
     return 0
 

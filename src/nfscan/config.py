@@ -3,7 +3,8 @@
 Configs use bench units (lengths in mm, frequencies in GHz, drive power
 in dBm); everything is converted to SI on load.  Unknown keys anywhere
 and keys given twice are rejected, and every error names the offending
-field path.
+field path.  `read` opens every input file of the CLI, this config
+included, and names the path in any error of reading it.
 
 Some keys describe the bench but do not enter the quasi-static model:
 substrate.tan_d, t, sigma, drive.source_z and calibration.d, h.  They
@@ -14,7 +15,6 @@ reach only simulate's provenance.json.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -34,10 +34,10 @@ _REQUIRED = object()
 #: grid at one frequency peaks at 283 MB RSS, 240 MB of it its three dB
 #: stacks, and `simulate` or `probe-transfer` with 2,000 segments x 5,000
 #: frequencies on one point at 341 MB (x86-64, Python 3.11, numpy 2.4).
-#: A 1-segment trace is the worst case: the chain's buffers take 32 B x
-#: frequencies x block points, a block holds `fields.PAIRS` // 2 points,
-#: and table3's line unsplit on a 256 x 256 grid x 152 frequencies peaks
-#: at 568 MB RSS, 287 MB with `max_segment: 1.0` (30 segments).
+#: The chain's two buffers hold at most `fields.PAIRS` // (2 x frequencies)
+#: probes, 2 MiB, whatever the segment count: table3's line unsplit (1
+#: segment) on a 256 x 256 grid x 152 frequencies peaks at 282 MB RSS, as
+#: with `max_segment: 1.0` (30 segments).
 MAX_CELLS = 10**7
 
 #: Most trace segments a config may ask for; table2 at `max_segment: 0.1`
@@ -321,13 +321,12 @@ def path_error(action, path, exc):
     return ConfigError(f"{action} {path!r}: {exc}")
 
 
-@contextlib.contextmanager
-def reading(path):
-    """The file at `path`, open to read its bytes, for a `with` block.
+def read(path, parse):
+    """parse(fh) for the file at `path`, open as `fh` to read its bytes.
 
     An OSError in opening or reading it, or the ValueError of a NUL byte
     in `path`, leaves as the ConfigError "cannot read PATH: ..."
-    (`path_error`), and a UnicodeDecodeError of its bytes in the block as
+    (`path_error`), and a UnicodeDecodeError of its bytes as
     "cannot read PATH: not UTF-8 text (byte 0x..: reason)".
     """
     try:
@@ -336,7 +335,7 @@ def reading(path):
         raise path_error("cannot read", path, exc) from None
     with fh:
         try:
-            yield fh
+            return parse(fh)
         except OSError as exc:
             raise path_error("cannot read", path, exc) from None
         except UnicodeDecodeError as exc:
@@ -363,8 +362,7 @@ def _object(pairs):
 
 def load_config(path):
     try:
-        with reading(path) as fh:
-            doc = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_object)
+        doc = read(path, lambda fh: json.loads(fh.read().decode(), object_pairs_hook=_object))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(doc, _Repeated):  # json.loads would keep the last value

@@ -9,10 +9,11 @@ one row, `fields.kernel_blocks` gives the real coupling from every trace
 segment (its ground-plane image folded in) to the field along the probe
 normal at each probe's center and, for the integrated aperture, its
 quadrature nodes: one C-ordered (segments x points) array.  The chain
-contracts it in that layout with the segments x frequencies current
-matrix into (frequencies x probes) rows, then computes the block's H, V
-and S21 in turn in one buffer, each stored into the caller's array by
-the caller's `store`; nothing else the size of the scan is held.  Each
+contracts it in that layout, a slice of at most `fields.PAIRS` // (2 nf)
+probes at a time, with the segments x frequencies current matrix into
+(frequencies x probes) rows, then computes the slice's H, V and S21 in
+turn in one buffer, each stored into the caller's array by the caller's
+`store`; nothing else the size of the scan is held.  Each
 point's sums run in a fixed order, so results are byte-identical from
 run to run, whatever the block size.
 
@@ -108,7 +109,9 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive, out, store):
     voltage (the EMF -j 2 pi f mu0 flux, halved if `matched-halving`),
     out[2] S21 = V / sqrt(Z_REF x drive power).
 
-    Per kernel block of probes lo..hi-1, each observable in turn is an
+    Per slice of a kernel block, probes lo..hi-1, at most
+    fields.PAIRS // (2 nf) of them (at least one, so that the chain's two
+    buffers stay within 16 B x PAIRS), each observable in turn is an
     (nf, hi - lo) complex array `obs`, stored by store(out[k, :, lo:hi],
     obs) for k = 0, 1, 2 (np.copyto, or `cli._db_stack`).  A
     SingularityError carries the index of the center.
@@ -125,28 +128,31 @@ def _probe_chain(trace, substrate, probe, centers, freqs, drive, out, store):
     nf = len(freqs)
     emf = (-1j * 2.0 * math.pi * freqs * MU_0)[:, None]
     hbuf = cbuf = np.empty(0)
-    for lo, hi, g in fields.kernel_blocks(trace, centers, probe.normal, offsets):
-        n = hi - lo
-        if cbuf.size < nf * n:  # once: later blocks are no larger
-            hbuf, cbuf = np.empty(2 * nf * n), np.empty(nf * n, dtype=complex)
-        h = hbuf[:2 * nf * n].reshape(2 * nf, n)
-        obs = cbuf[:nf * n].reshape(nf, n)
-        g = g.reshape(len(g), n, m)
-        np.einsum("sp,sf->fp", g[..., 0], cur, out=h)
-        # In place in obs, with no (nf, n) temporary: H, then the flux, then V.
-        np.add(h[:nf], np.multiply(1j, h[nf:], out=obs), out=obs)
-        store(out[0, :, lo:hi], obs)
-        if integrated:
-            flux = _node_flux(g, weights, cur)
-            np.add(flux[:nf], np.multiply(1j, flux[nf:], out=obs), out=obs)
-        else:
-            np.multiply(obs, probe.side_s * probe.side_s, out=obs)
-        np.multiply(emf, obs, out=obs)
-        if probe.loading == "matched-halving":
-            obs /= 2.0
-        store(out[1, :, lo:hi], obs)
-        np.divide(obs, math.sqrt(Z_REF * drive.power), out=obs)
-        store(out[2, :, lo:hi], obs)
+    step = max(1, fields.PAIRS // (2 * nf))
+    for start, stop, block in fields.kernel_blocks(trace, centers, probe.normal, offsets):
+        block = block.reshape(len(block), stop - start, m)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            n, g = hi - lo, block[:, lo - start:hi - start]
+            if cbuf.size < nf * n:  # once: later slices are no larger
+                hbuf, cbuf = np.empty(2 * nf * n), np.empty(nf * n, dtype=complex)
+            h = hbuf[:2 * nf * n].reshape(2 * nf, n)
+            obs = cbuf[:nf * n].reshape(nf, n)
+            np.einsum("sp,sf->fp", g[..., 0], cur, out=h)
+            # In place in obs, with no (nf, n) temporary: H, then the flux, then V.
+            np.add(h[:nf], np.multiply(1j, h[nf:], out=obs), out=obs)
+            store(out[0, :, lo:hi], obs)
+            if integrated:
+                flux = _node_flux(g, weights, cur)
+                np.add(flux[:nf], np.multiply(1j, flux[nf:], out=obs), out=obs)
+            else:
+                np.multiply(obs, probe.side_s * probe.side_s, out=obs)
+            np.multiply(emf, obs, out=obs)
+            if probe.loading == "matched-halving":
+                obs /= 2.0
+            store(out[1, :, lo:hi], obs)
+            np.divide(obs, math.sqrt(Z_REF * drive.power), out=obs)
+            store(out[2, :, lo:hi], obs)
 
 
 def scan_grid(trace: TracePath, substrate: Substrate, probe: LoopProbe, grid: ScanGrid,

@@ -586,6 +586,12 @@ class _DiskFullHalfway:
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def _disk_full_open(path, mode="r", **kwargs):
+    """open(), but a file opened to write is a `_DiskFullHalfway`."""
+    fh = open(path, mode, **kwargs)
+    return _DiskFullHalfway(fh) if "w" in mode else fh
+
+
 class TestProbeTransfer:
     def test_sweep_collapsed_at_9_digits_exits_2(self, tmp_path, capsys):
         # three points within 0.1 Hz all print as 1 GHz: no .s2p is written,
@@ -633,12 +639,7 @@ class TestAtomicWrites:
                 "render": ["render", "--map", str(sim / "hy_dba_m_000_2GHz.csv"),
                            "--lo", "-60", "--hi", "-10"]}[cmd] + ["--out", str(out)]
         out.write_bytes(b"previous")
-
-        def disk_full_open(path, mode="r", **kwargs):
-            fh = open(path, mode, **kwargs)
-            return _DiskFullHalfway(fh) if "w" in mode else fh
-
-        monkeypatch.setattr(cli, "open", disk_full_open, raising=False)
+        monkeypatch.setattr(cli, "open", _disk_full_open, raising=False)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
         assert out.read_bytes() == b"previous"
@@ -647,6 +648,27 @@ class TestAtomicWrites:
         assert main(argv) == 0
         assert out.read_bytes() != b"previous"
         assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_failed_staged_write_keeps_out(self, tmp_path, monkeypatch, capsys, existing):
+        """`simulate`'s first map fails to write: the error names the map's
+        place in --out, which is left as it was, with no staging directory."""
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_bytes(b"previous")
+        argv = ["simulate", "--config", TABLE2, "--out", str(out)]
+        monkeypatch.setattr(cli, "open", _disk_full_open, raising=False)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: cannot write {out / 's21_db_000_2GHz.csv'}: "
+                                           "No space left on device\n")
+        assert os.listdir(tmp_path) == (["out"] if existing else [])
+        if existing:
+            assert os.listdir(out) == ["keep.txt"]
+            assert (out / "keep.txt").read_bytes() == b"previous"
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert "s21_db_000_2GHz.csv" in os.listdir(out)
 
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -720,6 +742,29 @@ def test_nul_byte_in_path_names_path(pipeline, tmp_path, capsys, cmd, opt):
     action = ("cannot read" if opt != "--out" else "cannot create output directory"
               if cmd == "simulate" else "cannot write")
     assert capsys.readouterr().err == f"error: {action} {path!r}: embedded null byte\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/mem")
+@pytest.mark.parametrize("cmd, opt", [
+    ("simulate", "--config"), ("probe-transfer", "--config"), ("calibrate", "--probe"),
+    ("extract", "--scan"), ("extract", "--cf"), ("profile", "--map"), ("stats", "--map"),
+    ("render", "--map")])
+def test_read_error_after_open_names_path(pipeline, tmp_path, capsys, cmd, opt):
+    # Linux opens /proc/self/mem, then fails a read at offset 0 with EIO
+    _, s2p, cf, sim = pipeline
+    hy, out = str(sim / "hy_dba_m_000_2GHz.csv"), str(tmp_path / "out")
+    argv = {"simulate": ["--config", TABLE2, "--out", out],
+            "probe-transfer": ["--config", TABLE2, "--out", out],
+            "calibrate": ["--probe", str(s2p), "--d", "1.0", "--h", "1.6", "--out", out],
+            "extract": ["--scan", str(sim / "v_dbv_000_2GHz.csv"), "--cf", str(cf),
+                        "--freq", "2e9", "--out", out],
+            "profile": ["--map", hy, "--axis", "y", "--at", "0.0", "--out", out],
+            "stats": ["--map", hy],
+            "render": ["--map", hy, "--lo", "-60", "--hi", "-10", "--out", out]}[cmd]
+    argv[argv.index(opt) + 1] = "/proc/self/mem"
+    assert main([cmd] + argv) == 2
+    assert capsys.readouterr().err == "error: cannot read /proc/self/mem: Input/output error\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -1585,6 +1630,29 @@ class TestStreamingMemory:
             tracemalloc.stop()
         assert peak < 3 * 8 * cells + 25 * fields.PAIRS + 2 ** 20
 
+    def test_one_segment_peak_below_its_db_stacks_and_a_slice(self, tmp_path):
+        # a 1-segment trace puts PAIRS // 2 probes in a kernel block; the
+        # chain's two buffers, 32 B x frequencies a probe, hold a slice of at
+        # most PAIRS // (2 x frequencies) probes, 16 B x PAIRS; 201 x 51 points
+        # x 40 frequencies peak at 11.8 MiB here (tracemalloc), 22.1 MiB with
+        # the buffers a whole block in size
+        with open(TABLE3, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["trace"]["max_segment"]
+        doc["grid"].update(dx=0.1, dy=0.1, y_min=-2.5, y_max=2.5)
+        doc["sweep"].update(f_min=0.1, f_max=3.0, n_points=40)
+        cfg = tmp_path / "line.json"
+        cfg.write_text(json.dumps(doc))
+        cells = 201 * 51 * 40
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(os.listdir(tmp_path / "o")) == 3 * 40 + 1
+        assert peak < 3 * 8 * cells + 25 * fields.PAIRS + 2 ** 20 + 16 * fields.PAIRS, peak
+
     def test_map_write_peak_below_a_quarter_of_the_file(self, tmp_path):
         # 0.20x here (tracemalloc); 2.0x with the whole text made first
         vals = np.random.default_rng(7).uniform(-350.0, 0.0, (1, 1001, 1001))
@@ -1617,7 +1685,7 @@ class TestDeterminism:
 
 class TestMapFileRead:
     """The CLI parses a map from the file's bytes, with the library's
-    results and errors, and the read errors of `config.reading`."""
+    results and errors, and the read errors of `config.read`."""
 
     @pytest.mark.parametrize("data, err", [
         (_MAP.encode().replace(b"normal: hy", b"normal: h\xffy"),

@@ -17,7 +17,7 @@ from map_parser_reference import parse_map_csv_per_row
 from map_writer_reference import (write_cf_csv_per_row, write_map_csv_per_cell,
                                   write_profile_csv_per_row)
 
-from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, cli,
+from nfscan import (CFTable, ConfigError, FieldMap, NetworkData, ParseError, ScanGrid, config,
                     formats, model, parse_cf_csv, parse_map_csv, parse_touchstone, render_pgm,
                     write_cf_csv, write_map_csv, write_touchstone)
 from nfscan.calibration import KERNELS
@@ -920,7 +920,7 @@ class TestBlockReader:
         path.write_text(write_map_csv(_db_map(vals)))
         tracemalloc.start()
         try:
-            fmap = cli._read(str(path), formats.parse_map_csv)
+            fmap = config.read(str(path), formats.parse_map_csv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -176,7 +176,8 @@ class TestRunSimulatedScan:
 
     def test_grid_blocks_stored_three_times_each_in_k_order(self, monkeypatch, cal_probe,
                                                             straight_trace, substrate, drive):
-        # 4 probes a block: a 9-point row in chunks of 4, 4 and 1
+        # 4 probes a block: a 9-point row in chunks of 4, 4 and 1; 2 probes a
+        # slice (PAIRS // (2 x 2 frequencies)): the chunks of 4 stored as 2 and 2
         grid = ScanGrid(x_min=-2.1e-3, x_max=3.5e-3, y_min=-1.3e-3, y_max=2.3e-3, dx=0.7e-3,
                         dy=0.4e-3, z_height=SCAN_HEIGHT)
         sweep = FrequencySweep(f_min=1e9, f_max=3e9, n_points=2)
@@ -199,7 +200,7 @@ class TestRunSimulatedScan:
         assert calls == [(k, lo, hi) for lo, hi in blocks for k in range(3)]
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == npts
-        assert [hi - lo for lo, hi in blocks] == [4, 4, 1] * grid.ny
+        assert [hi - lo for lo, hi in blocks] == [2, 2, 2, 2, 1] * grid.ny
         got = out.reshape(3, 2, grid.ny, grid.nx)
         for k, name in enumerate(("hfield", "vport", "s21")):
             assert got[k].tobytes() == getattr(want, name).tobytes()
